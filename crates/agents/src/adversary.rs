@@ -21,7 +21,7 @@ use crate::pathdisc::DiscoveredPath;
 use serde::{Deserialize, Serialize};
 use vigil_fabric::flowsim::FlowRecord;
 use vigil_packet::FiveTuple;
-use vigil_topology::{splitmix64, HostId, LinkId};
+use vigil_topology::{splitmix64, HostId, LinkId, Path};
 
 /// What a compromised host does with its monitoring agent.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -150,8 +150,8 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The compiled adversary for one topology: answers, per flow record,
-/// what the source host's monitoring agent emits. Honest hosts emit the
+/// The compiled adversary for one topology: answers, per flow, what the
+/// source host's monitoring agent emits. Honest hosts emit the
 /// §4.2 eventful rule exactly; compromised hosts follow the spec's
 /// behavior. All answers are pure functions of `(salt, host, tuple)`.
 #[derive(Debug, Clone)]
@@ -192,78 +192,89 @@ impl AdversaryModel {
         unit(h) < self.spec.fraction
     }
 
-    /// What `rec.src`'s monitoring agent emits for this flow record:
-    /// `Some((event, path))` routes through the host agent (pacer, dup
-    /// cache, hub) exactly like an honest observation; `None` is silence.
-    pub fn emission(&self, rec: &FlowRecord) -> Option<(RetransmissionEvent, DiscoveredPath)> {
-        let eventful = rec.established && rec.retransmissions > 0;
-        let honest = |retransmissions: u32| RetransmissionEvent {
-            host: rec.src,
-            tuple: rec.tuple,
+    /// The column-level emission decision: what `src`'s monitoring agent
+    /// reports for a flow, from the four columns every rule reads —
+    /// `None` is silence. Honest hosts (every host, when the spec is
+    /// disabled) follow §4.2: established and at least one
+    /// retransmission. The flow's path is deliberately not an input, so
+    /// a scanning driver materializes a record only for rows that emit;
+    /// [`claimed_path`](Self::claimed_path) resolves the path afterwards.
+    pub fn decide(
+        &self,
+        src: HostId,
+        tuple: &FiveTuple,
+        established: bool,
+        retransmissions: u32,
+    ) -> Option<RetransmissionEvent> {
+        let eventful = established && retransmissions > 0;
+        let honest = || RetransmissionEvent {
+            host: src,
+            tuple: *tuple,
             retransmissions,
         };
-        if !self.compromised(rec.src) {
-            return eventful.then(|| {
-                (
-                    honest(rec.retransmissions),
-                    DiscoveredPath::of_flow_path(&rec.path),
-                )
-            });
+        if !self.compromised(src) {
+            return eventful.then(honest);
         }
+        // Spurious evidence for a healthy established flow: 1–3 claimed
+        // retransmissions, on a `rate` fraction of them.
+        let spurious = |rate: f64| {
+            let h = hash_flow(self.spec.salt ^ FLOOD_SALT, src, tuple);
+            (established && unit(h) < rate).then(|| RetransmissionEvent {
+                host: src,
+                tuple: *tuple,
+                retransmissions: 1 + (splitmix64(h) % 3) as u32,
+            })
+        };
         match self.spec.behavior {
-            ByzantineBehavior::Liar => {
-                eventful.then(|| (honest(rec.retransmissions), self.fake_path(rec)))
-            }
+            ByzantineBehavior::Liar => eventful.then(honest),
             ByzantineBehavior::Mute => None,
             ByzantineBehavior::Flooder { rate } => {
                 if eventful {
-                    return Some((
-                        honest(rec.retransmissions),
-                        DiscoveredPath::of_flow_path(&rec.path),
-                    ));
+                    Some(honest())
+                } else {
+                    spurious(rate)
                 }
-                self.spurious(rec, rate)
             }
             ByzantineBehavior::Flipper => {
                 if eventful {
-                    return None;
+                    None
+                } else {
+                    spurious(1.0)
                 }
-                self.spurious(rec, 1.0)
             }
         }
     }
 
-    /// Spurious evidence for a healthy established flow: 1–3 claimed
-    /// retransmissions on the flow's true path, at `rate`.
-    fn spurious(
-        &self,
-        rec: &FlowRecord,
-        rate: f64,
-    ) -> Option<(RetransmissionEvent, DiscoveredPath)> {
-        if !rec.established {
-            return None;
+    /// The path `event.host`'s agent reports for an event
+    /// [`decide`](Self::decide) emitted on a flow whose true path is
+    /// `path`: the oracle discovery, except that a liar fabricates one.
+    pub fn claimed_path(&self, event: &RetransmissionEvent, path: &Path) -> DiscoveredPath {
+        if self.spec.behavior == ByzantineBehavior::Liar && self.compromised(event.host) {
+            self.fake_path(event, &path.links)
+        } else {
+            DiscoveredPath::of_flow_path(path)
         }
-        let h = hash_flow(self.spec.salt ^ FLOOD_SALT, rec.src, &rec.tuple);
-        if unit(h) >= rate {
-            return None;
-        }
-        let event = RetransmissionEvent {
-            host: rec.src,
-            tuple: rec.tuple,
-            retransmissions: 1 + (splitmix64(h) % 3) as u32,
-        };
-        Some((event, DiscoveredPath::of_flow_path(&rec.path)))
+    }
+
+    /// What `rec.src`'s monitoring agent emits for this flow record:
+    /// `Some((event, path))` routes through the host agent (pacer, dup
+    /// cache, hub) exactly like an honest observation; `None` is silence.
+    /// [`decide`](Self::decide) on the record's columns, then
+    /// [`claimed_path`](Self::claimed_path) on its path.
+    pub fn emission(&self, rec: &FlowRecord) -> Option<(RetransmissionEvent, DiscoveredPath)> {
+        let event = self.decide(rec.src, &rec.tuple, rec.established, rec.retransmissions)?;
+        let path = self.claimed_path(&event, &rec.path);
+        Some((event, path))
     }
 
     /// A liar's fabricated path: as many links as the true path, none of
     /// them on it, drawn from a hash chain (deterministic in the flow,
     /// not in arrival order). Falls back to an id-order sweep if the
     /// chain stalls (pathologically small fabrics).
-    fn fake_path(&self, rec: &FlowRecord) -> DiscoveredPath {
-        let true_links = &rec.path.links;
+    fn fake_path(&self, event: &RetransmissionEvent, true_links: &[LinkId]) -> DiscoveredPath {
         let want = true_links.len().max(1);
         let mut links: Vec<LinkId> = Vec::with_capacity(want);
-        let mut z = hash_flow(self.spec.salt ^ LIAR_SALT, rec.src, &rec.tuple);
+        let mut z = hash_flow(self.spec.salt ^ LIAR_SALT, event.host, &event.tuple);
         let mut attempts = 0usize;
         while links.len() < want && attempts < 64 * want {
             z = splitmix64(z);

@@ -1,20 +1,20 @@
-//! Report fan-in: per-host agents → centralized analysis agent.
+//! Event fan-in: per-host agents → centralized analysis agent.
 //!
 //! The paper's Figure 2 shows every host's 007 process feeding a central
 //! analysis agent ("At regular intervals of 30s the votes are tallied by a
 //! centralized analysis agent"). This module is that arrow: a crossbeam
-//! MPMC channel pair, so host agents can run on their own threads and the
-//! collector drains everything that arrived in the epoch.
+//! MPMC channel pair carrying the typed [`AgentEvent`] protocol, so host
+//! agents can run on their own threads and the collector drains
+//! everything that arrived.
 //!
-//! [`report_channel`] is unbounded — fine for simulation, where the
-//! collector drains every epoch. A production deployment wants
-//! [`report_channel_bounded`]: a slow (or wedged) analysis agent then
-//! exerts backpressure instead of growing the queue without limit, and
-//! hosts that refuse to block can [`ReportSender::try_send`] and shed
-//! reports — "monitoring must never hurt the application".
+//! [`event_channel`] is unbounded — fine for an agent's private staging
+//! queue. A deployment wants [`event_channel_bounded`]: a slow (or
+//! wedged) analysis agent then exerts backpressure instead of growing
+//! the queue without limit, and hosts that refuse to block can
+//! [`EventSender::try_send`] and shed events — "monitoring must never
+//! hurt the application".
 
 use crate::events::AgentEvent;
-use crate::host_agent::TraceReport;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,131 +31,8 @@ struct HubCounters {
     shed: AtomicU64,
 }
 
-/// Sending half given to each host agent (clone freely; one per host
-/// thread).
-#[derive(Debug, Clone)]
-pub struct ReportSender {
-    tx: Sender<TraceReport>,
-    counters: Arc<HubCounters>,
-}
-
-impl ReportSender {
-    /// Submits one report to the analysis agent. Returns `false` when the
-    /// collector is gone (shutdown) — hosts just drop reports then,
-    /// matching the "monitoring must never hurt the application" stance.
-    /// On a bounded hub this blocks while the queue is full
-    /// (backpressure).
-    pub fn send(&self, report: TraceReport) -> bool {
-        if self.tx.send(report).is_ok() {
-            self.counters.delivered.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            self.counters.shed.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
-
-    /// Non-blocking submit for hosts that must never stall: on a full
-    /// bounded hub the report is shed and `false` comes back (the flow
-    /// will retransmit again next epoch; losing one report costs a vote,
-    /// not correctness). Also `false` after collector shutdown. Every
-    /// shed bumps the collector-visible [`ReportCollector::shed`] count.
-    pub fn try_send(&self, report: TraceReport) -> bool {
-        match self.tx.try_send(report) {
-            Ok(()) => {
-                self.counters.delivered.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-}
-
-/// Receiving half owned by the centralized analysis agent.
-#[derive(Debug)]
-pub struct ReportCollector {
-    rx: Receiver<TraceReport>,
-    counters: Arc<HubCounters>,
-}
-
-impl ReportCollector {
-    /// Drains every report currently queued (non-blocking) — called at
-    /// the epoch boundary before tallying votes.
-    pub fn drain(&self) -> Vec<TraceReport> {
-        let mut out = Vec::new();
-        while let Ok(r) = self.rx.try_recv() {
-            out.push(r);
-        }
-        out
-    }
-
-    /// Blocks for exactly `n` reports (test/tooling convenience; returns
-    /// early if all senders disconnect).
-    pub fn collect_n(&self, n: usize) -> Vec<TraceReport> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match self.rx.recv() {
-                Ok(r) => out.push(r),
-                Err(_) => break,
-            }
-        }
-        out
-    }
-
-    /// Reports accepted onto the hub so far (delivered to the queue; the
-    /// collector may not have drained them yet).
-    pub fn delivered(&self) -> u64 {
-        self.counters.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Reports shed so far (bounded queue full on `try_send`, or sender
-    /// outliving the collector). Nonzero sheds mean votes were lost this
-    /// epoch — the stream driver logs this count every window.
-    pub fn shed(&self) -> u64 {
-        self.counters.shed.load(Ordering::Relaxed)
-    }
-}
-
-/// Creates the hub: one sender prototype + the collector.
-pub fn report_channel() -> (ReportSender, ReportCollector) {
-    let (tx, rx) = unbounded();
-    let counters = Arc::new(HubCounters::default());
-    (
-        ReportSender {
-            tx,
-            counters: Arc::clone(&counters),
-        },
-        ReportCollector { rx, counters },
-    )
-}
-
-/// Creates a hub holding at most `capacity` undelivered reports, so a
-/// slow analysis agent cannot grow memory without limit: `send` blocks
-/// (backpressure) and `try_send` sheds once the queue is full.
-///
-/// # Panics
-///
-/// Panics when `capacity` is 0 — a rendezvous hub would deadlock the
-/// epoch-batch drain pattern the collector uses.
-pub fn report_channel_bounded(capacity: usize) -> (ReportSender, ReportCollector) {
-    assert!(capacity > 0, "hub capacity must be at least 1");
-    let (tx, rx) = bounded(capacity);
-    let counters = Arc::new(HubCounters::default());
-    (
-        ReportSender {
-            tx,
-            counters: Arc::clone(&counters),
-        },
-        ReportCollector { rx, counters },
-    )
-}
-
-/// Sending half of the typed [`AgentEvent`] hub — the streaming service
-/// mode's wire. Same delivery semantics as [`ReportSender`], with the
-/// event protocol's lifecycle kinds on top of evidence.
+/// Sending half of the typed [`AgentEvent`] hub given to the host agents
+/// (clone freely; one per host thread).
 #[derive(Debug, Clone)]
 pub struct EventSender {
     tx: Sender<AgentEvent>,
@@ -164,7 +41,8 @@ pub struct EventSender {
 
 impl EventSender {
     /// Blocking submit (backpressure on a full bounded hub). `false` when
-    /// the collector is gone.
+    /// the collector is gone (shutdown) — hosts just drop events then,
+    /// matching the "monitoring must never hurt the application" stance.
     pub fn send(&self, event: AgentEvent) -> bool {
         if self.tx.send(event).is_ok() {
             self.counters.delivered.fetch_add(1, Ordering::Relaxed);
@@ -175,9 +53,12 @@ impl EventSender {
         }
     }
 
-    /// Non-blocking submit; sheds (and counts the shed) on a full bounded
-    /// hub or after collector shutdown. The per-host sequence numbers in
-    /// [`AgentEvent`] are what let the collector *see* the resulting gap.
+    /// Non-blocking submit for hosts that must never stall; sheds (and
+    /// counts the shed) on a full bounded hub or after collector
+    /// shutdown. Losing one event costs a vote, not correctness (the flow
+    /// will retransmit again next epoch), and the per-host sequence
+    /// numbers in [`AgentEvent`] are what let the collector *see* the
+    /// resulting gap.
     pub fn try_send(&self, event: AgentEvent) -> bool {
         match self.tx.try_send(event) {
             Ok(()) => {
@@ -217,7 +98,9 @@ impl EventCollector {
         self.counters.delivered.load(Ordering::Relaxed)
     }
 
-    /// Events shed so far (see [`ReportCollector::shed`]).
+    /// Events shed so far (bounded queue full on `try_send`, or sender
+    /// outliving the collector). Nonzero sheds mean votes were lost — the
+    /// stream driver logs this count every window.
     pub fn shed(&self) -> u64 {
         self.counters.shed.load(Ordering::Relaxed)
     }
@@ -259,6 +142,7 @@ pub fn event_channel_bounded(capacity: usize) -> (EventSender, EventCollector) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host_agent::TraceReport;
     use vigil_packet::FiveTuple;
     use vigil_topology::{HostId, LinkId};
 
@@ -277,112 +161,72 @@ mod tests {
         }
     }
 
+    fn evidence(host: u32, seq: u64) -> AgentEvent {
+        AgentEvent::Evidence {
+            seq,
+            report: report(host, 1),
+        }
+    }
+
     #[test]
     fn fan_in_from_threads() {
-        let (tx, collector) = report_channel();
+        let (tx, collector) = event_channel();
         let mut handles = Vec::new();
         for h in 0..8u32 {
             let tx = tx.clone();
             handles.push(std::thread::spawn(move || {
-                for r in 0..5 {
-                    assert!(tx.send(report(h, r + 1)));
+                for seq in 0..5 {
+                    assert!(tx.send(evidence(h, seq)));
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        let reports = collector.collect_n(40);
-        assert_eq!(reports.len(), 40);
-        // Every host contributed 5.
+        let mut events = Vec::new();
+        assert_eq!(collector.drain_into(&mut events), 40);
+        // Every host contributed 5, and the drain is non-blocking.
         for h in 0..8u32 {
-            assert_eq!(reports.iter().filter(|r| r.host == HostId(h)).count(), 5);
+            assert_eq!(events.iter().filter(|e| e.host() == HostId(h)).count(), 5);
         }
-    }
-
-    #[test]
-    fn drain_is_non_blocking() {
-        let (tx, collector) = report_channel();
-        assert!(collector.drain().is_empty());
-        tx.send(report(1, 1));
-        tx.send(report(2, 1));
-        let got = collector.drain();
-        assert_eq!(got.len(), 2);
-        assert!(collector.drain().is_empty());
-    }
-
-    #[test]
-    fn send_after_collector_drop_fails_softly() {
-        let (tx, collector) = report_channel();
-        drop(collector);
-        assert!(!tx.send(report(1, 1)));
-    }
-
-    #[test]
-    fn bounded_hub_sheds_on_try_send_when_full() {
-        let (tx, collector) = report_channel_bounded(2);
-        assert!(tx.try_send(report(1, 1)));
-        assert!(tx.try_send(report(2, 1)));
-        // Queue full: a host that must not block sheds the report.
-        assert!(!tx.try_send(report(3, 1)));
-        let drained = collector.drain();
-        assert_eq!(drained.len(), 2);
-        // Capacity freed: sends land again.
-        assert!(tx.try_send(report(3, 1)));
-        assert_eq!(collector.drain().len(), 1);
+        assert_eq!(collector.drain_into(&mut events), 0);
     }
 
     #[test]
     fn bounded_hub_send_applies_backpressure() {
-        let (tx, collector) = report_channel_bounded(1);
-        assert!(tx.send(report(1, 1)));
+        let (tx, collector) = event_channel_bounded(1);
+        assert!(tx.send(evidence(1, 0)));
         let producer = std::thread::spawn(move || {
             // Queue is full: this blocks until the collector drains,
             // then succeeds — backpressure, not loss.
-            assert!(tx.send(report(2, 1)));
+            assert!(tx.send(evidence(2, 0)));
         });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let first = collector.collect_n(1);
-        assert_eq!(first.len(), 1);
+        let mut events = Vec::new();
+        while events.len() < 2 {
+            collector.drain_into(&mut events);
+            std::thread::yield_now();
+        }
         producer.join().unwrap();
-        let second = collector.collect_n(1);
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].host, HostId(2));
+        assert_eq!(events[1].host(), HostId(2));
+        assert_eq!((collector.delivered(), collector.shed()), (2, 0));
     }
 
     #[test]
     #[should_panic(expected = "capacity")]
     fn bounded_hub_rejects_zero_capacity() {
-        let _ = report_channel_bounded(0);
-    }
-
-    #[test]
-    fn shed_and_delivered_are_counted_on_the_collector() {
-        let (tx, collector) = report_channel_bounded(2);
-        assert!(tx.try_send(report(1, 1)));
-        assert!(tx.try_send(report(2, 1)));
-        assert!(!tx.try_send(report(3, 1)), "third must shed");
-        assert_eq!(collector.delivered(), 2);
-        assert_eq!(collector.shed(), 1);
-        collector.drain();
-        assert!(tx.send(report(4, 1)));
-        assert_eq!(collector.delivered(), 3, "send counts as delivered too");
-        assert_eq!(collector.shed(), 1);
+        let _ = event_channel_bounded(0);
     }
 
     #[test]
     fn send_after_collector_drop_counts_as_shed() {
-        let (tx, collector) = report_channel();
-        let shed_view = tx.clone();
+        let (tx, collector) = event_channel();
         drop(collector);
-        assert!(!shed_view.send(report(1, 1)));
-        assert!(!tx.try_send(report(2, 1)));
-        // The counters outlive the collector on the sender side; a fresh
-        // hub starts at zero.
-        let (tx2, collector2) = report_channel();
-        assert!(tx2.send(report(3, 1)));
-        assert_eq!(collector2.delivered(), 1);
-        assert_eq!(collector2.shed(), 0);
+        assert!(!tx.send(evidence(1, 0)));
+        assert!(!tx.try_send(evidence(2, 0)));
+        // A fresh hub starts at zero.
+        let (tx2, collector2) = event_channel();
+        assert!(tx2.send(evidence(3, 0)));
+        assert_eq!((collector2.delivered(), collector2.shed()), (1, 0));
     }
 
     #[test]

@@ -42,12 +42,7 @@ pub mod slb_gate;
 pub use adversary::{AdversaryModel, ByzantineBehavior, ByzantineSpec};
 pub use events::AgentEvent;
 pub use host_agent::{HostAgent, TraceReport};
-pub use hub::{
-    event_channel, event_channel_bounded, report_channel, report_channel_bounded, EventCollector,
-    EventSender, ReportCollector, ReportSender,
-};
-pub use monitor::{HostEventBuckets, RetransmissionEvent, TcpMonitor};
-pub use pathdisc::{
-    DiscoveredPath, FlowIndex, FlowTableTracer, HostPacer, OracleTracer, ProbeTracer, Tracer,
-};
+pub use hub::{event_channel, event_channel_bounded, EventCollector, EventSender};
+pub use monitor::{RetransmissionEvent, TcpMonitor};
+pub use pathdisc::{DiscoveredPath, FlowIndex, HostPacer, OracleTracer, ProbeTracer, Tracer};
 pub use slb_gate::{GateSkip, GateStats, SlbGate};

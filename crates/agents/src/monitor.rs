@@ -80,71 +80,6 @@ impl TcpMonitor {
             })
         })
     }
-
-    /// Buckets the epoch's events by source host in one pass over the
-    /// flow table — the dispatch structure the epoch runner iterates
-    /// instead of rescanning all flows once per host (which was
-    /// O(hosts × flows)). Within each bucket, events keep flow order,
-    /// exactly the order [`events_for_host`](Self::events_for_host)
-    /// yields.
-    pub fn bucket_events(&self, flows: &[FlowRecord], num_hosts: usize) -> HostEventBuckets {
-        // Counting pass → prefix sums → placement pass (CSR layout):
-        // three epoch-level allocations replace a per-host scan + collect.
-        let mut offsets = vec![0u32; num_hosts + 1];
-        for f in flows.iter().filter(|f| Self::is_eventful(f)) {
-            offsets[f.src.0 as usize + 1] += 1;
-        }
-        for h in 0..num_hosts {
-            offsets[h + 1] += offsets[h];
-        }
-        let total = offsets[num_hosts] as usize;
-        let placeholder = RetransmissionEvent {
-            host: HostId(0),
-            tuple: FiveTuple::tcp([0, 0, 0, 0].into(), 0, [0, 0, 0, 0].into(), 0),
-            retransmissions: 0,
-        };
-        let mut events = vec![placeholder; total];
-        let mut cursor: Vec<u32> = offsets[..num_hosts].to_vec();
-        for f in flows.iter().filter(|f| Self::is_eventful(f)) {
-            let h = f.src.0 as usize;
-            events[cursor[h] as usize] = RetransmissionEvent {
-                host: f.src,
-                tuple: f.tuple,
-                retransmissions: f.retransmissions,
-            };
-            cursor[h] += 1;
-        }
-        HostEventBuckets { events, offsets }
-    }
-}
-
-/// The epoch's retransmission events grouped by source host (CSR
-/// layout): `events` holds every event, host-major in flow order, and
-/// `offsets[h]..offsets[h+1]` is host `h`'s slice. Built by
-/// [`TcpMonitor::bucket_events`] in one pass over the flow table.
-#[derive(Debug, Clone)]
-pub struct HostEventBuckets {
-    events: Vec<RetransmissionEvent>,
-    offsets: Vec<u32>,
-}
-
-impl HostEventBuckets {
-    /// The events host `host` would receive from its kernel, in flow
-    /// order — exactly [`TcpMonitor::events_for_host`]'s sequence.
-    pub fn for_host(&self, host: HostId) -> &[RetransmissionEvent] {
-        let h = host.0 as usize;
-        &self.events[self.offsets[h] as usize..self.offsets[h + 1] as usize]
-    }
-
-    /// Total events across all hosts.
-    pub fn total(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Number of hosts the bucketing covers.
-    pub fn num_hosts(&self) -> usize {
-        self.offsets.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -207,30 +142,6 @@ mod tests {
             }
         }
         assert_eq!(total, monitor.all_events(&out.flows).count());
-    }
-
-    #[test]
-    fn bucketed_dispatch_matches_per_host_scan() {
-        // The hot-path regression: one bucketing pass must yield exactly
-        // the events `events_for_host` yields, per host, in order — and
-        // cover `all_events` in total.
-        let (topo, out) = epoch_with_failure();
-        let monitor = TcpMonitor::new();
-        let buckets = monitor.bucket_events(&out.flows, topo.num_hosts());
-        assert_eq!(buckets.num_hosts(), topo.num_hosts());
-        let mut total = 0;
-        for h in topo.hosts() {
-            let scanned: Vec<_> = monitor.events_for_host(h, &out.flows).collect();
-            assert_eq!(
-                buckets.for_host(h),
-                scanned.as_slice(),
-                "bucket for host {h:?} diverges from the per-host scan"
-            );
-            total += scanned.len();
-        }
-        assert_eq!(buckets.total(), total);
-        assert_eq!(buckets.total(), monitor.all_events(&out.flows).count());
-        assert!(buckets.total() > 0, "failure epoch must produce events");
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct DiscoveredPath {
 
 impl DiscoveredPath {
     /// The oracle discovery of a flow's recorded path — exactly what
-    /// [`OracleTracer`]/[`FlowTableTracer`] return for that flow, usable
+    /// [`OracleTracer`] returns for that flow, usable
     /// when the record is in hand (the streaming pipeline, where the
     /// chunk being simulated is the only place the record lives).
     pub fn of_flow_path(p: &Path) -> Self {
@@ -91,11 +91,8 @@ fn path_is_complete(p: &Path) -> bool {
 }
 
 /// A tuple → flow-record index over one epoch's flow table, built once
-/// and shared by every consumer (the tracer, the evaluator, the §7
-/// experiment binaries). Replaces the per-epoch `HashMap<FiveTuple,
-/// Path>` rebuild the [`OracleTracer`] used to pay — the map now stores
-/// a 4-byte index instead of a cloned path, and it is built exactly once
-/// per epoch instead of once per consumer.
+/// and shared by every consumer (the evaluator, the §7 experiment
+/// binaries): a 4-byte index per flow instead of a cloned path.
 #[derive(Debug, Clone, Default)]
 pub struct FlowIndex {
     map: HashMap<FiveTuple, u32>,
@@ -125,35 +122,6 @@ impl FlowIndex {
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-}
-
-/// Flow-mode tracer backed by the epoch's flow table plus the shared
-/// [`FlowIndex`] — the same oracle semantics as [`OracleTracer`] without
-/// cloning every path into a private map. Constructing one is free, so
-/// each worker thread of the sharded runner wraps the same table and
-/// index.
-#[derive(Debug, Clone)]
-pub struct FlowTableTracer<'a> {
-    flows: &'a [vigil_fabric::flowsim::FlowRecord],
-    index: &'a FlowIndex,
-}
-
-impl<'a> FlowTableTracer<'a> {
-    /// A tracer view over `flows` through `index` (built from the same
-    /// table).
-    pub fn new(flows: &'a [vigil_fabric::flowsim::FlowRecord], index: &'a FlowIndex) -> Self {
-        Self { flows, index }
-    }
-}
-
-impl Tracer for FlowTableTracer<'_> {
-    fn trace(&mut self, _src: HostId, tuple: &FiveTuple) -> Option<DiscoveredPath> {
-        let p = &self.flows[self.index.get(tuple)?].path;
-        Some(DiscoveredPath {
-            links: p.links.clone(),
-            complete: path_is_complete(p),
-        })
     }
 }
 

@@ -264,36 +264,6 @@ impl<K: Ord> VoteLedger<K> {
         }
     }
 
-    /// Drains `other`'s open window (and robustness counters) into this
-    /// ledger. Keys present in both supersede — `self` retracts its copy
-    /// and keeps `other`'s, counted like any re-absorption. `other` is
-    /// left with an empty window and a zeroed live tally; its ring,
-    /// health, and epoch index are untouched.
-    ///
-    /// The merge is associative, and when every key lands in exactly one
-    /// source ledger (the sharding contract — routing is a pure function
-    /// of the key), merging N shards and closing is bitwise-identical to
-    /// absorbing everything into one ledger: [`close_window`] re-derives
-    /// the analysis canonically from the merged `BTreeMap`, which is the
-    /// plain set union.
-    ///
-    /// [`close_window`]: Self::close_window
-    pub fn merge_window(&mut self, other: &mut VoteLedger<K>) {
-        for (key, evidence) in std::mem::take(&mut other.window) {
-            if let Some(old) = self.window.get(&key) {
-                self.live.retract(old, self.config.weight);
-                self.robustness.superseded += 1;
-            }
-            self.live.cast(&evidence, self.config.weight);
-            self.window.insert(key, evidence);
-        }
-        let drained = std::mem::take(&mut other.robustness);
-        self.robustness.absorbed += drained.absorbed;
-        self.robustness.superseded += drained.superseded;
-        self.robustness.retracted += drained.retracted;
-        other.live = VoteTally::new(other.num_links);
-    }
-
     /// The ledger's persistent cross-window state: epoch index, summary
     /// ring, health EWMA, robustness counters. Taken **at a window
     /// boundary** (right after [`close_window`](Self::close_window), when
@@ -358,112 +328,6 @@ pub struct LedgerSnapshot {
     pub health: LinkHealth,
     /// Cumulative absorb/discard accounting.
     pub robustness: RobustnessCounters,
-}
-
-/// A link-range-partitioned [`VoteLedger`]: each of N shards absorbs a
-/// disjoint slice of the evidence (routed by first link, or handed out
-/// one-shard-per-worker), so parallel workers fold evidence without a
-/// shared lock. [`close_window`](Self::close_window) merges every shard
-/// into the root ledger — associatively, via
-/// [`VoteLedger::merge_window`] — and closes it there, which is
-/// bitwise-identical to an unsharded ledger fed the same evidence (the
-/// ledger proptests assert this for arbitrary partition counts and
-/// absorb interleavings). The root carries the cross-window state: ring,
-/// health EWMA, epoch index.
-#[derive(Debug, Clone)]
-pub struct ShardedVoteLedger<K: Ord> {
-    root: VoteLedger<K>,
-    shards: Vec<VoteLedger<K>>,
-    num_links: usize,
-}
-
-impl<K: Ord> ShardedVoteLedger<K> {
-    /// A sharded ledger with `shards` partitions over `num_links` links;
-    /// the remaining parameters are [`VoteLedger::new`]'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is 0 (and per [`VoteLedger::new`] on a zero
-    /// ring capacity or an out-of-range `alpha`).
-    pub fn new(
-        shards: usize,
-        num_links: usize,
-        config: Algorithm1Config,
-        ring_capacity: usize,
-        alpha: f64,
-    ) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        Self {
-            root: VoteLedger::new(num_links, config, ring_capacity, alpha),
-            shards: (0..shards)
-                .map(|_| VoteLedger::new(num_links, config, ring_capacity, alpha))
-                .collect(),
-            num_links,
-        }
-    }
-
-    /// Number of partitions.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard `evidence` routes to: its first link's slice of the
-    /// link range (evidence with no links goes to shard 0). A flow's
-    /// path is stable within a window, so re-absorptions of a key land
-    /// on the same shard and supersede correctly.
-    pub fn shard_of(&self, evidence: &FlowEvidence) -> usize {
-        let Some(first) = evidence.links.first() else {
-            return 0;
-        };
-        ((first.index() * self.shards.len()) / self.num_links.max(1)).min(self.shards.len() - 1)
-    }
-
-    /// Absorbs one flow's evidence into its link-range shard.
-    pub fn absorb(&mut self, key: K, evidence: FlowEvidence) {
-        let shard = self.shard_of(&evidence);
-        self.shards[shard].absorb(key, evidence);
-    }
-
-    /// Exclusive access to every shard — hand one `&mut` to each worker;
-    /// any key-disjoint assignment of evidence to shards closes
-    /// identically.
-    pub fn shards_mut(&mut self) -> impl Iterator<Item = &mut VoteLedger<K>> {
-        self.shards.iter_mut()
-    }
-
-    /// Evidence resident across all shards' open windows (plus any
-    /// already merged into the root).
-    pub fn resident(&self) -> usize {
-        self.root.resident() + self.shards.iter().map(VoteLedger::resident).sum::<usize>()
-    }
-
-    /// Cumulative robustness counters summed over the root and every
-    /// shard (shard counters drain into the root at each close).
-    pub fn robustness(&self) -> RobustnessCounters {
-        let mut total = self.root.robustness();
-        for shard in &self.shards {
-            let c = shard.robustness();
-            total.absorbed += c.absorbed;
-            total.superseded += c.superseded;
-            total.retracted += c.retracted;
-        }
-        total
-    }
-
-    /// The root ledger's cross-window state (ring, health, epoch) and
-    /// closed-window API.
-    pub fn root(&self) -> &VoteLedger<K> {
-        &self.root
-    }
-
-    /// Merges every shard into the root and closes the root's window —
-    /// bitwise-identical to an unsharded close over the same evidence.
-    pub fn close_window(&mut self) -> WindowAnalysis {
-        for shard in &mut self.shards {
-            self.root.merge_window(shard);
-        }
-        self.root.close_window()
-    }
 }
 
 #[cfg(test)]

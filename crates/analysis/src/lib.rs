@@ -41,7 +41,7 @@ pub use algorithm1::{detect, Algorithm1Config, Algorithm1Output, Detection, Thre
 pub use blame::blame_flow;
 pub use evidence::FlowEvidence;
 pub use history::LinkHealth;
-pub use ledger::{LedgerSnapshot, ShardedVoteLedger, VoteLedger, WindowAnalysis, WindowSummary};
+pub use ledger::{LedgerSnapshot, VoteLedger, WindowAnalysis, WindowSummary};
 pub use noise::{classify_flows, DropClass};
 pub use robustness::{volume_outliers, RobustnessCounters, VoteVolumeStats};
 pub use switch_votes::{detect_switches, SwitchDetection, SwitchTally};

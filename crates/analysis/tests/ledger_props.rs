@@ -13,7 +13,7 @@
 //! batch on regression.
 
 use proptest::prelude::*;
-use vigil_analysis::ledger::{ShardedVoteLedger, VoteLedger};
+use vigil_analysis::ledger::VoteLedger;
 use vigil_analysis::{Algorithm1Config, FlowEvidence, VoteTally, VoteWeight};
 use vigil_topology::LinkId;
 
@@ -136,110 +136,5 @@ proptest! {
         prop_assert_eq!(ledger.resident(), 0, "window must be empty again");
         prop_assert_eq!(tally_bits(ledger.live_tally()), prior,
             "ledger live tally holds residue after full retraction");
-    }
-
-    #[test]
-    fn sharded_close_matches_unsharded_bitwise(
-        paths in proptest::collection::vec(
-            proptest::collection::vec(0u32..NUM_LINKS as u32, 1..7), 1..40),
-        shards in 1usize..8,
-        perm_seed in proptest::any::<u64>(),
-        dup_every in 2usize..6,
-    ) {
-        // The sharding contract: partition the evidence any way (here by
-        // link range, the production router), absorb each partition in a
-        // scrambled order, merge, close — the WindowAnalysis must be
-        // bitwise-identical to one ledger absorbing everything, including
-        // re-absorptions (every `dup_every`-th key is absorbed twice with
-        // bumped retransmissions; the router keeps supersede shard-local).
-        let evidence = evidence_from(&paths);
-        let cfg = Algorithm1Config::default();
-
-        // Reference: one unsharded ledger, canonical key order.
-        let mut flat: VoteLedger<u32> = VoteLedger::new(NUM_LINKS, cfg, 2, 0.3);
-        for (k, e) in evidence.iter().enumerate() {
-            flat.absorb(k as u32, e.clone());
-            if k % dup_every == 0 {
-                let mut newer = e.clone();
-                newer.retransmissions += 1;
-                flat.absorb(k as u32, newer);
-            }
-        }
-        let flat_robust = flat.robustness();
-        let flat_win = flat.close_window();
-
-        // Sharded: same items, arbitrary interleaving (a cheap LCG
-        // permutation seeded by proptest), routed through the link-range
-        // router.
-        let mut sharded: ShardedVoteLedger<u32> =
-            ShardedVoteLedger::new(shards, NUM_LINKS, cfg, 2, 0.3);
-        let mut order: Vec<usize> = (0..evidence.len()).collect();
-        let mut state = perm_seed;
-        for i in (1..order.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            order.swap(i, (state >> 33) as usize % (i + 1));
-        }
-        for &k in &order {
-            sharded.absorb(k as u32, evidence[k].clone());
-            if k % dup_every == 0 {
-                let mut newer = evidence[k].clone();
-                newer.retransmissions += 1;
-                sharded.absorb(k as u32, newer);
-            }
-        }
-        prop_assert_eq!(sharded.robustness(), flat_robust);
-        let shard_win = sharded.close_window();
-
-        prop_assert_eq!(&shard_win.evidence, &flat_win.evidence,
-            "sharding changed the canonical evidence");
-        prop_assert_eq!(
-            tally_bits(&shard_win.detection.raw_tally),
-            tally_bits(&flat_win.detection.raw_tally));
-        prop_assert_eq!(
-            tally_bits(&shard_win.conservative.raw_tally),
-            tally_bits(&flat_win.conservative.raw_tally));
-        prop_assert_eq!(shard_win.detection.detected_links(),
-            flat_win.detection.detected_links());
-        prop_assert_eq!(&shard_win.classes, &flat_win.classes);
-        prop_assert_eq!(shard_win.unbounded_picks, flat_win.unbounded_picks);
-        prop_assert_eq!(sharded.robustness(), flat.robustness());
-        prop_assert_eq!(sharded.resident(), 0);
-    }
-
-    #[test]
-    fn worker_assigned_shards_close_like_link_routed_shards(
-        paths in proptest::collection::vec(
-            proptest::collection::vec(0u32..NUM_LINKS as u32, 1..7), 1..30),
-        shards in 1usize..6,
-    ) {
-        // Workers don't have to use the link router: any key-disjoint
-        // assignment (here round-robin by key through `shards_mut`, the
-        // pool's one-shard-per-worker pattern) closes identically.
-        let evidence = evidence_from(&paths);
-        let cfg = Algorithm1Config::default();
-
-        let mut flat: VoteLedger<u32> = VoteLedger::new(NUM_LINKS, cfg, 2, 0.3);
-        for (k, e) in evidence.iter().enumerate() {
-            flat.absorb(k as u32, e.clone());
-        }
-        let flat_win = flat.close_window();
-
-        let mut sharded: ShardedVoteLedger<u32> =
-            ShardedVoteLedger::new(shards, NUM_LINKS, cfg, 2, 0.3);
-        {
-            let mut shard_refs: Vec<&mut VoteLedger<u32>> = sharded.shards_mut().collect();
-            let n = shard_refs.len();
-            for (k, e) in evidence.iter().enumerate() {
-                shard_refs[k % n].absorb(k as u32, e.clone());
-            }
-        }
-        let shard_win = sharded.close_window();
-        prop_assert_eq!(&shard_win.evidence, &flat_win.evidence);
-        prop_assert_eq!(
-            tally_bits(&shard_win.detection.raw_tally),
-            tally_bits(&flat_win.detection.raw_tally));
-        prop_assert_eq!(shard_win.detection.detected_links(),
-            flat_win.detection.detected_links());
-        prop_assert_eq!(&shard_win.classes, &flat_win.classes);
     }
 }

@@ -2,13 +2,8 @@
 //! ECMP hashing and routing, probe crafting/parsing, vote tallying,
 //! Algorithm 1 at datacenter link counts, the set-cover solvers, the
 //! simplex, an end-to-end epoch, and the multi-trial sweep engine at
-//! 1 vs 4 worker threads.
-//!
-//! The sweep benchmarks additionally write `BENCH_sweep.json` at the
-//! repository root — mean/std-dev/iteration-count per variant plus the
-//! measured 4-thread speedup — so the PR-over-PR perf trajectory is
-//! machine-readable. (The speedup only exceeds 1× on multicore hardware,
-//! so the file records the core count it was measured on.)
+//! 1 vs 4 worker threads. (End-to-end and per-layer performance of the
+//! pipeline is measured by `benchmark/`, not here.)
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{Rng, SeedableRng};
@@ -190,53 +185,6 @@ fn bench_sweep(c: &mut Criterion) {
     c.bench_function("sweep/experiment_8trials_t4", |b| {
         b.iter(|| SweepEngine::new(4).run_experiment(black_box(&cfg)))
     });
-
-    // Machine-readable perf trajectory: BENCH_sweep.json at the repo root.
-    // Only under real measurement (`cargo bench` passes --bench) — the
-    // single-iteration smoke pass `cargo test` runs would otherwise
-    // clobber the trajectory file with noise.
-    if !std::env::args().any(|a| a == "--bench") {
-        return;
-    }
-    let find = |id: &str| c.results().iter().find(|r| r.id == id).cloned();
-    let (Some(t1), Some(t4)) = (
-        find("sweep/experiment_8trials_t1"),
-        find("sweep/experiment_8trials_t4"),
-    ) else {
-        return; // filtered out — nothing to record
-    };
-    let speedup = t1.mean_ns / t4.mean_ns;
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let variant = |r: &criterion::BenchResult| {
-        serde_json::json!({
-            "mean_ns": r.mean_ns,
-            "std_dev_ns": r.std_dev_ns,
-            "iters": r.iters,
-        })
-    };
-    let doc = serde_json::json!({
-        "bench": "sweep/experiment_8trials",
-        "trials": 8,
-        "threads_compared": vec![1u32, 4],
-        "cores_available": cores,
-        "t1": variant(&t1),
-        "t4": variant(&t4),
-        "speedup_t4_over_t1": speedup,
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-    match serde_json::to_string_pretty(&doc) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("cannot write {path}: {e}");
-            } else {
-                println!(
-                    "sweep speedup (4 threads vs 1, {cores} core(s) available): {speedup:.2}x \
-                     -> BENCH_sweep.json"
-                );
-            }
-        }
-        Err(e) => eprintln!("cannot serialize BENCH_sweep.json: {e}"),
-    }
 }
 
 criterion_group!(

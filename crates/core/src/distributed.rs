@@ -64,11 +64,12 @@ use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator};
 use crate::run::{
     assemble_epoch, fresh_ledger, RunConfig, LEDGER_HEALTH_ALPHA, LEDGER_RING_WINDOWS,
 };
-use crate::stream::EvidenceKey;
+use crate::stream::{EvidenceKey, HostFleet, RetainPolicy, StreamTuning};
 use crate::sweep::epoch_rng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::convert::Infallible;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
@@ -78,12 +79,11 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use vigil_agents::{
-    event_channel, event_channel_bounded, AdversaryModel, AgentEvent, DiscoveredPath,
-    EventCollector, EventSender, FlowIndex, HostAgent, RetransmissionEvent, TraceReport,
+    event_channel, event_channel_bounded, AgentEvent, EventCollector, EventSender, TraceReport,
 };
 use vigil_analysis::{FlowEvidence, LedgerSnapshot, VoteLedger};
 use vigil_fabric::faults::LinkFaults;
-use vigil_fabric::flowsim::{EpochOutcome, EpochScratch, EpochStream, FlowBatch, FlowRecord};
+use vigil_fabric::flowsim::EpochScratch;
 use vigil_topology::ClosTopology;
 use vigil_wire::chaos::{ChaosSchedule, ChaosWriter};
 use vigil_wire::{FrameReader, FrameWriter, WireFrame, HELLO_RESILIENT, WIRE_VERSION};
@@ -288,22 +288,6 @@ pub struct AgentStats {
     pub flushes: u64,
 }
 
-/// Routes one eventful record through its (lazily created) host agent —
-/// the same admission pipeline (pacer, per-epoch trace cache) the
-/// in-process stream driver runs.
-fn dispatch(
-    agents: &mut [Option<HostAgent>],
-    topo: &ClosTopology,
-    config: &RunConfig,
-    event: RetransmissionEvent,
-    path: DiscoveredPath,
-    hub: &EventSender,
-) {
-    let slot = &mut agents[event.host.0 as usize];
-    let agent = slot.get_or_insert_with(|| HostAgent::new(event.host, config.pacer.pacer(topo)));
-    agent.on_retransmission(&event, path, hub);
-}
-
 /// Drains the staging hub onto the wire, in emission order.
 fn flush_staging<W: Write>(
     writer: &mut FrameWriter<W>,
@@ -323,14 +307,19 @@ fn flush_staging<W: Write>(
     Ok(())
 }
 
-/// Everything an agent derives once from the experiment config: the
-/// deterministic world both ends of the wire agree on.
+/// One agent process's simulation state: the deterministic world both
+/// ends of the wire derive from the experiment config, this process's
+/// [`HostFleet`], and the unbounded staging hub between the fleet and
+/// the socket (an agent never sheds its own evidence; loss happens — and
+/// is counted — only at the collector).
 struct AgentWorld {
     trial_seed: u64,
     topo: ClosTopology,
     faults: LinkFaults,
-    adversary: Option<AdversaryModel>,
-    deferred_gate: bool,
+    fleet: HostFleet,
+    scratch: EpochScratch,
+    staging: EventCollector,
+    inbox: Vec<AgentEvent>,
 }
 
 impl AgentWorld {
@@ -349,167 +338,79 @@ impl AgentWorld {
         if spec.chunk_flows == 0 || spec.epochs == 0 {
             return Err(invalid("agent needs chunk_flows >= 1 and epochs >= 1"));
         }
-        let run_cfg = &config.run;
-        let adversary = run_cfg
-            .byzantine
-            .enabled()
-            .then(|| AdversaryModel::new(run_cfg.byzantine, topo.num_links()));
+        let (hub_tx, staging) = event_channel();
+        let fleet = HostFleet::new(&topo, &config.run, spec.hosts.clone(), hub_tx);
         Ok(Self {
             trial_seed,
             topo,
             faults,
-            adversary,
-            deferred_gate: run_cfg.slb.enabled(),
+            fleet,
+            scratch: EpochScratch::new(),
+            staging,
+            inbox: Vec::new(),
         })
     }
-}
 
-/// Reusable per-epoch scratch buffers (allocation-flat across epochs).
-struct EmitBuffers {
-    chunk: Vec<FlowRecord>,
-    batch: FlowBatch,
-    inbox: Vec<AgentEvent>,
-    pending: Vec<(RetransmissionEvent, DiscoveredPath)>,
-}
-
-impl EmitBuffers {
-    fn new() -> Self {
-        Self {
-            chunk: Vec::new(),
-            batch: FlowBatch::new(),
-            inbox: Vec::new(),
-            pending: Vec::new(),
+    /// Simulates one epoch of `spec.hosts`' share of trial 0 and writes
+    /// its events onto `writer`, up to (but not including) the
+    /// `EpochDone` barrier. Returns the number of event frames the epoch
+    /// emitted — deterministic per epoch, so a byte-identical replay
+    /// re-emits exactly this many. A kill flag aborts with `Interrupted`
+    /// between chunks (the soak harness's simulated agent crash).
+    fn emit_epoch<W: Write>(
+        &mut self,
+        run_cfg: &RunConfig,
+        spec: &AgentSpec,
+        epoch: usize,
+        writer: &mut FrameWriter<W>,
+        stats: &mut AgentStats,
+        kill: Option<&AtomicBool>,
+    ) -> io::Result<u64> {
+        let before = stats.events_sent;
+        let Self {
+            trial_seed,
+            topo,
+            faults,
+            fleet,
+            scratch,
+            staging,
+            inbox,
+        } = self;
+        let mut flush = || -> io::Result<()> {
+            flush_staging(writer, staging, inbox, stats)?;
+            if kill.is_some_and(|k| k.load(Ordering::Relaxed)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::Interrupted,
+                    "agent killed by churn schedule",
+                ));
+            }
+            Ok(())
+        };
+        flush()?;
+        // The staging hub is unbounded, so only the chunk cadence matters.
+        let tuning = StreamTuning {
+            chunk_flows: spec.chunk_flows,
+            hub_capacity: usize::MAX,
+        };
+        fleet.run_epoch(
+            topo,
+            run_cfg,
+            faults,
+            &mut epoch_rng(*trial_seed, epoch),
+            scratch,
+            &tuning,
+            None,
+            epoch as u64 + 1,
+            &mut flush,
+        )?;
+        if epoch == spec.start_epoch + spec.epochs - 1 {
+            // Shutdown drains ride inside the final window (before its
+            // barrier) so the agent never writes after the collector may
+            // have torn the run down.
+            fleet.each_agent(usize::MAX, |agent, hub| agent.drain(hub), &mut flush)?;
         }
+        Ok(stats.events_sent - before)
     }
-}
-
-/// Simulates one epoch of `spec.hosts`' share of trial 0 and writes its
-/// events onto `writer`, up to (but not including) the `EpochDone`
-/// barrier. Returns the number of event frames the epoch emitted —
-/// deterministic per epoch, so a byte-identical replay re-emits exactly
-/// this many. A kill flag aborts with `Interrupted` between chunks (the
-/// soak harness's simulated agent crash).
-#[allow(clippy::too_many_arguments)]
-fn emit_epoch<W: Write>(
-    world: &AgentWorld,
-    run_cfg: &RunConfig,
-    spec: &AgentSpec,
-    epoch: usize,
-    last_epoch: usize,
-    agents: &mut [Option<HostAgent>],
-    scratch: &mut EpochScratch,
-    bufs: &mut EmitBuffers,
-    hub_tx: &EventSender,
-    hub_rx: &EventCollector,
-    writer: &mut FrameWriter<W>,
-    stats: &mut AgentStats,
-    kill: Option<&AtomicBool>,
-) -> io::Result<u64> {
-    let before = stats.events_sent;
-    let killed = || -> io::Result<()> {
-        if kill.is_some_and(|k| k.load(Ordering::Relaxed)) {
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "agent killed by churn schedule",
-            ));
-        }
-        Ok(())
-    };
-    let mut erng = epoch_rng(world.trial_seed, epoch);
-    let mut stream = EpochStream::open(
-        &world.topo,
-        &world.faults,
-        &run_cfg.traffic,
-        &run_cfg.sim,
-        &mut erng,
-        scratch,
-    );
-    if let Some(adv) = &world.adversary {
-        // Adversarial path: emission decisions inspect whole records.
-        loop {
-            killed()?;
-            bufs.chunk.clear();
-            if stream.next_chunk(spec.chunk_flows, &mut bufs.chunk) == 0 {
-                break;
-            }
-            for rec in bufs.chunk.drain(..) {
-                let Some((event, path)) = adv.emission(&rec) else {
-                    continue;
-                };
-                if !spec.hosts.contains(&event.host.0) {
-                    continue;
-                }
-                if world.deferred_gate {
-                    bufs.pending.push((event, path));
-                } else {
-                    dispatch(agents, &world.topo, run_cfg, event, path, hub_tx);
-                }
-            }
-            flush_staging(writer, hub_rx, &mut bufs.inbox, stats)?;
-        }
-    } else {
-        // Honest path: scan the dense columns, materialize eventful
-        // rows only (§4.2: established and retransmitting).
-        loop {
-            killed()?;
-            bufs.batch.clear();
-            if stream.next_batch(spec.chunk_flows, &mut bufs.batch) == 0 {
-                break;
-            }
-            for i in 0..bufs.batch.len() {
-                if !(bufs.batch.established()[i] && bufs.batch.retransmissions()[i] > 0) {
-                    continue;
-                }
-                let rec = stream.materialize(&bufs.batch, i);
-                if !spec.hosts.contains(&rec.src.0) {
-                    continue;
-                }
-                let event = RetransmissionEvent {
-                    host: rec.src,
-                    tuple: rec.tuple,
-                    retransmissions: rec.retransmissions,
-                };
-                let path = DiscoveredPath::of_flow_path(&rec.path);
-                if world.deferred_gate {
-                    bufs.pending.push((event, path));
-                } else {
-                    dispatch(agents, &world.topo, run_cfg, event, path, hub_tx);
-                }
-            }
-            flush_staging(writer, hub_rx, &mut bufs.inbox, stats)?;
-        }
-    }
-    let _ground_truth = stream.finish();
-    if world.deferred_gate {
-        // Same draw position as every other runner: the gate salt is
-        // the first draw after the simulation stream.
-        let salt = erng.gen::<u64>();
-        for (event, path) in bufs.pending.drain(..) {
-            if !run_cfg.slb.skips(&event.tuple, salt) {
-                dispatch(agents, &world.topo, run_cfg, event, path, hub_tx);
-            }
-        }
-        flush_staging(writer, hub_rx, &mut bufs.inbox, stats)?;
-    }
-    // Roll live agents into the next epoch (budget refresh, cache
-    // clear), announced on the wire like any other event.
-    for h in spec.hosts.clone() {
-        if let Some(agent) = agents[h as usize].as_mut() {
-            agent.epoch_tick(epoch as u64 + 1, hub_tx);
-        }
-    }
-    if epoch == last_epoch {
-        // Shutdown drains ride inside the final window (before its
-        // barrier) so the agent never writes after the collector may
-        // have torn the run down.
-        for h in spec.hosts.clone() {
-            if let Some(agent) = agents[h as usize].as_mut() {
-                agent.drain(hub_tx);
-            }
-        }
-    }
-    flush_staging(writer, hub_rx, &mut bufs.inbox, stats)?;
-    Ok(stats.events_sent - before)
 }
 
 /// Runs one plain (fire-and-forget) agent process: simulates
@@ -518,21 +419,18 @@ fn emit_epoch<W: Write>(
 /// [`WireFrame::EpochDone`] barrier. The emitted evidence is exactly
 /// what the in-process stream driver's agents for those hosts would put
 /// on the hub — same pacer admissions, same SLB gate salt, same
-/// byzantine emissions, same per-host sequence numbers.
+/// byzantine emissions, same per-host sequence numbers — because both
+/// run the same agent loop.
 ///
-/// The staging hub is unbounded: an agent never sheds its own evidence;
-/// loss happens (and is counted) only at the collector. This driver
-/// never reads the socket — the collector's acks accumulate unread —
-/// and dies on the first write failure; [`run_agent_resilient`] is the
-/// self-healing variant.
+/// This driver never reads the socket — the collector's acks accumulate
+/// unread — and dies on the first write failure;
+/// [`run_agent_resilient`] is the self-healing variant.
 pub fn run_agent<W: Write>(
     config: &ExperimentConfig,
     spec: &AgentSpec,
     sink: W,
 ) -> io::Result<AgentStats> {
-    let world = AgentWorld::build(config, spec)?;
-    let run_cfg = &config.run;
-    let (hub_tx, hub_rx) = event_channel();
+    let mut world = AgentWorld::build(config, spec)?;
     let mut writer = FrameWriter::new(BufWriter::new(sink));
     writer.write_frame(&WireFrame::Hello {
         version: WIRE_VERSION,
@@ -544,28 +442,10 @@ pub fn run_agent<W: Write>(
         host_hi: spec.hosts.end,
     })?;
 
-    let mut agents: Vec<Option<HostAgent>> = (0..world.topo.num_hosts()).map(|_| None).collect();
-    let mut scratch = EpochScratch::new();
-    let mut bufs = EmitBuffers::new();
     let mut stats = AgentStats::default();
     let last_epoch = spec.start_epoch + spec.epochs - 1;
-
     for epoch in spec.start_epoch..=last_epoch {
-        let events = emit_epoch(
-            &world,
-            run_cfg,
-            spec,
-            epoch,
-            last_epoch,
-            &mut agents,
-            &mut scratch,
-            &mut bufs,
-            &hub_tx,
-            &hub_rx,
-            &mut writer,
-            &mut stats,
-            None,
-        )?;
+        let events = world.emit_epoch(&config.run, spec, epoch, &mut writer, &mut stats, None)?;
         writer.write_frame(&WireFrame::EpochDone {
             epoch: epoch as u64,
             events,
@@ -680,11 +560,6 @@ struct ResilientState<'a> {
     chaos: Option<&'a ChaosSchedule>,
     kill: Option<&'a AtomicBool>,
     world: AgentWorld,
-    agents: Vec<Option<HostAgent>>,
-    scratch: EpochScratch,
-    bufs: EmitBuffers,
-    hub_tx: EventSender,
-    hub_rx: EventCollector,
     stats: AgentStats,
     /// The epoch whose *start* state `agents` + `snapshot` represent.
     epoch: usize,
@@ -705,7 +580,7 @@ impl ResilientState<'_> {
     fn capture_snapshot(&mut self) {
         self.snapshot.clear();
         for h in self.spec.hosts.clone() {
-            if let Some(agent) = self.agents[h as usize].as_ref() {
+            if let Some(agent) = self.world.fleet.agents[h as usize].as_ref() {
                 self.snapshot.push((h, agent.events_emitted()));
             }
         }
@@ -720,41 +595,33 @@ impl ResilientState<'_> {
     /// suppressed epochs evolve the exact per-host state the settled
     /// ones did.
     fn position_to(&mut self, target: usize) -> io::Result<()> {
+        let agents = &mut self.world.fleet.agents;
         if target == self.epoch {
             let snap: HashMap<u32, u64> = self.snapshot.iter().copied().collect();
             for h in self.spec.hosts.clone() {
                 match snap.get(&h) {
                     Some(&seq) => {
-                        let agent = self.agents[h as usize]
+                        let agent = agents[h as usize]
                             .as_mut()
                             .expect("snapshotted agent exists");
                         agent.rewind(seq);
                         agent.next_epoch();
                     }
-                    None => self.agents[h as usize] = None,
+                    None => agents[h as usize] = None,
                 }
             }
             return Ok(());
         }
         for h in self.spec.hosts.clone() {
-            self.agents[h as usize] = None;
+            agents[h as usize] = None;
         }
-        let run_cfg = &self.config.run;
         let mut sink = FrameWriter::new(io::sink());
         let mut ghost = AgentStats::default();
-        let last = self.last_epoch();
         for e in self.spec.start_epoch..target {
-            emit_epoch(
-                &self.world,
-                run_cfg,
+            self.world.emit_epoch(
+                &self.config.run,
                 self.spec,
                 e,
-                last,
-                &mut self.agents,
-                &mut self.scratch,
-                &mut self.bufs,
-                &self.hub_tx,
-                &self.hub_rx,
                 &mut sink,
                 &mut ghost,
                 self.kill,
@@ -818,19 +685,10 @@ impl ResilientState<'_> {
             writer
                 .get_mut()
                 .set_plan(self.chaos.map(|s| s.plan_for(target as u64)));
-            let run_cfg = &self.config.run;
-            let last = self.last_epoch();
-            let events = emit_epoch(
-                &self.world,
-                run_cfg,
+            let events = self.world.emit_epoch(
+                &self.config.run,
                 self.spec,
                 target,
-                last,
-                &mut self.agents,
-                &mut self.scratch,
-                &mut self.bufs,
-                &self.hub_tx,
-                &self.hub_rx,
                 writer,
                 &mut self.stats,
                 self.kill,
@@ -895,21 +753,13 @@ pub fn run_agent_resilient(
     chaos: Option<&ChaosSchedule>,
     kill: Option<&AtomicBool>,
 ) -> io::Result<AgentStats> {
-    let world = AgentWorld::build(config, spec)?;
-    let (hub_tx, hub_rx) = event_channel();
-    let num_hosts = world.topo.num_hosts();
     let mut state = ResilientState {
         config,
         spec,
         rcfg,
         chaos,
         kill,
-        world,
-        agents: (0..num_hosts).map(|_| None).collect(),
-        scratch: EpochScratch::new(),
-        bufs: EmitBuffers::new(),
-        hub_tx,
-        hub_rx,
+        world: AgentWorld::build(config, spec)?,
         stats: AgentStats::default(),
         epoch: spec.start_epoch,
         snapshot: Vec::new(),
@@ -1995,11 +1845,6 @@ pub fn run_collector(
         ),
         None => fresh_ledger(topo.num_links(), run_cfg),
     };
-    let adversary = run_cfg
-        .byzantine
-        .enabled()
-        .then(|| AdversaryModel::new(run_cfg.byzantine, topo.num_links()));
-    let deferred_gate = run_cfg.slb.enabled();
 
     // Metrics endpoint, up before the start barrier so operators can
     // watch admission.
@@ -2102,76 +1947,42 @@ pub fn run_collector(
             stats.agents_admitted = ranges.iter().filter(|r| !r.evicted).count() as u64;
             stats.agents_live = stats.agents_admitted;
 
+            // The collector runs the fleet's epoch loop with an empty
+            // host range: evidence admission happened on the agents, so
+            // it dispatches nothing and only draws the identical epoch
+            // stream for ground truth and the records scoring consults.
+            let mut replay = HostFleet::new(&topo, run_cfg, 0..0, hub_tx.clone());
+            let replay_tuning = StreamTuning {
+                chunk_flows: 256,
+                hub_capacity: usize::MAX,
+            };
             let mut scratch = EpochScratch::new();
             let mut window_reports: BTreeMap<EvidenceKey, TraceReport> = BTreeMap::new();
             let mut inbox: Vec<AgentEvent> = Vec::new();
-            let mut chunk: Vec<FlowRecord> = Vec::new();
-            let mut batch = FlowBatch::new();
             let mut closed_this_run = 0usize;
             let mut prev = stats.clone();
 
             for w in start_epoch..ccfg.epochs {
-                // Local simulation: retained flow records and ground truth only.
-                // Evidence admission happened on the agents; the collector draws
-                // the identical epoch stream to score against.
-                let mut erng = epoch_rng(trial_seed, w);
-                let mut stream = EpochStream::open(
+                let Ok(pull) = replay.run_epoch(
                     &topo,
+                    run_cfg,
                     &faults,
-                    &run_cfg.traffic,
-                    &run_cfg.sim,
-                    &mut erng,
+                    &mut epoch_rng(trial_seed, w),
                     &mut scratch,
+                    &replay_tuning,
+                    Some(RetainPolicy::EvidenceOnly),
+                    w as u64 + 1,
+                    || -> Result<(), Infallible> {
+                        drain_hub(
+                            &hub_rx,
+                            &mut inbox,
+                            &mut ledger,
+                            &mut window_reports,
+                            &mut stats,
+                        );
+                        Ok(())
+                    },
                 );
-                let mut retained: Vec<FlowRecord> = Vec::new();
-                if let Some(adv) = &adversary {
-                    loop {
-                        chunk.clear();
-                        if stream.next_chunk(256, &mut chunk) == 0 {
-                            break;
-                        }
-                        for rec in chunk.drain(..) {
-                            // Evidence-only retention, byzantine-aware: keep any
-                            // record scoring may look up (retransmitting, or one
-                            // a compromised agent emitted for).
-                            if rec.retransmissions > 0 || adv.emission(&rec).is_some() {
-                                retained.push(rec);
-                            }
-                        }
-                        drain_hub(
-                            &hub_rx,
-                            &mut inbox,
-                            &mut ledger,
-                            &mut window_reports,
-                            &mut stats,
-                        );
-                    }
-                } else {
-                    loop {
-                        batch.clear();
-                        if stream.next_batch(256, &mut batch) == 0 {
-                            break;
-                        }
-                        for i in 0..batch.len() {
-                            if batch.retransmissions()[i] > 0 {
-                                retained.push(stream.materialize(&batch, i));
-                            }
-                        }
-                        drain_hub(
-                            &hub_rx,
-                            &mut inbox,
-                            &mut ledger,
-                            &mut window_reports,
-                            &mut stats,
-                        );
-                    }
-                }
-                let ground_truth = stream.finish();
-                if deferred_gate {
-                    // RNG parity with the agents (the gate decisions themselves
-                    // were made fleet-side).
-                    let _salt = erng.gen::<u64>();
-                }
 
                 // Window barrier: every non-evicted host range must barrier
                 // window `w` (delivered == claimed, replays requested until
@@ -2254,12 +2065,7 @@ pub fn run_collector(
                 let window = ledger.close_window();
                 let reports: Vec<TraceReport> =
                     std::mem::take(&mut window_reports).into_values().collect();
-                let flow_index = FlowIndex::from_flows(&retained);
-                let outcome = EpochOutcome {
-                    flows: retained,
-                    ground_truth,
-                };
-                let run = assemble_epoch(outcome, flow_index, reports, window, run_cfg);
+                let run = assemble_epoch(pull.outcome, reports, window, run_cfg);
                 let er = evaluate_epoch(&run);
 
                 // Loss accounting surfaces at every window close.
@@ -2404,8 +2210,9 @@ pub fn run_collector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{stream_trial, StreamTuning};
+    use crate::stream::stream_trial;
     use std::io::Cursor;
+    use vigil_agents::ByzantineSpec;
     use vigil_fabric::faults::{FaultPlan, RateRange};
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
     use vigil_topology::{ClosParams, HostId};
@@ -2471,37 +2278,52 @@ mod tests {
 
     #[test]
     fn loopback_agents_match_in_process_stream() {
-        let cfg = tiny_config();
-        let hosts = num_hosts(&cfg);
-        let listener = Endpoint::parse("127.0.0.1:0").bind().unwrap();
-        let addr = listener.local_addr();
-        let split = hosts / 2;
-        let handles = spawn_agents(&cfg, &addr, &[0..split, split..hosts], 0, cfg.epochs);
-        let ccfg = CollectorConfig {
-            agents: 2,
-            epochs: cfg.epochs,
-            ..CollectorConfig::default()
-        };
-        let outcome = run_collector(&cfg, &listener, &ccfg).unwrap();
-        for h in handles {
-            let stats = h.join().unwrap();
-            assert_eq!(stats.epochs, cfg.epochs);
+        // Honest, then byzantine × SLB gate: two host ranges interleaving
+        // on the collector are an arrival order independent of the
+        // in-process session's, over the same agent loop.
+        let gate = vigil_fabric::slb::SlbModel::query_failures(0.4);
+        let variants = [
+            (ByzantineSpec::default(), None),
+            (ByzantineSpec::flooders(0.25, 0.5), None),
+            (ByzantineSpec::liars(0.25), Some(gate)),
+            (ByzantineSpec::flippers(0.25), Some(gate)),
+        ];
+        for (byzantine, slb) in variants {
+            let mut cfg = tiny_config();
+            cfg.run.byzantine = byzantine;
+            cfg.run.slb = slb.unwrap_or_default();
+            let what = format!("{} / gate {}", byzantine.label(), slb.is_some());
+            let hosts = num_hosts(&cfg);
+            let listener = Endpoint::parse("127.0.0.1:0").bind().unwrap();
+            let addr = listener.local_addr();
+            let split = hosts / 2;
+            let handles = spawn_agents(&cfg, &addr, &[0..split, split..hosts], 0, cfg.epochs);
+            let ccfg = CollectorConfig {
+                agents: 2,
+                epochs: cfg.epochs,
+                ..CollectorConfig::default()
+            };
+            let outcome = run_collector(&cfg, &listener, &ccfg).unwrap();
+            for h in handles {
+                let stats = h.join().unwrap();
+                assert_eq!(stats.epochs, cfg.epochs);
+                assert_eq!(
+                    stats.flushes, cfg.epochs as u64,
+                    "plain agent pushes the wire exactly once per epoch"
+                );
+            }
+            let CollectorOutcome::Completed(report, stats) = outcome else {
+                panic!("{what}: expected a completed run");
+            };
+            assert_eq!(stats.shed, 0, "{what}: loopback must not shed");
+            assert_eq!(stats.seq_gaps, 0, "{what}: loopback must not gap");
+            assert!(stats.evidence > 0, "{what}: fleet produced evidence");
             assert_eq!(
-                stats.flushes, cfg.epochs as u64,
-                "plain agent pushes the wire exactly once per epoch"
+                serde_json::to_string_pretty(&*report).unwrap(),
+                expected_report(&cfg),
+                "{what}: distributed run must be byte-identical to the in-process stream"
             );
         }
-        let CollectorOutcome::Completed(report, stats) = outcome else {
-            panic!("expected a completed run");
-        };
-        assert_eq!(stats.shed, 0, "loopback must not shed");
-        assert_eq!(stats.seq_gaps, 0, "loopback must not gap");
-        assert!(stats.evidence > 0, "fleet produced evidence");
-        assert_eq!(
-            serde_json::to_string_pretty(&*report).unwrap(),
-            expected_report(&cfg),
-            "distributed run must be byte-identical to the in-process stream"
-        );
     }
 
     #[test]

@@ -59,9 +59,7 @@ pub use experiment::{
     ExperimentTiming, MethodReport, TrialAccumulator, TrialReport,
 };
 pub use matrix::{CaseOutcome, Envelope, MatrixReport, MatrixRunner, ScenarioCase};
-pub use run::{
-    run_epoch, run_epoch_threaded, run_epoch_with, Baselines, EpochRun, PacerBudget, RunConfig,
-};
+pub use run::{run_epoch, run_epoch_with, Baselines, EpochRun, PacerBudget, RunConfig};
 pub use soak::{run_soak, SoakReport, SoakSpec};
 pub use stream::{
     stream_experiment, stream_trial, RetainPolicy, StreamSession, StreamStats, StreamTuning,
@@ -77,9 +75,7 @@ pub mod prelude {
     pub use crate::evaluate::{EpochReport, MethodMetrics};
     pub use crate::experiment::{run_experiment, ExperimentConfig, ExperimentReport, MethodReport};
     pub use crate::matrix::{Envelope, MatrixReport, MatrixRunner, ScenarioCase};
-    pub use crate::run::{
-        run_epoch, run_epoch_threaded, run_epoch_with, Baselines, EpochRun, PacerBudget, RunConfig,
-    };
+    pub use crate::run::{run_epoch, run_epoch_with, Baselines, EpochRun, PacerBudget, RunConfig};
     pub use crate::scenarios;
     pub use crate::soak::{run_soak, SoakReport, SoakSpec};
     pub use crate::stream::{

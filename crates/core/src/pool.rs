@@ -25,15 +25,14 @@
 //! `S`): claiming a cell of the same `(group, trial)` as the previous
 //! one reuses the topology, simulator scratch, and stream session —
 //! the common case, since cells are claimed from an ascending counter.
-//! When the grid is smaller than the engine (one huge topology, a few
-//! epochs), leftover threads fold *inside* each cell via the host-level
-//! [`run_epoch_threaded`] — the second tier of parallelism.
+//! A grid smaller than the engine leaves the surplus threads idle: the
+//! cell is the unit of parallelism.
 //!
 //! [`run_tasks_with`]: crate::sweep::SweepEngine::run_tasks_with
 
 use crate::evaluate::{evaluate_epoch, EpochReport};
 use crate::experiment::{ExperimentConfig, TrialAccumulator, TrialReport};
-use crate::run::{run_epoch_threaded, RunConfig};
+use crate::run::RunConfig;
 use crate::stream::{RetainPolicy, StreamSession, StreamStats, StreamTuning};
 use crate::sweep::{epoch_rng, task_seed, SweepEngine};
 use rand::{Rng, SeedableRng};
@@ -105,8 +104,7 @@ impl<'a> EpochGroup<'a> {
 }
 
 /// One group's assembled output: its trial reports (trial order) plus
-/// the summed streaming counters of every cell that ran through a
-/// session.
+/// the summed streaming counters of its cells.
 #[derive(Debug)]
 pub(crate) struct GroupResult {
     /// Per-trial reports, trials ascending.
@@ -197,18 +195,6 @@ pub(crate) fn run_epoch_grid(engine: &SweepEngine, groups: &[EpochGroup<'_>]) ->
         offsets.push(total);
     }
 
-    // Second-tier width: when the grid cannot occupy every thread (one
-    // huge topology, few cells), the surplus folds inside each cell as
-    // host-level workers. Only retain-all cells take the threaded path —
-    // it keeps the full flow table by construction — and its output is
-    // byte-identical to the session path (the cross-runner parity
-    // contract), so the tier switch is invisible in the results.
-    let inner = if total == 0 {
-        1
-    } else {
-        (engine.threads() / total).max(1)
-    };
-
     let units = engine.run_tasks_with(total, WorkerState::default, |state, flat| {
         let gi = offsets.partition_point(|&o| o <= flat) - 1;
         let group = &groups[gi];
@@ -226,20 +212,13 @@ pub(crate) fn run_epoch_grid(engine: &SweepEngine, groups: &[EpochGroup<'_>]) ->
         let started = std::time::Instant::now();
         let mut rng = epoch_rng(ctx.trial_seed, epoch);
         let faults = ctx.faults.epoch(epoch);
-        let (report, stats) = if inner > 1 && group.retain == RetainPolicy::All {
-            let run = run_epoch_threaded(&ctx.topo, faults.as_ref(), group.run, inner, &mut rng);
-            (evaluate_epoch(&run), StreamStats::default())
-        } else {
-            let before = ctx.session.stats().clone();
-            let run =
-                ctx.session
-                    .run_window(&ctx.topo, group.run, faults.as_ref(), &mut rng, scratch);
-            let stats = ctx.session.stats().delta_since(&before);
-            (evaluate_epoch(&run), stats)
-        };
+        let before = ctx.session.stats().clone();
+        let run = ctx
+            .session
+            .run_window(&ctx.topo, group.run, faults.as_ref(), &mut rng, scratch);
         EpochUnit {
-            report,
-            stats,
+            report: evaluate_epoch(&run),
+            stats: ctx.session.stats().delta_since(&before),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
         }
     });
@@ -297,7 +276,8 @@ mod tests {
 
     /// The grid's absorb order must equal the serial trial loop's: same
     /// trial reports (epoch vectors concatenated identically) at widths
-    /// 1, 2, and wider-than-the-grid.
+    /// 1, 2, and wider-than-the-grid — and every cell's counters reach
+    /// the group at every width.
     #[test]
     fn grid_reproduces_serial_trials_at_any_width() {
         let cfg = tiny_config(2, 2);
@@ -315,6 +295,11 @@ mod tests {
                 .pop()
                 .expect("one group in, one result out");
             assert_eq!(result.trials.len(), reference.len());
+            assert_eq!(
+                result.stats.windows,
+                (cfg.trials * cfg.epochs) as u64,
+                "threads = {threads}"
+            );
             for (got, want) in result.trials.iter().zip(&reference) {
                 assert_eq!(got.trial, want.trial);
                 assert_eq!(got.vote_gaps, want.vote_gaps, "threads = {threads}");

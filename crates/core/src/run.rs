@@ -11,16 +11,11 @@
 use crate::stream::{RetainPolicy, StreamSession, StreamTuning};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use vigil_agents::{
-    AdversaryModel, ByzantineSpec, FlowIndex, FlowTableTracer, HostAgent, HostPacer, TcpMonitor,
-    TraceReport,
-};
+use vigil_agents::{ByzantineSpec, FlowIndex, HostPacer, TraceReport};
 use vigil_analysis::ledger::WindowAnalysis;
-use vigil_analysis::{
-    Algorithm1Config, Algorithm1Output, DropClass, FlowEvidence, ShardedVoteLedger, VoteLedger,
-};
+use vigil_analysis::{Algorithm1Config, Algorithm1Output, DropClass, FlowEvidence, VoteLedger};
 use vigil_fabric::faults::LinkFaults;
-use vigil_fabric::flowsim::{simulate_epoch_with, EpochOutcome, EpochScratch, SimConfig};
+use vigil_fabric::flowsim::{EpochOutcome, EpochScratch, SimConfig};
 use vigil_fabric::slb::SlbModel;
 use vigil_fabric::traffic::TrafficSpec;
 use vigil_optim::{
@@ -196,181 +191,6 @@ pub fn run_epoch_with<R: Rng + ?Sized>(
         .run_window(topo, config, faults, rng, scratch)
 }
 
-/// Runs one epoch with host agents sharded over worker threads, reports
-/// fanned into the centralized collector over the crossbeam hub — the
-/// deployment shape of the paper's Figure 2.
-///
-/// Vote absorption is sharded too: each worker owns one
-/// [`ShardedVoteLedger`] shard and absorbs its hosts' evidence locally
-/// while the epoch streams, so the post-join close only merges shard
-/// windows (associative, canonical-key order) instead of replaying every
-/// report through one central ledger. Output stays byte-identical to the
-/// sequential runner.
-pub fn run_epoch_threaded<R: Rng + ?Sized>(
-    topo: &ClosTopology,
-    faults: &LinkFaults,
-    config: &RunConfig,
-    workers: usize,
-    rng: &mut R,
-) -> EpochRun {
-    assert!(workers > 0, "need at least one worker");
-    let mut scratch = EpochScratch::new();
-    let outcome = simulate_epoch_with(
-        topo,
-        faults,
-        &config.traffic,
-        &config.sim,
-        rng,
-        &mut scratch,
-    );
-    // Same draw position as the sequential runner, so both paths stay
-    // bit-identical; gate decisions are per-tuple, not per-schedule.
-    let gate_salt = config.slb.enabled().then(|| rng.gen::<u64>());
-    let monitor = TcpMonitor::new();
-    // Shared epoch structures, built once before the fan-out: the event
-    // buckets (worker setup used to rescan all flows per chunk — the
-    // O(flows × chunk) `contains` filter) and the flow index every
-    // worker's tracer reads through.
-    let buckets = monitor.bucket_events(&outcome.flows, topo.num_hosts());
-    // The byzantine axis needs every flow of a host (a flooder emits on
-    // *healthy* flows), in simulation order so the pacer interleaving
-    // matches the stream driver — a second CSR bucket over all flows,
-    // built only when the axis is on.
-    let adversary = config
-        .byzantine
-        .enabled()
-        .then(|| AdversaryModel::new(config.byzantine, topo.num_links()));
-    let flow_buckets = adversary
-        .is_some()
-        .then(|| bucket_flows(&outcome.flows, topo.num_hosts()));
-    let flow_index = FlowIndex::from_flows(&outcome.flows);
-    let (sender, collector) = vigil_agents::report_channel();
-
-    let hosts: Vec<_> = topo.hosts().collect();
-    let chunks: Vec<&[vigil_topology::HostId]> =
-        hosts.chunks(hosts.len().div_ceil(workers).max(1)).collect();
-    // One vote-ledger shard per worker chunk: votes are absorbed where
-    // the evidence is produced, and the shards merge after the join.
-    let mut sharded: ShardedVoteLedger<crate::stream::EvidenceKey> = ShardedVoteLedger::new(
-        chunks.len().max(1),
-        topo.num_links(),
-        config.alg1,
-        LEDGER_RING_WINDOWS,
-        LEDGER_HEALTH_ALPHA,
-    );
-    std::thread::scope(|scope| {
-        let shard_refs: Vec<&mut VoteLedger<crate::stream::EvidenceKey>> =
-            sharded.shards_mut().collect();
-        for (chunk, shard) in chunks.iter().copied().zip(shard_refs) {
-            let tx = sender.clone();
-            let outcome_ref = &outcome;
-            let topo_ref = topo;
-            let buckets_ref = &buckets;
-            let flow_buckets_ref = &flow_buckets;
-            let adversary_ref = &adversary;
-            let index_ref = &flow_index;
-            let config_ref = config;
-            scope.spawn(move || {
-                let shard = shard;
-                // Tracer views are free to construct: all workers share
-                // the one flow table and index.
-                let mut tracer = FlowTableTracer::new(&outcome_ref.flows, index_ref);
-                let mut absorb_and_send = |report: TraceReport| {
-                    shard.absorb(
-                        (report.host, report.tuple),
-                        FlowEvidence {
-                            links: report.links.clone(),
-                            retransmissions: report.retransmissions,
-                            complete: report.complete,
-                        },
-                    );
-                    tx.send(report);
-                };
-                for &host in chunk {
-                    if let (Some(adv), Some(fb)) = (adversary_ref, flow_buckets_ref) {
-                        // Adversarial path: the emission decision (honest
-                        // eventfulness or a byzantine override) is a pure
-                        // per-flow hash, evaluated on the host's flows in
-                        // simulation order.
-                        let mut agent: Option<HostAgent> = None;
-                        for &fi in fb.for_host(host) {
-                            let rec = &outcome_ref.flows[fi as usize];
-                            let Some((event, path)) = adv.emission(rec) else {
-                                continue;
-                            };
-                            if gate_salt
-                                .is_some_and(|salt| config_ref.slb.skips(&event.tuple, salt))
-                            {
-                                continue;
-                            }
-                            let agent = agent.get_or_insert_with(|| {
-                                HostAgent::new(host, config_ref.pacer.pacer(topo_ref))
-                            });
-                            if let Some(report) = agent.handle_discovered(&event, path) {
-                                absorb_and_send(report);
-                            }
-                        }
-                        continue;
-                    }
-                    let events = buckets_ref.for_host(host);
-                    if events.is_empty() {
-                        continue;
-                    }
-                    let mut agent = HostAgent::new(host, config_ref.pacer.pacer(topo_ref));
-                    let admitted = events.iter().filter(|e| {
-                        gate_salt.map_or(true, |salt| !config_ref.slb.skips(&e.tuple, salt))
-                    });
-                    for report in agent.run_epoch(admitted.copied(), &mut tracer) {
-                        absorb_and_send(report);
-                    }
-                }
-            });
-        }
-        drop(sender);
-    });
-    // All workers have joined (scope end), so every report is queued and
-    // every shard holds its chunk's votes.
-    let reports = collector.drain();
-    let window = sharded.close_window();
-    assemble_epoch(outcome, flow_index, reports, window, config)
-}
-
-/// Host → flow-index buckets over *all* flows (CSR layout, simulation
-/// order preserved within each host) — the adversarial counterpart of
-/// [`TcpMonitor::bucket_events`], which buckets eventful flows only.
-struct HostFlowBuckets {
-    starts: Vec<usize>,
-    idx: Vec<u32>,
-}
-
-impl HostFlowBuckets {
-    /// The flow indices of `host`, in simulation order.
-    fn for_host(&self, host: vigil_topology::HostId) -> &[u32] {
-        let h = host.0 as usize;
-        &self.idx[self.starts[h]..self.starts[h + 1]]
-    }
-}
-
-/// Buckets every flow record by source host: counting pass → prefix
-/// sums → placement, so each bucket preserves simulation order.
-fn bucket_flows(flows: &[vigil_fabric::flowsim::FlowRecord], num_hosts: usize) -> HostFlowBuckets {
-    let mut starts = vec![0usize; num_hosts + 1];
-    for rec in flows {
-        starts[rec.src.0 as usize + 1] += 1;
-    }
-    for h in 0..num_hosts {
-        starts[h + 1] += starts[h];
-    }
-    let mut cursor = starts.clone();
-    let mut idx = vec![0u32; flows.len()];
-    for (i, rec) in flows.iter().enumerate() {
-        let c = &mut cursor[rec.src.0 as usize];
-        idx[*c] = i as u32;
-        *c += 1;
-    }
-    HostFlowBuckets { starts, idx }
-}
-
 /// The ledger ring depth the epoch runners use (how many closed-window
 /// summaries a long-running session retains).
 pub(crate) const LEDGER_RING_WINDOWS: usize = 8;
@@ -378,9 +198,9 @@ pub(crate) const LEDGER_RING_WINDOWS: usize = 8;
 /// memory).
 pub(crate) const LEDGER_HEALTH_ALPHA: f64 = 0.3;
 
-/// A fresh analysis ledger shaped for `config` — the batch runners close
-/// one window per epoch on a throwaway ledger; the streaming session
-/// keeps one alive across windows so the ring and health EWMA accumulate.
+/// A fresh analysis ledger shaped for `config` — [`run_epoch_with`]
+/// closes one window on a throwaway ledger; a long-lived session keeps
+/// one alive across windows so the ring and health EWMA accumulate.
 pub(crate) fn fresh_ledger(
     num_links: usize,
     config: &RunConfig,
@@ -395,11 +215,9 @@ pub(crate) fn fresh_ledger(
 
 /// Assembles an [`EpochRun`] from a closed analysis window plus the raw
 /// reports: canonical report order, the §5.3 baselines, and the final
-/// record. Shared by the batch [`analyze`] path and the streaming
-/// driver's window close.
+/// record. Shared by the in-process window close and the collector's.
 pub(crate) fn assemble_epoch(
     outcome: EpochOutcome,
-    flow_index: FlowIndex,
     mut reports: Vec<TraceReport>,
     window: WindowAnalysis,
     config: &RunConfig,
@@ -438,8 +256,8 @@ pub(crate) fn assemble_epoch(
     };
 
     EpochRun {
+        flow_index: FlowIndex::from_flows(&outcome.flows),
         outcome,
-        flow_index,
         reports,
         evidence: window.evidence,
         detection: window.detection,
@@ -510,51 +328,24 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_sequential() {
-        let (topo, faults, _) = setup(2, 17);
-        let cfg = config();
-        let mut rng1 = ChaCha8Rng::seed_from_u64(99);
-        let mut rng2 = ChaCha8Rng::seed_from_u64(99);
-        let seq = run_epoch(&topo, &faults, &cfg, &mut rng1);
-        let thr = run_epoch_threaded(&topo, &faults, &cfg, 4, &mut rng2);
-        // Same simulation (same rng), same reports (canonical order), same
-        // detections.
-        assert_eq!(seq.reports, thr.reports);
-        assert_eq!(
-            seq.detection.detected_links(),
-            thr.detection.detected_links()
-        );
-    }
-
-    #[test]
-    fn slb_gate_skips_traces_identically_across_runners() {
+    fn slb_gate_suppresses_traces() {
         let (topo, faults, _) = setup(2, 23);
-        let mut gated = config();
-        gated.slb = SlbModel::query_failures(0.5);
-
+        let mut cfg = config();
+        cfg.slb = SlbModel::query_failures(0.5);
         let mut rng1 = ChaCha8Rng::seed_from_u64(23);
         let mut rng2 = ChaCha8Rng::seed_from_u64(23);
-        let seq = run_epoch(&topo, &faults, &gated, &mut rng1);
-        let thr = run_epoch_threaded(&topo, &faults, &gated, 4, &mut rng2);
-        assert_eq!(seq.reports, thr.reports, "gate must be order-independent");
-
-        // Same epoch without the gate: strictly more traces.
-        let mut rng3 = ChaCha8Rng::seed_from_u64(23);
-        let ungated = run_epoch(&topo, &faults, &config(), &mut rng3);
+        let gated = run_epoch(&topo, &faults, &cfg, &mut rng1);
+        let ungated = run_epoch(&topo, &faults, &config(), &mut rng2);
         assert!(
-            seq.reports.len() < ungated.reports.len(),
+            gated.reports.len() < ungated.reports.len(),
             "a 50% query-failure rate must suppress traces ({} vs {})",
-            seq.reports.len(),
+            gated.reports.len(),
             ungated.reports.len()
         );
     }
 
     #[test]
-    fn byzantine_behaviors_match_across_runners() {
-        // Every behavior, sequential vs threaded, same RNG: identical
-        // reports (adversary decisions are per-flow hashes, never
-        // arrival-order) — and each behavior visibly changes the
-        // evidence relative to the honest run.
+    fn every_byzantine_behavior_changes_the_evidence() {
         let (topo, faults, _) = setup(2, 29);
         let mut honest_rng = ChaCha8Rng::seed_from_u64(31);
         let honest = run_epoch(&topo, &faults, &config(), &mut honest_rng);
@@ -566,41 +357,17 @@ mod tests {
         ] {
             let mut cfg = config();
             cfg.byzantine = spec;
-            let mut rng1 = ChaCha8Rng::seed_from_u64(31);
-            let mut rng2 = ChaCha8Rng::seed_from_u64(31);
-            let seq = run_epoch(&topo, &faults, &cfg, &mut rng1);
-            let thr = run_epoch_threaded(&topo, &faults, &cfg, 4, &mut rng2);
-            assert_eq!(
-                seq.reports,
-                thr.reports,
-                "{}: adversary must be order-independent",
-                spec.label()
-            );
+            let mut rng = ChaCha8Rng::seed_from_u64(31);
+            let run = run_epoch(&topo, &faults, &cfg, &mut rng);
             assert_ne!(
-                seq.reports,
+                run.reports,
                 honest.reports,
                 "{}: a third of the hosts compromised must change the evidence",
                 spec.label()
             );
+            // The adversary hashes, it never draws: same RNG position.
+            assert_eq!(rng.gen::<u64>(), honest_rng.clone().gen::<u64>());
         }
-    }
-
-    #[test]
-    fn byzantine_composes_with_slb_gate_across_runners() {
-        // The deferred-gate stream path and the threaded path must agree
-        // when both axes are on: gate skips apply uniformly to honest
-        // and byzantine emissions.
-        let (topo, faults, _) = setup(2, 37);
-        let mut cfg = config();
-        cfg.slb = SlbModel::query_failures(0.4);
-        cfg.byzantine = ByzantineSpec::flippers(0.25);
-        let mut rng1 = ChaCha8Rng::seed_from_u64(41);
-        let mut rng2 = ChaCha8Rng::seed_from_u64(41);
-        let seq = run_epoch(&topo, &faults, &cfg, &mut rng1);
-        let thr = run_epoch_threaded(&topo, &faults, &cfg, 4, &mut rng2);
-        assert_eq!(seq.reports, thr.reports);
-        // Both axes left the RNG at the same position.
-        assert_eq!(rng1.gen::<u64>(), rng2.gen::<u64>());
     }
 
     #[test]

@@ -34,9 +34,11 @@ use crate::run::{assemble_epoch, fresh_ledger, EpochRun, RunConfig};
 use crate::sweep::SweepEngine;
 use rand::Rng;
 use serde::Serialize;
+use std::convert::Infallible;
+use std::ops::Range;
 use vigil_agents::{
     event_channel_bounded, AdversaryModel, AgentEvent, DiscoveredPath, EventCollector, EventSender,
-    FlowIndex, HostAgent, RetransmissionEvent, TraceReport,
+    HostAgent, RetransmissionEvent, TraceReport,
 };
 use vigil_analysis::{FlowEvidence, VoteLedger};
 use vigil_fabric::flowsim::{EpochOutcome, EpochScratch, EpochStream, FlowBatch, FlowRecord};
@@ -147,6 +149,241 @@ impl StreamStats {
     }
 }
 
+/// The agent side of the hub (Figure 2's left half): one process's host
+/// agents, the model deciding what each reports, and the hub they emit
+/// onto. [`run_epoch`](Self::run_epoch) is the pipeline's one agent loop
+/// — the in-process session, the distributed agent and the collector's
+/// local replay all drive their epochs through it.
+#[derive(Debug)]
+pub(crate) struct HostFleet {
+    /// Per-host agents, created on a host's first dispatched event.
+    pub(crate) agents: Vec<Option<HostAgent>>,
+    /// Hosts this process speaks for; flows sourced elsewhere are
+    /// simulated (every process draws the same epoch) but never emitted.
+    hosts: Range<u32>,
+    adversary: AdversaryModel,
+    hub: EventSender,
+    batch: FlowBatch,
+    pending: Vec<(RetransmissionEvent, DiscoveredPath)>,
+}
+
+/// What [`HostFleet::run_epoch`] leaves for scoring.
+pub(crate) struct EpochPull {
+    /// The retained flow records plus the epoch's ground truth.
+    pub(crate) outcome: EpochOutcome,
+    /// Flow records simulated.
+    pub(crate) flows: usize,
+    /// Peak simultaneously-resident flow rows (chunk + retained).
+    pub(crate) peak_resident: usize,
+}
+
+impl HostFleet {
+    /// A fleet for `hosts` of `topo` running `config`'s pipeline, emitting
+    /// onto `hub`.
+    pub(crate) fn new(
+        topo: &ClosTopology,
+        config: &RunConfig,
+        hosts: Range<u32>,
+        hub: EventSender,
+    ) -> Self {
+        Self {
+            agents: (0..topo.num_hosts()).map(|_| None).collect(),
+            hosts,
+            adversary: AdversaryModel::new(config.byzantine, topo.num_links()),
+            hub,
+            batch: FlowBatch::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// Runs `act` on every live agent, calling `sink` after every `burst`
+    /// agents (so a large fleet's announcements cannot overflow a bounded
+    /// hub) and once at the end.
+    pub(crate) fn each_agent<E>(
+        &mut self,
+        burst: usize,
+        act: impl Fn(&mut HostAgent, &EventSender),
+        mut sink: impl FnMut() -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut since_sink = 0usize;
+        for agent in self.agents.iter_mut().flatten() {
+            act(agent, &self.hub);
+            since_sink += 1;
+            if since_sink >= burst {
+                sink()?;
+                since_sink = 0;
+            }
+        }
+        sink()
+    }
+
+    /// One epoch of the agent side: pull the fabric in column batches,
+    /// decide per row what its source host reports, route this fleet's
+    /// share through the host agents onto the hub, and roll the agents
+    /// into `next_epoch`. `sink` runs after every batch (and every burst
+    /// of deferred dispatches or ticks) to move what the hub holds — the
+    /// ledger drain in process, the wire flush in an agent; its error
+    /// aborts the epoch.
+    ///
+    /// A record is materialized only for rows that emit from this fleet
+    /// or that `retain` keeps (`None` keeps nothing), so the common clean
+    /// flow never allocates. The batch pipeline draws the SLB gate salt
+    /// *after* the epoch's simulation draws; an active gate therefore
+    /// defers dispatch to the end of the epoch, buffering evidence-sized
+    /// (event, path) pairs, while the gate-off path streams evidence as
+    /// the epoch is simulated.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_epoch<R: Rng + ?Sized, E>(
+        &mut self,
+        topo: &ClosTopology,
+        config: &RunConfig,
+        faults: &LinkFaults,
+        rng: &mut R,
+        scratch: &mut EpochScratch,
+        tuning: &StreamTuning,
+        retain: Option<RetainPolicy>,
+        next_epoch: u64,
+        mut sink: impl FnMut() -> Result<(), E>,
+    ) -> Result<EpochPull, E> {
+        let Self {
+            agents,
+            hosts,
+            adversary,
+            hub,
+            batch,
+            pending,
+        } = self;
+        // Routes one emission through its (lazily created) host agent,
+        // which emits protocol events onto the hub.
+        let mut dispatch = |event: RetransmissionEvent, path: DiscoveredPath| {
+            agents[event.host.0 as usize]
+                .get_or_insert_with(|| HostAgent::new(event.host, config.pacer.pacer(topo)))
+                .on_retransmission(&event, path, hub);
+        };
+        let deferred_gate = config.slb.enabled();
+        pending.clear(); // an aborted epoch may have left some behind
+
+        let mut stream =
+            EpochStream::open(topo, faults, &config.traffic, &config.sim, rng, scratch);
+        let flows = stream.total_flows();
+        let mut retained: Vec<FlowRecord> = match retain {
+            Some(RetainPolicy::All) => Vec::with_capacity(flows),
+            _ => Vec::new(),
+        };
+        let mut peak_resident = 0usize;
+        loop {
+            batch.clear();
+            if stream.next_batch(tuning.chunk_flows, batch) == 0 {
+                break;
+            }
+            peak_resident = peak_resident.max(retained.len() + batch.len());
+            for i in 0..batch.len() {
+                let src = batch.src()[i];
+                let retransmissions = batch.retransmissions()[i];
+                let emitted = adversary.decide(
+                    src,
+                    &batch.tuples()[i],
+                    batch.established()[i],
+                    retransmissions,
+                );
+                let keep = match retain {
+                    None => false,
+                    Some(RetainPolicy::All) => true,
+                    // Everything scoring consults: retransmitting flows,
+                    // plus any healthy flow a byzantine agent emitted
+                    // evidence for (its record must resolve in the flow
+                    // index exactly as under retain-all).
+                    Some(RetainPolicy::EvidenceOnly) => retransmissions > 0 || emitted.is_some(),
+                };
+                let emitted = emitted.filter(|_| hosts.contains(&src.0));
+                if emitted.is_none() && !keep {
+                    continue;
+                }
+                let rec = stream.materialize(batch, i);
+                if let Some(event) = emitted {
+                    let path = adversary.claimed_path(&event, &rec.path);
+                    if deferred_gate {
+                        pending.push((event, path));
+                    } else {
+                        dispatch(event, path);
+                    }
+                }
+                if keep {
+                    retained.push(rec);
+                }
+            }
+            sink()?;
+        }
+        let ground_truth = stream.finish();
+
+        if deferred_gate {
+            // Same draw position as the batch runner: first draw after
+            // the simulation stream.
+            let salt = rng.gen::<u64>();
+            for (i, (event, path)) in pending.drain(..).enumerate() {
+                if !config.slb.skips(&event.tuple, salt) {
+                    dispatch(event, path);
+                }
+                if (i + 1) % tuning.chunk_flows == 0 {
+                    sink()?;
+                }
+            }
+            sink()?;
+        }
+
+        // Roll every live agent into the next epoch (budget refresh,
+        // trace-cache clear), announced on the hub like any other event.
+        self.each_agent(
+            tuning.hub_capacity,
+            |agent, hub| agent.epoch_tick(next_epoch, hub),
+            sink,
+        )?;
+        Ok(EpochPull {
+            outcome: EpochOutcome {
+                flows: retained,
+                ground_truth,
+            },
+            flows,
+            peak_resident,
+        })
+    }
+}
+
+/// The analysis side of the hub: drains events into the ledger.
+#[derive(Debug)]
+struct Intake {
+    hub_rx: EventCollector,
+    inbox: Vec<AgentEvent>,
+    ledger: VoteLedger<EvidenceKey>,
+    reports: Vec<TraceReport>,
+    stats: StreamStats,
+}
+
+impl Intake {
+    /// Drains the hub into the ledger: evidence is absorbed the moment it
+    /// crosses; lifecycle events are counted and dropped.
+    fn drain(&mut self) -> Result<(), Infallible> {
+        self.inbox.clear();
+        self.hub_rx.drain_into(&mut self.inbox);
+        for event in self.inbox.drain(..) {
+            self.stats.events += 1;
+            if let AgentEvent::Evidence { report, .. } = event {
+                self.ledger.absorb(
+                    (report.host, report.tuple),
+                    FlowEvidence {
+                        links: report.links.clone(),
+                        retransmissions: report.retransmissions,
+                        complete: report.complete,
+                    },
+                );
+                self.reports.push(report);
+                self.stats.evidence += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// An always-on streaming pipeline over one topology: persistent host
 /// agents (budgets roll via epoch ticks), a persistent ledger (window
 /// ring + link-health EWMA accumulate), and reusable buffers. Each
@@ -162,17 +399,8 @@ impl StreamStats {
 pub struct StreamSession {
     tuning: StreamTuning,
     retain: RetainPolicy,
-    agents: Vec<Option<HostAgent>>,
-    adversary: Option<AdversaryModel>,
-    ledger: VoteLedger<EvidenceKey>,
-    hub_tx: EventSender,
-    hub_rx: EventCollector,
-    stats: StreamStats,
-    reports: Vec<TraceReport>,
-    chunk: Vec<FlowRecord>,
-    batch: FlowBatch,
-    inbox: Vec<AgentEvent>,
-    pending: Vec<(RetransmissionEvent, DiscoveredPath)>,
+    fleet: HostFleet,
+    intake: Intake,
 }
 
 impl StreamSession {
@@ -193,72 +421,30 @@ impl StreamSession {
     ) -> Self {
         tuning.validate();
         let (hub_tx, hub_rx) = event_channel_bounded(tuning.hub_capacity);
+        let all_hosts = 0..topo.num_hosts() as u32;
         Self {
             tuning,
             retain,
-            agents: (0..topo.num_hosts()).map(|_| None).collect(),
-            adversary: config
-                .byzantine
-                .enabled()
-                .then(|| AdversaryModel::new(config.byzantine, topo.num_links())),
-            ledger: fresh_ledger(topo.num_links(), config),
-            hub_tx,
-            hub_rx,
-            stats: StreamStats::default(),
-            reports: Vec::new(),
-            chunk: Vec::new(),
-            batch: FlowBatch::new(),
-            inbox: Vec::new(),
-            pending: Vec::new(),
+            fleet: HostFleet::new(topo, config, all_hosts, hub_tx),
+            intake: Intake {
+                hub_rx,
+                inbox: Vec::new(),
+                ledger: fresh_ledger(topo.num_links(), config),
+                reports: Vec::new(),
+                stats: StreamStats::default(),
+            },
         }
     }
 
     /// The session's counters so far.
     pub fn stats(&self) -> &StreamStats {
-        &self.stats
+        &self.intake.stats
     }
 
     /// The live analysis ledger (between-closes snapshots: rankings, the
     /// window ring, the cross-window heat map).
     pub fn ledger(&self) -> &VoteLedger<EvidenceKey> {
-        &self.ledger
-    }
-
-    /// Drains the hub into the ledger: evidence is absorbed the moment it
-    /// crosses; lifecycle events are counted and dropped.
-    fn drain_hub(&mut self) {
-        self.inbox.clear();
-        self.hub_rx.drain_into(&mut self.inbox);
-        for event in self.inbox.drain(..) {
-            self.stats.events += 1;
-            if let AgentEvent::Evidence { report, .. } = event {
-                self.ledger.absorb(
-                    (report.host, report.tuple),
-                    FlowEvidence {
-                        links: report.links.clone(),
-                        retransmissions: report.retransmissions,
-                        complete: report.complete,
-                    },
-                );
-                self.reports.push(report);
-                self.stats.evidence += 1;
-            }
-        }
-    }
-
-    /// Routes one eventful record through its (lazily created) host
-    /// agent, which emits protocol events onto the hub.
-    fn dispatch(
-        &mut self,
-        topo: &ClosTopology,
-        config: &RunConfig,
-        event: RetransmissionEvent,
-        path: DiscoveredPath,
-    ) {
-        let slot = &mut self.agents[event.host.0 as usize];
-        let agent =
-            slot.get_or_insert_with(|| HostAgent::new(event.host, config.pacer.pacer(topo)));
-        agent.on_retransmission(&event, path, &self.hub_tx);
+        &self.intake.ledger
     }
 
     /// Runs one window: simulate the epoch in chunks, stream evidence
@@ -275,187 +461,49 @@ impl StreamSession {
         scratch: &mut EpochScratch,
     ) -> EpochRun {
         debug_assert_eq!(
-            self.agents.len(),
+            self.fleet.agents.len(),
             topo.num_hosts(),
             "session sized for a different topology"
         );
-        // The batch pipeline draws the SLB gate salt *after* the epoch's
-        // simulation draws; an active gate therefore defers agent
-        // processing to the window close (buffering evidence-sized
-        // pending pairs), while the common gate-off path streams evidence
-        // incrementally.
-        let deferred_gate = config.slb.enabled();
-        let mut stream =
-            EpochStream::open(topo, faults, &config.traffic, &config.sim, rng, scratch);
-        let mut retained: Vec<FlowRecord> = match self.retain {
-            RetainPolicy::All => Vec::with_capacity(stream.total_flows()),
-            RetainPolicy::EvidenceOnly => Vec::new(),
-        };
+        let Self {
+            tuning,
+            retain,
+            fleet,
+            intake,
+        } = self;
+        let next_epoch = intake.ledger.epoch() + 1;
+        let Ok(pull) = fleet.run_epoch(
+            topo,
+            config,
+            faults,
+            rng,
+            scratch,
+            tuning,
+            Some(*retain),
+            next_epoch,
+            || intake.drain(),
+        );
+        let stats = &mut intake.stats;
+        stats.flows += pull.flows as u64;
+        stats.peak_resident_flows = stats.peak_resident_flows.max(pull.peak_resident as u64);
 
-        if self.adversary.is_some() {
-            // Adversarial path: the model inspects whole records, so pull
-            // materialized chunks.
-            loop {
-                self.chunk.clear();
-                if stream.next_chunk(self.tuning.chunk_flows, &mut self.chunk) == 0 {
-                    break;
-                }
-                self.stats.flows += self.chunk.len() as u64;
-                self.stats.peak_resident_flows = self
-                    .stats
-                    .peak_resident_flows
-                    .max((retained.len() + self.chunk.len()) as u64);
-                // The chunk buffer steps out of `self` for the dispatch
-                // loop (agents and hub are `self` fields) and returns
-                // after it, keeping its capacity across pulls.
-                let mut chunk = std::mem::take(&mut self.chunk);
-                for rec in chunk.drain(..) {
-                    // The adversary model overrides the honest
-                    // eventfulness decision for compromised hosts (lie,
-                    // stay mute, or flood a healthy flow) — a pure
-                    // per-flow hash.
-                    let emitted = self
-                        .adversary
-                        .as_ref()
-                        .expect("adversarial path")
-                        .emission(&rec);
-                    let emitted_some = emitted.is_some();
-                    if let Some((event, path)) = emitted {
-                        if deferred_gate {
-                            self.pending.push((event, path));
-                        } else {
-                            self.dispatch(topo, config, event, path);
-                        }
-                    }
-                    match self.retain {
-                        RetainPolicy::All => retained.push(rec),
-                        RetainPolicy::EvidenceOnly => {
-                            // Everything scoring consults: retransmitting
-                            // flows, plus any flow a byzantine agent
-                            // emitted evidence for (its record must
-                            // resolve in the flow index exactly as in the
-                            // retain-all path).
-                            if rec.retransmissions > 0 || emitted_some {
-                                retained.push(rec);
-                            }
-                        }
-                    }
-                }
-                self.chunk = chunk;
-                self.drain_hub();
-            }
-        } else {
-            // Honest path: pull struct-of-arrays batches and scan the
-            // dense columns. The monitoring agent's eventfulness rule
-            // (§4.2) — established and at least one retransmission —
-            // reads two columns; only rows that are eventful or retained
-            // are materialized into records, so the common clean flow
-            // never allocates.
-            loop {
-                self.batch.clear();
-                if stream.next_batch(self.tuning.chunk_flows, &mut self.batch) == 0 {
-                    break;
-                }
-                self.stats.flows += self.batch.len() as u64;
-                self.stats.peak_resident_flows = self
-                    .stats
-                    .peak_resident_flows
-                    .max((retained.len() + self.batch.len()) as u64);
-                let batch = std::mem::take(&mut self.batch);
-                for i in 0..batch.len() {
-                    let eventful = batch.established()[i] && batch.retransmissions()[i] > 0;
-                    let keep = match self.retain {
-                        RetainPolicy::All => true,
-                        RetainPolicy::EvidenceOnly => batch.retransmissions()[i] > 0,
-                    };
-                    if !eventful && !keep {
-                        continue;
-                    }
-                    let rec = stream.materialize(&batch, i);
-                    if eventful {
-                        let event = RetransmissionEvent {
-                            host: rec.src,
-                            tuple: rec.tuple,
-                            retransmissions: rec.retransmissions,
-                        };
-                        let path = DiscoveredPath::of_flow_path(&rec.path);
-                        if deferred_gate {
-                            self.pending.push((event, path));
-                        } else {
-                            self.dispatch(topo, config, event, path);
-                        }
-                    }
-                    if keep {
-                        retained.push(rec);
-                    }
-                }
-                self.batch = batch;
-                self.drain_hub();
-            }
-        }
-        let ground_truth = stream.finish();
+        self.account_hub(Some(self.intake.stats.windows));
+        self.intake.stats.windows += 1;
 
-        if deferred_gate {
-            // Same draw position as the batch runner: first draw after
-            // the simulation stream.
-            let salt = rng.gen::<u64>();
-            let pending = std::mem::take(&mut self.pending);
-            for (i, (event, path)) in pending.into_iter().enumerate() {
-                if !config.slb.skips(&event.tuple, salt) {
-                    self.dispatch(topo, config, event, path);
-                }
-                if (i + 1) % self.tuning.chunk_flows == 0 {
-                    self.drain_hub();
-                }
-            }
-            self.drain_hub();
-        }
-
-        // Roll every live agent into the next epoch (budget refresh,
-        // trace-cache clear), announced on the hub; drain periodically so
-        // a large fleet's ticks cannot overflow the bounded queue.
-        let next_epoch = self.ledger.epoch() + 1;
-        let mut since_drain = 0usize;
-        for i in 0..self.agents.len() {
-            if let Some(agent) = self.agents[i].as_mut() {
-                agent.epoch_tick(next_epoch, &self.hub_tx);
-                since_drain += 1;
-                if since_drain >= self.tuning.hub_capacity {
-                    self.drain_hub();
-                    since_drain = 0;
-                }
-            }
-        }
-        self.drain_hub();
-
-        self.account_hub(Some(self.stats.windows));
-        self.stats.windows += 1;
-
-        let window = self.ledger.close_window();
-        let reports = std::mem::take(&mut self.reports);
-        let flow_index = FlowIndex::from_flows(&retained);
-        let outcome = EpochOutcome {
-            flows: retained,
-            ground_truth,
-        };
-        assemble_epoch(outcome, flow_index, reports, window, config)
+        let window = self.intake.ledger.close_window();
+        let reports = std::mem::take(&mut self.intake.reports);
+        assemble_epoch(pull.outcome, reports, window, config)
     }
 
     /// Shuts the session down: every live agent announces
     /// [`AgentEvent::Drain`] and the hub is drained one last time.
     pub fn shutdown(&mut self) {
-        let mut since_drain = 0usize;
-        for i in 0..self.agents.len() {
-            if let Some(agent) = self.agents[i].as_mut() {
-                agent.drain(&self.hub_tx);
-                since_drain += 1;
-                if since_drain >= self.tuning.hub_capacity {
-                    self.drain_hub();
-                    since_drain = 0;
-                }
-            }
-        }
-        self.drain_hub();
+        let intake = &mut self.intake;
+        let Ok(()) = self.fleet.each_agent(
+            self.tuning.hub_capacity,
+            |agent, hub| agent.drain(hub),
+            || intake.drain(),
+        );
         self.account_hub(None);
     }
 
@@ -464,21 +512,22 @@ impl StreamSession {
     /// counter, and logs a warning, the same in debug and release — so
     /// the accounting below is the *only* place loss becomes visible.
     fn account_hub(&mut self, window: Option<u64>) {
-        let shed_before = self.stats.shed;
-        self.stats.delivered = self.hub_rx.delivered();
-        self.stats.shed = self.hub_rx.shed();
-        if self.stats.shed > shed_before {
-            let lost = self.stats.shed - shed_before;
+        let Intake { hub_rx, stats, .. } = &mut self.intake;
+        let shed_before = stats.shed;
+        stats.delivered = hub_rx.delivered();
+        stats.shed = hub_rx.shed();
+        if stats.shed > shed_before {
+            let lost = stats.shed - shed_before;
             match window {
                 Some(w) => eprintln!(
                     "vigil-stream: warning: window {w}: hub shed {lost} event(s) \
                      ({} total) — votes lost to backpressure",
-                    self.stats.shed
+                    stats.shed
                 ),
                 None => eprintln!(
                     "vigil-stream: warning: shutdown drain shed {lost} event(s) \
                      ({} total) — votes lost to backpressure",
-                    self.stats.shed
+                    stats.shed
                 ),
             }
         }
@@ -553,6 +602,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use vigil_agents::ByzantineSpec;
     use vigil_fabric::faults::{FaultPlan, RateRange};
     use vigil_fabric::slb::SlbModel;
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
@@ -591,25 +641,48 @@ mod tests {
 
     #[test]
     fn chunk_size_is_invisible_in_the_epoch_run() {
+        // Honest, then every byzantine behavior with and without the SLB
+        // gate's deferred dispatch: chunking moves batch boundaries and
+        // hub drains, never a report.
         let (topo, faults) = setup(2, 51);
-        let cfg = config();
-        let baseline = {
-            let mut rng = ChaCha8Rng::seed_from_u64(3);
-            let mut session =
-                StreamSession::new(&topo, &cfg, StreamTuning::default(), RetainPolicy::All);
-            session.run_window(&topo, &cfg, &faults, &mut rng, &mut EpochScratch::new())
-        };
-        for chunk in [1usize, 17, 4096] {
-            let mut rng = ChaCha8Rng::seed_from_u64(3);
-            let tuning = StreamTuning {
-                chunk_flows: chunk,
-                hub_capacity: 2 * chunk + 16,
+        let gate = SlbModel::query_failures(0.4);
+        let mut variants = vec![(ByzantineSpec::default(), SlbModel::default())];
+        for spec in [
+            ByzantineSpec::liars(0.33),
+            ByzantineSpec::mutes(0.33),
+            ByzantineSpec::flooders(0.33, 0.5),
+            ByzantineSpec::flippers(0.33),
+        ] {
+            variants.push((spec, SlbModel::default()));
+            variants.push((spec, gate));
+        }
+        for (byzantine, slb) in variants {
+            let cfg = RunConfig {
+                byzantine,
+                slb,
+                ..config()
             };
-            let mut session = StreamSession::new(&topo, &cfg, tuning, RetainPolicy::All);
-            let run = session.run_window(&topo, &cfg, &faults, &mut rng, &mut EpochScratch::new());
-            assert_eq!(run.outcome.flows, baseline.outcome.flows);
-            assert_eq!(run.reports, baseline.reports);
-            assert_eq!(fingerprint(&run), fingerprint(&baseline));
+            let what = format!("{} / gate {}", byzantine.label(), slb.enabled());
+            let baseline = {
+                let mut rng = ChaCha8Rng::seed_from_u64(3);
+                let mut session =
+                    StreamSession::new(&topo, &cfg, StreamTuning::default(), RetainPolicy::All);
+                session.run_window(&topo, &cfg, &faults, &mut rng, &mut EpochScratch::new())
+            };
+            for chunk in [1usize, 17, 4096] {
+                let mut rng = ChaCha8Rng::seed_from_u64(3);
+                let tuning = StreamTuning {
+                    chunk_flows: chunk,
+                    hub_capacity: 2 * chunk + 16,
+                };
+                let mut session = StreamSession::new(&topo, &cfg, tuning, RetainPolicy::All);
+                let run =
+                    session.run_window(&topo, &cfg, &faults, &mut rng, &mut EpochScratch::new());
+                assert_eq!(run.outcome.flows, baseline.outcome.flows, "{what}");
+                assert_eq!(run.reports, baseline.reports, "{what}");
+                assert_eq!(fingerprint(&run), fingerprint(&baseline), "{what}");
+                assert_eq!(session.stats().shed, 0, "{what}");
+            }
         }
     }
 
@@ -653,9 +726,8 @@ mod tests {
 
     #[test]
     fn deferred_gate_matches_batch_runner() {
-        // SLB gating forces the deferred path; it must still reproduce
-        // run_epoch (which itself asserts parity with the threaded
-        // runner elsewhere).
+        // SLB gating forces the deferred path; an evidence-only session
+        // at an odd chunk size must still reproduce run_epoch.
         let (topo, faults) = setup(2, 57);
         let mut cfg = config();
         cfg.slb = SlbModel::query_failures(0.5);

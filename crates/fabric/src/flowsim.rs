@@ -25,8 +25,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use vigil_packet::FiveTuple;
 use vigil_topology::{
-    ClosParams, ClosTopology, HostId, LinkId, LinkSet, Path, PathArena, PathId, RouteError,
-    RouteScratch, RouteTable, Routed,
+    ClosParams, ClosTopology, HostId, LinkId, LinkSet, Path, PathArena, PathId, RouteScratch,
+    RouteTable, Routed,
 };
 
 /// Dense flow index within one epoch.
@@ -145,8 +145,8 @@ impl EpochOutcome {
 }
 
 /// Route-cache effectiveness counters, cumulative over an
-/// [`EpochScratch`]'s lifetime (the bench and CI artifacts record them;
-/// see `BENCH_epoch.json`).
+/// [`EpochScratch`]'s lifetime (the benchmark's `fabric.route_*` layer
+/// metrics read them; see `benchmark/README.md`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCacheStats {
     /// Epoch opens that reused an already-compiled [`RouteTable`].
@@ -208,8 +208,8 @@ struct CompiledPlan {
 
 /// Per-path drop parameters, valid for one epoch (`stamp` matches the
 /// cache's epoch counter): the aggregate per-packet drop probability and
-/// its log, computed once per (path, epoch) with the exact float-op
-/// order of the uncached path so reuse is bit-identical.
+/// its log, computed once per (path, epoch) and reused bit for bit by
+/// every later flow on the path.
 #[derive(Debug, Clone, Copy, Default)]
 struct PathStats {
     stamp: u64,
@@ -233,8 +233,6 @@ struct RouteCache {
     stats: Vec<PathStats>,
     down: LinkSet,
     epoch_stamp: u64,
-    active: bool,
-    enabled_override: Option<bool>,
     counters: RouteCacheStats,
 }
 
@@ -242,27 +240,21 @@ struct RouteCache {
 /// alternating states plus a few trial-boundary stragglers.
 const MAX_CACHED_PLANS: usize = 8;
 
-/// `VIGIL_NO_ROUTE_CACHE=1` is the escape hatch that forces the legacy
-/// per-flow topology walk — CI byte-compares both modes. Read per epoch
-/// open (its cost is noise at that granularity), so tests can toggle it
-/// within one process.
-fn route_cache_disabled_by_env() -> bool {
-    std::env::var("VIGIL_NO_ROUTE_CACHE").is_ok_and(|v| v == "1")
-}
-
 /// Reusable per-epoch buffers for the simulator's hot path: routing
 /// scratch, the path-interning arena, the compiled route cache, and the
 /// per-flow rate/drop accumulators that used to be allocated fresh for
 /// every flow. One scratch serves a whole trial — or, with the pool's
 /// worker-local reuse, many trials — and every epoch's output is
-/// byte-identical to the scratch-free path.
+/// byte-identical to what a fresh scratch would produce.
 #[derive(Debug, Clone, Default)]
 pub struct EpochScratch {
     route: RouteScratch,
     arena: PathArena,
     rates: Vec<f64>,
     local_drops: Vec<u32>,
-    drop_pairs: Vec<(LinkId, u32)>,
+    /// The columns [`EpochStream::next_chunk`] pulls through before
+    /// materializing them.
+    batch: FlowBatch,
     cache: RouteCache,
     /// Materialized [`Path`]s shared across every [`FlowRecord`] on the
     /// same interned path (indexed by [`vigil_topology::PathId`]): the
@@ -297,13 +289,6 @@ impl EpochScratch {
         self.cache.counters
     }
 
-    /// Overrides the `VIGIL_NO_ROUTE_CACHE` gate for this scratch —
-    /// the in-process form of the escape hatch, used by the tests that
-    /// assert cached ≡ uncached bitwise.
-    pub fn set_route_cache(&mut self, enabled: bool) {
-        self.cache.enabled_override = Some(enabled);
-    }
-
     /// Resets the interned-path arena and the compiled route cache.
     /// Required at a topology-parameter boundary (link ids are only
     /// meaningful within one parameter set); the epoch-open preparation
@@ -328,13 +313,6 @@ impl EpochScratch {
             ..
         } = self;
         cache.epoch_stamp = cache.epoch_stamp.wrapping_add(1);
-        let enabled = cache
-            .enabled_override
-            .unwrap_or_else(|| !route_cache_disabled_by_env());
-        if !enabled {
-            cache.active = false;
-            return;
-        }
         if cache.params != Some(*topo.params()) {
             arena.clear();
             shared.clear();
@@ -373,7 +351,6 @@ impl EpochScratch {
                 cache.counters.compiles += 1;
             }
         }
-        cache.active = true;
     }
 }
 
@@ -448,18 +425,14 @@ struct RawFlow {
     completed: bool,
 }
 
-/// Simulates one spec end to end: route, intern, sample drops. The one
-/// per-flow step both the batch loop and the streaming pull path share —
-/// factoring it here is what makes their RNG draw order identical by
-/// construction. Drop pairs are *appended* to `pairs_out` (the record
-/// path clears it per flow; the batch path accumulates CSR-style).
+/// Simulates one spec end to end: route, intern, sample drops — the one
+/// per-flow step every pull shares, so chunk size can never change the
+/// RNG draw order. Drop pairs are *appended* to `pairs_out` (the batch
+/// accumulates them CSR-style).
 ///
-/// With a prepared route cache the per-flow route is a compiled-table
-/// lookup plus a path-memo probe; without one (the
-/// `VIGIL_NO_ROUTE_CACHE` escape hatch) it is the legacy topology walk.
-/// Routing consumes no RNG draws in either mode, so both produce
-/// byte-identical output — CI compares them.
-fn simulate_spec_raw<R: Rng + ?Sized>(
+/// The per-flow route is a compiled-table lookup plus a path-memo probe
+/// (the epoch open prepared the table); routing consumes no RNG draws.
+fn simulate_row<R: Rng + ?Sized>(
     topo: &ClosTopology,
     faults: &LinkFaults,
     config: &SimConfig,
@@ -476,91 +449,56 @@ fn simulate_spec_raw<R: Rng + ?Sized>(
         arena,
         rates,
         local_drops,
-        drop_pairs: _,
         cache,
-        shared: _,
+        ..
     } = scratch;
-
-    if cache.active {
-        let RouteCache {
-            plans,
-            stats,
-            epoch_stamp,
-            counters,
-            ..
-        } = cache;
-        let plan = &mut plans[0];
-        let decision = match plan.table.lookup(topo, &spec.tuple, spec.src, spec.dst) {
-            Ok(d) => d,
-            Err(_) => panic!("traffic generator produced a same-host flow"),
-        };
-        let path = match plan.paths.entry(decision.cache_key()) {
-            Entry::Occupied(e) => {
-                counters.path_hits += 1;
-                *e.get()
+    let RouteCache {
+        plans,
+        stats,
+        epoch_stamp,
+        counters,
+        ..
+    } = cache;
+    let plan = &mut plans[0];
+    let decision = match plan.table.lookup(topo, &spec.tuple, spec.src, spec.dst) {
+        Ok(d) => d,
+        Err(_) => panic!("traffic generator produced a same-host flow"),
+    };
+    let path = match plan.paths.entry(decision.cache_key()) {
+        Entry::Occupied(e) => {
+            counters.path_hits += 1;
+            *e.get()
+        }
+        Entry::Vacant(e) => {
+            counters.path_misses += 1;
+            plan.table.emit_into(&decision, route);
+            *e.insert(arena.intern(&route.nodes, &route.links))
+        }
+    };
+    match decision.routed() {
+        Routed::Complete => {
+            let idx = path.index();
+            if stats.len() <= idx {
+                stats.resize(idx + 1, PathStats::default());
             }
-            Entry::Vacant(e) => {
-                counters.path_misses += 1;
-                plan.table.emit_into(&decision, route);
-                *e.insert(arena.intern(&route.nodes, &route.links))
+            let st = &mut stats[idx];
+            if st.stamp != *epoch_stamp {
+                // First flow on this path this epoch: derive q and
+                // ln(1 − q) once, then reuse the bits.
+                rates.clear();
+                rates.extend(arena.links(path).iter().map(|l| faults.rate(*l)));
+                let survive_all: f64 = rates.iter().map(|r| 1.0 - r).product();
+                *st = PathStats {
+                    stamp: *epoch_stamp,
+                    q: 1.0 - survive_all,
+                    ln_survive: survive_all.ln(), // −∞ when q = 1
+                };
             }
-        };
-        return match decision.routed() {
-            Routed::Complete => {
-                let idx = path.index();
-                if stats.len() <= idx {
-                    stats.resize(idx + 1, PathStats::default());
-                }
-                let st = &mut stats[idx];
-                if st.stamp != *epoch_stamp {
-                    // First flow on this path this epoch: derive q and
-                    // ln(1 − q) with the exact float-op order of the
-                    // uncached path, then reuse the bits.
-                    rates.clear();
-                    rates.extend(arena.links(path).iter().map(|l| faults.rate(*l)));
-                    let survive_all: f64 = rates.iter().map(|r| 1.0 - r).product();
-                    *st = PathStats {
-                        stamp: *epoch_stamp,
-                        q: 1.0 - survive_all,
-                        ln_survive: survive_all.ln(),
-                    };
-                }
-                let precomputed = (st.q, st.ln_survive);
-                simulate_one_flow(
-                    spec,
-                    arena,
-                    path,
-                    Some(precomputed),
-                    faults,
-                    config,
-                    rng,
-                    drops_per_link,
-                    (rates, local_drops, pairs_out),
-                )
-            }
-            Routed::Blackholed => RawFlow {
-                path,
-                retransmissions: config.syn_attempts,
-                established: false,
-                completed: false,
-            },
-        };
-    }
-
-    match topo.route_filtered_into(
-        &spec.tuple,
-        spec.src,
-        spec.dst,
-        &|l| faults.is_down(l),
-        route,
-    ) {
-        Ok(Routed::Complete) => {
-            let path = arena.intern(&route.nodes, &route.links);
             simulate_one_flow(
                 spec,
                 arena,
                 path,
-                None,
+                (st.q, st.ln_survive),
                 faults,
                 config,
                 rng,
@@ -568,66 +506,16 @@ fn simulate_spec_raw<R: Rng + ?Sized>(
                 (rates, local_drops, pairs_out),
             )
         }
-        Ok(Routed::Blackholed) => {
-            // Administratively unreachable: SYN dies in the void. No
-            // link "drops" it (the blackhole is a routing hole), the
-            // connection simply fails to establish.
-            let partial = arena.intern(&route.nodes, &route.links);
-            RawFlow {
-                path: partial,
-                retransmissions: config.syn_attempts,
-                established: false,
-                completed: false,
-            }
-        }
-        Err(RouteError::SameHost) => {
-            panic!("traffic generator produced a same-host flow")
-        }
-        Err(RouteError::Blackhole { .. }) => {
-            unreachable!("route_filtered_into reports blackholes as Ok(Routed::Blackholed)")
-        }
+        // Administratively unreachable: SYN dies in the void. No link
+        // "drops" it (the blackhole is a routing hole), the connection
+        // simply fails to establish; `path` is the partial route.
+        Routed::Blackholed => RawFlow {
+            path,
+            retransmissions: config.syn_attempts,
+            established: false,
+            completed: false,
+        },
     }
-}
-
-/// Record-materializing form of [`simulate_spec_raw`]: same draws, same
-/// outcome, plus the owned [`Path`] and drop list a [`FlowRecord`]
-/// carries.
-fn simulate_spec<R: Rng + ?Sized>(
-    topo: &ClosTopology,
-    faults: &LinkFaults,
-    config: &SimConfig,
-    id: FlowId,
-    spec: &FlowSpec,
-    rng: &mut R,
-    scratch: &mut EpochScratch,
-    drops_per_link: &mut [u64],
-) -> FlowRecord {
-    let mut pairs = std::mem::take(&mut scratch.drop_pairs);
-    pairs.clear();
-    let raw = simulate_spec_raw(
-        topo,
-        faults,
-        config,
-        spec,
-        rng,
-        scratch,
-        &mut pairs,
-        drops_per_link,
-    );
-    let record = FlowRecord {
-        id,
-        src: spec.src,
-        dst: spec.dst,
-        tuple: spec.tuple,
-        packets: spec.packets,
-        retransmissions: raw.retransmissions,
-        path: shared_path(&scratch.arena, &mut scratch.shared, raw.path),
-        drops_per_link: pairs.as_slice().to_vec(),
-        established: raw.established,
-        completed: raw.completed,
-    };
-    scratch.drop_pairs = pairs;
-    record
 }
 
 /// Struct-of-arrays view of a chunk of simulated flows: the hot fields
@@ -825,30 +713,19 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
     /// Simulates up to `max_flows` further flows, appending their records
     /// to `out` (which the caller clears — or not — between pulls).
     /// Returns the number appended; `0` means the epoch is exhausted.
+    /// This is [`next_batch`](Self::next_batch) with every row
+    /// [`materialize`](Self::materialize)d — for consumers that want the
+    /// whole flow table; scanning consumers pull batches directly.
     pub fn next_chunk(&mut self, max_flows: usize, out: &mut Vec<FlowRecord>) -> usize {
-        let end = self
-            .specs
-            .len()
-            .min(self.cursor.saturating_add(max_flows.max(1)));
-        let produced = end - self.cursor;
-        for i in self.cursor..end {
-            out.push(simulate_spec(
-                self.topo,
-                self.faults,
-                self.config,
-                FlowId(i as u32),
-                &self.specs[i],
-                self.rng,
-                self.scratch,
-                &mut self.drops_per_link,
-            ));
-        }
-        self.cursor = end;
+        let mut batch = std::mem::take(&mut self.scratch.batch);
+        batch.clear();
+        let produced = self.next_batch(max_flows, &mut batch);
+        out.extend((0..produced).map(|i| self.materialize(&batch, i)));
+        self.scratch.batch = batch;
         produced
     }
 
-    /// Struct-of-arrays twin of [`next_chunk`](Self::next_chunk): same
-    /// flows, same RNG draws, but the results land in dense columns and
+    /// Simulates up to `max_flows` further flows into dense columns:
     /// nothing per-flow is heap-allocated — no owned [`Path`], no
     /// per-record drop vector. Returns the number of rows appended; `0`
     /// means the epoch is exhausted. Materialize interesting rows with
@@ -865,7 +742,7 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
         for i in self.cursor..end {
             let spec = self.specs[i];
             out.drop_starts.push(out.drop_pairs.len() as u32);
-            let raw = simulate_spec_raw(
+            let raw = simulate_row(
                 self.topo,
                 self.faults,
                 self.config,
@@ -889,9 +766,8 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
     }
 
     /// Materializes row `i` of a batch this stream produced into a full
-    /// [`FlowRecord`] — bit-identical to what
-    /// [`next_chunk`](Self::next_chunk) would have pushed for the same
-    /// flow.
+    /// [`FlowRecord`]: the owned drop list plus the path, shared with
+    /// every other record on the same interned path.
     pub fn materialize(&mut self, batch: &FlowBatch, i: usize) -> FlowRecord {
         FlowRecord {
             id: batch.id(i),
@@ -924,18 +800,16 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
 /// [`RawFlow`] row; drop pairs are appended to `pairs_out`. The common
 /// zero-drop flow touches no heap at all.
 ///
-/// `precomputed` carries the epoch-cached `(q, ln(1 − q))` pair from the
-/// route cache; `None` derives them from the per-link rates in place
-/// (the legacy order — the cached values are computed with the identical
-/// float-op sequence, so both modes agree bit for bit). The per-link
-/// rate vector itself is only needed once a drop actually occurs, so it
-/// is (re)filled lazily behind the first-drop check.
+/// `(q, ln_survive)` is the path's aggregate per-packet drop probability
+/// `q = 1 − Π(1 − r_i)` and `ln(1 − q)`, cached per (path, epoch) by the
+/// caller. The per-link rate vector itself is only needed once a drop
+/// actually occurs, so it is filled lazily behind the first-drop check.
 #[allow(clippy::too_many_arguments)]
 fn simulate_one_flow<R: Rng + ?Sized>(
     spec: &FlowSpec,
     arena: &PathArena,
     path: vigil_topology::PathId,
-    precomputed: Option<(f64, f64)>,
+    (q, ln_survive): (f64, f64),
     faults: &LinkFaults,
     config: &SimConfig,
     rng: &mut R,
@@ -943,18 +817,6 @@ fn simulate_one_flow<R: Rng + ?Sized>(
     (rates, local, pairs_out): (&mut Vec<f64>, &mut Vec<u32>, &mut Vec<(LinkId, u32)>),
 ) -> RawFlow {
     let links = arena.links(path);
-    // The aggregate per-packet drop probability q = 1 − Π(1 − r_i) and
-    // ln(1 − q) — cached per (path, epoch), or derived here.
-    let (q, ln_survive) = match precomputed {
-        Some(pair) => pair,
-        None => {
-            rates.clear();
-            rates.extend(links.iter().map(|l| faults.rate(*l)));
-            let survive_all: f64 = rates.iter().map(|r| 1.0 - r).product();
-            (1.0 - survive_all, survive_all.ln()) // ln is −∞ when q = 1
-        }
-    };
-
     let mut record = RawFlow {
         path,
         retransmissions: 0,
@@ -1307,9 +1169,10 @@ mod tests {
     #[test]
     fn epoch_stream_chunking_is_invisible() {
         // The streaming pipeline's fabric contract: pulling the epoch in
-        // chunks of any size consumes the exact RNG stream the batch
+        // chunks of any size consumes the exact RNG stream the whole-epoch
         // simulator consumes, so records and ground truth are identical
-        // bit for bit — chunk size only changes peak memory.
+        // bit for bit — chunk size only changes peak memory. `next_chunk`
+        // is `next_batch` + `materialize`, so this covers the columns too.
         let topo = topo();
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let faults = FaultPlan {
@@ -1345,49 +1208,6 @@ mod tests {
             assert_eq!(truth.failed_links, batch.ground_truth.failed_links);
             // And the RNG position matches: both streams draw next the
             // same value.
-            assert_eq!(rng.gen::<u64>(), batch_rng.clone().gen::<u64>());
-        }
-    }
-
-    #[test]
-    fn batch_pull_matches_record_pull_bitwise() {
-        // The SoA fast path's contract: `next_batch` draws the same RNG
-        // stream as `next_chunk`, and materializing every row reproduces
-        // the exact records — columns are a layout change, not a science
-        // change.
-        let topo = topo();
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let faults = FaultPlan {
-            failure_rate: RateRange::fixed(0.02),
-            ..FaultPlan::paper_default(2)
-        }
-        .build(&topo, &mut rng);
-        let spec = traffic(12, 40);
-        let cfg = SimConfig::default();
-
-        let mut batch_rng = ChaCha8Rng::seed_from_u64(77);
-        let batch = simulate_epoch(&topo, &faults, &spec, &cfg, &mut batch_rng);
-
-        for chunk in [1usize, 7, 64, usize::MAX] {
-            let mut rng = ChaCha8Rng::seed_from_u64(77);
-            let mut scratch = EpochScratch::new();
-            let mut stream = EpochStream::open(&topo, &faults, &spec, &cfg, &mut rng, &mut scratch);
-            let mut flows = Vec::new();
-            let mut buf = FlowBatch::new();
-            loop {
-                buf.clear();
-                if stream.next_batch(chunk, &mut buf) == 0 {
-                    break;
-                }
-                assert!(chunk == usize::MAX || buf.len() <= chunk);
-                for i in 0..buf.len() {
-                    flows.push(stream.materialize(&buf, i));
-                }
-            }
-            assert_eq!(stream.remaining(), 0);
-            let truth = stream.finish();
-            assert_eq!(flows, batch.flows, "chunk size {chunk} changed the flows");
-            assert_eq!(truth.drops_per_link, batch.ground_truth.drops_per_link);
             assert_eq!(rng.gen::<u64>(), batch_rng.clone().gen::<u64>());
         }
     }

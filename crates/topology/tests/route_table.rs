@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use vigil_packet::FiveTuple;
 use vigil_topology::{
     ClosParams, ClosTopology, HostId, LinkId, LinkSet, PathArena, RouteError, RouteScratch,
-    RouteTable, Routed,
+    RouteTable,
 };
 
 /// A small random-but-valid Clos parameterization (single-pod fabrics
