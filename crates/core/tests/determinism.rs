@@ -53,8 +53,9 @@ fn engine_reproduces_serial_runner() {
 
 #[test]
 fn scratch_reuse_across_epochs_is_invisible() {
-    // The allocation-free hot path threads one `EpochScratch` (routing
-    // buffers + interned-path arena) through every epoch of a trial.
+    // The allocation-free hot path threads one `EpochScratch` (flow-spec
+    // buffer, compiled route tables, owned-path memo) through every
+    // epoch of a trial.
     // Reuse must be unobservable: a chain of scratch-sharing epochs has
     // to produce byte-identical reports to fresh-scratch epochs on the
     // same RNG stream, and the experiment JSON must stay identical at
@@ -71,8 +72,10 @@ fn scratch_reuse_across_epochs_is_invisible() {
     let mut fresh_rng = ChaCha8Rng::seed_from_u64(41);
     let mut shared_rng = ChaCha8Rng::seed_from_u64(41);
     let mut scratch = EpochScratch::new();
+    let mut flows = 0u64;
     for epoch in 0..3 {
         let fresh = run_epoch(&topo, &faults, &cfg.run, &mut fresh_rng);
+        flows += fresh.outcome.flows.len() as u64;
         let shared = run_epoch_with(&topo, &faults, &cfg.run, &mut shared_rng, &mut scratch);
         assert_eq!(
             fresh.reports, shared.reports,
@@ -88,15 +91,16 @@ fn scratch_reuse_across_epochs_is_invisible() {
             "epoch {epoch}: scratch reuse changed the detections"
         );
     }
-    assert!(
-        scratch.interned_paths() > 0,
-        "three epochs must intern paths"
-    );
     // The warm scratch compiled its route table once and reused it.
     let stats = scratch.route_cache_stats();
     assert_eq!(stats.compiles, 1, "static faults compile one table");
     assert_eq!(stats.table_hits, 2, "epochs 1 and 2 reuse it warm");
-    assert!(stats.path_hits > 0, "repeated flows hit the path memo");
+    // `run_epoch_with` keeps every record, so each flow's owned path was
+    // either built (once per distinct route) or shared from the memo.
+    assert_eq!(scratch.interned_paths() as u64, stats.path_misses);
+    assert_eq!(stats.path_hits + stats.path_misses, flows);
+    assert!(stats.path_misses > 0, "three epochs must build paths");
+    assert!(stats.path_hits > 0, "flows on a repeated route share it");
 
     // And through the engine: both thread counts run the reusing loop.
     let mut cfg = config();

@@ -25,8 +25,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use vigil_packet::FiveTuple;
 use vigil_topology::{
-    ClosParams, ClosTopology, HostId, LinkId, LinkSet, Path, PathArena, PathId, RouteScratch,
-    RouteTable, Routed,
+    ClosParams, ClosTopology, HostId, LinkId, LinkSet, Path, RouteDecision, RouteScratch,
+    RouteTable, Routed, MAX_ROUTE_LINKS,
 };
 
 /// Dense flow index within one epoch.
@@ -70,8 +70,8 @@ pub struct FlowRecord {
     /// drops of retransmitted copies).
     pub retransmissions: u32,
     /// The actual path taken (ground truth; in the DES this is what
-    /// EverFlow would capture). Shared: every record on the same interned
-    /// path clones one `Arc` (serializes exactly like an owned `Path`).
+    /// EverFlow would capture). Records whose flows took the same route
+    /// usually share one `Arc` (serializes exactly like an owned `Path`).
     pub path: Arc<Path>,
     /// Ground truth: drops per link on this flow's path (parallel to
     /// nothing — sparse pairs).
@@ -145,8 +145,10 @@ impl EpochOutcome {
 }
 
 /// Route-cache effectiveness counters, cumulative over an
-/// [`EpochScratch`]'s lifetime (the benchmark's `fabric.route_*` layer
-/// metrics read them; see `benchmark/README.md`).
+/// [`EpochScratch`]'s lifetime and never reset — not by a parameter
+/// change, not when the materialization memo is cleared (the benchmark's
+/// `fabric.route_*` layer metrics subtract snapshots of them; see
+/// `benchmark/README.md`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCacheStats {
     /// Epoch opens that reused an already-compiled [`RouteTable`].
@@ -155,15 +157,18 @@ pub struct RouteCacheStats {
     pub table_misses: u64,
     /// Tables compiled (one per miss; kept explicit for the artifact).
     pub compiles: u64,
-    /// Per-flow routes resolved to an interned path without emitting it.
+    /// Materialized records whose owned [`Path`] was already in the
+    /// materialization memo (an `Arc` clone). Flows that are simulated
+    /// but never materialized touch no memo and count nowhere.
     pub path_hits: u64,
-    /// Per-flow routes that had to emit and intern their path once.
+    /// Materialized records whose owned [`Path`] had to be built from
+    /// the route decision.
     pub path_misses: u64,
 }
 
-/// Hasher for the packed [`vigil_topology::RouteDecision`] cache keys: a
-/// single value is hashed, so two splitmix rounds beat SipHash without
-/// giving up distribution (the keys are dense host/choice packings).
+/// Hasher for the packed [`RouteDecision`] memo keys: a single value is
+/// hashed, so two splitmix rounds beat SipHash without giving up
+/// distribution (the keys are dense host/choice packings).
 #[derive(Debug, Clone, Copy, Default)]
 struct DecisionKeyHasher(u64);
 
@@ -196,27 +201,6 @@ impl std::hash::BuildHasher for DecisionKeyHash {
     }
 }
 
-/// One compiled routing plan plus its per-path memo: decision key →
-/// interned [`vigil_topology::PathId`]. The memo is what turns the
-/// per-flow hot path into "three tuple hashes and a map probe" — no
-/// topology walk, no link-slice hashing in the arena.
-#[derive(Debug, Clone)]
-struct CompiledPlan {
-    table: RouteTable,
-    paths: HashMap<u128, vigil_topology::PathId, DecisionKeyHash>,
-}
-
-/// Per-path drop parameters, valid for one epoch (`stamp` matches the
-/// cache's epoch counter): the aggregate per-packet drop probability and
-/// its log, computed once per (path, epoch) and reused bit for bit by
-/// every later flow on the path.
-#[derive(Debug, Clone, Copy, Default)]
-struct PathStats {
-    stamp: u64,
-    q: f64,
-    ln_survive: f64,
-}
-
 /// Worker-lifetime route-cache state. Compiled tables are keyed by the
 /// epoch's down-link set (fingerprint first, exact [`LinkSet`] compare
 /// second) and kept in a small move-to-front list, so flap timelines
@@ -229,46 +213,44 @@ struct PathStats {
 #[derive(Debug, Clone, Default)]
 struct RouteCache {
     params: Option<ClosParams>,
-    plans: Vec<CompiledPlan>,
-    stats: Vec<PathStats>,
+    /// The current epoch's table is `tables[0]`.
+    tables: Vec<RouteTable>,
     down: LinkSet,
-    epoch_stamp: u64,
     counters: RouteCacheStats,
 }
 
 /// Compiled tables kept per scratch: enough for a maintenance timeline's
 /// alternating states plus a few trial-boundary stragglers.
-const MAX_CACHED_PLANS: usize = 8;
+const MAX_CACHED_TABLES: usize = 8;
 
-/// Reusable per-epoch buffers for the simulator's hot path: routing
-/// scratch, the path-interning arena, the compiled route cache, and the
-/// per-flow rate/drop accumulators that used to be allocated fresh for
-/// every flow. One scratch serves a whole trial — or, with the pool's
-/// worker-local reuse, many trials — and every epoch's output is
-/// byte-identical to what a fresh scratch would produce.
+/// Owned paths the materialization memo may carry into a new epoch; past
+/// it the epoch open drops them all. Several times a dense cluster's
+/// whole path space (where sharing pays), yet a few MiB at most — what
+/// keeps a paper-size session's scratch from growing with its length.
+const MAX_MEMO_PATHS: usize = 1 << 15;
+
+/// Reusable per-epoch buffers for the simulator's hot path: the epoch's
+/// generated flow specs, the compiled route cache, and the buffers and
+/// memo record materialization goes through. One scratch serves a whole
+/// trial — or, with the pool's worker-local reuse, many trials — and
+/// every epoch's output is byte-identical to what a fresh scratch would
+/// produce.
 #[derive(Debug, Clone, Default)]
 pub struct EpochScratch {
-    route: RouteScratch,
-    arena: PathArena,
-    rates: Vec<f64>,
-    local_drops: Vec<u32>,
-    /// The columns [`EpochStream::next_chunk`] pulls through before
-    /// materializing them.
+    /// The flow specs [`EpochStream::open`] generated for this epoch.
+    specs: Vec<FlowSpec>,
+    /// The columns [`EpochStream::next_chunk`] pulls into before
+    /// materializing every row.
     batch: FlowBatch,
     cache: RouteCache,
-    /// Materialized [`Path`]s shared across every [`FlowRecord`] on the
-    /// same interned path (indexed by [`vigil_topology::PathId`]): the
-    /// warm epoch's record materialization clones an `Arc` instead of
-    /// re-allocating two `Vec`s per flow. Cleared with the arena.
-    shared: Vec<Option<Arc<Path>>>,
-}
-
-/// Returns the shared materialization of `id`, building it on first use.
-fn shared_path(arena: &PathArena, shared: &mut Vec<Option<Arc<Path>>>, id: PathId) -> Arc<Path> {
-    if id.index() >= shared.len() {
-        shared.resize(id.index() + 1, None);
-    }
-    Arc::clone(shared[id.index()].get_or_insert_with(|| Arc::new(arena.to_path(id))))
+    /// Where [`EpochStream::materialize`] emits a decision's node/link
+    /// sequences before copying them into an owned [`Path`].
+    route: RouteScratch,
+    /// Owned [`Path`]s by route decision, fed only by
+    /// [`EpochStream::materialize`]: records on the same route clone one
+    /// `Arc` instead of re-allocating two `Vec`s each. Bounded by
+    /// [`MAX_MEMO_PATHS`] at epoch open.
+    memo: HashMap<u128, Arc<Path>, DecisionKeyHash>,
 }
 
 impl EpochScratch {
@@ -277,48 +259,35 @@ impl EpochScratch {
         Self::default()
     }
 
-    /// Distinct paths interned so far — the Clos path-diversity bound in
-    /// action (diagnostics / tests).
+    /// Owned [`Path`]s this scratch has built so far — cumulative, so it
+    /// keeps counting across memo clears and parameter changes. Only
+    /// materialized records build one; the benchmark reads the growth per
+    /// window as `fabric.interned_paths_per_window`, hence the name.
     pub fn interned_paths(&self) -> usize {
-        self.arena.len()
+        self.cache.counters.path_misses as usize
     }
 
     /// Cumulative route-cache counters (table reuse per epoch open,
-    /// path-memo hits per flow).
+    /// materialization-memo hits per materialized record).
     pub fn route_cache_stats(&self) -> RouteCacheStats {
         self.cache.counters
     }
 
-    /// Resets the interned-path arena and the compiled route cache.
-    /// Required at a topology-parameter boundary (link ids are only
-    /// meaningful within one parameter set); the epoch-open preparation
-    /// does this automatically when the parameters change.
-    pub fn clear(&mut self) {
-        self.arena.clear();
-        self.shared.clear();
-        self.cache.plans.clear();
-        self.cache.stats.clear();
-        self.cache.params = None;
-    }
-
-    /// Epoch-open preparation: stamps the epoch, derives the down-set
-    /// from `faults`, and compiles or reuses the matching [`RouteTable`].
-    /// Invalidation is purely by value — a timeline that flaps rates
-    /// without withdrawing links reuses one table for every epoch.
+    /// Epoch-open preparation: derives the down-set from `faults` and
+    /// compiles or reuses the matching [`RouteTable`]. Invalidation is
+    /// purely by value — a timeline that flaps rates without withdrawing
+    /// links reuses one table for every epoch. A parameter change drops
+    /// the tables and the memo (link ids are only meaningful within one
+    /// parameter set); an over-full memo is dropped too.
     fn prepare_route_cache(&mut self, topo: &ClosTopology, faults: &LinkFaults) {
-        let EpochScratch {
-            arena,
-            cache,
-            shared,
-            ..
-        } = self;
-        cache.epoch_stamp = cache.epoch_stamp.wrapping_add(1);
+        let EpochScratch { cache, memo, .. } = self;
         if cache.params != Some(*topo.params()) {
-            arena.clear();
-            shared.clear();
-            cache.plans.clear();
-            cache.stats.clear();
+            cache.tables.clear();
             cache.params = Some(*topo.params());
+            memo.clear();
+        }
+        if memo.len() > MAX_MEMO_PATHS {
+            memo.clear();
         }
         cache.down.clear();
         for i in 0..topo.num_links() as u32 {
@@ -329,24 +298,19 @@ impl EpochScratch {
         }
         let fp = RouteTable::fingerprint_of(&cache.down);
         let found = cache
-            .plans
+            .tables
             .iter()
-            .position(|p| p.table.fingerprint() == fp && *p.table.down_set() == cache.down);
+            .position(|t| t.fingerprint() == fp && *t.down_set() == cache.down);
         match found {
             Some(pos) => {
-                cache.plans[..=pos].rotate_right(1);
+                cache.tables[..=pos].rotate_right(1);
                 cache.counters.table_hits += 1;
             }
             None => {
-                let table = RouteTable::compile(topo, &cache.down);
-                cache.plans.insert(
-                    0,
-                    CompiledPlan {
-                        table,
-                        paths: HashMap::default(),
-                    },
-                );
-                cache.plans.truncate(MAX_CACHED_PLANS);
+                cache
+                    .tables
+                    .insert(0, RouteTable::compile(topo, &cache.down));
+                cache.tables.truncate(MAX_CACHED_TABLES);
                 cache.counters.table_misses += 1;
                 cache.counters.compiles += 1;
             }
@@ -376,8 +340,7 @@ pub fn simulate_epoch_with<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut EpochScratch,
 ) -> EpochOutcome {
-    let specs = traffic.generate(topo, rng);
-    simulate_flows_with(topo, faults, &specs, config, rng, scratch)
+    EpochStream::open(topo, faults, traffic, config, rng, scratch).into_outcome()
 }
 
 /// Simulates a pre-generated flow list (used by the test-cluster replay
@@ -402,115 +365,87 @@ pub fn simulate_flows_with<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut EpochScratch,
 ) -> EpochOutcome {
-    let mut stream = EpochStream::replay(topo, faults, specs, config, rng, scratch);
-    let mut flows = Vec::with_capacity(specs.len());
-    while stream.next_chunk(usize::MAX, &mut flows) > 0 {}
-    EpochOutcome {
-        flows,
-        ground_truth: stream.finish(),
-    }
+    EpochStream::replay(topo, faults, specs, config, rng, scratch).into_outcome()
 }
 
 /// Column-level outcome of simulating one spec: everything a
-/// [`FlowRecord`] carries except the owned path (it stays interned in
-/// the arena) and the drop list (appended to a caller-provided pair
-/// buffer). The struct-of-arrays [`FlowBatch`] stores exactly these
-/// fields per flow; [`EpochStream::materialize`] turns a row back into
-/// a [`FlowRecord`] on demand.
+/// [`FlowRecord`] carries except the owned path (the 16-byte route
+/// decision stands in for it) and the drop list (appended to a
+/// caller-provided pair buffer). The struct-of-arrays [`FlowBatch`]
+/// stores exactly these fields per flow; [`EpochStream::materialize`]
+/// turns a row back into a [`FlowRecord`] on demand.
 #[derive(Debug, Clone, Copy)]
 struct RawFlow {
-    path: vigil_topology::PathId,
+    path: RouteDecision,
     retransmissions: u32,
     established: bool,
     completed: bool,
 }
 
-/// Simulates one spec end to end: route, intern, sample drops — the one
-/// per-flow step every pull shares, so chunk size can never change the
-/// RNG draw order. Drop pairs are *appended* to `pairs_out` (the batch
+/// A path's aggregate per-packet drop probability `q = 1 − Π(1 − r_i)`
+/// and `ln(1 − q)` (−∞ when `q = 1`), from its per-link rates in path
+/// order. The product is an in-order left fold from `1.0` — the float
+/// ops of `rates.iter().map(|r| 1.0 - r).product()` — so every golden
+/// byte downstream of the drop sampler depends on this exact form.
+fn path_drop_params(rates: &[f64]) -> (f64, f64) {
+    let mut survive = 1.0;
+    for r in rates {
+        survive *= 1.0 - r;
+    }
+    (1.0 - survive, survive.ln())
+}
+
+/// Simulates one spec end to end: route, sample drops — the one per-flow
+/// step every pull shares, so chunk size can never change the RNG draw
+/// order. Drop pairs are *appended* to `pairs_out` (the batch
 /// accumulates them CSR-style).
 ///
-/// The per-flow route is a compiled-table lookup plus a path-memo probe
-/// (the epoch open prepared the table); routing consumes no RNG draws.
+/// The per-flow route is a lookup in the epoch's compiled table; its
+/// links and their rates live on the stack, so nothing here touches the
+/// heap or any per-path state. Routing consumes no RNG draws.
+#[allow(clippy::too_many_arguments)]
 fn simulate_row<R: Rng + ?Sized>(
     topo: &ClosTopology,
+    table: &RouteTable,
     faults: &LinkFaults,
     config: &SimConfig,
     spec: &FlowSpec,
     rng: &mut R,
-    scratch: &mut EpochScratch,
     pairs_out: &mut Vec<(LinkId, u32)>,
     drops_per_link: &mut [u64],
 ) -> RawFlow {
-    // Split borrows: routing writes `route`, interning owns `arena`, and
-    // the drop sampler uses the flat accumulators — all disjoint.
-    let EpochScratch {
-        route,
-        arena,
-        rates,
-        local_drops,
-        cache,
-        ..
-    } = scratch;
-    let RouteCache {
-        plans,
-        stats,
-        epoch_stamp,
-        counters,
-        ..
-    } = cache;
-    let plan = &mut plans[0];
-    let decision = match plan.table.lookup(topo, &spec.tuple, spec.src, spec.dst) {
+    let decision = match table.lookup(topo, &spec.tuple, spec.src, spec.dst) {
         Ok(d) => d,
-        Err(_) => panic!("traffic generator produced a same-host flow"),
-    };
-    let path = match plan.paths.entry(decision.cache_key()) {
-        Entry::Occupied(e) => {
-            counters.path_hits += 1;
-            *e.get()
-        }
-        Entry::Vacant(e) => {
-            counters.path_misses += 1;
-            plan.table.emit_into(&decision, route);
-            *e.insert(arena.intern(&route.nodes, &route.links))
-        }
+        Err(_) => panic!(
+            "traffic generator produced a same-host flow {:?} -> {:?}",
+            spec.src, spec.dst
+        ),
     };
     match decision.routed() {
         Routed::Complete => {
-            let idx = path.index();
-            if stats.len() <= idx {
-                stats.resize(idx + 1, PathStats::default());
-            }
-            let st = &mut stats[idx];
-            if st.stamp != *epoch_stamp {
-                // First flow on this path this epoch: derive q and
-                // ln(1 − q) once, then reuse the bits.
-                rates.clear();
-                rates.extend(arena.links(path).iter().map(|l| faults.rate(*l)));
-                let survive_all: f64 = rates.iter().map(|r| 1.0 - r).product();
-                *st = PathStats {
-                    stamp: *epoch_stamp,
-                    q: 1.0 - survive_all,
-                    ln_survive: survive_all.ln(), // −∞ when q = 1
-                };
+            let links = table.links(&decision);
+            let links = links.as_slice();
+            let mut rates = [0.0; MAX_ROUTE_LINKS];
+            let rates = &mut rates[..links.len()];
+            for (r, l) in rates.iter_mut().zip(links) {
+                *r = faults.rate(*l);
             }
             simulate_one_flow(
                 spec,
-                arena,
-                path,
-                (st.q, st.ln_survive),
-                faults,
+                decision,
+                links,
+                rates,
                 config,
                 rng,
                 drops_per_link,
-                (rates, local_drops, pairs_out),
+                pairs_out,
             )
         }
         // Administratively unreachable: SYN dies in the void. No link
         // "drops" it (the blackhole is a routing hole), the connection
         // simply fails to establish; `path` is the partial route.
         Routed::Blackholed => RawFlow {
-            path,
+            path: decision,
             retransmissions: config.syn_attempts,
             established: false,
             completed: false,
@@ -519,12 +454,12 @@ fn simulate_row<R: Rng + ?Sized>(
 }
 
 /// Struct-of-arrays view of a chunk of simulated flows: the hot fields
-/// live in dense parallel columns, paths stay interned ([`vigil_topology::PathId`]s into
-/// the stream's arena), and drop pairs are CSR-packed. Consumers that
-/// only need to *scan* (did this flow retransmit? did it establish?)
-/// iterate columns without materializing a single [`FlowRecord`]; rows
-/// that matter are materialized on demand via
-/// [`EpochStream::materialize`].
+/// live in dense parallel columns, each path is the route decision that
+/// determines it (no owned [`Path`] exists until a row is materialized),
+/// and drop pairs are CSR-packed. Consumers that only need to *scan*
+/// (did this flow retransmit? did it establish?) iterate columns without
+/// materializing a single [`FlowRecord`]; rows that matter are
+/// materialized on demand via [`EpochStream::materialize`].
 #[derive(Debug, Clone, Default)]
 pub struct FlowBatch {
     first_id: u32,
@@ -535,7 +470,7 @@ pub struct FlowBatch {
     retransmissions: Vec<u32>,
     established: Vec<bool>,
     completed: Vec<bool>,
-    path: Vec<vigil_topology::PathId>,
+    path: Vec<RouteDecision>,
     drop_starts: Vec<u32>,
     drop_pairs: Vec<(LinkId, u32)>,
 }
@@ -629,12 +564,12 @@ impl FlowBatch {
 /// epoch is still being generated — the constant-memory service mode's
 /// fabric side.
 ///
-/// The RNG draw order is identical to [`simulate_epoch_with`] by
-/// construction (asserted in tests): all traffic-generation draws happen
-/// in [`EpochStream::open`], then each flow's drop draws happen in flow
-/// order as chunks are pulled, exactly as the batch loop interleaves
-/// them. Chunk size is therefore invisible in the output — only in the
-/// peak number of live [`FlowRecord`]s.
+/// The RNG draw order does not depend on how the epoch is pulled: all
+/// traffic-generation draws happen in [`EpochStream::open`], then each
+/// flow's drop draws happen in flow order. Chunk size is therefore
+/// invisible in the output (asserted in tests; [`simulate_epoch_with`]
+/// is the one-chunk pull) — only in the peak number of live
+/// [`FlowRecord`]s.
 #[derive(Debug)]
 pub struct EpochStream<'a, R: Rng + ?Sized> {
     topo: &'a ClosTopology,
@@ -642,15 +577,17 @@ pub struct EpochStream<'a, R: Rng + ?Sized> {
     config: &'a SimConfig,
     rng: &'a mut R,
     scratch: &'a mut EpochScratch,
-    specs: std::borrow::Cow<'a, [FlowSpec]>,
+    /// A caller's pre-generated flow list; `None` streams the specs
+    /// [`Self::open`] generated into the scratch.
+    replayed: Option<&'a [FlowSpec]>,
     cursor: usize,
     drops_per_link: Vec<u64>,
 }
 
 impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
     /// Opens the epoch: draws *all* traffic-generation randomness (the
-    /// same draws, in the same order, as [`simulate_epoch_with`]'s
-    /// `traffic.generate` call) and positions the stream before the
+    /// same draws, in the same order, as [`TrafficSpec::generate`]) into
+    /// the scratch's spec buffer and positions the stream before the
     /// first flow. Flow specs are plain `(src, dst, tuple, packets)`
     /// quadruples — holding an epoch of them is cheap; the heavy
     /// [`FlowRecord`]s (paths, drop lists) are what streaming bounds.
@@ -662,18 +599,8 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
         rng: &'a mut R,
         scratch: &'a mut EpochScratch,
     ) -> Self {
-        let specs = traffic.generate(topo, rng);
-        scratch.prepare_route_cache(topo, faults);
-        Self {
-            topo,
-            faults,
-            config,
-            rng,
-            scratch,
-            specs: std::borrow::Cow::Owned(specs),
-            cursor: 0,
-            drops_per_link: vec![0; topo.num_links()],
-        }
+        traffic.generate_into(topo, rng, &mut scratch.specs);
+        Self::start(topo, faults, None, config, rng, scratch)
     }
 
     /// A stream over a pre-generated flow list (the replay experiments'
@@ -687,6 +614,17 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
         rng: &'a mut R,
         scratch: &'a mut EpochScratch,
     ) -> Self {
+        Self::start(topo, faults, Some(specs), config, rng, scratch)
+    }
+
+    fn start(
+        topo: &'a ClosTopology,
+        faults: &'a LinkFaults,
+        replayed: Option<&'a [FlowSpec]>,
+        config: &'a SimConfig,
+        rng: &'a mut R,
+        scratch: &'a mut EpochScratch,
+    ) -> Self {
         scratch.prepare_route_cache(topo, faults);
         Self {
             topo,
@@ -694,7 +632,7 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
             config,
             rng,
             scratch,
-            specs: std::borrow::Cow::Borrowed(specs),
+            replayed,
             cursor: 0,
             drops_per_link: vec![0; topo.num_links()],
         }
@@ -702,12 +640,12 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
 
     /// Total flows this epoch will produce.
     pub fn total_flows(&self) -> usize {
-        self.specs.len()
+        self.replayed.unwrap_or(&self.scratch.specs).len()
     }
 
     /// Flows not yet pulled.
     pub fn remaining(&self) -> usize {
-        self.specs.len() - self.cursor
+        self.total_flows() - self.cursor
     }
 
     /// Simulates up to `max_flows` further flows, appending their records
@@ -731,24 +669,23 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
     /// means the epoch is exhausted. Materialize interesting rows with
     /// [`materialize`](Self::materialize).
     pub fn next_batch(&mut self, max_flows: usize, out: &mut FlowBatch) -> usize {
-        let end = self
-            .specs
+        let specs = self.replayed.unwrap_or(&self.scratch.specs);
+        let table = &self.scratch.cache.tables[0];
+        let end = specs
             .len()
             .min(self.cursor.saturating_add(max_flows.max(1)));
-        let produced = end - self.cursor;
         if out.is_empty() {
             out.first_id = self.cursor as u32;
         }
-        for i in self.cursor..end {
-            let spec = self.specs[i];
+        for spec in &specs[self.cursor..end] {
             out.drop_starts.push(out.drop_pairs.len() as u32);
             let raw = simulate_row(
                 self.topo,
+                table,
                 self.faults,
                 self.config,
-                &spec,
+                spec,
                 self.rng,
-                self.scratch,
                 &mut out.drop_pairs,
                 &mut self.drops_per_link,
             );
@@ -761,14 +698,32 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
             out.completed.push(raw.completed);
             out.path.push(raw.path);
         }
+        let produced = end - self.cursor;
         self.cursor = end;
         produced
     }
 
     /// Materializes row `i` of a batch this stream produced into a full
-    /// [`FlowRecord`]: the owned drop list plus the path, shared with
-    /// every other record on the same interned path.
+    /// [`FlowRecord`]: the owned drop list plus the owned path, built
+    /// from the row's route decision on first sight and shared through
+    /// the scratch's memo afterwards.
     pub fn materialize(&mut self, batch: &FlowBatch, i: usize) -> FlowRecord {
+        let EpochScratch {
+            cache, route, memo, ..
+        } = &mut *self.scratch;
+        let decision = &batch.path[i];
+        let path = match memo.entry(decision.cache_key()) {
+            Entry::Occupied(e) => {
+                cache.counters.path_hits += 1;
+                Arc::clone(e.get())
+            }
+            Entry::Vacant(e) => {
+                cache.counters.path_misses += 1;
+                cache.tables[0].emit_into(decision, route);
+                let path = Path::new(route.nodes.clone(), route.links.clone());
+                Arc::clone(e.insert(Arc::new(path)))
+            }
+        };
         FlowRecord {
             id: batch.id(i),
             src: batch.src[i],
@@ -776,10 +731,20 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
             tuple: batch.tuple[i],
             packets: batch.packets[i],
             retransmissions: batch.retransmissions[i],
-            path: shared_path(&self.scratch.arena, &mut self.scratch.shared, batch.path[i]),
+            path,
             drops_per_link: batch.drops(i).to_vec(),
             established: batch.established[i],
             completed: batch.completed[i],
+        }
+    }
+
+    /// Pulls the whole epoch, every row materialized.
+    fn into_outcome(mut self) -> EpochOutcome {
+        let mut flows = Vec::with_capacity(self.total_flows());
+        while self.next_chunk(usize::MAX, &mut flows) > 0 {}
+        EpochOutcome {
+            flows,
+            ground_truth: self.finish(),
         }
     }
 
@@ -795,28 +760,24 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
     }
 }
 
-/// Exact per-flow drop simulation with a one-draw fast path. The flow's
-/// path arrives interned and *stays* interned — the outcome is a
-/// [`RawFlow`] row; drop pairs are appended to `pairs_out`. The common
-/// zero-drop flow touches no heap at all.
+/// Exact per-flow drop simulation with a one-draw fast path. The outcome
+/// is a [`RawFlow`] row carrying `path`; drop pairs are appended to
+/// `pairs_out`. The common zero-drop flow touches no heap at all.
 ///
-/// `(q, ln_survive)` is the path's aggregate per-packet drop probability
-/// `q = 1 − Π(1 − r_i)` and `ln(1 − q)`, cached per (path, epoch) by the
-/// caller. The per-link rate vector itself is only needed once a drop
-/// actually occurs, so it is filled lazily behind the first-drop check.
+/// `links` and `rates` are the path's links and their per-packet drop
+/// probabilities, in path order.
 #[allow(clippy::too_many_arguments)]
 fn simulate_one_flow<R: Rng + ?Sized>(
     spec: &FlowSpec,
-    arena: &PathArena,
-    path: vigil_topology::PathId,
-    (q, ln_survive): (f64, f64),
-    faults: &LinkFaults,
+    path: RouteDecision,
+    links: &[LinkId],
+    rates: &[f64],
     config: &SimConfig,
     rng: &mut R,
     global_drops: &mut [u64],
-    (rates, local, pairs_out): (&mut Vec<f64>, &mut Vec<u32>, &mut Vec<(LinkId, u32)>),
+    pairs_out: &mut Vec<(LinkId, u32)>,
 ) -> RawFlow {
-    let links = arena.links(path);
+    let (q, ln_survive) = path_drop_params(rates);
     let mut record = RawFlow {
         path,
         retransmissions: 0,
@@ -849,15 +810,11 @@ fn simulate_one_flow<R: Rng + ?Sized>(
     let mut pkt = geometric_gap(rng);
     if pkt >= spec.packets {
         // No first-transmission drop anywhere in the flow — the common
-        // case. Nothing downstream needs the per-link rates.
+        // case.
         return record;
     }
 
-    // A drop happened: the attribution samplers need the per-link rates.
-    rates.clear();
-    rates.extend(links.iter().map(|l| faults.rate(*l)));
-    local.clear();
-    local.resize(rates.len(), 0);
+    let mut local = [0u32; MAX_ROUTE_LINKS];
     let mut established = true;
     let mut completed = true;
 
@@ -953,6 +910,7 @@ fn locate_drop(rates: &[f64], u: f64) -> usize {
 mod tests {
     use super::*;
     use crate::faults::{FaultPlan, LinkFaults, RateRange};
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vigil_topology::{ClosParams, ClosTopology};
@@ -1209,6 +1167,151 @@ mod tests {
             // And the RNG position matches: both streams draw next the
             // same value.
             assert_eq!(rng.gen::<u64>(), batch_rng.clone().gen::<u64>());
+        }
+    }
+
+    /// Rates of every kind the fault tables hold: clean (0), blackhole
+    /// (1), paper noise, paper failure, anything in between.
+    fn rate_strategy() -> impl Strategy<Value = f64> {
+        (0u8..6, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+            0 => 0.0,
+            1 => 1.0,
+            2 => u * 1e-6,
+            3 => 1e-4 + u * (1e-2 - 1e-4),
+            _ => u,
+        })
+    }
+
+    proptest! {
+        /// The kernel's `(q, ln(1 − q))` is bit for bit what the
+        /// per-path memo it replaced computed — an in-order product then
+        /// one `ln` — at every path length, including `q == 0` and
+        /// `q == 1` (`ln = −∞`).
+        #[test]
+        fn path_drop_params_match_the_product_form_bit_for_bit(
+            rates in proptest::collection::vec(rate_strategy(), 0..=MAX_ROUTE_LINKS),
+        ) {
+            let survive_all: f64 = rates.iter().map(|r| 1.0 - r).product();
+            let (q, ln_survive) = path_drop_params(&rates);
+            prop_assert_eq!(q.to_bits(), (1.0 - survive_all).to_bits());
+            prop_assert_eq!(ln_survive.to_bits(), survive_all.ln().to_bits());
+            if rates.iter().all(|r| *r == 0.0) {
+                prop_assert_eq!((q, ln_survive), (0.0, 0.0));
+            }
+            if rates.contains(&1.0) {
+                prop_assert_eq!((q, ln_survive), (1.0, f64::NEG_INFINITY));
+            }
+        }
+    }
+
+    /// Capacity of every buffer an [`EpochScratch`] owns.
+    fn scratch_capacities(s: &EpochScratch) -> Vec<usize> {
+        let b = &s.batch;
+        vec![
+            s.specs.capacity(),
+            b.src.capacity(),
+            b.dst.capacity(),
+            b.tuple.capacity(),
+            b.packets.capacity(),
+            b.retransmissions.capacity(),
+            b.established.capacity(),
+            b.completed.capacity(),
+            b.path.capacity(),
+            b.drop_starts.capacity(),
+            b.drop_pairs.capacity(),
+            s.cache.tables.capacity(),
+            s.route.nodes.capacity(),
+            s.route.links.capacity(),
+            s.memo.capacity(),
+        ]
+    }
+
+    #[test]
+    fn reused_scratch_stops_growing_after_warm_up() {
+        // Fixed-size epochs over a path space small enough to be seen
+        // whole in the first epochs, the way the service drives the
+        // stream (caller-owned batch, rows materialized from it): no
+        // scratch buffer may be larger after epoch 30 than after epoch 3.
+        let params = ClosParams {
+            npod: 1,
+            n0: 3,
+            n1: 2,
+            n2: 0,
+            hosts_per_tor: 2,
+        };
+        let topo = ClosTopology::new(params, 5).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let faults = FaultPlan {
+            failure_rate: RateRange::fixed(0.05),
+            location: crate::faults::FaultLocation::Level1,
+            ..FaultPlan::paper_default(2)
+        }
+        .build(&topo, &mut rng);
+        let spec = traffic(40, 30);
+        let cfg = SimConfig::default();
+        let mut scratch = EpochScratch::new();
+        let mut batch = FlowBatch::new();
+        let mut warm = Vec::new();
+        for epoch in 1..=30 {
+            let mut stream = EpochStream::open(&topo, &faults, &spec, &cfg, &mut rng, &mut scratch);
+            loop {
+                batch.clear();
+                if stream.next_batch(64, &mut batch) == 0 {
+                    break;
+                }
+                for i in 0..batch.len() {
+                    stream.materialize(&batch, i);
+                }
+            }
+            stream.finish();
+            if epoch == 3 {
+                warm = scratch_capacities(&scratch);
+            }
+        }
+        assert!(scratch.route_cache_stats().path_hits > 0);
+        assert_eq!(scratch_capacities(&scratch), warm);
+    }
+
+    #[test]
+    fn memo_bound_clears_at_epoch_open_and_is_invisible() {
+        // A paper-size epoch pulled retain-all builds more owned paths
+        // than the memo may carry over, so the next open drops them —
+        // without touching a record, and without the cumulative counters
+        // ever stepping back.
+        let topo = ClosTopology::new(ClosParams::paper_sim(), 3).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let faults = FaultPlan::paper_default(4).build(&topo, &mut rng);
+        let spec = traffic(60, 20);
+        let cfg = SimConfig::default();
+
+        let mut shared = EpochScratch::new();
+        let mut shared_rng = ChaCha8Rng::seed_from_u64(14);
+        let first = simulate_epoch_with(&topo, &faults, &spec, &cfg, &mut shared_rng, &mut shared);
+        assert!(
+            shared.memo.len() > MAX_MEMO_PATHS,
+            "epoch too small to test"
+        );
+        let built = shared.interned_paths();
+        let stats = shared.route_cache_stats();
+        assert_eq!(built, shared.memo.len());
+
+        let stream = EpochStream::open(&topo, &faults, &spec, &cfg, &mut rng, &mut shared);
+        drop(stream);
+        assert_eq!(shared.memo.len(), 0, "over-full memo survives the open");
+        assert_eq!(shared.interned_paths(), built);
+        assert_eq!(shared.route_cache_stats().path_misses, stats.path_misses);
+        assert_eq!(shared.route_cache_stats().path_hits, stats.path_hits);
+
+        let second = simulate_epoch_with(&topo, &faults, &spec, &cfg, &mut shared_rng, &mut shared);
+        assert!(shared.interned_paths() > built);
+        let mut fresh_rng = ChaCha8Rng::seed_from_u64(14);
+        for shared_epoch in [first, second] {
+            let fresh = simulate_epoch(&topo, &faults, &spec, &cfg, &mut fresh_rng);
+            assert_eq!(shared_epoch.flows, fresh.flows);
+            assert_eq!(
+                shared_epoch.ground_truth.drops_per_link,
+                fresh.ground_truth.drops_per_link
+            );
         }
     }
 

@@ -122,49 +122,57 @@ impl TrafficSpec {
     /// Five-tuples are made unique by a per-host ephemeral source port
     /// counter; the fabric and agents key flows by [`FlowSpec::tuple`].
     pub fn generate<R: Rng + ?Sized>(&self, topo: &ClosTopology, rng: &mut R) -> Vec<FlowSpec> {
-        let tors: Vec<SwitchId> = (0..topo.params().npod)
-            .flat_map(|p| (0..topo.params().n0).map(move |i| (p, i)))
-            .map(|(p, i)| topo.tor(p, i))
-            .collect();
+        let mut flows = Vec::new();
+        self.generate_into(topo, rng, &mut flows);
+        flows
+    }
+
+    /// [`generate`](Self::generate) into a caller-owned buffer (cleared
+    /// first) — same draws in the same order, no per-epoch allocation
+    /// once the buffer has grown to an epoch's size.
+    pub fn generate_into<R: Rng + ?Sized>(
+        &self,
+        topo: &ClosTopology,
+        rng: &mut R,
+        flows: &mut Vec<FlowSpec>,
+    ) {
+        // ToRs are indexed pod-major, so "a uniform ToR" is one uniform
+        // index — the draw `choose` made over a collected list of them.
+        let tors = TorIndex {
+            topo,
+            n0: u32::from(topo.params().n0),
+            len: u32::from(topo.params().npod) * u32::from(topo.params().n0),
+        };
+        let rack_size = u32::from(topo.params().hosts_per_tor);
 
         // Pre-pick the hot set once per epoch, as the paper does per
         // experiment.
         let hot_tors: Vec<SwitchId> = match &self.dest {
             DestSpec::SkewedTors { frac_hot_tors, .. } => {
-                let count = ((tors.len() as f64 * frac_hot_tors).round() as usize).max(1);
-                let mut shuffled = tors.clone();
+                let count = ((f64::from(tors.len) * frac_hot_tors).round() as usize).max(1);
+                let mut shuffled: Vec<SwitchId> = (0..tors.len).map(|k| tors.at(k)).collect();
                 shuffled.shuffle(rng);
                 shuffled.truncate(count);
                 shuffled
             }
-            DestSpec::HotTor { .. } => {
-                vec![*tors.choose(rng).expect("at least one ToR")]
-            }
+            DestSpec::HotTor { .. } => vec![tors.choose(rng)],
             DestSpec::Uniform => Vec::new(),
         };
 
-        let mut flows = Vec::new();
+        flows.clear();
         for src in topo.hosts() {
             let src_tor = topo.host_tor(src);
+            let src_ip = topo.host_ip(src);
             let conns = self.conns_per_host.sample(rng);
             let mut next_port: u16 = rng.gen_range(32_768..60_000);
             for _ in 0..conns {
                 let dst_tor = self.pick_dest_tor(&tors, &hot_tors, src_tor, rng);
-                // Index into the ToR's host range directly — same single
-                // uniform draw `choose` made over the collected Vec, minus
-                // the per-flow allocation.
-                let rack_size = u32::from(topo.params().hosts_per_tor);
                 let pick = rng.gen_range(0..rack_size) as usize;
                 let dst = topo
                     .hosts_under(dst_tor)
                     .nth(pick)
                     .expect("ToRs have hosts");
-                let tuple = FiveTuple::tcp(
-                    topo.host_ip(src),
-                    next_port,
-                    topo.host_ip(dst),
-                    self.dst_port,
-                );
+                let tuple = FiveTuple::tcp(src_ip, next_port, topo.host_ip(dst), self.dst_port);
                 next_port = next_port.wrapping_add(1).max(32_768);
                 flows.push(FlowSpec {
                     src,
@@ -174,19 +182,18 @@ impl TrafficSpec {
                 });
             }
         }
-        flows
     }
 
     fn pick_dest_tor<R: Rng + ?Sized>(
         &self,
-        tors: &[SwitchId],
+        tors: &TorIndex<'_>,
         hot: &[SwitchId],
         src_tor: SwitchId,
         rng: &mut R,
     ) -> SwitchId {
         let uniform_other = |rng: &mut R| loop {
-            let t = *tors.choose(rng).expect("at least one ToR");
-            if t != src_tor || tors.len() == 1 {
+            let t = tors.choose(rng);
+            if t != src_tor || tors.len == 1 {
                 return t;
             }
         };
@@ -217,6 +224,25 @@ impl TrafficSpec {
                 }
             }
         }
+    }
+}
+
+/// The fabric's ToRs as an indexable sequence (pod-major, the order the
+/// generator has always enumerated them in) without collecting them.
+struct TorIndex<'a> {
+    topo: &'a ClosTopology,
+    n0: u32,
+    len: u32,
+}
+
+impl TorIndex<'_> {
+    fn at(&self, k: u32) -> SwitchId {
+        self.topo.tor((k / self.n0) as u16, (k % self.n0) as u16)
+    }
+
+    /// One uniform draw over the ToRs.
+    fn choose<R: Rng + ?Sized>(&self, rng: &mut R) -> SwitchId {
+        self.at(rng.gen_range(0..self.len))
     }
 }
 
@@ -355,6 +381,28 @@ mod tests {
             "top-2 ToRs carry only {top2}/{}",
             flows.len()
         );
+    }
+
+    #[test]
+    fn generate_into_overwrites_a_reused_buffer() {
+        let topo = topo();
+        let mut buf = Vec::new();
+        for dest in [
+            DestSpec::Uniform,
+            DestSpec::HotTor { frac: 0.4 },
+            DestSpec::SkewedTors {
+                frac_hot_tors: 0.25,
+                frac_hot_flows: 0.8,
+            },
+        ] {
+            let spec = TrafficSpec {
+                dest,
+                ..TrafficSpec::paper_default()
+            };
+            let fresh = spec.generate(&topo, &mut ChaCha8Rng::seed_from_u64(8));
+            spec.generate_into(&topo, &mut ChaCha8Rng::seed_from_u64(8), &mut buf);
+            assert_eq!(buf, fresh);
+        }
     }
 
     #[test]

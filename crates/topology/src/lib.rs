@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod alias;
-pub mod arena;
 pub mod bounds;
 pub mod clos;
 pub mod degrade;
@@ -45,8 +44,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
-pub use arena::{PathArena, PathId};
 pub use ids::{HostId, LinkId, LinkSet, Node, SwitchId, SwitchKind};
 pub use params::ClosParams;
 pub use route::{Path, RouteError, RouteScratch, Routed};
-pub use route_table::{RouteDecision, RouteTable};
+pub use route_table::{RouteDecision, RouteLinks, RouteTable, MAX_ROUTE_LINKS};

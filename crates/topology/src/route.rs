@@ -67,9 +67,9 @@ pub struct RouteScratch {
 
 impl RouteScratch {
     /// An empty scratch (buffers grow to a path's length on first use
-    /// and are reused afterwards). Materialize an owned [`Path`] via
-    /// [`crate::PathArena::to_path`] after interning, or by moving the
-    /// buffers — the scratch itself stays a plain buffer pair.
+    /// and are reused afterwards). Materialize an owned [`Path`] by
+    /// cloning or moving the buffers into [`Path::new`] — the scratch
+    /// itself stays a plain buffer pair.
     pub fn new() -> Self {
         Self::default()
     }

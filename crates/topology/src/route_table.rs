@@ -84,9 +84,10 @@ impl Csr {
 }
 
 /// The outcome of one compiled route lookup: the verdict plus the packed
-/// stage choices, enough to (a) key a path cache without hashing link
-/// sequences and (b) emit the exact node/link sequences on a cache miss
-/// via [`RouteTable::emit_into`].
+/// stage choices. In a Clos that *is* the path — every link and node id
+/// follows from it by arithmetic ([`RouteTable::links`],
+/// [`RouteTable::emit_into`]) — so drivers carry the 16-byte decision
+/// per flow and build an owned [`crate::Path`] only for flows they keep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteDecision {
     src: HostId,
@@ -111,7 +112,7 @@ impl RouteDecision {
     /// A packed identity unique per distinct emitted path (for one
     /// compiled table): endpoints, truncation tag, and the ECMP choices.
     /// Two flows with equal keys route over byte-identical paths, so the
-    /// key indexes a `PathId` cache without ever hashing a link slice.
+    /// key indexes a path memo without ever hashing a link slice.
     pub fn cache_key(&self) -> u128 {
         u128::from(self.src.0)
             | (u128::from(self.dst.0) << 32)
@@ -119,6 +120,25 @@ impl RouteDecision {
             | (u128::from(self.up_t1) << 72)
             | (u128::from(self.t2) << 88)
             | (u128::from(self.down_t1) << 104)
+    }
+}
+
+/// Links on the longest Clos route (host–ToR–T1–T2–T1–ToR–host).
+pub const MAX_ROUTE_LINKS: usize = 6;
+
+/// A decision's link sequence held inline — what the per-flow kernel
+/// reads instead of a heap-allocated path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouteLinks {
+    len: u8,
+    ids: [LinkId; MAX_ROUTE_LINKS],
+}
+
+impl RouteLinks {
+    /// The links in traversal order (empty for a flow blackholed at its
+    /// own host).
+    pub fn as_slice(&self) -> &[LinkId] {
+        &self.ids[..usize::from(self.len)]
     }
 }
 
@@ -327,11 +347,40 @@ impl RouteTable {
         Ok(d)
     }
 
+    /// The links of a decision's (possibly partial) path, inline: pure
+    /// id arithmetic, no heap, no topology probe. Equal to the link
+    /// sequence [`Self::emit_into`] writes.
+    #[inline]
+    pub fn links(&self, d: &RouteDecision) -> RouteLinks {
+        let mut out = RouteLinks {
+            len: 0,
+            ids: [LinkId(0); MAX_ROUTE_LINKS],
+        };
+        self.walk(d, |link, _| {
+            out.ids[usize::from(out.len)] = link;
+            out.len += 1;
+        });
+        out
+    }
+
     /// Writes the node/link sequences of a decision's (possibly partial)
     /// path into `out` — byte-identical to what `route_filtered_into`
-    /// leaves in its scratch for the same flow. Pure id arithmetic; used
-    /// only on a path-cache miss.
+    /// leaves in its scratch for the same flow.
     pub fn emit_into(&self, d: &RouteDecision, out: &mut RouteScratch) {
+        out.nodes.clear();
+        out.links.clear();
+        out.nodes.push(Node::Host(d.src));
+        self.walk(d, |link, to| {
+            out.links.push(link);
+            out.nodes.push(to);
+        });
+    }
+
+    /// Calls `hop(link, receiving node)` for every hop of the decision's
+    /// path in order, stopping where its tag says the route truncated —
+    /// the one place the link-id arithmetic lives.
+    #[inline(always)]
+    fn walk(&self, d: &RouteDecision, mut hop: impl FnMut(LinkId, Node)) {
         let npod = u32::from(self.params.npod);
         let n0 = u32::from(self.params.n0);
         let n1 = u32::from(self.params.n1);
@@ -344,64 +393,57 @@ impl RouteTable {
         let dst_tor = d.dst.0 / h;
         let src_pod = src_tor / n0;
         let dst_pod = dst_tor / n0;
+        let tor_node = |tor: u32| Node::Switch(SwitchId(tor));
+        let t1_node = |pod: u32, t1: u32| Node::Switch(SwitchId(npod * n0 + pod * n1 + t1));
 
-        out.nodes.clear();
-        out.links.clear();
-        out.nodes.push(Node::Host(d.src));
         if d.tag == TAG_AT_HOST {
             return;
         }
-        out.links.push(LinkId(2 * d.src.0));
-        out.nodes.push(Node::Switch(SwitchId(src_tor)));
+        hop(LinkId(2 * d.src.0), tor_node(src_tor));
         if d.tag == TAG_AT_SRC_TOR {
             return;
         }
         if src_tor == dst_tor {
-            out.links.push(LinkId(2 * d.dst.0 + 1));
-            out.nodes.push(Node::Host(d.dst));
+            hop(LinkId(2 * d.dst.0 + 1), Node::Host(d.dst));
             return;
         }
         let up = u32::from(d.up_t1);
-        out.links.push(LinkId(base1 + 2 * (src_tor * n1 + up)));
-        out.nodes
-            .push(Node::Switch(SwitchId(npod * n0 + src_pod * n1 + up)));
+        let mut last_t1 = up;
+        hop(
+            LinkId(base1 + 2 * (src_tor * n1 + up)),
+            t1_node(src_pod, up),
+        );
         if d.tag == TAG_AT_UP_T1 {
             return;
         }
-        if src_pod == dst_pod {
-            out.links.push(LinkId(base1 + 2 * (dst_tor * n1 + up) + 1));
-            out.nodes.push(Node::Switch(SwitchId(dst_tor)));
-            if d.tag == TAG_AT_DST_TOR {
+        if src_pod != dst_pod {
+            let t2 = u32::from(d.t2);
+            hop(
+                LinkId(base2 + 2 * ((src_pod * n1 + up) * n2 + t2)),
+                Node::Switch(SwitchId(npod * (n0 + n1) + t2)),
+            );
+            if d.tag == TAG_AT_T2 {
                 return;
             }
-            out.links.push(LinkId(2 * d.dst.0 + 1));
-            out.nodes.push(Node::Host(d.dst));
-            return;
+            last_t1 = u32::from(d.down_t1);
+            hop(
+                LinkId(base2 + 2 * ((dst_pod * n1 + last_t1) * n2 + t2) + 1),
+                t1_node(dst_pod, last_t1),
+            );
+            if d.tag == TAG_AT_DOWN_T1 {
+                return;
+            }
         }
-        let t2 = u32::from(d.t2);
-        out.links
-            .push(LinkId(base2 + 2 * ((src_pod * n1 + up) * n2 + t2)));
-        out.nodes
-            .push(Node::Switch(SwitchId(npod * (n0 + n1) + t2)));
-        if d.tag == TAG_AT_T2 {
-            return;
-        }
-        let down = u32::from(d.down_t1);
-        out.links
-            .push(LinkId(base2 + 2 * ((dst_pod * n1 + down) * n2 + t2) + 1));
-        out.nodes
-            .push(Node::Switch(SwitchId(npod * n0 + dst_pod * n1 + down)));
-        if d.tag == TAG_AT_DOWN_T1 {
-            return;
-        }
-        out.links
-            .push(LinkId(base1 + 2 * (dst_tor * n1 + down) + 1));
-        out.nodes.push(Node::Switch(SwitchId(dst_tor)));
+        // Descend from the last T1 (the ascended one inside a pod, the
+        // descent choice across pods) to the destination ToR and host.
+        hop(
+            LinkId(base1 + 2 * (dst_tor * n1 + last_t1) + 1),
+            tor_node(dst_tor),
+        );
         if d.tag == TAG_AT_DST_TOR {
             return;
         }
-        out.links.push(LinkId(2 * d.dst.0 + 1));
-        out.nodes.push(Node::Host(d.dst));
+        hop(LinkId(2 * d.dst.0 + 1), Node::Host(d.dst));
     }
 }
 

@@ -1,15 +1,17 @@
 //! Property tests for epoch-compiled routing: on random Clos sizes and
-//! random exclusion sets, [`RouteTable::lookup`] + [`RouteTable::emit_into`]
-//! must reproduce a fresh `route_filtered_into` walk exactly — same
-//! complete/blackhole verdicts, same node and link sequences (including
-//! partial prefixes), same arena ids after interning. This is the
-//! route-cache PR's no-behavior-change guarantee at the topology layer.
+//! random exclusion sets, [`RouteTable::lookup`] followed by either
+//! emitter — the inline [`RouteTable::links`] the per-flow kernel reads,
+//! or [`RouteTable::emit_into`] that builds owned paths — must reproduce
+//! a fresh `route_filtered_into` walk exactly: same complete/blackhole
+//! verdicts, same node and link sequences, at every point a route can
+//! truncate. This is the decision-as-path kernel's no-behavior-change
+//! guarantee at the topology layer.
 
 use proptest::prelude::*;
 use vigil_packet::FiveTuple;
 use vigil_topology::{
-    ClosParams, ClosTopology, HostId, LinkId, LinkSet, PathArena, RouteError, RouteScratch,
-    RouteTable,
+    ClosParams, ClosTopology, HostId, LinkId, LinkSet, RouteError, RouteScratch, RouteTable,
+    MAX_ROUTE_LINKS,
 };
 
 /// A small random-but-valid Clos parameterization (single-pod fabrics
@@ -27,16 +29,16 @@ fn params_strategy() -> impl Strategy<Value = ClosParams> {
 }
 
 /// Routes one flow through both the compiled table and the fresh walk
-/// and asserts identical verdicts and identical emitted sequences.
+/// and asserts identical verdicts and identical emitted sequences from
+/// both emitters. Returns the walk's link sequence.
 fn assert_table_matches_walk(
     topo: &ClosTopology,
     table: &RouteTable,
     down: &LinkSet,
-    arena: &mut PathArena,
     src: HostId,
     dst: HostId,
     sport: u16,
-) {
+) -> Vec<LinkId> {
     let tuple = FiveTuple::tcp(topo.host_ip(src), sport, topo.host_ip(dst), 443);
     let mut walk = RouteScratch::new();
     let walked = topo.route_filtered_into(&tuple, src, dst, &|l| down.contains(l), &mut walk);
@@ -53,11 +55,11 @@ fn assert_table_matches_walk(
             );
             assert_eq!(emitted.nodes, walk.nodes, "node sequence mismatch");
             assert_eq!(emitted.links, walk.links, "link sequence mismatch");
-            // Interning both emissions must land on one arena id — the
-            // path-memo's dedup invariant.
-            let a = arena.intern(&walk.nodes, &walk.links);
-            let b = arena.intern(&emitted.nodes, &emitted.links);
-            assert_eq!(a, b, "table emission interns onto a different id");
+            assert_eq!(
+                table.links(&decision).as_slice(),
+                &walk.links[..],
+                "inline link sequence mismatch"
+            );
         }
         Err(RouteError::SameHost) => {
             assert!(
@@ -67,6 +69,7 @@ fn assert_table_matches_walk(
         }
         Err(other) => panic!("lookup returned unexpected error {other:?}"),
     }
+    walk.links
 }
 
 proptest! {
@@ -84,10 +87,9 @@ proptest! {
         let hosts = topo.num_hosts() as u32;
         let down = LinkSet::new(topo.num_links());
         let table = RouteTable::compile(&topo, &down);
-        let mut arena = PathArena::new();
         for (a, b, sport) in flows {
             let (src, dst) = (HostId(a % hosts), HostId(b % hosts));
-            assert_table_matches_walk(&topo, &table, &down, &mut arena, src, dst, sport);
+            assert_table_matches_walk(&topo, &table, &down, src, dst, sport);
         }
     }
 
@@ -110,10 +112,47 @@ proptest! {
             .map(LinkId)
             .collect();
         let table = RouteTable::compile(&topo, &down);
-        let mut arena = PathArena::new();
         for (a, b, sport) in flows {
             let (src, dst) = (HostId(a % hosts), HostId(b % hosts));
-            assert_table_matches_walk(&topo, &table, &down, &mut arena, src, dst, sport);
+            assert_table_matches_walk(&topo, &table, &down, src, dst, sport);
+        }
+    }
+
+    /// Every truncation point: on top of a random down-set, withdrawing
+    /// every link out of the `k`-th node of a flow's route blackholes it
+    /// there, for each `k` — the zero-link host blackhole, the partial
+    /// ending at each switch tier — and both emitters still agree with
+    /// the walk on the `k`-link prefix.
+    #[test]
+    fn emitters_match_walk_at_every_truncation_point(
+        params in params_strategy(),
+        seed in 0u64..1_000,
+        dead_stride in 5u32..11,
+        flows in proptest::collection::vec((0u32..64, 0u32..64, 40_000u16..60_000), 1..8),
+    ) {
+        let topo = ClosTopology::new(params, seed).expect("strategy yields valid params");
+        let hosts = topo.num_hosts() as u32;
+        let base: LinkSet = (0..topo.num_links() as u32)
+            .filter(|l| l % dead_stride == 0)
+            .map(LinkId)
+            .collect();
+        let base_table = RouteTable::compile(&topo, &base);
+        for (a, b, sport) in flows {
+            let (src, dst) = (HostId(a % hosts), HostId(b % hosts));
+            let route = assert_table_matches_walk(&topo, &base_table, &base, src, dst, sport);
+            prop_assert!(route.len() <= MAX_ROUTE_LINKS);
+            for (k, link) in route.iter().enumerate() {
+                // Upstream stages keep their live candidate sets, so the
+                // first `k` links stand and the route dies at node `k`.
+                let node = topo.link(*link).from;
+                let mut down = base.clone();
+                for l in topo.links().iter().filter(|l| l.from == node) {
+                    down.insert(l.id);
+                }
+                let table = RouteTable::compile(&topo, &down);
+                let cut = assert_table_matches_walk(&topo, &table, &down, src, dst, sport);
+                prop_assert_eq!(&cut[..], &route[..k], "truncation at hop {}", k);
+            }
         }
     }
 
