@@ -24,7 +24,7 @@
 //! negatives" — the threshold sweep is also in the ablation bench.
 
 use crate::evidence::FlowEvidence;
-use crate::voting::{VoteTally, VoteWeight};
+use crate::voting::{to_votes, VoteTally, VoteWeight};
 use serde::{Deserialize, Serialize};
 use vigil_topology::{LinkId, LinkSet};
 
@@ -95,7 +95,7 @@ pub struct Detection {
 }
 
 /// Algorithm 1's output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Algorithm1Output {
     /// Detected links, in pick order (most problematic first).
     pub detections: Vec<Detection>,
@@ -105,14 +105,12 @@ pub struct Algorithm1Output {
     /// The raw, unadjusted tally (the ranking used for per-flow blame).
     pub raw_tally: VoteTally,
     /// Total vote mass cast into the tally (the democratic input).
-    #[serde(default)]
     pub absorbed_votes: f64,
     /// Vote mass retracted by the adjustment pass — flows explained by a
     /// detected link whose votes were excluded from later picks. The
     /// absorbed/excluded split makes the tally's robustness observable:
     /// an adversary's spurious mass either stays in the residual (diluting
     /// thresholds) or is discarded here.
-    #[serde(default)]
     pub excluded_votes: f64,
 }
 
@@ -131,7 +129,7 @@ pub fn detect(
 ) -> Algorithm1Output {
     let raw_tally = VoteTally::tally(evidence, num_links, config.weight);
     let mut tally = raw_tally.clone();
-    let initial_total = tally.total();
+    let initial_total = tally.total_units();
 
     // Distinct-voter counts per link, maintained over unexplained flows.
     let mut voters = vec![0u32; num_links];
@@ -149,20 +147,21 @@ pub fn detect(
 
     while detections.len() < config.max_detections {
         let pick =
-            tally.max_where(|l, _| !detected.contains(l) && voters[l.index()] >= config.min_voters);
-        let Some((lmax, votes)) = pick else {
+            tally.max_where(|l| !detected.contains(l) && voters[l.index()] >= config.min_voters);
+        let Some((lmax, units)) = pick else {
             break;
         };
         let base = match config.threshold_base {
-            ThresholdBase::Current => tally.total(),
+            ThresholdBase::Current => tally.total_units(),
             ThresholdBase::Initial => initial_total,
         };
-        // The epsilon floor guards against float dust left by
-        // retraction; a "vote" of 1e-16 is not evidence.
-        if votes < config.threshold_frac * base || votes < 1e-9 {
+        if (units as f64) < config.threshold_frac * base as f64 {
             break;
         }
-        detections.push(Detection { link: lmax, votes });
+        detections.push(Detection {
+            link: lmax,
+            votes: to_votes(units),
+        });
         detected.insert(lmax);
 
         if config.adjust {
@@ -178,13 +177,12 @@ pub fn detect(
         }
     }
 
-    let excluded_votes = initial_total - tally.total();
     Algorithm1Output {
         detections,
+        absorbed_votes: to_votes(initial_total),
+        excluded_votes: to_votes(initial_total - tally.total_units()),
         adjusted_tally: tally,
         raw_tally,
-        absorbed_votes: initial_total,
-        excluded_votes,
     }
 }
 
@@ -325,10 +323,8 @@ mod tests {
         }
         let out = detect(&evidence, 20, &cfg());
         assert_eq!(out.detections[0].link, LinkId(1));
-        assert!(out
-            .detections
-            .windows(2)
-            .all(|w| w[0].votes >= w[1].votes - 1e-9));
+        assert_eq!(out.detections[0].votes, 15.0);
+        assert!(out.detections.windows(2).all(|w| w[0].votes >= w[1].votes));
     }
 
     #[test]
@@ -370,9 +366,9 @@ mod tests {
     fn raw_tally_preserved_for_blame() {
         let evidence = vec![ev(&[1, 2]), ev(&[1, 3])];
         let out = detect(&evidence, 5, &cfg());
-        assert!((out.raw_tally.votes(LinkId(1)) - 1.0).abs() < 1e-12);
-        // adjusted tally may differ (flows explained by link 1 retracted)
-        assert!(out.adjusted_tally.votes(LinkId(1)) <= out.raw_tally.votes(LinkId(1)));
+        assert_eq!(out.raw_tally.votes(LinkId(1)), 1.0);
+        // Detecting link 1 explains (retracts) both flows.
+        assert_eq!(out.adjusted_tally, VoteTally::new(5));
     }
 
     #[test]
@@ -381,8 +377,8 @@ mod tests {
         // absorbed mass is excluded by the adjustment pass.
         let evidence = vec![ev(&[1, 2]), ev(&[1, 3])];
         let out = detect(&evidence, 5, &cfg());
-        assert!((out.absorbed_votes - 2.0).abs() < 1e-12);
-        assert!((out.excluded_votes - 2.0).abs() < 1e-12);
+        assert_eq!(out.absorbed_votes, 2.0);
+        assert_eq!(out.excluded_votes, 2.0);
         // Without adjustment nothing is ever excluded.
         let no_adjust = detect(
             &evidence,
@@ -393,6 +389,6 @@ mod tests {
             },
         );
         assert_eq!(no_adjust.excluded_votes, 0.0);
-        assert!((no_adjust.absorbed_votes - 2.0).abs() < 1e-12);
+        assert_eq!(no_adjust.absorbed_votes, 2.0);
     }
 }

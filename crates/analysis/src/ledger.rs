@@ -8,7 +8,7 @@
 //!
 //! * [`VoteLedger::absorb`] folds one flow's [`FlowEvidence`] in the
 //!   moment it arrives — a [`VoteTally::cast`] into the live tally plus
-//!   an insertion into the window's canonically-ordered evidence store.
+//!   an insertion into the window's key-ordered evidence store.
 //!   [`VoteLedger::retract`] undoes one (a withdrawn or superseded
 //!   report) via [`VoteTally::retract`].
 //! * [`VoteLedger::close_window`] runs the full two-pass analysis
@@ -21,15 +21,15 @@
 //!   ledger's memory is constant in epochs: `O(window evidence + K
 //!   summaries + num_links)`.
 //!
-//! **Canonical order.** Algorithm 1's vote adjustment retracts explained
-//! flows in evidence order, so float results depend on that order. The
-//! ledger stores the window's evidence in a `BTreeMap` keyed by the
-//! caller's `K` (the pipeline uses `(HostId, FiveTuple)`), which is
-//! exactly the batch pipeline's canonical report sort — absorption order
-//! (host scheduling, hub arrival) never leaks into the analysis, and the
-//! window close is bit-identical to the batch epoch. The *live* tally is
-//! cast in arrival order; it serves monitoring snapshots between closes
-//! (rankings, not detections) and is reset at each close.
+//! **Order.** Votes are exact integer units ([`crate::voting`]), so
+//! absorb, retract and close give the same tallies and the same verdict
+//! in any evidence order, and the live tally always equals the tally the
+//! close re-derives from the same evidence. The window still stores its
+//! evidence in a `BTreeMap` keyed by the caller's `K` (the pipeline uses
+//! `(HostId, FiveTuple)`), for two reasons that have nothing to do with
+//! vote values: re-absorbing a key supersedes its earlier evidence, and
+//! key order pairs the closed window's evidence with the scorer's
+//! `reports`, which the batch pipeline sorts the same way.
 
 use crate::algorithm1::{detect, Algorithm1Config, Algorithm1Output, ThresholdBase};
 use crate::evidence::FlowEvidence;
@@ -58,13 +58,12 @@ pub struct WindowSummary {
 }
 
 /// The full analysis of one closed window — everything the batch
-/// pipeline's per-epoch analysis produces, in the batch pipeline's
-/// canonical evidence order.
+/// pipeline's per-epoch analysis produces, in key order.
 #[derive(Debug, Clone)]
 pub struct WindowAnalysis {
     /// The window's index.
     pub epoch: u64,
-    /// The window's evidence, canonical (key-ascending) order.
+    /// The window's evidence, key-ascending.
     pub evidence: Vec<FlowEvidence>,
     /// The conservative first pass (fixed threshold bar) that licenses
     /// the noise filter.
@@ -79,7 +78,8 @@ pub struct WindowAnalysis {
 }
 
 /// The streaming analysis agent's accumulator. `K` is the evidence key
-/// that defines canonical order; the pipeline uses `(HostId, FiveTuple)`.
+/// (one piece of evidence per key); the pipeline uses
+/// `(HostId, FiveTuple)`.
 #[derive(Debug, Clone)]
 pub struct VoteLedger<K: Ord> {
     num_links: usize,
@@ -155,11 +155,10 @@ impl<K: Ord> VoteLedger<K> {
         self.epoch
     }
 
-    /// The live tally: votes cast so far in the open window, in arrival
-    /// order — the between-closes monitoring snapshot. Arrival order can
-    /// differ from canonical order by float ulps; window verdicts always
-    /// come from [`close_window`](Self::close_window), which re-derives
-    /// its tallies canonically.
+    /// The live tally: votes cast so far in the open window — the
+    /// between-closes monitoring snapshot. It equals the raw tally of
+    /// the conservative pass that [`close_window`](Self::close_window)
+    /// would run on the window right now.
     pub fn live_tally(&self) -> &VoteTally {
         &self.live
     }
@@ -178,7 +177,7 @@ impl<K: Ord> VoteLedger<K> {
 
     /// The open window's evidence volume grouped by `group_of(key)` —
     /// usually the host half of the pipeline's `(HostId, FiveTuple)`
-    /// key. Keys arrive in canonical (ascending) order, so the result is
+    /// key. Keys arrive in ascending order, so the result is
     /// sorted by group; feed it to
     /// [`volume_outliers`](crate::robustness::volume_outliers) to flag
     /// flooding hosts.
@@ -197,14 +196,14 @@ impl<K: Ord> VoteLedger<K> {
     }
 
     /// Closes the open window: runs the batch pipeline's exact two-pass
-    /// analysis over the window's evidence in canonical order, feeds the
+    /// analysis over the window's evidence in key order, feeds the
     /// detection into [`LinkHealth`] and the summary ring, and opens the
     /// next window. No flow record is consulted — evidence is all the
     /// analysis ever needed.
     pub fn close_window(&mut self) -> WindowAnalysis {
         // The evidence leaves the window by value (no re-clone); the
-        // BTreeMap yields it key-ascending — the canonical order the
-        // batch pipeline establishes by sorting reports.
+        // BTreeMap yields it key-ascending — the order the batch
+        // pipeline sorts its reports into.
         let evidence: Vec<FlowEvidence> = std::mem::take(&mut self.window).into_values().collect();
 
         // The §6 ordering, exactly as the batch pipeline runs it: a
@@ -345,18 +344,10 @@ mod tests {
         VoteLedger::new(64, Algorithm1Config::default(), 4, 0.3)
     }
 
-    fn tally_bits(t: &VoteTally) -> Vec<u64> {
-        let mut bits: Vec<u64> = (0..t.num_links())
-            .map(|i| t.votes(LinkId(i as u32)).to_bits())
-            .collect();
-        bits.push(t.total().to_bits());
-        bits
-    }
-
     #[test]
     fn close_window_matches_batch_analysis() {
         // Absorbing in *any* order must close to the same analysis as
-        // the batch two-pass over canonically-sorted evidence.
+        // the batch two-pass over key-sorted evidence.
         let items: Vec<(Key, FlowEvidence)> = vec![
             ((2, 9), ev(&[5, 20], 3)),
             ((0, 4), ev(&[5, 21], 2)),
@@ -373,11 +364,8 @@ mod tests {
         }
         let a = forward.close_window();
         let b = reverse.close_window();
-        assert_eq!(a.evidence, b.evidence, "canonical order is key order");
-        assert_eq!(
-            tally_bits(&a.detection.raw_tally),
-            tally_bits(&b.detection.raw_tally)
-        );
+        assert_eq!(a.evidence, b.evidence, "evidence comes out in key order");
+        assert_eq!(a.detection.raw_tally, b.detection.raw_tally);
         assert_eq!(a.detection.detected_links(), b.detection.detected_links());
         assert_eq!(a.classes, b.classes);
 
@@ -402,10 +390,7 @@ mod tests {
             .map(|(e, _)| e.clone())
             .collect();
         let batch = detect(&failure, 64, &Algorithm1Config::default());
-        assert_eq!(
-            tally_bits(&a.detection.raw_tally),
-            tally_bits(&batch.raw_tally)
-        );
+        assert_eq!(a.detection.raw_tally, batch.raw_tally);
         assert_eq!(a.detection.detected_links(), batch.detected_links());
     }
 
@@ -435,10 +420,7 @@ mod tests {
         l.absorb((0, 0), ev(&[3, 4], 1));
         l.absorb((0, 0), ev(&[3, 4], 5));
         assert_eq!(l.resident(), 1);
-        assert!(
-            (l.live_tally().total() - 1.0).abs() < 1e-9,
-            "one flow's mass, not two"
-        );
+        assert_eq!(l.live_tally().total(), 1.0, "one flow's mass, not two");
         let win = l.close_window();
         assert_eq!(win.evidence.len(), 1);
         assert_eq!(win.evidence[0].retransmissions, 5, "newest evidence wins");
@@ -475,8 +457,8 @@ mod tests {
         assert_eq!(got, ev(&[1, 2], 1));
         assert!(l.retract(&(0, 0)).is_none(), "already gone");
         assert_eq!(l.resident(), 1);
-        assert!((l.live_tally().votes(LinkId(2)) - 0.5).abs() < 1e-9);
-        assert_eq!(l.live_tally().votes(LinkId(1)).to_bits(), 0.0f64.to_bits());
+        assert_eq!(l.live_tally().votes(LinkId(2)), 0.5);
+        assert_eq!(l.live_tally().votes(LinkId(1)), 0.0);
     }
 
     #[test]
@@ -484,7 +466,7 @@ mod tests {
         let mut l = ledger();
         assert_eq!(l.live_tally().total(), 0.0);
         l.absorb((0, 0), ev(&[1, 2, 3, 4], 1));
-        assert!((l.live_tally().votes(LinkId(1)) - 0.25).abs() < 1e-12);
+        assert_eq!(l.live_tally().votes(LinkId(1)), 0.25);
         l.close_window();
         assert_eq!(l.live_tally().total(), 0.0, "live tally resets at close");
     }
@@ -514,7 +496,7 @@ mod tests {
     fn snapshot_restore_resumes_bit_identically() {
         // Run two windows, snapshot at the boundary, keep running the
         // original; a restored ledger fed the same remaining windows must
-        // close each one bit-identically (tally bits, ring, health,
+        // close each one bit-identically (tallies, ring, health,
         // epoch index) — the collector failover contract.
         let feed = |l: &mut VoteLedger<Key>, w: u32| {
             l.absorb((0, w), ev(&[5, 20], 2 + w));
@@ -537,10 +519,7 @@ mod tests {
             let a = original.close_window();
             let b = restored.close_window();
             assert_eq!(a.evidence, b.evidence);
-            assert_eq!(
-                tally_bits(&a.detection.raw_tally),
-                tally_bits(&b.detection.raw_tally)
-            );
+            assert_eq!(a.detection.raw_tally, b.detection.raw_tally);
             assert_eq!(a.detection.detected_links(), b.detection.detected_links());
             assert_eq!(a.unbounded_picks, b.unbounded_picks);
         }

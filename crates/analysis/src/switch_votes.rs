@@ -6,22 +6,56 @@
 //! that drops packets on many of its interfaces (FCS errors after a power
 //! event, a bad forwarding ASIC, the §7.1 repaved-cluster ToR) then
 //! outranks any single link.
+//!
+//! The tally counts exact integer units: `h ≤ MAX_ROUTE_LINKS` links touch
+//! at most 7 switches on a route and `2h = 12` in any link set (a liar's),
+//! so a vote is 27 720 = lcm(1..=12) units and every `1/s` share is whole.
+//! Evidence naming more links panics, as in [`crate::VoteTally::cast`].
 
 use crate::evidence::FlowEvidence;
 use serde::{Deserialize, Serialize};
-use vigil_topology::{ClosTopology, Node, SwitchId};
+use std::cmp::Reverse;
+use vigil_topology::{ClosTopology, Node, SwitchId, MAX_ROUTE_LINKS};
 
-/// Dense per-switch vote tally.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Tally units per whole switch vote: `lcm(1..=2·MAX_ROUTE_LINKS)`.
+const UNITS_PER_VOTE: u64 = 27_720;
+
+fn to_votes(units: u64) -> f64 {
+    units as f64 / UNITS_PER_VOTE as f64
+}
+
+/// The distinct switches `evidence`'s links touch, in first-seen order.
+fn switches_of(topo: &ClosTopology, evidence: &FlowEvidence) -> Vec<SwitchId> {
+    assert!(
+        evidence.hop_count() <= MAX_ROUTE_LINKS,
+        "evidence names {} links; no route has more than {MAX_ROUTE_LINKS}",
+        evidence.hop_count()
+    );
+    let mut switches = Vec::with_capacity(evidence.links.len() + 1);
+    for l in &evidence.links {
+        let link = topo.link(*l);
+        for node in [link.from, link.to] {
+            if let Node::Switch(s) = node {
+                if !switches.contains(&s) {
+                    switches.push(s);
+                }
+            }
+        }
+    }
+    switches
+}
+
+/// Dense per-switch vote tally, held in exact units.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchTally {
-    votes: Vec<f64>,
+    units: Vec<u64>,
 }
 
 impl SwitchTally {
     /// An empty tally over the topology's switches.
     pub fn new(num_switches: usize) -> Self {
         Self {
-            votes: vec![0.0; num_switches],
+            units: vec![0; num_switches],
         }
     }
 
@@ -30,49 +64,39 @@ impl SwitchTally {
     pub fn tally(topo: &ClosTopology, evidence: &[FlowEvidence]) -> Self {
         let mut t = Self::new(topo.num_switches());
         for e in evidence {
-            let mut switches: Vec<SwitchId> = Vec::with_capacity(e.links.len() + 1);
-            for l in &e.links {
-                let link = topo.link(*l);
-                for node in [link.from, link.to] {
-                    if let Node::Switch(s) = node {
-                        if !switches.contains(&s) {
-                            switches.push(s);
-                        }
-                    }
-                }
-            }
-            if switches.is_empty() {
-                continue;
-            }
-            let w = 1.0 / switches.len() as f64;
-            for s in switches {
-                t.votes[s.0 as usize] += w;
-            }
+            t.cast(&switches_of(topo, e));
         }
         t
     }
 
+    /// One flow's `1/s` share on each of its `s` switches.
+    fn cast(&mut self, switches: &[SwitchId]) {
+        for s in switches {
+            self.units[s.0 as usize] += UNITS_PER_VOTE / switches.len() as u64;
+        }
+    }
+
     /// A switch's votes.
     pub fn votes(&self, switch: SwitchId) -> f64 {
-        self.votes[switch.0 as usize]
+        to_votes(self.units[switch.0 as usize])
     }
 
     /// Ranking, descending (ties by id), zero-vote switches omitted.
     pub fn ranking(&self) -> Vec<(SwitchId, f64)> {
         let mut v: Vec<(SwitchId, f64)> = self
-            .votes
+            .units
             .iter()
             .enumerate()
-            .filter(|(_, v)| **v > 0.0)
-            .map(|(i, v)| (SwitchId(i as u32), *v))
+            .filter(|(_, u)| **u > 0)
+            .map(|(i, u)| (SwitchId(i as u32), to_votes(*u)))
             .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        v.sort_by_key(|&(s, _)| (Reverse(self.units[s.0 as usize]), s));
         v
     }
 
     /// Sum of votes over all switches.
     pub fn total(&self) -> f64 {
-        self.votes.iter().sum()
+        to_votes(self.units.iter().sum())
     }
 }
 
@@ -86,69 +110,49 @@ pub struct SwitchDetection {
 }
 
 /// Algorithm 1 transplanted to switches: iteratively take the most-voted
-/// switch, retract the flows it explains (any flow whose path touches
-/// it), stop at `threshold_frac` of the running total — "007 can also be
-/// used to detect switch failures in a similar fashion by applying votes
-/// to switches instead of links" (§5.1).
+/// switch (ties to the lowest id), retract the flows it explains (any
+/// flow whose path touches it), stop at `threshold_frac` of the running
+/// total — "007 can also be used to detect switch failures in a similar
+/// fashion by applying votes to switches instead of links" (§5.1).
 pub fn detect_switches(
     topo: &ClosTopology,
     evidence: &[FlowEvidence],
     threshold_frac: f64,
 ) -> Vec<SwitchDetection> {
     // Per-flow distinct switch sets, computed once.
-    let switch_sets: Vec<Vec<SwitchId>> = evidence
-        .iter()
-        .map(|e| {
-            let mut switches = Vec::new();
-            for l in &e.links {
-                let link = topo.link(*l);
-                for node in [link.from, link.to] {
-                    if let Node::Switch(s) = node {
-                        if !switches.contains(&s) {
-                            switches.push(s);
-                        }
-                    }
-                }
-            }
-            switches
-        })
-        .collect();
-
-    let mut votes = vec![0.0f64; topo.num_switches()];
+    let switch_sets: Vec<Vec<SwitchId>> = evidence.iter().map(|e| switches_of(topo, e)).collect();
+    let mut tally = SwitchTally::new(topo.num_switches());
     for set in &switch_sets {
-        if set.is_empty() {
-            continue;
-        }
-        let w = 1.0 / set.len() as f64;
-        for s in set {
-            votes[s.0 as usize] += w;
-        }
+        tally.cast(set);
     }
 
     let mut explained = vec![false; evidence.len()];
     let mut detected: Vec<SwitchDetection> = Vec::new();
     loop {
-        let total: f64 = votes.iter().sum();
-        let Some((idx, &v)) = votes
+        let total: u64 = tally.units.iter().sum();
+        let Some((idx, units)) = tally
+            .units
             .iter()
+            .copied()
             .enumerate()
-            .filter(|(i, v)| **v > 1e-9 && !detected.iter().any(|d| d.switch.0 as usize == *i))
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite votes"))
+            .filter(|&(i, u)| u > 0 && !detected.iter().any(|d| d.switch.0 as usize == i))
+            .max_by_key(|&(i, u)| (u, Reverse(i)))
         else {
             break;
         };
-        if v < threshold_frac * total {
+        if (units as f64) < threshold_frac * total as f64 {
             break;
         }
         let switch = SwitchId(idx as u32);
-        detected.push(SwitchDetection { switch, votes: v });
-        for (i, set) in switch_sets.iter().enumerate() {
-            if !explained[i] && set.contains(&switch) {
-                explained[i] = true;
-                let w = 1.0 / set.len() as f64;
+        detected.push(SwitchDetection {
+            switch,
+            votes: to_votes(units),
+        });
+        for (set, done) in switch_sets.iter().zip(&mut explained) {
+            if !*done && set.contains(&switch) {
+                *done = true;
                 for s in set {
-                    let slot = &mut votes[s.0 as usize];
-                    *slot = (*slot - w).max(0.0);
+                    tally.units[s.0 as usize] -= UNITS_PER_VOTE / set.len() as u64;
                 }
             }
         }
@@ -210,8 +214,8 @@ mod tests {
             .unwrap();
         let evidence = vec![FlowEvidence::new(vec![up], 1)];
         let tally = SwitchTally::tally(&topo, &evidence);
-        assert!((tally.votes(tor) - 1.0).abs() < 1e-12);
-        assert!((tally.total() - 1.0).abs() < 1e-12);
+        assert_eq!(tally.votes(tor), 1.0);
+        assert_eq!(tally.total(), 1.0);
     }
 
     #[test]

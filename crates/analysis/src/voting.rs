@@ -10,10 +10,26 @@
 //! [`VoteWeight`] carries the DESIGN.md ablation: the paper's `1/h`
 //! against flat votes (over-blames long paths) and `1/h²` (under-weights
 //! evidence from long paths).
+//!
+//! **Exact units.** A tally counts integer units of 1/3600 of a vote: no
+//! route has more than [`MAX_ROUTE_LINKS`] = 6 links, and 3600 is the lcm
+//! of `h²` over `h ≤ 6`, so every weight's per-link vote is whole. Cast,
+//! retract, argmax and threshold are integer arithmetic — independent of
+//! evidence order, free of residue, exact on ties — and votes become
+//! `f64` only where they are reported.
 
 use crate::evidence::FlowEvidence;
 use serde::{Deserialize, Serialize};
-use vigil_topology::{LinkId, LinkSet};
+use std::cmp::Reverse;
+use vigil_topology::{LinkId, MAX_ROUTE_LINKS};
+
+/// Tally units per whole vote: the lcm of `h²` over `h ≤ MAX_ROUTE_LINKS`.
+const UNITS_PER_VOTE: u64 = 3600;
+
+/// A unit count as votes — the one place a vote becomes a float.
+pub(crate) fn to_votes(units: u64) -> f64 {
+    units as f64 / UNITS_PER_VOTE as f64
+}
 
 /// Vote value assigned to each link of a retransmitting flow's path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -28,33 +44,30 @@ pub enum VoteWeight {
 }
 
 impl VoteWeight {
-    /// The per-link vote value for a path of `h` links.
-    pub fn value(self, h: usize) -> f64 {
-        if h == 0 {
-            return 0.0;
-        }
-        let h = h as f64;
+    /// The per-link vote for a path of `h` links, in tally units.
+    fn units(self, h: usize) -> u64 {
+        let h = h.max(1) as u64; // an empty path casts on no link
         match self {
-            VoteWeight::ReciprocalPathLength => 1.0 / h,
-            VoteWeight::Unit => 1.0,
-            VoteWeight::ReciprocalSquared => 1.0 / (h * h),
+            VoteWeight::ReciprocalPathLength => UNITS_PER_VOTE / h,
+            VoteWeight::Unit => UNITS_PER_VOTE,
+            VoteWeight::ReciprocalSquared => UNITS_PER_VOTE / (h * h),
         }
     }
 }
 
-/// Dense per-link vote tally for one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Dense per-link vote tally for one epoch, held in exact units.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoteTally {
-    votes: Vec<f64>,
-    total: f64,
+    units: Vec<u64>,
+    total: u64,
 }
 
 impl VoteTally {
     /// An empty tally over `num_links` links.
     pub fn new(num_links: usize) -> Self {
         Self {
-            votes: vec![0.0; num_links],
-            total: 0.0,
+            units: vec![0; num_links],
+            total: 0,
         }
     }
 
@@ -68,77 +81,62 @@ impl VoteTally {
     }
 
     /// Casts one flow's votes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the evidence names more than [`MAX_ROUTE_LINKS`]
+    /// links (no route is that long, and the unit scale relies on it) or
+    /// a link outside the tally.
     pub fn cast(&mut self, evidence: &FlowEvidence, weight: VoteWeight) {
-        let w = weight.value(evidence.hop_count());
+        let h = evidence.hop_count();
+        assert!(
+            h <= MAX_ROUTE_LINKS,
+            "evidence names {h} links; no route has more than {MAX_ROUTE_LINKS}"
+        );
+        let w = weight.units(h);
         for l in &evidence.links {
-            self.votes[l.index()] += w;
-            self.total += w;
+            self.units[l.index()] += w;
         }
+        self.total += w * h as u64;
     }
 
     /// Retracts one flow's votes (Algorithm 1's adjustment: the flow is
     /// now explained by a detected link, so its votes on *other* links
-    /// were noise amplification). Votes clamp at zero against float
-    /// drift.
+    /// were noise amplification). A link never drops below zero, so
+    /// retracting evidence that was never cast cannot mint negative votes.
     pub fn retract(&mut self, evidence: &FlowEvidence, weight: VoteWeight) {
-        let w = weight.value(evidence.hop_count());
+        let w = weight.units(evidence.hop_count());
         for l in &evidence.links {
-            let v = &mut self.votes[l.index()];
-            let mut removed = w.min(*v);
+            let v = &mut self.units[l.index()];
+            let removed = w.min(*v);
             *v -= removed;
-            if *v < 1e-12 {
-                // Snap float dust to a true zero so residues never
-                // masquerade as votes.
-                removed += *v;
-                *v = 0.0;
-            }
             self.total -= removed;
-        }
-        if self.total < 1e-12 {
-            self.total = 0.0;
         }
     }
 
     /// A link's current vote count.
     pub fn votes(&self, link: LinkId) -> f64 {
-        self.votes[link.index()]
+        to_votes(self.units[link.index()])
     }
 
     /// Sum of votes over all links.
     pub fn total(&self) -> f64 {
+        to_votes(self.total)
+    }
+
+    /// Sum of votes over all links, in tally units.
+    pub(crate) fn total_units(&self) -> u64 {
         self.total
     }
 
-    /// Number of links tracked.
-    pub fn num_links(&self) -> usize {
-        self.votes.len()
-    }
-
-    /// The most-voted link, skipping `exclude`; ties break to the lowest
-    /// id. Returns `None` when every (non-excluded) link has zero votes.
-    /// The exclusion set is the dense [`LinkSet`] bitset — link ids are
-    /// dense indices, so membership is a word probe, not a hash.
-    pub fn max_excluding(&self, exclude: &LinkSet) -> Option<(LinkId, f64)> {
-        self.max_where(|l, _| !exclude.contains(l))
-    }
-
-    /// The most-voted link among those the predicate admits; ties break
-    /// to the lowest id. `None` when no admitted link has positive votes.
-    pub fn max_where(&self, mut admit: impl FnMut(LinkId, f64) -> bool) -> Option<(LinkId, f64)> {
-        let mut best: Option<(LinkId, f64)> = None;
-        for (i, &v) in self.votes.iter().enumerate() {
-            if v <= 0.0 {
-                continue;
-            }
+    /// The most-voted link among those the predicate admits, with its
+    /// votes in tally units; ties break to the lowest id. `None` when no
+    /// admitted link has positive votes.
+    pub(crate) fn max_where(&self, mut admit: impl FnMut(LinkId) -> bool) -> Option<(LinkId, u64)> {
+        let mut best: Option<(LinkId, u64)> = None;
+        for (i, &v) in self.units.iter().enumerate() {
             let id = LinkId(i as u32);
-            if !admit(id, v) {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((_, bv)) => v > bv,
-            };
-            if better {
+            if v > best.map_or(0, |(_, b)| b) && admit(id) {
                 best = Some((id, v));
             }
         }
@@ -150,17 +148,13 @@ impl VoteTally {
     /// "heat-map of the network".
     pub fn ranking(&self) -> Vec<(LinkId, f64)> {
         let mut v: Vec<(LinkId, f64)> = self
-            .votes
+            .units
             .iter()
             .enumerate()
-            .filter(|(_, v)| **v > 0.0)
-            .map(|(i, v)| (LinkId(i as u32), *v))
+            .filter(|(_, u)| **u > 0)
+            .map(|(i, u)| (LinkId(i as u32), to_votes(*u)))
             .collect();
-        v.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("finite votes")
-                .then(a.0.cmp(&b.0))
-        });
+        v.sort_by_key(|&(l, _)| (Reverse(self.units[l.index()]), l));
         v
     }
 
@@ -169,13 +163,10 @@ impl VoteTally {
     pub fn top_among(&self, links: &[LinkId]) -> Option<(LinkId, f64)> {
         links
             .iter()
-            .map(|l| (*l, self.votes(*l)))
-            .filter(|(_, v)| *v > 0.0)
-            .max_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("finite votes")
-                    .then(b.0.cmp(&a.0))
-            })
+            .map(|&l| (l, self.units[l.index()]))
+            .filter(|&(_, u)| u > 0)
+            .max_by_key(|&(l, u)| (u, Reverse(l)))
+            .map(|(l, u)| (l, to_votes(u)))
     }
 }
 
@@ -183,6 +174,7 @@ impl VoteTally {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use vigil_topology::LinkSet;
 
     fn ev(links: &[u32], retx: u32) -> FlowEvidence {
         FlowEvidence::new(links.iter().map(|l| LinkId(*l)).collect(), retx)
@@ -190,10 +182,13 @@ mod tests {
 
     #[test]
     fn weights() {
-        assert_eq!(VoteWeight::ReciprocalPathLength.value(4), 0.25);
-        assert_eq!(VoteWeight::Unit.value(4), 1.0);
-        assert_eq!(VoteWeight::ReciprocalSquared.value(2), 0.25);
-        assert_eq!(VoteWeight::ReciprocalPathLength.value(0), 0.0);
+        assert_eq!(VoteWeight::ReciprocalPathLength.units(4), 900);
+        assert_eq!(VoteWeight::Unit.units(4), 3600);
+        assert_eq!(VoteWeight::ReciprocalSquared.units(2), 900);
+        // Every weight is a whole number of units on every route length.
+        for h in 1..=MAX_ROUTE_LINKS as u64 {
+            assert_eq!(UNITS_PER_VOTE % (h * h), 0, "h = {h}");
+        }
     }
 
     #[test]
@@ -201,17 +196,24 @@ mod tests {
         // h links × 1/h each = exactly 1 vote of total mass per flow.
         let mut t = VoteTally::new(10);
         t.cast(&ev(&[1, 2, 3, 4], 1), VoteWeight::ReciprocalPathLength);
-        assert!((t.total() - 1.0).abs() < 1e-12);
-        assert!((t.votes(LinkId(1)) - 0.25).abs() < 1e-12);
+        assert_eq!(t.total(), 1.0);
+        assert_eq!(t.votes(LinkId(1)), 0.25);
+    }
+
+    #[test]
+    #[should_panic(expected = "no route has more than")]
+    fn cast_refuses_evidence_longer_than_any_route() {
+        let mut t = VoteTally::new(10);
+        t.cast(&ev(&[0, 1, 2, 3, 4, 5, 6], 1), VoteWeight::Unit);
     }
 
     #[test]
     fn tally_accumulates() {
         let evidence = vec![ev(&[1, 2], 1), ev(&[2, 3], 1)];
         let t = VoteTally::tally(&evidence, 5, VoteWeight::ReciprocalPathLength);
-        assert!((t.votes(LinkId(2)) - 1.0).abs() < 1e-12);
-        assert!((t.votes(LinkId(1)) - 0.5).abs() < 1e-12);
-        assert!((t.total() - 2.0).abs() < 1e-12);
+        assert_eq!(t.votes(LinkId(2)), 1.0);
+        assert_eq!(t.votes(LinkId(1)), 0.5);
+        assert_eq!(t.total(), 2.0);
     }
 
     #[test]
@@ -235,9 +237,11 @@ mod tests {
         t.cast(&e1, VoteWeight::ReciprocalPathLength);
         t.cast(&e2, VoteWeight::ReciprocalPathLength);
         t.retract(&e1, VoteWeight::ReciprocalPathLength);
-        assert!(t.votes(LinkId(1)).abs() < 1e-12);
-        assert!((t.votes(LinkId(3)) - 0.5).abs() < 1e-12);
-        assert!((t.total() - 1.0).abs() < 1e-9);
+        assert_eq!(t.votes(LinkId(1)), 0.0);
+        assert_eq!(t.votes(LinkId(3)), 0.5);
+        assert_eq!(t.total(), 1.0);
+        t.retract(&e2, VoteWeight::ReciprocalPathLength);
+        assert_eq!(t, VoteTally::new(6));
     }
 
     #[test]
@@ -257,11 +261,12 @@ mod tests {
             VoteWeight::ReciprocalPathLength,
         );
         let mut ex = LinkSet::new(4);
-        assert_eq!(t.max_excluding(&ex).unwrap().0, LinkId(2));
+        let max_excluding = |ex: &LinkSet| t.max_where(|l| !ex.contains(l));
+        assert_eq!(max_excluding(&ex), Some((LinkId(2), 5400)));
         ex.insert(LinkId(2));
-        assert_eq!(t.max_excluding(&ex).unwrap().0, LinkId(1));
+        assert_eq!(max_excluding(&ex), Some((LinkId(1), 1800)));
         ex.insert(LinkId(1));
-        assert!(t.max_excluding(&ex).is_none());
+        assert!(max_excluding(&ex).is_none());
     }
 
     #[test]
@@ -271,8 +276,9 @@ mod tests {
             5,
             VoteWeight::ReciprocalPathLength,
         );
-        assert_eq!(t.top_among(&[LinkId(1), LinkId(3)]).unwrap().0, LinkId(1));
-        assert_eq!(t.top_among(&[LinkId(2), LinkId(3)]).unwrap().0, LinkId(2));
+        // 1 and 3 tie at exactly 0.5: the lowest id wins.
+        assert_eq!(t.top_among(&[LinkId(3), LinkId(1)]), Some((LinkId(1), 0.5)));
+        assert_eq!(t.top_among(&[LinkId(2), LinkId(3)]), Some((LinkId(2), 1.0)));
         assert!(t.top_among(&[LinkId(4)]).is_none());
     }
 
@@ -283,13 +289,13 @@ mod tests {
             let evidence: Vec<FlowEvidence> = paths.iter()
                 .map(|p| ev(p, 1)).collect();
             let t = VoteTally::tally(&evidence, 20, VoteWeight::ReciprocalPathLength);
-            let sum: f64 = (0..20).map(|i| t.votes(LinkId(i))).sum();
-            prop_assert!((sum - t.total()).abs() < 1e-9);
+            let sum: u64 = t.units.iter().sum();
+            prop_assert_eq!(sum, t.total_units());
         }
 
         #[test]
         fn vote_mass_conservation(paths in proptest::collection::vec(
-            proptest::collection::vec(0u32..20, 1..6), 1..30)) {
+            proptest::collection::vec(0u32..20, 1..7), 1..30)) {
             // Each flow casts exactly 1.0 total mass under 1/h (duplicate
             // links in a path would double-count, so dedupe first).
             let evidence: Vec<FlowEvidence> = paths.iter().map(|p| {
@@ -299,7 +305,7 @@ mod tests {
                 ev(&q, 1)
             }).collect();
             let t = VoteTally::tally(&evidence, 20, VoteWeight::ReciprocalPathLength);
-            prop_assert!((t.total() - evidence.len() as f64).abs() < 1e-9);
+            prop_assert_eq!(t.total(), evidence.len() as f64);
         }
     }
 }

@@ -1,43 +1,52 @@
-//! Float-drift guard for the incremental vote machinery: casting a
-//! random batch of evidence and then retracting all of it — under *any*
-//! interleaving of casts and retracts — must return the [`VoteTally`]
-//! (and the [`VoteLedger`] built on it) **bitwise** to its prior (empty)
-//! state. This is the property that makes a long-running ledger safe:
-//! absorbed-then-withdrawn evidence may never leave residue that later
-//! masquerades as votes, however the operations interleave.
+//! Exact laws of the incremental vote machinery. Tallies are integer
+//! units, so these are equalities, not tolerances:
 //!
-//! The guarantee rests on two mechanisms in `VoteTally::retract`: the
-//! clamp (`removed = w.min(v)`) zeroes exactly when float error went
-//! negative, and the `1e-12` snap absorbs positive dust. The proptests
-//! drive both through randomized paths and shrink to a minimal failing
-//! batch on regression.
+//! * any interleaving of casts and retracts that retracts everything it
+//!   cast returns the [`VoteTally`] (and the [`VoteLedger`]'s live tally)
+//!   to `== VoteTally::new(n)`, under every [`VoteWeight`];
+//! * absorbing a window in any order closes to the identical
+//!   [`WindowAnalysis`](vigil_analysis::WindowAnalysis), down to the bits
+//!   of every detection's votes, and Algorithm 1 itself returns the same
+//!   verdict on any permutation of its evidence;
+//! * the live tally just before a close equals the close's conservative
+//!   raw tally, whatever was superseded or retracted on the way.
 
 use proptest::prelude::*;
 use vigil_analysis::ledger::VoteLedger;
-use vigil_analysis::{Algorithm1Config, FlowEvidence, VoteTally, VoteWeight};
-use vigil_topology::LinkId;
+use vigil_analysis::{detect, Algorithm1Config, FlowEvidence, VoteTally, VoteWeight};
+use vigil_topology::{LinkId, MAX_ROUTE_LINKS};
 
 const NUM_LINKS: usize = 24;
 
-fn evidence_from(paths: &[Vec<u32>]) -> Vec<FlowEvidence> {
-    paths
-        .iter()
-        .map(|p| {
-            // Dedupe within a path: a flow votes each of its links once.
-            let mut q = p.clone();
-            q.sort_unstable();
-            q.dedup();
-            FlowEvidence::new(q.into_iter().map(LinkId).collect(), 1)
-        })
-        .collect()
+/// Random evidence: 1..=MAX_ROUTE_LINKS links (deduped — a flow votes
+/// each of its links once) and 1–3 retransmissions, so both the noise
+/// and the failure class are exercised.
+fn arb_evidence() -> impl Strategy<Value = Vec<FlowEvidence>> {
+    proptest::collection::vec(
+        (
+            proptest::collection::vec(0u32..NUM_LINKS as u32, 1..=MAX_ROUTE_LINKS),
+            1u32..4,
+        ),
+        1..40,
+    )
+    .prop_map(|flows| {
+        flows
+            .into_iter()
+            .map(|(mut links, retx)| {
+                links.sort_unstable();
+                links.dedup();
+                FlowEvidence::new(links.into_iter().map(LinkId).collect(), retx)
+            })
+            .collect()
+    })
 }
 
-fn tally_bits(t: &VoteTally) -> Vec<u64> {
-    let mut bits: Vec<u64> = (0..t.num_links())
-        .map(|i| t.votes(LinkId(i as u32)).to_bits())
-        .collect();
-    bits.push(t.total().to_bits());
-    bits
+/// The indices `0..n` ordered by `keys` (ties by index): a random
+/// permutation drawn from random sort keys.
+fn permutation(n: usize, keys: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| (keys.get(i).copied().unwrap_or(0), i));
+    order
 }
 
 /// Interleaves casts and retracts: `order[i]` decides whether step `i`
@@ -72,42 +81,33 @@ fn run_interleaved(
     }
 }
 
+fn ledger() -> VoteLedger<u32> {
+    VoteLedger::new(NUM_LINKS, Algorithm1Config::default(), 2, 0.3)
+}
+
 proptest! {
     #[test]
     fn cast_then_retract_restores_tally_bitwise(
-        paths in proptest::collection::vec(
-            proptest::collection::vec(0u32..NUM_LINKS as u32, 1..7), 1..30),
-        order in proptest::collection::vec(proptest::any::<bool>(), 0..60),
+        evidence in arb_evidence(),
+        order in proptest::collection::vec(proptest::any::<bool>(), 0..80),
     ) {
-        let evidence = evidence_from(&paths);
         for weight in [
             VoteWeight::ReciprocalPathLength,
             VoteWeight::Unit,
             VoteWeight::ReciprocalSquared,
         ] {
-            let fresh = VoteTally::new(NUM_LINKS);
-            let prior = tally_bits(&fresh);
             let mut tally = VoteTally::new(NUM_LINKS);
             run_interleaved(&mut tally, &evidence, &order, weight);
-            prop_assert_eq!(
-                tally_bits(&tally),
-                prior.clone(),
-                "residue after full retraction ({:?})",
-                weight
-            );
+            prop_assert_eq!(&tally, &VoteTally::new(NUM_LINKS), "residue under {:?}", weight);
         }
     }
 
     #[test]
     fn absorb_then_retract_restores_ledger_bitwise(
-        paths in proptest::collection::vec(
-            proptest::collection::vec(0u32..NUM_LINKS as u32, 1..7), 1..30),
-        order in proptest::collection::vec(proptest::any::<bool>(), 0..60),
+        evidence in arb_evidence(),
+        order in proptest::collection::vec(proptest::any::<bool>(), 0..80),
     ) {
-        let evidence = evidence_from(&paths);
-        let mut ledger: VoteLedger<u32> =
-            VoteLedger::new(NUM_LINKS, Algorithm1Config::default(), 2, 0.3);
-        let prior = tally_bits(ledger.live_tally());
+        let mut ledger = ledger();
 
         // The same interleaving discipline, through the ledger's
         // absorb/retract (keys are the batch indices).
@@ -134,7 +134,66 @@ proptest! {
         }
 
         prop_assert_eq!(ledger.resident(), 0, "window must be empty again");
-        prop_assert_eq!(tally_bits(ledger.live_tally()), prior,
-            "ledger live tally holds residue after full retraction");
+        prop_assert_eq!(ledger.live_tally(), &VoteTally::new(NUM_LINKS));
+    }
+
+    #[test]
+    fn absorb_order_never_reaches_the_verdict(
+        evidence in arb_evidence(),
+        keys in proptest::collection::vec(proptest::any::<u64>(), 40),
+    ) {
+        let order = permutation(evidence.len(), &keys);
+
+        // Algorithm 1 alone: a permuted evidence slice gives the same
+        // picks, the same pick votes to the bit, and the same tallies.
+        let config = Algorithm1Config::default();
+        let permuted: Vec<FlowEvidence> = order.iter().map(|&i| evidence[i].clone()).collect();
+        let a = detect(&evidence, NUM_LINKS, &config);
+        let b = detect(&permuted, NUM_LINKS, &config);
+        prop_assert_eq!(&a.detections, &b.detections);
+        prop_assert_eq!(&a.raw_tally, &b.raw_tally);
+        prop_assert_eq!(&a.adjusted_tally, &b.adjusted_tally);
+        prop_assert_eq!(a.excluded_votes.to_bits(), b.excluded_votes.to_bits());
+
+        // The ledger: in-order and permuted absorption close identically.
+        let mut in_order = ledger();
+        for (i, e) in evidence.iter().enumerate() {
+            in_order.absorb(i as u32, e.clone());
+        }
+        let mut shuffled = ledger();
+        for &i in &order {
+            shuffled.absorb(i as u32, evidence[i].clone());
+        }
+        let x = in_order.close_window();
+        let y = shuffled.close_window();
+        prop_assert_eq!(&x.evidence, &y.evidence);
+        prop_assert_eq!(&x.classes, &y.classes);
+        prop_assert_eq!(&x.unbounded_picks, &y.unbounded_picks);
+        prop_assert_eq!(&x.conservative.raw_tally, &y.conservative.raw_tally);
+        prop_assert_eq!(&x.detection.adjusted_tally, &y.detection.adjusted_tally);
+        let bits = |w: &vigil_analysis::WindowAnalysis| -> Vec<(LinkId, u64)> {
+            w.detection.detections.iter().map(|d| (d.link, d.votes.to_bits())).collect()
+        };
+        prop_assert_eq!(bits(&x), bits(&y));
+    }
+
+    #[test]
+    fn live_tally_equals_the_close_tally(
+        evidence in arb_evidence(),
+        keys in proptest::collection::vec(0u32..16, 40),
+        withdraw in proptest::collection::vec(proptest::any::<bool>(), 40),
+    ) {
+        // Keys collide (supersede) and some are withdrawn (retract): the
+        // live tally must still be exactly the tally of what is resident.
+        let mut ledger = ledger();
+        for (i, e) in evidence.iter().enumerate() {
+            ledger.absorb(keys[i], e.clone());
+            if withdraw[i] && i % 3 == 0 {
+                ledger.retract(&keys[i]);
+            }
+        }
+        let live = ledger.live_tally().clone();
+        let closed = ledger.close_window();
+        prop_assert_eq!(&live, &closed.conservative.raw_tally);
     }
 }

@@ -84,7 +84,7 @@ use vigil_agents::{
 use vigil_analysis::{FlowEvidence, LedgerSnapshot, VoteLedger};
 use vigil_fabric::faults::LinkFaults;
 use vigil_fabric::flowsim::EpochScratch;
-use vigil_topology::ClosTopology;
+use vigil_topology::{ClosTopology, MAX_ROUTE_LINKS};
 use vigil_wire::chaos::{ChaosSchedule, ChaosWriter};
 use vigil_wire::{FrameReader, FrameWriter, WireFrame, HELLO_RESILIENT, WIRE_VERSION};
 
@@ -994,6 +994,8 @@ struct ReaderShared {
     rate_cap: u64,
     rate_limited: Arc<AtomicU64>,
     foreign: Arc<AtomicU64>,
+    malformed: Arc<AtomicU64>,
+    num_links: usize,
     idle_timeout: Duration,
     quarantine_budget: u64,
     stop: Arc<AtomicBool>,
@@ -1077,6 +1079,17 @@ fn reader_loop(mut task: ReaderTask) {
                 if !task.hosts.contains(&host) {
                     s.foreign.fetch_add(1, Ordering::Relaxed);
                     continue;
+                }
+                // Evidence the ledger cannot tally (a link outside the
+                // fabric, or more links than any route has) is refused
+                // here, before it can shadow an honest (host, seq).
+                if let AgentEvent::Evidence { report, .. } = &event {
+                    if report.links.len() > MAX_ROUTE_LINKS
+                        || report.links.iter().any(|l| l.index() >= s.num_links)
+                    {
+                        s.malformed.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
                 }
                 let seq = event.seq();
                 // Sequence accounting sees every arrival, replays
@@ -1336,6 +1349,9 @@ pub struct CollectorStats {
     pub rate_limited: u64,
     /// Events for hosts outside the connection's admitted range.
     pub foreign: u64,
+    /// Evidence refused as untallyable: a link id outside the fabric or
+    /// more links than `MAX_ROUTE_LINKS`.
+    pub malformed: u64,
     /// Connections admitted at the start barrier.
     pub agents_admitted: u64,
     /// Connections still live at the last window close.
@@ -1422,7 +1438,7 @@ fn render_metrics_text(m: &MetricsState) -> String {
         "vigil_windows_closed {}\nvigil_events {}\nvigil_evidence {}\n\
          vigil_delivered {}\nvigil_shed {}\nvigil_seq_gaps {}\n\
          vigil_seq_resets {}\nvigil_rate_limited {}\nvigil_foreign {}\n\
-         vigil_agents_admitted {}\nvigil_agents_live {}\n\
+         vigil_malformed {}\nvigil_agents_admitted {}\nvigil_agents_live {}\n\
          vigil_reconnects {}\nvigil_quarantined_frames {}\n\
          vigil_hosts_evicted {}\n",
         t.windows,
@@ -1434,6 +1450,7 @@ fn render_metrics_text(m: &MetricsState) -> String {
         t.seq_resets,
         t.rate_limited,
         t.foreign,
+        t.malformed,
         t.agents_admitted,
         t.agents_live,
         t.reconnects,
@@ -1869,6 +1886,7 @@ pub fn run_collector(
     let tracker = Arc::new(Mutex::new(SeqTracker::default()));
     let rate_limited = Arc::new(AtomicU64::new(0));
     let foreign = Arc::new(AtomicU64::new(0));
+    let malformed = Arc::new(AtomicU64::new(0));
     let (ctrl_tx, ctrl_rx) = mpsc::channel::<Ctrl>();
     let stop = Arc::new(AtomicBool::new(false));
     let read_tick =
@@ -1880,6 +1898,8 @@ pub fn run_collector(
         rate_cap: ccfg.max_events_per_window,
         rate_limited: Arc::clone(&rate_limited),
         foreign: Arc::clone(&foreign),
+        malformed: Arc::clone(&malformed),
+        num_links: topo.num_links(),
         idle_timeout: ccfg.idle_timeout,
         quarantine_budget: ccfg.quarantine_budget,
         stop: Arc::clone(&stop),
@@ -2079,6 +2099,7 @@ pub fn run_collector(
                 }
                 stats.rate_limited = rate_limited.load(Ordering::Relaxed);
                 stats.foreign = foreign.load(Ordering::Relaxed);
+                stats.malformed = malformed.load(Ordering::Relaxed);
                 stats.agents_live = ranges
                     .iter()
                     .filter(|r| r.conn.is_some_and(|c| conns[c].alive))
@@ -2092,7 +2113,7 @@ pub fn run_collector(
                 eprintln!(
                     "collect: window {w}: {} evidence, delivered {}, shed {}, gaps {}, \
              resets {}, rate-limited {}, reconnects {}, quarantined {}, \
-             evicted {}, agents {}/{}",
+             evicted {}, malformed {}, agents {}/{}",
                     run.evidence.len(),
                     stats.delivered,
                     stats.shed,
@@ -2102,6 +2123,7 @@ pub fn run_collector(
                     stats.reconnects,
                     stats.quarantined_frames,
                     stats.hosts_evicted,
+                    stats.malformed,
                     stats.agents_live,
                     stats.agents_admitted,
                 );
@@ -2468,6 +2490,120 @@ mod tests {
         );
     }
 
+    /// Passes bytes through, splicing `frame` in right after the first
+    /// `after` bytes (an agent's Hello).
+    struct Splice<W> {
+        inner: W,
+        after: usize,
+        frame: Option<Vec<u8>>,
+    }
+
+    impl<W: Write> Write for Splice<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let Some(frame) = &self.frame else {
+                return self.inner.write(buf);
+            };
+            let n = buf.len().min(self.after);
+            self.inner.write_all(&buf[..n])?;
+            self.after -= n;
+            if self.after == 0 {
+                self.inner.write_all(frame)?;
+                self.frame = None;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// One checksummed, well-formed evidence frame naming a link past the
+    /// fabric — and more links than any route has — among an honest
+    /// fleet's frames: the collector refuses and counts it, and the
+    /// report is the honest one.
+    #[test]
+    fn malformed_evidence_is_refused_not_fatal() {
+        let cfg = tiny_config();
+        let hosts = num_hosts(&cfg);
+        let split = hosts / 2;
+        let num_links = ClosTopology::new(cfg.params, 0).unwrap().num_links() as u32;
+        let mut rogue = Vec::new();
+        vigil_wire::emit_frame(
+            &WireFrame::Event(AgentEvent::Evidence {
+                seq: 0,
+                report: TraceReport {
+                    host: HostId(0),
+                    tuple: vigil_packet::FiveTuple::tcp(
+                        "10.0.0.1".parse().unwrap(),
+                        9,
+                        "10.0.0.2".parse().unwrap(),
+                        80,
+                    ),
+                    retransmissions: 3,
+                    links: (0..7)
+                        .map(|i| vigil_topology::LinkId(num_links + i))
+                        .collect(),
+                    complete: true,
+                },
+            }),
+            &mut rogue,
+        );
+        let mut hello = Vec::new();
+        vigil_wire::emit_frame(
+            &WireFrame::Hello {
+                version: WIRE_VERSION,
+                flags: 0,
+                host_lo: 0,
+                host_hi: split,
+            },
+            &mut hello,
+        );
+
+        let listener = Endpoint::parse("127.0.0.1:0").bind().unwrap();
+        let addr = listener.local_addr();
+        let handles: Vec<_> = [(0..split, Some(rogue)), (split..hosts, None)]
+            .into_iter()
+            .map(|(hosts, frame)| {
+                let (cfg, addr, after) = (cfg.clone(), addr.clone(), hello.len());
+                std::thread::spawn(move || {
+                    let spec = AgentSpec {
+                        hosts,
+                        start_epoch: 0,
+                        epochs: cfg.epochs,
+                        chunk_flows: 128,
+                    };
+                    let sink = Endpoint::parse(&addr).connect().expect("connect");
+                    let sink = Splice {
+                        inner: sink,
+                        after,
+                        frame,
+                    };
+                    run_agent(&cfg, &spec, sink).expect("agent run")
+                })
+            })
+            .collect();
+        let ccfg = CollectorConfig {
+            agents: 2,
+            epochs: cfg.epochs,
+            ..CollectorConfig::default()
+        };
+        let outcome = run_collector(&cfg, &listener, &ccfg).unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let CollectorOutcome::Completed(report, stats) = outcome else {
+            panic!("expected a completed run");
+        };
+        assert_eq!(stats.malformed, 1, "the rogue frame is counted once");
+        assert_eq!((stats.foreign, stats.seq_gaps), (0, 0));
+        assert_eq!(
+            serde_json::to_string_pretty(&*report).unwrap(),
+            expected_report(&cfg),
+            "a refused frame leaves the honest tally untouched"
+        );
+    }
+
     fn event_stream(host: u32, seqs: &[u64]) -> Box<dyn Read + Send> {
         let mut out = Vec::new();
         for &seq in seqs {
@@ -2498,6 +2634,8 @@ mod tests {
             rate_cap,
             rate_limited,
             foreign: Arc::new(AtomicU64::new(0)),
+            malformed: Arc::new(AtomicU64::new(0)),
+            num_links: 64,
             idle_timeout: Duration::from_secs(5),
             quarantine_budget,
             stop: Arc::new(AtomicBool::new(false)),
@@ -2736,6 +2874,7 @@ mod tests {
         totals.reconnects = 3;
         totals.quarantined_frames = 5;
         totals.hosts_evicted = 7;
+        totals.malformed = 9;
         let state = MetricsState {
             totals,
             windows: vec![WindowMetrics {
@@ -2763,6 +2902,7 @@ mod tests {
             "\"seq_gaps\"",
             "\"rate_limited\"",
             "\"delivered\"",
+            "\"malformed\"",
         ] {
             assert!(json.contains(key), "metrics JSON lost field {key}: {json}");
         }
@@ -2772,6 +2912,7 @@ mod tests {
             "vigil_reconnects 3",
             "vigil_quarantined_frames 5",
             "vigil_hosts_evicted 7",
+            "vigil_malformed 9",
             "vigil_window_coverage{range=\"0..8\"} 1",
             "vigil_window_coverage{range=\"8..16\"} 1",
             "vigil_link_heat{link=\"4\"} 0.9",

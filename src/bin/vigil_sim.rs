@@ -697,7 +697,7 @@ fn run_collect_cmd(flags: &[String]) -> ExitCode {
             eprintln!(
                 "collect: done: {} window(s), {} evidence, delivered {}, shed {}, \
                  gaps {}, resets {}, rate-limited {}, reconnects {}, \
-                 quarantined {}, evicted {}",
+                 quarantined {}, evicted {}, malformed {}",
                 stats.windows,
                 stats.evidence,
                 stats.delivered,
@@ -707,7 +707,8 @@ fn run_collect_cmd(flags: &[String]) -> ExitCode {
                 stats.rate_limited,
                 stats.reconnects,
                 stats.quarantined_frames,
-                stats.hosts_evicted
+                stats.hosts_evicted,
+                stats.malformed
             );
             if json {
                 match serde_json::to_string_pretty(&*report) {
