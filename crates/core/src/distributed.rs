@@ -10,23 +10,36 @@
 //!   vigil-sim agent --hosts 0..N/2 ─┐  length-prefixed frames
 //!   vigil-sim agent --hosts N/2..N ─┤  (vigil_wire, TCP or Unix)
 //!                                   ▼
-//!            vigil-sim collect ── bounded hub ── VoteLedger
-//!                 │                                  │
-//!            snapshot.json                    window close →
-//!          (failover/restart)              EpochRun → EpochReport
+//!        reader thread per connection: decode, forward, park
+//!                                   │  one bounded channel
+//!                                   ▼
+//!   vigil-sim collect: window loop ── CollectorCore ── VoteLedger
+//!                 │                                        │
+//!            snapshot.json                          window close →
+//!          (failover/restart)                    EpochRun → EpochReport
 //! ```
 //!
 //! * [`run_agent`] simulates a slice of the fabric's hosts (the same
 //!   deterministic epoch streams every runner draws) and writes the
 //!   typed [`AgentEvent`] protocol over a socket, one
 //!   [`WireFrame::EpochDone`] barrier per window.
-//! * [`run_collector`] admits agent connections (version check,
-//!   host-range non-overlap, optional host cap), forwards their events
-//!   onto the bounded hub — backpressure sheds are counted, never
-//!   panicked — detects per-host sequence gaps and agent restarts
-//!   *before* the hub so in-flight loss and collector backpressure are
-//!   accounted separately, closes the ledger window at the epoch
+//! * [`run_collector`] is a thin shell around a sans-I/O state machine,
+//!   `CollectorCore`, which holds every protocol decision: admission
+//!   (version check, host-range non-overlap, optional host cap,
+//!   reconnect), per-host sequence accounting, the exactly-once dedup,
+//!   the rate cap and quarantine budget, the window barrier with its ack
+//!   or replay request, and reconnect-grace eviction. The shell is an
+//!   accept thread; reader threads that only decode and forward each
+//!   frame in order over one bounded channel, parking after a Hello or
+//!   an `EpochDone` until the core lets them read on; and the window
+//!   loop, which steps the core, writes the acks it asks for, absorbs
+//!   what it forwards into the ledger, closes the window at the
 //!   barrier, and scores it with the exact batch machinery.
+//!
+//! Backpressure: a full channel blocks the readers, so a slow collector
+//! slows the agents through TCP instead of dropping their votes — the
+//! collector sheds nothing, and the per-connection rate cap is the flood
+//! control. A parked reader is what keeps epoch `w+1` out of window `w`.
 //!
 //! Determinism contract: a loopback run (N agent processes feeding one
 //! collector) produces a final report **byte-identical** to
@@ -66,27 +79,29 @@ use crate::run::{
 };
 use crate::stream::{EvidenceKey, HostFleet, RetainPolicy, StreamTuning};
 use crate::sweep::epoch_rng;
+use collector_core::{CollectorCore, Input, Output};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::convert::Infallible;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use vigil_agents::{
-    event_channel, event_channel_bounded, AgentEvent, EventCollector, EventSender, TraceReport,
-};
+use vigil_agents::{event_channel, AgentEvent, EventCollector, TraceReport};
 use vigil_analysis::{FlowEvidence, LedgerSnapshot, VoteLedger};
 use vigil_fabric::faults::LinkFaults;
 use vigil_fabric::flowsim::EpochScratch;
-use vigil_topology::{ClosTopology, MAX_ROUTE_LINKS};
+use vigil_topology::ClosTopology;
 use vigil_wire::chaos::{ChaosSchedule, ChaosWriter};
 use vigil_wire::{FrameReader, FrameWriter, WireFrame, HELLO_RESILIENT, WIRE_VERSION};
+
+mod collector_core;
+#[cfg(test)]
+mod model;
 
 fn invalid<E: std::fmt::Display>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, e.to_string())
@@ -822,448 +837,89 @@ pub fn run_agent_resilient(
 }
 
 // ---------------------------------------------------------------------
-// Collector: sequence accounting, admission, reader threads.
+// Collector shell: reader threads decode, one thread decides.
 // ---------------------------------------------------------------------
 
-/// Per-host wire-sequence accounting, shared across connections so an
-/// agent restart (a *new* connection re-claiming the same hosts) is
-/// recognized as a reset rather than a giant backwards gap.
-#[derive(Debug, Default)]
-struct SeqTracker {
-    next: HashMap<u32, u64>,
-    gaps: u64,
-    resets: u64,
+/// Depth of the one channel from the reader threads to the window loop.
+/// A full channel blocks the readers, so backpressure reaches the agents
+/// through TCP and nothing is shed; the per-connection rate cap is the
+/// flood control. A `collector-ingest` window (~3 650 frames) fits.
+const INBOUND_DEPTH: usize = 4096;
+
+/// What the window loop keeps per connection: the write half for
+/// `ResumeAt` (dropped on the first failed write — the reader notices
+/// the dead socket on its own) and the handle that unparks the reader.
+struct ConnIo {
+    writer: Option<FrameWriter<Box<dyn Write + Send>>>,
+    park: SyncSender<()>,
 }
 
-impl SeqTracker {
-    /// Notes `seq` from `host`; returns how many events were lost
-    /// immediately before it (0 when in order). A sequence running
-    /// *backwards* is a restarted agent: counted as a reset, not a gap.
-    fn note(&mut self, host: u32, seq: u64) -> u64 {
-        match self.next.get_mut(&host) {
-            None => {
-                // First sighting: a nonzero start means the prefix never
-                // arrived (frames lost before admission).
-                self.next.insert(host, seq + 1);
-                self.gaps += seq;
-                seq
-            }
-            Some(next) => {
-                if seq < *next {
-                    self.resets += 1;
-                    *next = seq + 1;
-                    0
-                } else {
-                    let lost = seq - *next;
-                    self.gaps += lost;
-                    *next = seq + 1;
-                    lost
-                }
-            }
-        }
-    }
-}
+/// Reader → window loop: one input, in its connection's order. The
+/// first one brings the connection's [`ConnIo`] along.
+struct Inbound(Input, Option<Box<ConnIo>>);
 
-/// What a valid Hello maps to: a brand-new host range, or a reconnect
-/// re-claiming a known one (the agent restarted or rode out a reset).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum AdmitAction {
-    /// Admit a new range (coverage expansion counts too).
-    New(Range<u32>),
-    /// Replace the connection of the range at this index.
-    Reattach(usize),
-}
-
-/// A claimed range's admission-relevant state (projection of
-/// `RangeState` so the rules stay unit-testable).
-#[derive(Debug, Clone)]
-struct Claim {
-    hosts: Range<u32>,
-    evicted: bool,
-}
-
-/// Validates a Hello against the admission rules. An exact match on a
-/// known range is a reconnect — always re-admitted (even if the old
-/// connection looks live: a parked reader cannot detect its socket
-/// died) unless the range was evicted. Partial overlaps are rejected;
-/// disjoint in-bounds ranges are admitted as coverage expansion.
-fn admit_range(
-    version: u16,
-    host_lo: u32,
-    host_hi: u32,
-    num_hosts: u32,
-    max_hosts: Option<u32>,
-    claims: &[Claim],
-) -> Result<AdmitAction, String> {
-    if version != WIRE_VERSION {
-        return Err(format!(
-            "protocol version {version} (collector speaks {WIRE_VERSION})"
-        ));
-    }
-    if host_lo >= host_hi {
-        return Err(format!("empty host range {host_lo}..{host_hi}"));
-    }
-    if host_hi > num_hosts {
-        return Err(format!(
-            "host range {host_lo}..{host_hi} exceeds the {num_hosts}-host topology"
-        ));
-    }
-    if let Some(idx) = claims.iter().position(|c| c.hosts == (host_lo..host_hi)) {
-        if claims[idx].evicted {
-            return Err(format!(
-                "host range {host_lo}..{host_hi} was evicted (error budget); not re-admitting"
-            ));
-        }
-        return Ok(AdmitAction::Reattach(idx));
-    }
-    for c in claims {
-        if host_lo < c.hosts.end && c.hosts.start < host_hi {
-            return Err(format!(
-                "host range {host_lo}..{host_hi} overlaps already-claimed {}..{}",
-                c.hosts.start, c.hosts.end
-            ));
-        }
-    }
-    if let Some(cap) = max_hosts {
-        let span: u32 = claims.iter().map(|c| c.hosts.end - c.hosts.start).sum();
-        if span + (host_hi - host_lo) > cap {
-            return Err(format!(
-                "host cap exceeded: {span} already claimed, {} requested, cap {cap}",
-                host_hi - host_lo
-            ));
-        }
-    }
-    Ok(AdmitAction::New(host_lo..host_hi))
-}
-
-/// Reader/handshake-thread → window-loop control messages.
-enum Ctrl {
-    /// A connection completed its handshake; the main loop decides
-    /// admission and replies on `reply`.
-    Hello(HelloMsg),
-    /// A connection barriered an epoch. `events` is the agent's claimed
-    /// frame count; `delivered` the distinct `(host, seq)` pairs the
-    /// range's dedup set holds — equal iff the window arrived complete.
-    EpochDone {
-        conn: usize,
-        epoch: u64,
-        events: u64,
-        delivered: u64,
-        quarantined: u64,
-    },
-    /// Forward-progress nudge (every 1024 forwarded events) so the main
-    /// loop drains the hub without polling.
-    Progress,
-    /// A connection ended. `poisoned` means the per-window quarantine
-    /// budget was blown — the main loop evicts the range immediately.
-    Closed {
-        conn: usize,
-        error: Option<String>,
-        quarantined: u64,
-        poisoned: bool,
-    },
-}
-
-/// A completed handshake, handed to the main loop for admission.
-struct HelloMsg {
-    version: u16,
-    flags: u8,
-    host_lo: u32,
-    host_hi: u32,
-    writer: FrameWriter<Box<dyn Write + Send>>,
-    reply: mpsc::Sender<Verdict>,
-}
-
-/// The main loop's admission reply.
-enum Verdict {
-    Admitted {
-        conn: usize,
-        resume: mpsc::Receiver<bool>,
-        dedup: Arc<Mutex<HashSet<(u32, u64)>>>,
-        revoked: Arc<AtomicBool>,
-    },
-    Rejected(String),
-}
-
-/// Everything constant across a collector's reader threads.
-#[derive(Clone)]
-struct ReaderShared {
-    hub: EventSender,
-    tracker: Arc<Mutex<SeqTracker>>,
-    ctrl: mpsc::Sender<Ctrl>,
-    rate_cap: u64,
-    rate_limited: Arc<AtomicU64>,
-    foreign: Arc<AtomicU64>,
-    malformed: Arc<AtomicU64>,
-    num_links: usize,
-    idle_timeout: Duration,
-    quarantine_budget: u64,
-    stop: Arc<AtomicBool>,
-}
-
-struct ReaderTask {
+/// One connection's reader: decode leniently and forward every frame in
+/// order, parking after a Hello or an `EpochDone` until the core unparks
+/// it — the TCP backpressure that keeps epoch `w+1` out of window `w`.
+/// The only timer is the read deadline: `idle_timeout` of silence ends
+/// the connection. The reader exits when the connection ends, when the
+/// core drops it (the park handle disconnects), or at teardown.
+fn read_conn(
     conn: usize,
-    frames: FrameReader<Box<dyn Read + Send>>,
-    hosts: Range<u32>,
-    shared: ReaderShared,
-    resume: mpsc::Receiver<bool>,
-    /// Distinct `(host, seq)` pairs of the current window, shared with
-    /// any replacement reader of the same range. Cleared only by the
-    /// main loop at window close.
-    dedup: Arc<Mutex<HashSet<(u32, u64)>>>,
-    /// Set by the main loop when a reconnect replaced this connection:
-    /// a revoked reader must stop touching the dedup set and exit.
-    revoked: Arc<AtomicBool>,
-}
-
-/// How often a reader nudges the main loop to drain the hub.
-const PROGRESS_EVERY: u64 = 1024;
-
-/// One connection's read loop: lenient (resynchronizing) decode with a
-/// per-window quarantine budget, sequence accounting *before* dedup and
-/// the hub (wire loss, replays, and collector backpressure stay
-/// separate counters), the per-window rate cap, idle timeout, and the
-/// epoch barrier. After reporting an [`WireFrame::EpochDone`] the
-/// reader parks until the main loop acks or nacks the window, so events
-/// of epoch `w+1` can never leak into window `w`'s ledger.
-fn reader_loop(mut task: ReaderTask) {
-    let s = &task.shared;
-    let mut window_events: u64 = 0; // rate-cap counter
-    let mut window_quarantined: u64 = 0;
-    let mut prev_quarantined: u64 = 0;
-    let mut forwarded = 0u64;
-    let mut idle = Duration::ZERO;
-    let mut last = Instant::now();
-    // Wire-level duplicate of the previous frame, when that frame was an
-    // EpochDone. A duplicated barrier frame is poison: the copy would be
-    // read only after the window settles and the dedup set is cleared,
-    // turn into a spurious nack, and the stale replay it triggers would
-    // re-absorb the epoch's events into the NEXT window. Duplicates are
-    // always adjacent (that is how they are injected and how TCP can
-    // replay them), and a legitimate replay's EpochDone is always
-    // preceded by the replayed event frames — so suppressing an
-    // identical immediate successor is exact, not heuristic.
-    let mut prev_epoch_done: Option<(u64, u64)> = None;
-    let closed = |error: Option<String>, q: u64, poisoned: bool| Ctrl::Closed {
-        conn: task.conn,
-        error,
-        quarantined: q,
-        poisoned,
-    };
-    loop {
-        if s.stop.load(Ordering::Relaxed) || task.revoked.load(Ordering::Relaxed) {
-            return; // the main loop already knows this conn is gone
-        }
-        let result = task.frames.next_frame_lenient();
-        let q = task.frames.quarantined_frames();
-        if q > prev_quarantined {
-            window_quarantined += q - prev_quarantined;
-            prev_quarantined = q;
-            if window_quarantined > s.quarantine_budget {
-                let _ = s.ctrl.send(closed(
-                    Some(format!(
-                        "quarantine budget blown: {window_quarantined} corrupt frames in one window"
-                    )),
-                    q,
-                    true,
-                ));
-                return;
-            }
-        }
-        match result {
-            Ok(Some(WireFrame::Event(event))) => {
-                idle = Duration::ZERO;
-                last = Instant::now();
-                prev_epoch_done = None;
-                let host = event.host().0;
-                if !task.hosts.contains(&host) {
-                    s.foreign.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                // Evidence the ledger cannot tally (a link outside the
-                // fabric, or more links than any route has) is refused
-                // here, before it can shadow an honest (host, seq).
-                if let AgentEvent::Evidence { report, .. } = &event {
-                    if report.links.len() > MAX_ROUTE_LINKS
-                        || report.links.iter().any(|l| l.index() >= s.num_links)
-                    {
-                        s.malformed.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-                let seq = event.seq();
-                // Sequence accounting sees every arrival, replays
-                // included (a replay shows up as one spurious reset —
-                // diagnostic noise, never tally impact).
-                s.tracker.lock().expect("seq tracker lock").note(host, seq);
-                if !task.dedup.lock().expect("dedup lock").insert((host, seq)) {
-                    continue; // replayed duplicate: already tallied
-                }
-                if window_events >= s.rate_cap {
-                    s.rate_limited.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                window_events += 1;
-                // try_send: a full hub sheds (the hub counts it); the
-                // reader never blocks the barrier on backpressure.
-                s.hub.try_send(event);
-                forwarded += 1;
-                if forwarded % PROGRESS_EVERY == 0 {
-                    let _ = s.ctrl.send(Ctrl::Progress);
-                }
-            }
-            Ok(Some(WireFrame::EpochDone { epoch, events })) => {
-                if prev_epoch_done == Some((epoch, events)) {
-                    // Immediate wire-level duplicate of the barrier we
-                    // just reported — drop it. Reporting it again would
-                    // race the window close: read after the dedup set is
-                    // cleared it looks like a zero-delivery epoch, draws
-                    // a spurious nack, and the stale replay re-tallies
-                    // the epoch into the next window.
-                    continue;
-                }
-                prev_epoch_done = Some((epoch, events));
-                let delivered = task.dedup.lock().expect("dedup lock").len() as u64;
-                if s.ctrl
-                    .send(Ctrl::EpochDone {
-                        conn: task.conn,
-                        epoch,
-                        events,
-                        delivered,
-                        quarantined: q,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-                match task.resume.recv() {
-                    Ok(advance) => {
-                        if advance {
-                            // Window settled (the main loop cleared the
-                            // dedup set); fresh rate + budget counters.
-                            window_events = 0;
-                            window_quarantined = 0;
-                        }
-                        // Nack: keep everything — the replay fills holes.
-                        idle = Duration::ZERO;
-                        last = Instant::now();
-                    }
-                    Err(_) => return,
-                }
-            }
-            Ok(Some(WireFrame::Heartbeat)) => {
-                idle = Duration::ZERO;
-                last = Instant::now();
-                prev_epoch_done = None;
-            }
-            Ok(Some(WireFrame::ResumeAt { .. })) => {
-                // Collector-bound streams never carry acks; stray noise.
-                prev_epoch_done = None;
-            }
-            Ok(Some(WireFrame::Hello { .. })) => {
-                let _ = s
-                    .ctrl
-                    .send(closed(Some("unexpected mid-stream Hello".into()), q, false));
-                return;
-            }
-            Ok(None) => {
-                let _ = s.ctrl.send(closed(None, q, false));
-                return;
-            }
-            Err(e) if is_tick(&e) => {
-                let now = Instant::now();
-                idle += now - last;
-                last = now;
-                if idle >= s.idle_timeout {
-                    let _ = s.ctrl.send(closed(
-                        Some(format!("idle timeout ({:?} of silence)", s.idle_timeout)),
-                        q,
-                        false,
-                    ));
-                    return;
-                }
-            }
-            Err(e) => {
-                let _ = s.ctrl.send(closed(Some(e.to_string()), q, false));
-                return;
-            }
-        }
-    }
-}
-
-/// The accept-thread side of a handshake: read the first frame (bounded
-/// by the idle timeout), hand the Hello to the main loop, and on
-/// admission become the connection's reader thread.
-fn handshake_and_read(duplex: Duplex, shared: ReaderShared) {
+    duplex: Duplex,
+    tx: SyncSender<Inbound>,
+    idle_timeout: Duration,
+    stop: &AtomicBool,
+) {
     let mut frames = FrameReader::new(duplex.reader);
-    let deadline = Instant::now() + shared.idle_timeout;
-    let first = loop {
-        if shared.stop.load(Ordering::Relaxed) {
+    let (park, unparked) = mpsc::sync_channel(1);
+    let writer = Some(FrameWriter::new(duplex.writer));
+    let mut first = Some(Box::new(ConnIo { writer, park }));
+    let mut last = Instant::now();
+    let error = loop {
+        let dropped = first.is_none() && unparked.try_recv() == Err(TryRecvError::Disconnected);
+        if dropped || stop.load(Ordering::Relaxed) {
             return;
         }
-        match frames.next_frame_lenient() {
-            Ok(Some(f)) => break f,
-            Ok(None) => {
-                eprintln!("collect: connection closed before Hello");
-                return;
-            }
+        let read = frames.next_frame_lenient();
+        let quarantined = frames.quarantined_frames();
+        let frame = match read {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break None,
+            Err(e) if is_tick(&e) && last.elapsed() < idle_timeout => continue,
             Err(e) if is_tick(&e) => {
-                if Instant::now() >= deadline {
-                    eprintln!("collect: connection silent before Hello; dropping");
-                    return;
-                }
+                break Some(format!("idle timeout ({idle_timeout:?} of silence)"))
             }
-            Err(e) => {
-                eprintln!("collect: handshake read failed: {e}");
-                return;
-            }
+            Err(e) => break Some(e.to_string()),
+        };
+        let parks = matches!(frame, WireFrame::Hello { .. } | WireFrame::EpochDone { .. });
+        let input = match first {
+            Some(_) => Input::Open { conn, frame },
+            None => Input::Frame {
+                conn,
+                frame,
+                quarantined,
+            },
+        };
+        if tx.send(Inbound(input, first.take())).is_err() {
+            return;
         }
-    };
-    let WireFrame::Hello {
-        version,
-        flags,
-        host_lo,
-        host_hi,
-    } = first
-    else {
-        eprintln!("collect: connection rejected: first frame was not a Hello");
-        return;
-    };
-    let (reply_tx, reply_rx) = mpsc::channel();
-    if shared
-        .ctrl
-        .send(Ctrl::Hello(HelloMsg {
-            version,
-            flags,
-            host_lo,
-            host_hi,
-            writer: FrameWriter::new(duplex.writer),
-            reply: reply_tx,
-        }))
-        .is_err()
-    {
-        return; // collector main loop is gone
-    }
-    match reply_rx.recv() {
-        Ok(Verdict::Admitted {
-            conn,
-            resume,
-            dedup,
-            revoked,
-        }) => reader_loop(ReaderTask {
-            conn,
-            frames,
-            hosts: host_lo..host_hi,
-            shared,
-            resume,
-            dedup,
-            revoked,
-        }),
-        Ok(Verdict::Rejected(why)) => {
-            eprintln!("collect: connection rejected: {why}");
+        if parks && unparked.recv().is_err() {
+            return;
         }
-        Err(_) => {} // main loop exited before replying
+        last = Instant::now();
+    };
+    if first.is_some() {
+        let why = error.as_deref().unwrap_or("closed");
+        return eprintln!("collect: connection ended before its Hello: {why}");
     }
+    let quarantined = frames.quarantined_frames();
+    let input = Input::Closed {
+        conn,
+        error,
+        quarantined,
+    };
+    let _ = tx.send(Inbound(input, None));
 }
 
 // ---------------------------------------------------------------------
@@ -1278,7 +934,9 @@ pub struct CollectorConfig {
     /// Total epochs the run covers (including any already in the
     /// snapshot when resuming).
     pub epochs: usize,
-    /// Bounded-hub depth; undersizing sheds (counted), never panics.
+    /// Not read by the collector, which sheds nothing: its readers block
+    /// on a full channel and let TCP slow the agents. Kept only because
+    /// the benchmark's collector twin sizes its own hub from the default.
     pub hub_capacity: usize,
     /// Per-connection events admitted per window; the excess is dropped
     /// and counted as rate-limited.
@@ -1312,7 +970,6 @@ impl Default for CollectorConfig {
         Self {
             agents: 1,
             epochs: 1,
-            // Roomy default: loopback fleets should never shed.
             hub_capacity: 65_536,
             max_events_per_window: u64::MAX,
             max_hosts: None,
@@ -1333,13 +990,16 @@ impl Default for CollectorConfig {
 pub struct CollectorStats {
     /// Windows closed across the whole run (resumed ones included).
     pub windows: u64,
-    /// Events drained from the hub.
+    /// Events tallied in a window.
     pub events: u64,
     /// Evidence events among them (= ledger absorptions).
     pub evidence: u64,
-    /// Events accepted onto the hub.
+    /// Events forwarded to the tally: in range, well-formed, first of
+    /// their `(host, seq)` this window, and under the rate cap.
     pub delivered: u64,
-    /// Events shed by the bounded hub (collector backpressure).
+    /// Events shed by collector backpressure — 0 by construction: a full
+    /// input channel blocks the readers (and, through TCP, the agents)
+    /// instead of dropping votes.
     pub shed: u64,
     /// Events lost on the wire or agent side (sequence gaps).
     pub seq_gaps: u64,
@@ -1407,9 +1067,9 @@ pub struct WindowMetrics {
     pub window: u64,
     /// Evidence absorbed this window.
     pub evidence: u64,
-    /// Hub-delivered events this window.
+    /// Events delivered to the tally this window.
     pub delivered: u64,
-    /// Hub-shed events this window.
+    /// Events shed this window (always 0; see [`CollectorStats::shed`]).
     pub shed: u64,
     /// New sequence gaps this window.
     pub seq_gaps: u64,
@@ -1470,18 +1130,35 @@ fn render_metrics_text(m: &MetricsState) -> String {
     out
 }
 
-/// Serves `state` over HTTP/1.0 until the process exits: JSON by
-/// default, the plain-text counter rendering when the request path
-/// mentions `text`.
-fn spawn_metrics_server(listener: TcpListener, state: Arc<Mutex<MetricsState>>) {
+/// How long the metrics endpoint waits on one client's request or
+/// response. It serves one connection at a time, so a client that
+/// connects and says nothing must not hold up the next scrape.
+const METRICS_IO_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Serves a fresh [`MetricsState`] over HTTP/1.0 until the process
+/// exits: JSON by default, the plain-text counter rendering when the
+/// request path mentions `text`. Returns the state to publish into.
+fn spawn_metrics_server(listener: TcpListener) -> Arc<Mutex<MetricsState>> {
+    let state = Arc::new(Mutex::new(MetricsState::default()));
+    let served = Arc::clone(&state);
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
+            let timeout = Some(METRICS_IO_TIMEOUT);
+            if (stream.set_read_timeout(timeout))
+                .and_then(|()| stream.set_write_timeout(timeout))
+                .is_err()
+            {
+                continue;
+            }
             let mut buf = [0u8; 512];
             let n = stream.read(&mut buf).unwrap_or(0);
             let req = String::from_utf8_lossy(&buf[..n]);
             let want_text = req.lines().next().is_some_and(|l| l.contains("text"));
-            let snap = state.lock().expect("metrics lock").clone();
+            let snap = served
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
             let (ctype, body) = if want_text {
                 ("text/plain", render_metrics_text(&snap))
             } else {
@@ -1498,6 +1175,7 @@ fn spawn_metrics_server(listener: TcpListener, state: Arc<Mutex<MetricsState>>) 
             let _ = stream.flush();
         }
     });
+    state
 }
 
 fn write_snapshot(path: &PathBuf, snap: &CollectorSnapshot) -> io::Result<()> {
@@ -1507,733 +1185,374 @@ fn write_snapshot(path: &PathBuf, snap: &CollectorSnapshot) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Drains the hub into the ledger and the window's canonical report map
-/// (keyed like the ledger, so duplicates supersede identically).
-fn drain_hub(
-    hub_rx: &EventCollector,
-    inbox: &mut Vec<AgentEvent>,
-    ledger: &mut VoteLedger<EvidenceKey>,
-    reports: &mut BTreeMap<EvidenceKey, TraceReport>,
-    stats: &mut CollectorStats,
-) {
-    inbox.clear();
-    hub_rx.drain_into(inbox);
-    for event in inbox.drain(..) {
-        stats.events += 1;
-        if let AgentEvent::Evidence { report, .. } = event {
-            ledger.absorb(
-                (report.host, report.tuple),
-                FlowEvidence {
-                    links: report.links.clone(),
-                    retransmissions: report.retransmissions,
-                    complete: report.complete,
-                },
-            );
-            stats.evidence += 1;
-            reports.insert((report.host, report.tuple), report);
+/// The window loop's half of the shell: the core, the channel it reads,
+/// every admitted connection's I/O, and the open window's tally.
+struct Shell {
+    core: CollectorCore,
+    rx: Receiver<Inbound>,
+    conns: HashMap<usize, Box<ConnIo>>,
+    /// The core's output buffer, reused so `step` allocates nothing.
+    out: Vec<Output>,
+    ledger: VoteLedger<EvidenceKey>,
+    /// The open window's canonical report map (keyed like the ledger, so
+    /// duplicates supersede identically).
+    reports: BTreeMap<EvidenceKey, TraceReport>,
+    /// The core reported the open window complete; inputs wait in the
+    /// channel until the ack.
+    complete: bool,
+}
+
+impl Shell {
+    /// Steps the core on one input and carries out what it asks.
+    fn feed(&mut self, Inbound(input, io): Inbound) -> io::Result<()> {
+        if let (Input::Open { conn, .. }, Some(io)) = (&input, io) {
+            self.conns.insert(*conn, io);
         }
+        self.core.step(input, &mut self.out);
+        self.apply()
     }
-}
 
-/// One admitted host range's window-loop state. Ranges are permanent
-/// (they survive reconnects); connections come and go.
-struct RangeState {
-    hosts: Range<u32>,
-    /// Index into `conns` of the range's current connection, if any.
-    conn: Option<usize>,
-    /// Barriered the current window (ack deferred to window close).
-    done: bool,
-    /// Evicted (poisoned or grace expiry) — excluded from barriers.
-    evicted: bool,
-    /// When the range lost its connection (grace timer origin).
-    orphaned_at: Option<Instant>,
-    reconnects: u64,
-    /// This window's distinct `(host, seq)` pairs, shared with the
-    /// range's reader; cleared here (only here) at window close.
-    dedup: Arc<Mutex<HashSet<(u32, u64)>>>,
-}
-
-/// One connection's window-loop state (readers run detached; the main
-/// loop owns the write half and the park/advance channel).
-struct ConnState {
-    /// The write half; dropped (None) as soon as the connection dies or
-    /// is replaced, so hours-scale soaks don't leak descriptors.
-    writer: Option<FrameWriter<Box<dyn Write + Send>>>,
-    /// Unparks the reader after EpochDone: `true` advances the window,
-    /// `false` requests a replay. Dropped (None) to kill a parked
-    /// reader whose connection was replaced.
-    resume: Option<mpsc::Sender<bool>>,
-    /// Index into `ranges`.
-    range: usize,
-    alive: bool,
-    /// Sent [`HELLO_RESILIENT`]: reads acks and replays lost windows.
-    /// The collector never writes to a non-resilient connection (see
-    /// the flag's docs for the TCP-reset hazard).
-    resilient: bool,
-    revoked: Arc<AtomicBool>,
-    /// Quarantined-frame high-water mark last folded into stats.
-    last_quarantined: u64,
-}
-
-/// Writes `ResumeAt{epoch}` to a resilient agent and unparks its
-/// reader with `advance`. Write failures drop the write half (the
-/// reader notices the dead socket on its own and reports Closed).
-fn nudge(c: &mut ConnState, epoch: u64, advance: bool) {
-    if let Some(w) = c.writer.as_mut() {
-        let ok = w.write_frame(&WireFrame::ResumeAt { epoch }).is_ok() && w.flush().is_ok();
-        if !ok {
-            c.writer = None;
-        }
-    }
-    if let Some(tx) = &c.resume {
-        let _ = tx.send(advance);
-    }
-}
-
-/// Admits (or reattaches) a handshake: decide with [`admit_range`],
-/// reply the verdict, tell the agent which window to (re)start with,
-/// and wire the connection into the range table.
-fn handle_hello(
-    msg: HelloMsg,
-    window: u64,
-    num_hosts: u32,
-    max_hosts: Option<u32>,
-    conns: &mut Vec<ConnState>,
-    ranges: &mut Vec<RangeState>,
-    stats: &mut CollectorStats,
-) {
-    let claims: Vec<Claim> = ranges
-        .iter()
-        .map(|r| Claim {
-            hosts: r.hosts.clone(),
-            evicted: r.evicted,
-        })
-        .collect();
-    let action = match admit_range(
-        msg.version,
-        msg.host_lo,
-        msg.host_hi,
-        num_hosts,
-        max_hosts,
-        &claims,
-    ) {
-        Ok(a) => a,
-        Err(why) => {
-            let _ = msg.reply.send(Verdict::Rejected(why));
-            return;
-        }
-    };
-    let range = match action {
-        AdmitAction::New(hosts) => {
-            eprintln!("collect: admitted hosts {}..{}", hosts.start, hosts.end);
-            ranges.push(RangeState {
-                hosts,
-                conn: None,
-                done: false,
-                evicted: false,
-                // Stamped orphaned until the connection is wired in, so
-                // a handshake thread dying mid-admission leaves a range
-                // the grace timer can reap.
-                orphaned_at: Some(Instant::now()),
-                reconnects: 0,
-                dedup: Arc::new(Mutex::new(HashSet::new())),
-            });
-            ranges.len() - 1
-        }
-        AdmitAction::Reattach(idx) => {
-            if let Some(old) = ranges[idx].conn.take() {
-                conns[old].alive = false;
-                conns[old].revoked.store(true, Ordering::Relaxed);
-                conns[old].resume = None;
-                conns[old].writer = None;
-            }
-            // The replacement must (re)barrier the live window — any
-            // ack the old connection earned died with it.
-            ranges[idx].done = false;
-            ranges[idx].orphaned_at = Some(Instant::now());
-            ranges[idx].reconnects += 1;
-            stats.reconnects += 1;
-            eprintln!(
-                "collect: hosts {}..{} reconnected (#{})",
-                ranges[idx].hosts.start, ranges[idx].hosts.end, ranges[idx].reconnects
-            );
-            idx
-        }
-    };
-    let conn = conns.len();
-    let (resume_tx, resume_rx) = mpsc::channel::<bool>();
-    let revoked = Arc::new(AtomicBool::new(false));
-    if msg
-        .reply
-        .send(Verdict::Admitted {
-            conn,
-            resume: resume_rx,
-            dedup: Arc::clone(&ranges[range].dedup),
-            revoked: Arc::clone(&revoked),
-        })
-        .is_err()
-    {
-        return; // handshake thread died; the range sits orphaned
-    }
-    let resilient = msg.flags & HELLO_RESILIENT != 0;
-    let writer = if resilient {
-        // Admission response: where to (re)start. Only resilient
-        // agents read it — or anything else we might write.
-        let mut writer = msg.writer;
-        let ok = writer
-            .write_frame(&WireFrame::ResumeAt { epoch: window })
-            .is_ok()
-            && writer.flush().is_ok();
-        ok.then_some(writer)
-    } else {
-        None
-    };
-    conns.push(ConnState {
-        writer,
-        resume: Some(resume_tx),
-        range,
-        alive: true,
-        resilient,
-        revoked,
-        last_quarantined: 0,
-    });
-    ranges[range].conn = Some(conn);
-    ranges[range].orphaned_at = None;
-}
-
-/// Uniform control-plane dispatch, shared by the start barrier and the
-/// per-window barrier (Hellos, barriers, disconnects, and progress
-/// nudges arrive whenever agents feel like it).
-fn handle_ctrl(
-    msg: Ctrl,
-    window: u64,
-    num_hosts: u32,
-    max_hosts: Option<u32>,
-    conns: &mut Vec<ConnState>,
-    ranges: &mut Vec<RangeState>,
-    stats: &mut CollectorStats,
-) {
-    match msg {
-        Ctrl::Hello(hello) => {
-            handle_hello(hello, window, num_hosts, max_hosts, conns, ranges, stats);
-        }
-        Ctrl::Progress => {} // the caller drains the hub after dispatch
-        Ctrl::EpochDone {
-            conn,
-            epoch,
-            events,
-            delivered,
-            quarantined,
-        } => {
-            if !conns[conn].alive {
-                return; // stale: this connection was already replaced
-            }
-            let delta = quarantined.saturating_sub(conns[conn].last_quarantined);
-            conns[conn].last_quarantined = quarantined;
-            stats.quarantined_frames += delta;
-            let range = conns[conn].range;
-            let (lo, hi) = (ranges[range].hosts.start, ranges[range].hosts.end);
-            if !conns[conn].resilient {
-                // Fire-and-forget stream: no replay protocol. Barrier
-                // on its claim (sequence accounting surfaces loss) and
-                // keep the reader parked until the window closes.
-                if epoch != window {
-                    eprintln!(
-                        "collect: warning: hosts {lo}..{hi} barriered epoch {epoch} \
-                         at window {window} (schedule mismatch)"
-                    );
+    /// Carries out the core's outputs, in order.
+    fn apply(&mut self) -> io::Result<()> {
+        for output in self.out.drain(..) {
+            match output {
+                Output::Unpark { conn, resume } => {
+                    let Some(io) = self.conns.get_mut(&conn) else {
+                        continue;
+                    };
+                    if let (Some(epoch), Some(w)) = (resume, io.writer.as_mut()) {
+                        let ack = WireFrame::ResumeAt { epoch };
+                        if w.write_frame(&ack).and_then(|()| w.flush()).is_err() {
+                            io.writer = None;
+                        }
+                    }
+                    // The core unparks each park once, so the one slot is
+                    // free; `try_send` keeps the loop off the reader's pace.
+                    let _ = io.park.try_send(());
                 }
-                ranges[range].done = true;
-            } else if epoch < window {
-                // Behind the live window (reconnected late): re-point.
-                nudge(&mut conns[conn], window, false);
-            } else if epoch > window {
-                eprintln!(
-                    "collect: warning: hosts {lo}..{hi} barriered epoch {epoch} \
-                     at window {window} (schedule mismatch)"
-                );
-                ranges[range].done = true;
-            } else if delivered >= events {
-                ranges[range].done = true; // ack deferred to window close
-            } else {
-                eprintln!(
-                    "collect: hosts {lo}..{hi} window {window} incomplete \
-                     ({delivered}/{events} delivered); requesting replay"
-                );
-                nudge(&mut conns[conn], window, false);
-            }
-        }
-        Ctrl::Closed {
-            conn,
-            error,
-            quarantined,
-            poisoned,
-        } => {
-            if !conns[conn].alive {
-                return; // stale: replaced before the old reader noticed
-            }
-            let delta = quarantined.saturating_sub(conns[conn].last_quarantined);
-            conns[conn].last_quarantined = quarantined;
-            stats.quarantined_frames += delta;
-            conns[conn].alive = false;
-            conns[conn].resume = None;
-            conns[conn].writer = None;
-            let range = conns[conn].range;
-            ranges[range].conn = None;
-            let (lo, hi) = (ranges[range].hosts.start, ranges[range].hosts.end);
-            if poisoned {
-                ranges[range].evicted = true;
-                ranges[range].done = false;
-                ranges[range].orphaned_at = None;
-                stats.hosts_evicted += u64::from(hi - lo);
-                eprintln!(
-                    "collect: hosts {lo}..{hi} evicted: {}",
-                    error.as_deref().unwrap_or("poisoned")
-                );
-            } else {
-                ranges[range].orphaned_at = Some(Instant::now());
-                match error {
-                    Some(e) => eprintln!("collect: warning: hosts {lo}..{hi} lost: {e}"),
-                    None => eprintln!("collect: hosts {lo}..{hi} disconnected"),
+                Output::Drop(conn) => {
+                    self.conns.remove(&conn);
                 }
+                Output::Absorb(AgentEvent::Evidence { report, .. }) => {
+                    let key = (report.host, report.tuple);
+                    let evidence = FlowEvidence {
+                        links: report.links.clone(),
+                        retransmissions: report.retransmissions,
+                        complete: report.complete,
+                    };
+                    self.ledger.absorb(key, evidence);
+                    self.reports.insert(key, report);
+                }
+                Output::Absorb(_) => {}
+                Output::WindowComplete => self.complete = true,
+                Output::Abort(why) => return Err(other(why)),
+                Output::Log(line) => eprintln!("collect: {line}"),
             }
         }
+        Ok(())
     }
+
+    /// Feeds the core until it reports the open window complete. Without
+    /// `block` it stops once the channel is empty (between the replay's
+    /// chunks); with it, an empty channel is waited on until input
+    /// arrives or the core's next deadline, when it gets a tick.
+    fn pump(&mut self, block: bool) -> io::Result<()> {
+        while !self.complete {
+            let inbound = match self.rx.try_recv() {
+                Ok(inbound) => inbound,
+                Err(_) if !block => break,
+                Err(_) => {
+                    let deadline = self.core.deadline();
+                    let now = Instant::now();
+                    let wait = deadline.map_or(Duration::from_secs(5), |d| d - now);
+                    match self.rx.recv_timeout(wait) {
+                        Ok(inbound) => inbound,
+                        Err(RecvTimeoutError::Timeout) => {
+                            self.core.step(Input::Tick(Instant::now()), &mut self.out);
+                            self.apply()?;
+                            continue;
+                        }
+                        Err(RecvTimeoutError::Disconnected) => {
+                            return Err(other("collector input channel closed"));
+                        }
+                    }
+                }
+            };
+            self.feed(inbound)?;
+        }
+        Ok(())
+    }
+
+    /// Acks the closed window into the next one.
+    fn ack(&mut self) -> io::Result<()> {
+        self.core.ack(&mut self.out);
+        self.complete = false;
+        self.apply()
+    }
+}
+
+/// Loads a predecessor's snapshot when resuming, refusing one from
+/// another seed or one that already covers the whole run.
+fn restore(
+    config: &ExperimentConfig,
+    ccfg: &CollectorConfig,
+) -> io::Result<Option<CollectorSnapshot>> {
+    if !ccfg.resume {
+        return Ok(None);
+    }
+    let path = ccfg
+        .snapshot_path
+        .as_ref()
+        .ok_or_else(|| invalid("--resume needs a snapshot path"))?;
+    let text = std::fs::read_to_string(path)?;
+    let snap: CollectorSnapshot =
+        serde_json::from_str(&text).map_err(|e| other(format!("invalid snapshot: {e}")))?;
+    if snap.seed != config.seed {
+        return Err(invalid(format!(
+            "snapshot seed {} does not match config seed {}",
+            snap.seed, config.seed
+        )));
+    }
+    if snap.epochs_done >= ccfg.epochs {
+        return Err(invalid(format!(
+            "snapshot already covers {} epoch(s) of {}",
+            snap.epochs_done, ccfg.epochs
+        )));
+    }
+    Ok(Some(snap))
 }
 
 /// Runs the collector daemon over an already-bound `listener`: admits
 /// `ccfg.agents` connections, then closes one window per epoch —
-/// simulate locally for ground truth, absorb the fleet's evidence off
-/// the hub, barrier on every connection's [`WireFrame::EpochDone`],
-/// close the ledger window, score, snapshot. See the module docs for
-/// the determinism and failover contracts.
+/// simulate locally for ground truth, absorb the fleet's evidence,
+/// barrier on every connection's [`WireFrame::EpochDone`], close the
+/// ledger window, score, snapshot, ack. See the module docs for the
+/// shell/core split and the determinism and failover contracts.
 pub fn run_collector(
     config: &ExperimentConfig,
     listener: &Listener,
     ccfg: &CollectorConfig,
 ) -> io::Result<CollectorOutcome> {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     if ccfg.agents == 0 || ccfg.epochs == 0 {
         return Err(invalid("collector needs agents >= 1 and epochs >= 1"));
     }
-
     // Resume: load the predecessor's snapshot before touching sockets.
-    let mut epoch_reports: Vec<EpochReport> = Vec::new();
-    let mut start_epoch = 0usize;
-    let mut restored: Option<LedgerSnapshot> = None;
-    if ccfg.resume {
-        let path = ccfg
-            .snapshot_path
-            .as_ref()
-            .ok_or_else(|| invalid("--resume needs a snapshot path"))?;
-        let text = std::fs::read_to_string(path)?;
-        let snap: CollectorSnapshot =
-            serde_json::from_str(&text).map_err(|e| other(format!("invalid snapshot: {e}")))?;
-        if snap.seed != config.seed {
-            return Err(invalid(format!(
-                "snapshot seed {} does not match config seed {}",
-                snap.seed, config.seed
-            )));
-        }
-        if snap.epochs_done >= ccfg.epochs {
-            return Err(invalid(format!(
-                "snapshot already covers {} epoch(s) of {}",
-                snap.epochs_done, ccfg.epochs
-            )));
-        }
-        start_epoch = snap.epochs_done;
-        epoch_reports = snap.epochs;
-        restored = Some(snap.ledger);
-    }
-
-    let trial_seed = config.trial_seed(0);
+    let snap = restore(config, ccfg)?;
     let mut rng = config.trial_rng(0);
     let topo = ClosTopology::new(config.params, rng.gen()).map_err(invalid)?;
     let faults = config.faults.build(&topo, &mut rng);
-    let run_cfg = &config.run;
     let num_hosts = u32::try_from(topo.num_hosts()).map_err(invalid)?;
-    let mut ledger = match restored {
-        Some(snap) => VoteLedger::restore(
-            topo.num_links(),
-            run_cfg.alg1,
-            LEDGER_RING_WINDOWS,
-            LEDGER_HEALTH_ALPHA,
-            snap,
-        ),
-        None => fresh_ledger(topo.num_links(), run_cfg),
+    let (ring, alpha) = (LEDGER_RING_WINDOWS, LEDGER_HEALTH_ALPHA);
+    let (ledger, start, scored) = match snap {
+        Some(s) => {
+            let ledger =
+                VoteLedger::restore(topo.num_links(), config.run.alg1, ring, alpha, s.ledger);
+            (ledger, s.epochs_done, s.epochs)
+        }
+        None => (fresh_ledger(topo.num_links(), &config.run), 0, Vec::new()),
     };
-
     // Metrics endpoint, up before the start barrier so operators can
     // watch admission.
-    let metrics_state = match &ccfg.metrics {
+    let metrics = match &ccfg.metrics {
         Some(addr) => {
             let l = TcpListener::bind(addr)?;
             if let Some(file) = &ccfg.metrics_addr_file {
                 std::fs::write(file, l.local_addr()?.to_string())?;
             }
-            let state = Arc::new(Mutex::new(MetricsState::default()));
-            spawn_metrics_server(l, Arc::clone(&state));
-            Some(state)
+            Some(spawn_metrics_server(l))
         }
         None => None,
     };
-
-    // Control plane: an accept thread turns every connection into a
-    // handshake thread; admission verdicts, barriers, and disconnects
-    // all flow to this thread over one channel — the window loop blocks
-    // on it (no polling) and wakes for orphan-grace deadlines.
-    let (hub_tx, hub_rx) = event_channel_bounded(ccfg.hub_capacity);
-    let tracker = Arc::new(Mutex::new(SeqTracker::default()));
-    let rate_limited = Arc::new(AtomicU64::new(0));
-    let foreign = Arc::new(AtomicU64::new(0));
-    let malformed = Arc::new(AtomicU64::new(0));
-    let (ctrl_tx, ctrl_rx) = mpsc::channel::<Ctrl>();
-    let stop = Arc::new(AtomicBool::new(false));
-    let read_tick =
-        (ccfg.idle_timeout / 8).clamp(Duration::from_millis(50), Duration::from_secs(1));
-    let shared = ReaderShared {
-        hub: hub_tx.clone(),
-        tracker: Arc::clone(&tracker),
-        ctrl: ctrl_tx.clone(),
-        rate_cap: ccfg.max_events_per_window,
-        rate_limited: Arc::clone(&rate_limited),
-        foreign: Arc::clone(&foreign),
-        malformed: Arc::clone(&malformed),
-        num_links: topo.num_links(),
-        idle_timeout: ccfg.idle_timeout,
-        quarantine_budget: ccfg.quarantine_budget,
-        stop: Arc::clone(&stop),
+    let (tx, rx) = mpsc::sync_channel(INBOUND_DEPTH);
+    let now = Instant::now();
+    let mut shell = Shell {
+        core: CollectorCore::new(ccfg, num_hosts, topo.num_links(), start as u64, now),
+        rx,
+        conns: HashMap::new(),
+        out: Vec::new(),
+        ledger,
+        reports: BTreeMap::new(),
+        complete: false,
     };
+    let stop = AtomicBool::new(false);
+    let idle_timeout = ccfg.idle_timeout;
+    let read_tick = (idle_timeout / 8).clamp(Duration::from_millis(50), Duration::from_secs(1));
 
     std::thread::scope(|scope| {
-        let accept_shared = shared.clone();
-        let accept_stop = Arc::clone(&stop);
-        scope.spawn(move || loop {
-            if accept_stop.load(Ordering::Relaxed) {
-                return;
-            }
-            match listener.accept_duplex(read_tick) {
-                Ok(duplex) => {
-                    let sh = accept_shared.clone();
-                    scope.spawn(move || handshake_and_read(duplex, sh));
-                }
-                Err(e) => {
-                    if accept_stop.load(Ordering::Relaxed) {
-                        return;
+        let stop = &stop;
+        scope.spawn(move || {
+            for conn in 0usize.. {
+                let duplex = loop {
+                    match listener.accept_duplex(read_tick) {
+                        _ if stop.load(Ordering::Relaxed) => return,
+                        Ok(duplex) => break duplex,
+                        Err(e) => {
+                            eprintln!("collect: accept failed: {e}");
+                            std::thread::sleep(Duration::from_millis(20));
+                        }
                     }
-                    eprintln!("collect: accept failed: {e}");
-                    std::thread::sleep(Duration::from_millis(20));
-                }
+                };
+                let tx = tx.clone();
+                scope.spawn(move || read_conn(conn, duplex, tx, idle_timeout, stop));
             }
         });
-
-        // The window loop runs as a closure so its state (the control
-        // receiver, resume senders, write halves) drops before teardown:
-        // dropped resume senders unpark parked readers, the stop flag
-        // plus a self-connect poke unblock the accept thread, and the
-        // read ticks bound every reader's exit.
-        let ctrl_rx = ctrl_rx;
-        let result = (|| -> io::Result<CollectorOutcome> {
-            let mut conns: Vec<ConnState> = Vec::new();
-            let mut ranges: Vec<RangeState> = Vec::new();
-            let mut stats = CollectorStats {
-                windows: start_epoch as u64,
-                ..CollectorStats::default()
-            };
-
-            // Start barrier: wait until `ccfg.agents` host ranges are
-            // admitted (reconnects reattach, they don't add ranges).
-            loop {
-                let covered = ranges.iter().filter(|r| !r.evicted).count();
-                if covered >= ccfg.agents {
-                    break;
-                }
-                match ctrl_rx.recv_timeout(Duration::from_secs(1)) {
-                    Ok(msg) => handle_ctrl(
-                        msg,
-                        start_epoch as u64,
-                        num_hosts,
-                        ccfg.max_hosts,
-                        &mut conns,
-                        &mut ranges,
-                        &mut stats,
-                    ),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(other("collector control channel closed"));
-                    }
-                }
-            }
-            stats.agents_admitted = ranges.iter().filter(|r| !r.evicted).count() as u64;
-            stats.agents_live = stats.agents_admitted;
-
-            // The collector runs the fleet's epoch loop with an empty
-            // host range: evidence admission happened on the agents, so
-            // it dispatches nothing and only draws the identical epoch
-            // stream for ground truth and the records scoring consults.
-            let mut replay = HostFleet::new(&topo, run_cfg, 0..0, hub_tx.clone());
-            let replay_tuning = StreamTuning {
-                chunk_flows: 256,
-                hub_capacity: usize::MAX,
-            };
-            let mut scratch = EpochScratch::new();
-            let mut window_reports: BTreeMap<EvidenceKey, TraceReport> = BTreeMap::new();
-            let mut inbox: Vec<AgentEvent> = Vec::new();
-            let mut closed_this_run = 0usize;
-            let mut prev = stats.clone();
-
-            for w in start_epoch..ccfg.epochs {
-                let Ok(pull) = replay.run_epoch(
-                    &topo,
-                    run_cfg,
-                    &faults,
-                    &mut epoch_rng(trial_seed, w),
-                    &mut scratch,
-                    &replay_tuning,
-                    Some(RetainPolicy::EvidenceOnly),
-                    w as u64 + 1,
-                    || -> Result<(), Infallible> {
-                        drain_hub(
-                            &hub_rx,
-                            &mut inbox,
-                            &mut ledger,
-                            &mut window_reports,
-                            &mut stats,
-                        );
-                        Ok(())
-                    },
-                );
-
-                // Window barrier: every non-evicted host range must barrier
-                // window `w` (delivered == claimed, replays requested until
-                // then). The wait is event-driven — the loop blocks on the
-                // control channel and wakes only for orphan-grace deadlines.
-                loop {
-                    // Reap orphans whose reconnect grace expired.
-                    let now = Instant::now();
-                    for r in ranges.iter_mut() {
-                        if r.evicted || r.done {
-                            continue;
-                        }
-                        let Some(t) = r.orphaned_at else { continue };
-                        if now.duration_since(t) >= ccfg.reconnect_grace {
-                            r.evicted = true;
-                            r.orphaned_at = None;
-                            stats.hosts_evicted += u64::from(r.hosts.end - r.hosts.start);
-                            eprintln!(
-                                "collect: hosts {}..{} evicted: no reconnect within {:?}",
-                                r.hosts.start, r.hosts.end, ccfg.reconnect_grace
-                            );
-                        }
-                    }
-                    if ranges.iter().all(|r| r.evicted) {
-                        return Err(other(format!(
-                            "all agent host ranges lost before window {w} completed"
-                        )));
-                    }
-                    if ranges.iter().all(|r| r.evicted || r.done) {
-                        break;
-                    }
-                    // Wake at the earliest orphan deadline, else housekeep
-                    // coarsely; everything else arrives as a control message.
-                    let mut wait = Duration::from_secs(5);
-                    for r in ranges.iter() {
-                        if r.evicted || r.done {
-                            continue;
-                        }
-                        if let Some(t) = r.orphaned_at {
-                            let left = (t + ccfg.reconnect_grace).saturating_duration_since(now);
-                            wait = wait.min(left.max(Duration::from_millis(10)));
-                        }
-                    }
-                    match ctrl_rx.recv_timeout(wait) {
-                        Ok(msg) => {
-                            handle_ctrl(
-                                msg,
-                                w as u64,
-                                num_hosts,
-                                ccfg.max_hosts,
-                                &mut conns,
-                                &mut ranges,
-                                &mut stats,
-                            );
-                            drain_hub(
-                                &hub_rx,
-                                &mut inbox,
-                                &mut ledger,
-                                &mut window_reports,
-                                &mut stats,
-                            );
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {}
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            return Err(other("collector control channel closed"));
-                        }
-                    }
-                }
-                // Everything forwarded before the barrier is on the hub already
-                // (readers forward, then signal); one final sweep gets it all.
-                drain_hub(
-                    &hub_rx,
-                    &mut inbox,
-                    &mut ledger,
-                    &mut window_reports,
-                    &mut stats,
-                );
-
-                // Close and score the window with the exact batch machinery.
-                let window = ledger.close_window();
-                let reports: Vec<TraceReport> =
-                    std::mem::take(&mut window_reports).into_values().collect();
-                let run = assemble_epoch(pull.outcome, reports, window, run_cfg);
-                let er = evaluate_epoch(&run);
-
-                // Loss accounting surfaces at every window close.
-                stats.windows += 1;
-                stats.delivered = hub_rx.delivered();
-                stats.shed = hub_rx.shed();
-                {
-                    let t = tracker.lock().expect("seq tracker lock");
-                    stats.seq_gaps = t.gaps;
-                    stats.seq_resets = t.resets;
-                }
-                stats.rate_limited = rate_limited.load(Ordering::Relaxed);
-                stats.foreign = foreign.load(Ordering::Relaxed);
-                stats.malformed = malformed.load(Ordering::Relaxed);
-                stats.agents_live = ranges
-                    .iter()
-                    .filter(|r| r.conn.is_some_and(|c| conns[c].alive))
-                    .count() as u64;
-                let mut coverage: Vec<(u32, u32)> = ranges
-                    .iter()
-                    .filter(|r| r.done)
-                    .map(|r| (r.hosts.start, r.hosts.end))
-                    .collect();
-                coverage.sort_unstable();
-                eprintln!(
-                    "collect: window {w}: {} evidence, delivered {}, shed {}, gaps {}, \
-             resets {}, rate-limited {}, reconnects {}, quarantined {}, \
-             evicted {}, malformed {}, agents {}/{}",
-                    run.evidence.len(),
-                    stats.delivered,
-                    stats.shed,
-                    stats.seq_gaps,
-                    stats.seq_resets,
-                    stats.rate_limited,
-                    stats.reconnects,
-                    stats.quarantined_frames,
-                    stats.hosts_evicted,
-                    stats.malformed,
-                    stats.agents_live,
-                    stats.agents_admitted,
-                );
-                if let Some(state) = &metrics_state {
-                    let mut m = state.lock().expect("metrics lock");
-                    m.totals = stats.clone();
-                    m.windows.push(WindowMetrics {
-                        window: w as u64,
-                        evidence: stats.evidence - prev.evidence,
-                        delivered: stats.delivered - prev.delivered,
-                        shed: stats.shed - prev.shed,
-                        seq_gaps: stats.seq_gaps - prev.seq_gaps,
-                        rate_limited: stats.rate_limited - prev.rate_limited,
-                        reconnects: stats.reconnects - prev.reconnects,
-                        quarantined_frames: stats.quarantined_frames - prev.quarantined_frames,
-                        hosts_evicted: stats.hosts_evicted - prev.hosts_evicted,
-                        coverage,
-                        detected: er.detected.iter().map(|l| l.0).collect(),
-                        heat: ledger
-                            .health()
-                            .heat_map()
-                            .into_iter()
-                            .take(8)
-                            .map(|(l, s)| (l.0, s))
-                            .collect(),
-                    });
-                    if m.windows.len() > METRICS_RING {
-                        let excess = m.windows.len() - METRICS_RING;
-                        m.windows.drain(..excess);
-                    }
-                }
-                prev = stats.clone();
-                epoch_reports.push(er);
-
-                if let Some(path) = &ccfg.snapshot_path {
-                    let snap = CollectorSnapshot {
-                        seed: config.seed,
-                        epochs_done: w + 1,
-                        ledger: ledger.snapshot(),
-                        epochs: epoch_reports.clone(),
-                    };
-                    write_snapshot(path, &snap)?;
-                }
-
-                closed_this_run += 1;
-                if w + 1 < ccfg.epochs {
-                    if let Some(k) = ccfg.exit_after {
-                        if closed_this_run >= k {
-                            // Paused: deliberately NO acks — the agents' ack
-                            // timeouts push them to reconnect, and they find
-                            // the successor on the same address.
-                            eprintln!(
-                                "collect: pausing after {closed_this_run} window(s) \
-                         (snapshot covers epochs 0..{})",
-                                w + 1
-                            );
-                            return Ok(CollectorOutcome::Paused(stats));
-                        }
-                    }
-                }
-                // Advance: ack the barriered live connections into window w+1
-                // (the final ack, `ResumeAt{epochs}`, is how resilient agents
-                // learn the run is over), clear the per-window dedup sets, and
-                // start the grace clock on ranges that must reconnect first.
-                let next = (w + 1) as u64;
-                for r in ranges.iter_mut() {
-                    if r.evicted {
-                        continue;
-                    }
-                    r.done = false;
-                    r.dedup.lock().expect("dedup lock").clear();
-                    match r.conn {
-                        Some(c) if conns[c].alive => nudge(&mut conns[c], next, true),
-                        _ => {
-                            r.conn = None;
-                            if r.orphaned_at.is_none() {
-                                r.orphaned_at = Some(Instant::now());
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Final assembly: identical fold to the in-process trial loop.
-            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-            let mut acc = TrialAccumulator::new(ccfg.epochs);
-            for er in epoch_reports {
-                acc.absorb(er);
-            }
-            let trial = acc.finish_at(run_cfg, 0, wall_ms);
-            let mut report = ExperimentReport::empty(config);
-            report.merge_trial(trial);
-            Ok(CollectorOutcome::Completed(Box::new(report), stats))
-        })();
-
-        // Teardown: wake everything the scope spawned so the implicit
-        // join at scope exit cannot hang. Readers notice the stop flag
-        // within one read tick; the accept thread needs one last
-        // connection to fall out of `accept`.
+        let windows = Windows {
+            config,
+            ccfg,
+            topo: &topo,
+            faults: &faults,
+            metrics: metrics.as_deref(),
+        };
+        let result = windows.serve(&mut shell, start, scored, started);
+        // Teardown, so the scope's implicit join cannot hang: dropping the
+        // shell drops the channel and every park handle (parked and
+        // sending readers exit), readers notice the stop flag within one
+        // read tick, and the accept thread needs one last connection to
+        // fall out of `accept`.
+        drop(shell);
         stop.store(true, Ordering::Relaxed);
         let _ = Endpoint::parse(&listener.local_addr()).connect();
         result
     })
 }
 
+/// What the window loop reads but never changes.
+struct Windows<'a> {
+    config: &'a ExperimentConfig,
+    ccfg: &'a CollectorConfig,
+    topo: &'a ClosTopology,
+    faults: &'a LinkFaults,
+    metrics: Option<&'a Mutex<MetricsState>>,
+}
+
+impl Windows<'_> {
+    /// The window loop from window `start` on (`scored` holds the reports
+    /// of the windows before it): replay the epoch for ground truth while
+    /// feeding the core, wait out the barrier, then close, score, log,
+    /// publish, snapshot and ack — or pause unacked when `exit_after`
+    /// trips.
+    fn serve(
+        &self,
+        shell: &mut Shell,
+        start: usize,
+        mut scored: Vec<EpochReport>,
+        started: Instant,
+    ) -> io::Result<CollectorOutcome> {
+        let (config, ccfg, run_cfg) = (self.config, self.ccfg, &self.config.run);
+        // The collector runs the fleet's epoch loop with an empty host
+        // range: evidence admission happened on the agents, so it
+        // dispatches nothing and only draws the identical epoch stream for
+        // ground truth and the records scoring consults.
+        let mut replay = HostFleet::new(self.topo, run_cfg, 0..0, event_channel().0);
+        let tuning = StreamTuning {
+            chunk_flows: 256,
+            hub_capacity: usize::MAX,
+        };
+        let mut scratch = EpochScratch::new();
+        let trial_seed = config.trial_seed(0);
+        let mut prev = shell.core.stats().clone();
+        for w in start..ccfg.epochs {
+            let pull = replay.run_epoch(
+                self.topo,
+                run_cfg,
+                self.faults,
+                &mut epoch_rng(trial_seed, w),
+                &mut scratch,
+                &tuning,
+                Some(RetainPolicy::EvidenceOnly),
+                w as u64 + 1,
+                || shell.pump(false),
+            )?;
+            shell.pump(true)?;
+
+            // Close and score the window with the exact batch machinery.
+            let window = shell.ledger.close_window();
+            let reports = std::mem::take(&mut shell.reports).into_values().collect();
+            let run = assemble_epoch(pull.outcome, reports, window, run_cfg);
+            let er = evaluate_epoch(&run);
+            let stats = shell.core.stats().clone();
+            eprintln!(
+                "collect: window {w}: {} evidence, delivered {}, shed {}, gaps {}, \
+                 resets {}, rate-limited {}, reconnects {}, quarantined {}, \
+                 evicted {}, malformed {}, agents {}/{}",
+                run.evidence.len(),
+                stats.delivered,
+                stats.shed,
+                stats.seq_gaps,
+                stats.seq_resets,
+                stats.rate_limited,
+                stats.reconnects,
+                stats.quarantined_frames,
+                stats.hosts_evicted,
+                stats.malformed,
+                stats.agents_live,
+                stats.agents_admitted,
+            );
+            if let Some(state) = self.metrics {
+                let heat = shell.ledger.health().heat_map().into_iter().take(8);
+                let window = WindowMetrics {
+                    window: w as u64,
+                    evidence: stats.evidence - prev.evidence,
+                    delivered: stats.delivered - prev.delivered,
+                    shed: stats.shed - prev.shed,
+                    seq_gaps: stats.seq_gaps - prev.seq_gaps,
+                    rate_limited: stats.rate_limited - prev.rate_limited,
+                    reconnects: stats.reconnects - prev.reconnects,
+                    quarantined_frames: stats.quarantined_frames - prev.quarantined_frames,
+                    hosts_evicted: stats.hosts_evicted - prev.hosts_evicted,
+                    coverage: shell.core.coverage(),
+                    detected: er.detected.iter().map(|l| l.0).collect(),
+                    heat: heat.map(|(l, s)| (l.0, s)).collect(),
+                };
+                let mut m = state.lock().unwrap_or_else(PoisonError::into_inner);
+                m.totals = stats.clone();
+                m.windows.push(window);
+                let excess = m.windows.len().saturating_sub(METRICS_RING);
+                m.windows.drain(..excess);
+            }
+            scored.push(er);
+            if let Some(path) = &ccfg.snapshot_path {
+                let snap = CollectorSnapshot {
+                    seed: config.seed,
+                    epochs_done: w + 1,
+                    ledger: shell.ledger.snapshot(),
+                    epochs: scored.clone(),
+                };
+                write_snapshot(path, &snap)?;
+            }
+            let closed_this_run = w + 1 - start;
+            if w + 1 < ccfg.epochs && ccfg.exit_after.is_some_and(|k| closed_this_run >= k) {
+                // Paused: deliberately NO acks — the agents' ack timeouts
+                // push them to reconnect, and they find the successor on
+                // the same address.
+                let last = w + 1;
+                eprintln!(
+                    "collect: pausing after {closed_this_run} window(s) \
+                     (snapshot covers epochs 0..{last})"
+                );
+                return Ok(CollectorOutcome::Paused(stats));
+            }
+            prev = stats;
+            shell.ack()?;
+        }
+
+        // Final assembly: identical fold to the in-process trial loop.
+        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        let mut acc = TrialAccumulator::new(ccfg.epochs);
+        for er in scored {
+            acc.absorb(er);
+        }
+        let mut report = ExperimentReport::empty(config);
+        report.merge_trial(acc.finish_at(run_cfg, 0, wall_ms));
+        Ok(CollectorOutcome::Completed(Box::new(report), prev))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::stream_trial;
-    use std::io::Cursor;
     use vigil_agents::ByzantineSpec;
     use vigil_fabric::faults::{FaultPlan, RateRange};
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
@@ -2604,231 +1923,328 @@ mod tests {
         );
     }
 
-    fn event_stream(host: u32, seqs: &[u64]) -> Box<dyn Read + Send> {
-        let mut out = Vec::new();
-        for &seq in seqs {
-            vigil_wire::emit_frame(
-                &WireFrame::Event(AgentEvent::Drain {
-                    host: HostId(host),
-                    seq,
-                }),
-                &mut out,
-            );
-        }
-        Box::new(Cursor::new(out))
+    /// A core over an 8-host, 64-link fabric, opening at window 0.
+    fn test_core(ccfg: &CollectorConfig) -> CollectorCore {
+        CollectorCore::new(ccfg, 8, 64, 0, Instant::now())
     }
 
-    /// A `ReaderShared` wired to fresh counters for reader-loop units.
-    fn test_shared(
-        hub: EventSender,
-        tracker: Arc<Mutex<SeqTracker>>,
-        ctrl: mpsc::Sender<Ctrl>,
-        rate_cap: u64,
-        rate_limited: Arc<AtomicU64>,
-        quarantine_budget: u64,
-    ) -> ReaderShared {
-        ReaderShared {
-            hub,
-            tracker,
-            ctrl,
-            rate_cap,
-            rate_limited,
-            foreign: Arc::new(AtomicU64::new(0)),
-            malformed: Arc::new(AtomicU64::new(0)),
-            num_links: 64,
-            idle_timeout: Duration::from_secs(5),
-            quarantine_budget,
-            stop: Arc::new(AtomicBool::new(false)),
+    fn hello_frame(version: u16, flags: u8, hosts: Range<u32>) -> WireFrame {
+        WireFrame::Hello {
+            version,
+            flags,
+            host_lo: hosts.start,
+            host_hi: hosts.end,
         }
     }
 
-    fn test_task(stream: Box<dyn Read + Send>, conn: usize, shared: ReaderShared) -> ReaderTask {
-        let (_resume_tx, resume_rx) = mpsc::channel();
-        std::mem::forget(_resume_tx); // keep the park channel open
-        ReaderTask {
+    /// Connection `conn` says Hello for hosts 0..8.
+    fn hello(conn: usize, flags: u8) -> Input {
+        let frame = hello_frame(WIRE_VERSION, flags, 0..8);
+        Input::Open { conn, frame }
+    }
+
+    fn frame(conn: usize, frame: WireFrame) -> Input {
+        Input::Frame {
             conn,
-            frames: FrameReader::new(stream),
-            hosts: 0..8,
-            shared,
-            resume: resume_rx,
-            dedup: Arc::new(Mutex::new(HashSet::new())),
-            revoked: Arc::new(AtomicBool::new(false)),
+            frame,
+            quarantined: 0,
         }
+    }
+
+    fn drain(host: u32, seq: u64) -> WireFrame {
+        WireFrame::Event(AgentEvent::Drain {
+            host: HostId(host),
+            seq,
+        })
+    }
+
+    fn barrier(epoch: u64, events: u64) -> WireFrame {
+        WireFrame::EpochDone { epoch, events }
+    }
+
+    fn closed(conn: usize) -> Input {
+        Input::Closed {
+            conn,
+            error: None,
+            quarantined: 0,
+        }
+    }
+
+    /// Steps `core` through `inputs`; returns everything it asked for.
+    fn run(core: &mut CollectorCore, inputs: impl IntoIterator<Item = Input>) -> Vec<Output> {
+        let mut out = Vec::new();
+        for input in inputs {
+            core.step(input, &mut out);
+        }
+        out
+    }
+
+    /// The `(host, seq)` of every absorbed event, in order.
+    fn absorbed(out: &[Output]) -> Vec<(u32, u64)> {
+        (out.iter())
+            .filter_map(|o| match o {
+                Output::Absorb(e) => Some((e.host().0, e.seq())),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
     fn collector_counts_sequence_gap_after_reconnect() {
-        let tracker = Arc::new(Mutex::new(SeqTracker::default()));
-        let (hub_tx, hub_rx) = event_channel();
-        let (ctrl_tx, ctrl_rx) = mpsc::channel();
-        let run_conn = |conn: usize, stream: Box<dyn Read + Send>| {
-            let shared = test_shared(
-                hub_tx.clone(),
-                Arc::clone(&tracker),
-                ctrl_tx.clone(),
-                u64::MAX,
-                Arc::new(AtomicU64::new(0)),
-                u64::MAX,
-            );
-            reader_loop(test_task(stream, conn, shared));
-            assert!(matches!(
-                ctrl_rx.recv().unwrap(),
-                Ctrl::Closed { error: None, .. }
-            ));
+        let mut core = test_core(&CollectorConfig::default());
+        let seqs = |conn: usize, seqs: &[u64]| -> Vec<Input> {
+            seqs.iter().map(|&s| frame(conn, drain(3, s))).collect()
         };
-
-        // Connection 0: host 3 emits seqs 0..=2, then the link dies.
-        run_conn(0, event_stream(3, &[0, 1, 2]));
-        {
-            let t = tracker.lock().unwrap();
-            assert_eq!((t.gaps, t.resets), (0, 0));
-        }
+        // Connection 0: host 3 emits seqs 0..=2 and barriers window 0;
+        // after the ack the link dies.
+        let mut out = run(&mut core, [hello(0, 0)]);
+        out.extend(run(&mut core, seqs(0, &[0, 1, 2])));
+        out.extend(run(&mut core, [frame(0, barrier(0, 3))]));
+        assert_eq!(out.last(), Some(&Output::WindowComplete));
+        core.ack(&mut out);
+        out.extend(run(&mut core, [closed(0)]));
+        assert_eq!((core.stats().seq_gaps, core.stats().seq_resets), (0, 0));
         // The agent reconnects mid-life: its first frame is seq 5, so
         // seqs 3 and 4 were lost in flight — a gap, surfaced as such.
-        run_conn(1, event_stream(3, &[5, 6]));
-        {
-            let t = tracker.lock().unwrap();
-            assert_eq!((t.gaps, t.resets), (2, 0));
-        }
-        // The agent *restarts*: sequence numbers run backwards to 0 —
-        // a reset, not another giant gap.
-        run_conn(2, event_stream(3, &[0, 1]));
-        {
-            let t = tracker.lock().unwrap();
-            assert_eq!((t.gaps, t.resets), (2, 1));
-        }
-        let mut all = Vec::new();
-        hub_rx.drain_into(&mut all);
-        assert_eq!(all.len(), 7, "every in-range event was forwarded");
+        out.extend(run(&mut core, [hello(1, 0)]));
+        out.extend(run(&mut core, seqs(1, &[5, 6])));
+        out.extend(run(&mut core, [closed(1)]));
+        assert_eq!((core.stats().seq_gaps, core.stats().seq_resets), (2, 0));
+        // The agent *restarts*: sequence numbers run backwards to 0 — a
+        // reset, not another giant gap.
+        out.extend(run(&mut core, [hello(2, 0)]));
+        out.extend(run(&mut core, seqs(2, &[0, 1])));
+        assert_eq!((core.stats().seq_gaps, core.stats().seq_resets), (2, 1));
+        assert_eq!(
+            absorbed(&out).len(),
+            7,
+            "every in-range event was forwarded"
+        );
     }
 
     #[test]
     fn rate_cap_drops_and_counts_excess() {
-        let tracker = Arc::new(Mutex::new(SeqTracker::default()));
-        let (hub_tx, hub_rx) = event_channel();
-        let (ctrl_tx, _ctrl_rx) = mpsc::channel();
-        let rate_limited = Arc::new(AtomicU64::new(0));
-        let shared = test_shared(
-            hub_tx,
-            tracker,
-            ctrl_tx,
+        let ccfg = CollectorConfig {
+            max_events_per_window: 3,
+            ..CollectorConfig::default()
+        };
+        let mut core = test_core(&ccfg);
+        let mut out = run(&mut core, [hello(0, 0)]);
+        out.extend(run(&mut core, (0..5).map(|s| frame(0, drain(1, s)))));
+        assert_eq!(core.stats().rate_limited, 2);
+        assert_eq!(
+            absorbed(&out).len(),
             3,
-            Arc::clone(&rate_limited),
-            u64::MAX,
+            "cap admits exactly rate_cap events"
         );
-        reader_loop(test_task(event_stream(1, &[0, 1, 2, 3, 4]), 0, shared));
-        assert_eq!(rate_limited.load(Ordering::Relaxed), 2);
-        let mut all = Vec::new();
-        hub_rx.drain_into(&mut all);
-        assert_eq!(all.len(), 3, "cap admits exactly rate_cap events");
     }
 
     #[test]
     fn replayed_duplicates_are_deduplicated_not_forwarded() {
-        let tracker = Arc::new(Mutex::new(SeqTracker::default()));
-        let (hub_tx, hub_rx) = event_channel();
-        let (ctrl_tx, _ctrl_rx) = mpsc::channel();
-        let shared = test_shared(
-            hub_tx,
-            tracker,
-            ctrl_tx,
-            u64::MAX,
-            Arc::new(AtomicU64::new(0)),
-            u64::MAX,
-        );
+        let mut core = test_core(&CollectorConfig::default());
         // A lossy-wire replay re-sends the whole epoch: seqs 0..=2 twice
-        // plus a fresh 3. Exactly-once means four hub events.
-        reader_loop(test_task(
-            event_stream(1, &[0, 1, 2, 0, 1, 2, 3]),
-            0,
-            shared,
-        ));
-        let mut all = Vec::new();
-        hub_rx.drain_into(&mut all);
-        assert_eq!(all.len(), 4, "duplicates must not reach the tally");
+        // plus a fresh 3. Exactly-once means four tallied events.
+        let mut out = run(&mut core, [hello(0, 0)]);
+        let seqs = [0, 1, 2, 0, 1, 2, 3];
+        out.extend(run(&mut core, seqs.map(|s| frame(0, drain(1, s)))));
+        assert_eq!(absorbed(&out), [(1, 0), (1, 1), (1, 2), (1, 3)]);
     }
 
     #[test]
     fn poisoned_stream_blows_the_quarantine_budget() {
-        let tracker = Arc::new(Mutex::new(SeqTracker::default()));
-        let (hub_tx, _hub_rx) = event_channel();
-        let (ctrl_tx, ctrl_rx) = mpsc::channel();
-        // Three clean frames, then a long run of corrupt ones: each
-        // resync event counts against the budget of 2.
-        let mut bytes = Vec::new();
-        for seq in 0..3u64 {
-            vigil_wire::emit_frame(
-                &WireFrame::Event(AgentEvent::Drain {
-                    host: HostId(1),
-                    seq,
-                }),
-                &mut bytes,
-            );
-        }
-        let clean_len = bytes.len();
-        for seq in 3..40u64 {
-            let start = bytes.len();
-            vigil_wire::emit_frame(
-                &WireFrame::Event(AgentEvent::Drain {
-                    host: HostId(1),
-                    seq,
-                }),
-                &mut bytes,
-            );
-            bytes[start + 9] ^= 0x5a; // corrupt the checksum region
-        }
-        let _ = clean_len;
-        let shared = test_shared(
-            hub_tx,
-            tracker,
-            ctrl_tx,
-            u64::MAX,
-            Arc::new(AtomicU64::new(0)),
-            2,
+        let ccfg = CollectorConfig {
+            quarantine_budget: 2,
+            ..CollectorConfig::default()
+        };
+        // Three clean frames, then the reader skipped three corrupt runs
+        // before its next good one: the budget of 2 is blown.
+        let mut core = test_core(&ccfg);
+        let mut out = run(&mut core, [hello(0, 0)]);
+        out.extend(run(&mut core, (0..3).map(|s| frame(0, drain(1, s)))));
+        let late = Input::Frame {
+            conn: 0,
+            frame: drain(1, 3),
+            quarantined: 3,
+        };
+        out.extend(run(&mut core, [late]));
+        assert!(
+            out.contains(&Output::Drop(0)),
+            "the poisoned connection goes"
         );
-        reader_loop(test_task(Box::new(Cursor::new(bytes)), 0, shared));
-        match ctrl_rx.recv().unwrap() {
-            Ctrl::Closed {
-                poisoned,
-                quarantined,
-                error,
-                ..
-            } => {
-                assert!(poisoned, "budget overrun must mark the conn poisoned");
-                assert!(quarantined > 2, "quarantine count travels with Closed");
-                assert!(error.unwrap().contains("quarantine budget"));
-            }
-            _ => panic!("expected Closed"),
+        assert!(out
+            .iter()
+            .any(|o| matches!(o, Output::Log(l) if l.contains("quarantine budget"))));
+        assert_eq!(
+            absorbed(&out).len(),
+            3,
+            "the frame that blew it is not tallied"
+        );
+        let stats = core.stats();
+        assert_eq!((stats.quarantined_frames, stats.hosts_evicted), (3, 8));
+        assert!(core.evicted(&(0..8)), "the range is evicted, not orphaned");
+        // The count also travels with a close: a reader whose stream was
+        // all garbage reports it there.
+        let mut core = test_core(&ccfg);
+        let close = Input::Closed {
+            conn: 0,
+            error: None,
+            quarantined: 9,
+        };
+        run(&mut core, [hello(0, 0), close]);
+        assert!(core.evicted(&(0..8)));
+    }
+
+    /// The double-tally rule, pinned without a socket: a barrier the wire
+    /// duplicated is reported once, while a replay's barrier — which
+    /// always follows its replayed events — is reported again.
+    #[test]
+    fn adjacent_duplicate_barrier_is_reported_once_but_a_replays_is_not() {
+        let mut core = test_core(&CollectorConfig::default());
+        let r = HELLO_RESILIENT;
+        let resume = |epoch| Output::Unpark {
+            conn: 0,
+            resume: Some(epoch),
+        };
+        let unpark = || Output::Unpark {
+            conn: 0,
+            resume: None,
+        };
+        let mut out = run(&mut core, [hello(0, r), frame(0, drain(1, 0))]);
+        out.extend(run(
+            &mut core,
+            [frame(0, drain(1, 1)), frame(0, barrier(0, 3))],
+        ));
+        // Two of three delivered: admission, then one replay request.
+        assert_eq!(out.iter().filter(|o| **o == resume(0)).count(), 2);
+        let dup = run(&mut core, [frame(0, barrier(0, 3))]);
+        assert_eq!(dup, [unpark()], "a duplicate only unparks");
+        let replay = (0..3).map(|s| frame(0, drain(1, s)));
+        let out = run(&mut core, replay.chain([frame(0, barrier(0, 3))]));
+        assert_eq!(absorbed(&out), [(1, 2)], "the replay fills the hole once");
+        assert_eq!(out.last(), Some(&Output::WindowComplete));
+        let mut out = Vec::new();
+        core.ack(&mut out);
+        assert_eq!(out, [resume(1)], "the ack");
+        // Read after the ack, the duplicate must not draw a replay
+        // request for the window that just opened.
+        let dup = run(&mut core, [frame(0, barrier(0, 3))]);
+        assert_eq!(dup, [unpark()]);
+    }
+
+    #[test]
+    fn a_replaced_connections_late_frames_and_close_change_nothing() {
+        let mut core = test_core(&CollectorConfig::default());
+        let r = HELLO_RESILIENT;
+        let out = run(&mut core, [hello(0, r), frame(0, drain(1, 0)), hello(1, r)]);
+        assert!(
+            out.contains(&Output::Drop(0)),
+            "the reconnect replaces conn 0"
+        );
+        let before = format!("{core:?}");
+        let late = [frame(0, drain(1, 1)), frame(0, barrier(0, 2)), closed(0)];
+        assert!(run(&mut core, late).is_empty());
+        assert_eq!(format!("{core:?}"), before, "no state moved");
+    }
+
+    /// One hostile sequence number used to panic a debug reader on
+    /// `seq + 1` and leave the window barrier waiting forever; in release
+    /// it left `seq_gaps` near `u64::MAX` for good.
+    #[test]
+    fn hostile_sequence_numbers_leave_the_accounting_and_tally_intact() {
+        let honest = [drain(0, 0), drain(1, 0), drain(0, 1)];
+        let tally = |hostile: &[(u32, u64)]| {
+            let mut core = test_core(&CollectorConfig::default());
+            let mut out = run(&mut core, [hello(0, 0)]);
+            out.extend(run(
+                &mut core,
+                hostile.iter().map(|&(h, s)| frame(0, drain(h, s))),
+            ));
+            out.extend(run(&mut core, honest.clone().map(|f| frame(0, f))));
+            out.extend(run(&mut core, [frame(0, barrier(0, 3))]));
+            assert_eq!(out.last(), Some(&Output::WindowComplete));
+            let tallied = absorbed(&out);
+            let honest_tally: Vec<_> = (tallied.iter())
+                .filter(|e| !hostile.contains(e))
+                .copied()
+                .collect();
+            (honest_tally, core.stats().clone())
+        };
+        let (reference, _) = tally(&[]);
+        for hostile in [vec![(0, u64::MAX)], vec![(5, u64::MAX - 1), (5, 0), (5, 1)]] {
+            let (honest_tally, stats) = tally(&hostile);
+            assert_eq!(
+                honest_tally, reference,
+                "{hostile:?} moved the honest tally"
+            );
+            assert_eq!(stats.seq_gaps, 0, "{hostile:?} is not loss");
+            assert!(stats.seq_resets <= 2, "{hostile:?}: {stats:?}");
         }
+    }
+
+    /// The endpoint serves one connection at a time; a client that
+    /// connects and never sends its request must not starve the next.
+    #[test]
+    fn a_silent_client_does_not_block_the_metrics_endpoint() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let _state = spawn_metrics_server(listener);
+        let _silent = TcpStream::connect(addr).unwrap();
+        let mut scrape = TcpStream::connect(addr).unwrap();
+        scrape
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        scrape.write_all(b"GET /text HTTP/1.0\r\n\r\n").unwrap();
+        let mut body = String::new();
+        scrape.read_to_string(&mut body).expect("scrape answered");
+        assert!(body.contains("vigil_windows_closed 0"), "{body}");
     }
 
     #[test]
     fn admission_rejects_bad_hellos() {
-        let claim = |lo, hi, evicted| Claim {
-            hosts: lo..hi,
-            evicted,
+        let capped = CollectorConfig {
+            max_hosts: Some(6),
+            ..CollectorConfig::default()
         };
-        let admit = |v, lo, hi, cap, claims: &[Claim]| admit_range(v, lo, hi, 8, cap, claims);
-        assert!(matches!(
-            admit(WIRE_VERSION, 0, 4, None, &[]),
-            Ok(AdmitAction::New(r)) if r == (0..4)
-        ));
-        assert!(admit(WIRE_VERSION + 1, 0, 4, None, &[]).is_err());
-        assert!(admit(WIRE_VERSION, 4, 4, None, &[]).is_err());
-        assert!(admit(WIRE_VERSION, 0, 9, None, &[]).is_err());
-        assert!(admit(WIRE_VERSION, 2, 6, None, &[claim(0, 4, false)]).is_err());
-        assert!(admit(WIRE_VERSION, 4, 8, Some(6), &[claim(0, 4, false)]).is_err());
-        assert!(matches!(
-            admit(WIRE_VERSION, 4, 6, Some(6), &[claim(0, 4, false)]),
-            Ok(AdmitAction::New(r)) if r == (4..6)
-        ));
+        let mut core = test_core(&capped);
+        let mut conn = 0;
+        // Offers `frame` as a new connection's first; true when admitted.
+        let mut admits = |core: &mut CollectorCore, frame: WireFrame| {
+            conn += 1;
+            !run(core, [Input::Open { conn, frame }]).contains(&Output::Drop(conn))
+        };
+        let v = WIRE_VERSION;
+        assert!(!admits(&mut core, hello_frame(v + 1, 0, 0..4)), "version");
+        assert!(!admits(&mut core, hello_frame(v, 0, 4..4)), "empty range");
+        assert!(
+            !admits(&mut core, hello_frame(v, 0, 0..9)),
+            "past the fabric"
+        );
+        assert!(!admits(&mut core, drain(0, 0)), "first frame not a Hello");
+        assert!(admits(&mut core, hello_frame(v, 0, 0..4)));
+        assert!(
+            !admits(&mut core, hello_frame(v, 0, 2..6)),
+            "partial overlap"
+        );
+        assert!(
+            !admits(&mut core, hello_frame(v, 0, 4..8)),
+            "over the host cap"
+        );
+        assert!(
+            admits(&mut core, hello_frame(v, 0, 4..6)),
+            "disjoint, under the cap"
+        );
         // An exact re-claim is a reconnect; the cap does not apply.
-        assert!(matches!(
-            admit(WIRE_VERSION, 0, 4, Some(4), &[claim(0, 4, false)]),
-            Ok(AdmitAction::Reattach(0))
-        ));
+        assert!(admits(&mut core, hello_frame(v, 0, 0..4)));
+        assert_eq!(core.stats().reconnects, 1);
         // Evicted ranges stay evicted.
-        assert!(admit(WIRE_VERSION, 0, 4, None, &[claim(0, 4, true)]).is_err());
+        let poisoned = Input::Closed {
+            conn: 9,
+            error: None,
+            quarantined: capped.quarantine_budget + 1,
+        };
+        run(&mut core, [poisoned]);
+        assert!(core.evicted(&(0..4)));
+        assert!(!admits(&mut core, hello_frame(v, 0, 0..4)), "evicted");
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! vigil-sim collect [preset] --agents N [--listen ADDR] [--addr-file F]
 //!            [--epochs N] [--seed N] [--json] [--snapshot F] [--resume]
 //!            [--exit-after K] [--metrics ADDR] [--metrics-addr-file F]
-//!            [--hub-capacity N] [--max-events-per-window N] [--max-hosts N]
+//!            [--max-events-per-window N] [--max-hosts N]
 //!            [--reconnect-grace-ms N] [--idle-timeout-ms N]
 //!            [--quarantine-budget N]
 //! vigil-sim agent [preset] --collector ADDR --hosts LO..HI
@@ -596,7 +596,7 @@ fn run_collect_cmd(flags: &[String]) -> ExitCode {
         eprintln!(
             "usage: vigil-sim collect [preset] --agents N [--listen ADDR] [--addr-file F] \
              [--epochs N] [--seed N] [--json] [--snapshot F] [--resume] [--exit-after K] \
-             [--metrics ADDR] [--metrics-addr-file F] [--hub-capacity N] \
+             [--metrics ADDR] [--metrics-addr-file F] \
              [--max-events-per-window N] [--max-hosts N] [--reconnect-grace-ms N] \
              [--idle-timeout-ms N] [--quarantine-budget N]"
         );
@@ -644,10 +644,6 @@ fn run_collect_cmd(flags: &[String]) -> ExitCode {
             "--metrics-addr-file" => match it.next() {
                 Some(p) => ccfg.metrics_addr_file = Some(p.into()),
                 None => return fail("--metrics-addr-file needs a path"),
-            },
-            "--hub-capacity" => match positive(flag, it.next()) {
-                Ok(v) => ccfg.hub_capacity = v as usize,
-                Err(e) => return fail(&e),
             },
             "--max-events-per-window" => match positive(flag, it.next()) {
                 Ok(v) => ccfg.max_events_per_window = v,
