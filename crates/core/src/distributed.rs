@@ -19,10 +19,18 @@
 //!          (failover/restart)                    EpochRun → EpochReport
 //! ```
 //!
-//! * [`run_agent`] simulates a slice of the fabric's hosts (the same
-//!   deterministic epoch streams every runner draws) and writes the
-//!   typed [`AgentEvent`] protocol over a socket, one
-//!   [`WireFrame::EpochDone`] barrier per window.
+//! * The agent side is a sans-I/O state machine, `AgentCore`, under two
+//!   thin shells. The core holds every agent decision: when to connect
+//!   and after what backoff, when to give up, which epoch to emit on each
+//!   `ResumeAt` and whether to replay it from the settled-epoch anchor
+//!   or roll forward, the ack timeout and its heartbeats, and the
+//!   attempts a chaos partition refuses. `AgentWorld` decides nothing: it
+//!   simulates a slice of the fabric's hosts (the same deterministic
+//!   epoch streams every runner draws) and writes the typed
+//!   [`AgentEvent`] protocol, one [`WireFrame::EpochDone`] barrier per
+//!   window. [`run_agent`] is the shell that cannot read: it answers its
+//!   own Hello and barriers. [`run_agent_resilient`] is the shell that
+//!   connects, sleeps the backoff, writes and reads.
 //! * [`run_collector`] is a thin shell around a sans-I/O state machine,
 //!   `CollectorCore`, which holds every protocol decision: admission
 //!   (version check, host-range non-overlap, optional host cap,
@@ -71,6 +79,11 @@
 //! snapshot — so the collector's per-range `(host, seq)` dedup set
 //! absorbs them exactly-once and the final tally stays byte-identical
 //! to the chaos-free run whenever the chaos plan is loss-recoverable.
+//!
+//! Both cores are checked without sockets or clocks: a model suite runs
+//! them through every small schedule of deliveries and faults, and a
+//! seeded fleet simulation runs the real agents and the real window
+//! close over in-memory pipes on one thread.
 
 use crate::evaluate::{evaluate_epoch, EpochReport};
 use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator};
@@ -79,6 +92,7 @@ use crate::run::{
 };
 use crate::stream::{EvidenceKey, HostFleet, RetainPolicy, StreamTuning};
 use crate::sweep::epoch_rng;
+use agent_core::{AgentCore, Start};
 use collector_core::{CollectorCore, Input, Output};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -87,11 +101,11 @@ use std::io::{self, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use vigil_agents::{event_channel, AgentEvent, EventCollector, TraceReport};
+use vigil_agents::{event_channel, AgentEvent, EventCollector, HostAgent, TraceReport};
 use vigil_analysis::{FlowEvidence, LedgerSnapshot, VoteLedger};
 use vigil_fabric::faults::LinkFaults;
 use vigil_fabric::flowsim::EpochScratch;
@@ -99,9 +113,12 @@ use vigil_topology::ClosTopology;
 use vigil_wire::chaos::{ChaosSchedule, ChaosWriter};
 use vigil_wire::{FrameReader, FrameWriter, WireFrame, HELLO_RESILIENT, WIRE_VERSION};
 
+mod agent_core;
 mod collector_core;
 #[cfg(test)]
 mod model;
+#[cfg(test)]
+mod sim;
 
 fn invalid<E: std::fmt::Display>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, e.to_string())
@@ -114,6 +131,20 @@ fn other<E: std::fmt::Display>(e: E) -> io::Error {
 // ---------------------------------------------------------------------
 // Transport: one address syntax for TCP and Unix-domain sockets.
 // ---------------------------------------------------------------------
+
+/// Splits a TCP or Unix stream into a [`Duplex`] whose read half ticks
+/// every `read_tick`.
+macro_rules! duplex {
+    ($stream:expr, $read_tick:expr) => {{
+        let stream = $stream;
+        stream.set_read_timeout(Some($read_tick))?;
+        let reader = Box::new(stream.try_clone()?);
+        Duplex {
+            reader,
+            writer: Box::new(stream),
+        }
+    }};
+}
 
 /// A socket address an agent connects to / a collector listens on.
 /// Operands containing `/` are Unix-domain socket paths; everything
@@ -152,27 +183,13 @@ impl Endpoint {
     /// ticking every `read_tick` so ack waits can interleave heartbeats
     /// and notice a dead collector.
     pub fn connect_duplex(&self, read_tick: Duration) -> io::Result<Duplex> {
-        match self {
-            Endpoint::Tcp(addr) => {
-                let stream = TcpStream::connect(addr)?;
-                stream.set_read_timeout(Some(read_tick))?;
-                let reader = stream.try_clone()?;
-                Ok(Duplex {
-                    reader: Box::new(reader),
-                    writer: Box::new(stream),
-                })
-            }
+        Ok(match self {
+            Endpoint::Tcp(addr) => duplex!(TcpStream::connect(addr)?, read_tick),
             #[cfg(unix)]
             Endpoint::Unix(path) => {
-                let stream = std::os::unix::net::UnixStream::connect(path)?;
-                stream.set_read_timeout(Some(read_tick))?;
-                let reader = stream.try_clone()?;
-                Ok(Duplex {
-                    reader: Box::new(reader),
-                    writer: Box::new(stream),
-                })
+                duplex!(std::os::unix::net::UnixStream::connect(path)?, read_tick)
             }
-        }
+        })
     }
 
     /// Binds the collector's listening socket. An existing Unix socket
@@ -223,27 +240,11 @@ impl Listener {
     /// read half ticking every `read_tick` (the granularity of idle
     /// detection and shutdown checks in reader threads).
     fn accept_duplex(&self, read_tick: Duration) -> io::Result<Duplex> {
-        match self {
-            Listener::Tcp(l) => {
-                let (stream, _) = l.accept()?;
-                stream.set_read_timeout(Some(read_tick))?;
-                let reader = stream.try_clone()?;
-                Ok(Duplex {
-                    reader: Box::new(reader),
-                    writer: Box::new(stream),
-                })
-            }
+        Ok(match self {
+            Listener::Tcp(l) => duplex!(l.accept()?.0, read_tick),
             #[cfg(unix)]
-            Listener::Unix(l) => {
-                let (stream, _) = l.accept()?;
-                stream.set_read_timeout(Some(read_tick))?;
-                let reader = stream.try_clone()?;
-                Ok(Duplex {
-                    reader: Box::new(reader),
-                    writer: Box::new(stream),
-                })
-            }
-        }
+            Listener::Unix(l) => duplex!(l.accept()?.0, read_tick),
+        })
     }
 }
 
@@ -324,9 +325,11 @@ fn flush_staging<W: Write>(
 
 /// One agent process's simulation state: the deterministic world both
 /// ends of the wire derive from the experiment config, this process's
-/// [`HostFleet`], and the unbounded staging hub between the fleet and
-/// the socket (an agent never sheds its own evidence; loss happens — and
-/// is counted — only at the collector).
+/// [`HostFleet`], the unbounded staging hub between the fleet and the
+/// socket (an agent never sheds its own evidence; loss happens — and is
+/// counted — only at the collector), and the record of the settled-epoch
+/// anchor that replays rewind to. It emits what the `AgentCore` asks for
+/// and decides nothing.
 struct AgentWorld {
     trial_seed: u64,
     topo: ClosTopology,
@@ -335,6 +338,15 @@ struct AgentWorld {
     scratch: EpochScratch,
     staging: EventCollector,
     inbox: Vec<AgentEvent>,
+    run_cfg: RunConfig,
+    hosts: Range<u32>,
+    chunk_flows: usize,
+    /// The epoch whose barrier frame also carries the shutdown drains.
+    last_epoch: usize,
+    /// Per-host sequence counters at the anchor's start, `None` for a
+    /// host without an agent yet — rewinding to them makes a replay
+    /// byte-identical.
+    anchor: Vec<Option<u64>>,
 }
 
 impl AgentWorld {
@@ -363,24 +375,72 @@ impl AgentWorld {
             scratch: EpochScratch::new(),
             staging,
             inbox: Vec::new(),
+            run_cfg: config.run.clone(),
+            hosts: spec.hosts.clone(),
+            chunk_flows: spec.chunk_flows,
+            last_epoch: spec.start_epoch + spec.epochs - 1,
+            anchor: vec![None; spec.hosts.len()],
         })
     }
 
-    /// Simulates one epoch of `spec.hosts`' share of trial 0 and writes
-    /// its events onto `writer`, up to (but not including) the
-    /// `EpochDone` barrier. Returns the number of event frames the epoch
-    /// emitted — deterministic per epoch, so a byte-identical replay
-    /// re-emits exactly this many. A kill flag aborts with `Interrupted`
-    /// between chunks (the soak harness's simulated agent crash).
-    fn emit_epoch<W: Write>(
+    /// Brings the fleet to the start of `epoch` as the core asked, then
+    /// records that state as the anchor unless it already is one.
+    /// Determinism makes the epochs simulated unsent evolve exactly the
+    /// per-host state the sent ones did.
+    fn position(&mut self, epoch: usize, start: Start) -> io::Result<()> {
+        let from = match start {
+            Start::Here => epoch,
+            Start::Anchor => {
+                self.rewind();
+                return Ok(());
+            }
+            Start::RollForward { from } => {
+                self.rewind();
+                from
+            }
+            Start::Rebuild { from } => {
+                self.anchor.fill(None);
+                self.rewind();
+                from
+            }
+        };
+        let mut unsent = FrameWriter::new(io::sink());
+        for e in from..epoch {
+            self.emit(e, &mut unsent, &mut AgentStats::default())?;
+        }
+        let Range { start, end } = self.hosts;
+        let agents = &self.fleet.agents[start as usize..end as usize];
+        for (seq, agent) in self.anchor.iter_mut().zip(agents) {
+            *seq = agent.as_ref().map(HostAgent::events_emitted);
+        }
+        Ok(())
+    }
+
+    /// Restores the anchor's start state: sequence counters rewound,
+    /// pacers reset, agents born since forgotten.
+    fn rewind(&mut self) {
+        let Range { start, end } = self.hosts;
+        let agents = &mut self.fleet.agents[start as usize..end as usize];
+        for (slot, seq) in agents.iter_mut().zip(&self.anchor) {
+            match (slot.as_mut(), seq) {
+                (Some(agent), Some(seq)) => {
+                    agent.rewind(*seq);
+                    agent.next_epoch();
+                }
+                _ => *slot = None,
+            }
+        }
+    }
+
+    /// Simulates one epoch of this process's hosts, writes its events and
+    /// then its barrier, which counts them — deterministic per epoch, so a
+    /// byte-identical replay re-emits exactly as many — and flushes.
+    fn emit<W: Write>(
         &mut self,
-        run_cfg: &RunConfig,
-        spec: &AgentSpec,
         epoch: usize,
         writer: &mut FrameWriter<W>,
         stats: &mut AgentStats,
-        kill: Option<&AtomicBool>,
-    ) -> io::Result<u64> {
+    ) -> io::Result<()> {
         let before = stats.events_sent;
         let Self {
             trial_seed,
@@ -390,21 +450,16 @@ impl AgentWorld {
             scratch,
             staging,
             inbox,
+            run_cfg,
+            chunk_flows,
+            last_epoch,
+            ..
         } = self;
-        let mut flush = || -> io::Result<()> {
-            flush_staging(writer, staging, inbox, stats)?;
-            if kill.is_some_and(|k| k.load(Ordering::Relaxed)) {
-                return Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "agent killed by churn schedule",
-                ));
-            }
-            Ok(())
-        };
+        let mut flush = || flush_staging(writer, staging, inbox, stats);
         flush()?;
         // The staging hub is unbounded, so only the chunk cadence matters.
         let tuning = StreamTuning {
-            chunk_flows: spec.chunk_flows,
+            chunk_flows: *chunk_flows,
             hub_capacity: usize::MAX,
         };
         fleet.run_epoch(
@@ -418,58 +473,56 @@ impl AgentWorld {
             epoch as u64 + 1,
             &mut flush,
         )?;
-        if epoch == spec.start_epoch + spec.epochs - 1 {
+        if epoch == *last_epoch {
             // Shutdown drains ride inside the final window (before its
             // barrier) so the agent never writes after the collector may
             // have torn the run down.
             fleet.each_agent(usize::MAX, |agent, hub| agent.drain(hub), &mut flush)?;
         }
-        Ok(stats.events_sent - before)
-    }
-}
-
-/// Runs one plain (fire-and-forget) agent process: simulates
-/// `spec.hosts`' share of trial 0's epochs and streams the
-/// [`AgentEvent`] protocol over `sink`, ending each epoch with a
-/// [`WireFrame::EpochDone`] barrier. The emitted evidence is exactly
-/// what the in-process stream driver's agents for those hosts would put
-/// on the hub — same pacer admissions, same SLB gate salt, same
-/// byzantine emissions, same per-host sequence numbers — because both
-/// run the same agent loop.
-///
-/// This driver never reads the socket — the collector's acks accumulate
-/// unread — and dies on the first write failure;
-/// [`run_agent_resilient`] is the self-healing variant.
-pub fn run_agent<W: Write>(
-    config: &ExperimentConfig,
-    spec: &AgentSpec,
-    sink: W,
-) -> io::Result<AgentStats> {
-    let mut world = AgentWorld::build(config, spec)?;
-    let mut writer = FrameWriter::new(BufWriter::new(sink));
-    writer.write_frame(&WireFrame::Hello {
-        version: WIRE_VERSION,
-        // Fire-and-forget: no resilient bit, so the collector never
-        // writes back (a write into this socket after the agent exits
-        // would RST away its still-buffered frames).
-        flags: 0,
-        host_lo: spec.hosts.start,
-        host_hi: spec.hosts.end,
-    })?;
-
-    let mut stats = AgentStats::default();
-    let last_epoch = spec.start_epoch + spec.epochs - 1;
-    for epoch in spec.start_epoch..=last_epoch {
-        let events = world.emit_epoch(&config.run, spec, epoch, &mut writer, &mut stats, None)?;
+        let events = stats.events_sent - before;
         writer.write_frame(&WireFrame::EpochDone {
             epoch: epoch as u64,
             events,
         })?;
         writer.flush()?;
         stats.flushes += 1;
-        stats.epochs += 1;
+        Ok(())
     }
-    Ok(stats)
+}
+
+/// Runs one plain (fire-and-forget) agent process: simulates
+/// `spec.hosts`' share of trial 0's epochs and streams the
+/// [`AgentEvent`] protocol over `sink`, ending each epoch with a
+/// [`WireFrame::EpochDone`] barrier and one flush. The emitted evidence
+/// is exactly what the in-process stream driver's agents for those hosts
+/// would put on the hub — same pacer admissions, same SLB gate salt,
+/// same byzantine emissions, same per-host sequence numbers — because
+/// both run the same agent loop.
+///
+/// This is the resilient agent's core under a shell that cannot read:
+/// it answers its own Hello with `ResumeAt(start_epoch)` and each
+/// barrier with the next epoch, so the collector's acks accumulate
+/// unread, and it dies on the first write failure.
+/// [`run_agent_resilient`] is the self-healing variant.
+pub fn run_agent<W: Write>(
+    config: &ExperimentConfig,
+    spec: &AgentSpec,
+    sink: W,
+) -> io::Result<AgentStats> {
+    // One connection and no retries: the first failed write is fatal.
+    let rcfg = ResilienceConfig {
+        max_reconnects: 0,
+        ..ResilienceConfig::default()
+    };
+    let mut sink = Some(sink);
+    let connect = |_| match sink.take() {
+        Some(sink) => Ok((None::<FrameReader<io::Empty>>, sink)),
+        None => Err(other("a plain agent has one connection")),
+    };
+    // Fire-and-forget: no resilient bit, so the collector never writes
+    // back (a write into this socket after the agent exits would RST away
+    // its still-buffered frames).
+    drive(config, spec, &rcfg, None, 0, connect)
 }
 
 // ---------------------------------------------------------------------
@@ -510,329 +563,165 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Splitmix64 — backoff jitter and nothing else (chaos decisions live
-/// in `vigil_wire::chaos`).
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// One connection of an agent shell: the read half for the collector's
+/// answers — `None` for a shell that cannot read, which answers itself —
+/// and the write half under the chaos injector.
+struct Link<R, W: Write> {
+    reader: Option<FrameReader<R>>,
+    writer: FrameWriter<ChaosWriter<BufWriter<W>>>,
 }
 
-/// Capped exponential backoff with seeded jitter in [½, 1]× the step.
-fn backoff_delay(rcfg: &ResilienceConfig, attempt: u64) -> Duration {
-    let step = rcfg
-        .backoff_base
-        .saturating_mul(1u32 << attempt.min(16) as u32)
-        .min(rcfg.backoff_cap);
-    let jitter = (splitmix(rcfg.jitter_seed ^ attempt) >> 11) as f64 / (1u64 << 53) as f64;
-    step.mul_f64(0.5 + 0.5 * jitter)
-}
+impl<R: Read, W: Write> Link<R, W> {
+    /// The connection ended with `error`: what the core hears.
+    fn lost(mut self, error: io::Error, last_err: &mut Option<io::Error>) -> agent_core::Input {
+        *last_err = Some(error);
+        let chaos = self.writer.get_mut();
+        agent_core::Input::Lost {
+            reset: chaos.take_reset_ordinal(),
+            frames: chaos.index(),
+        }
+    }
 
-/// The agent side of the ack protocol: blocks until the collector says
-/// [`WireFrame::ResumeAt`], heartbeating every read tick, giving up
-/// after `ack_timeout` of silence.
-fn wait_resume_at<R: Read, W: Write>(
-    reader: &mut FrameReader<R>,
-    writer: &mut FrameWriter<W>,
-    rcfg: &ResilienceConfig,
-) -> io::Result<u64> {
-    let mut idle = Duration::ZERO;
-    let mut last = Instant::now();
-    loop {
-        match reader.next_frame() {
-            Ok(Some(WireFrame::ResumeAt { epoch })) => return Ok(epoch),
-            Ok(Some(_)) => {} // stray frame; the ack is all we want
-            Ok(None) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "collector closed while an ack was pending",
-                ))
-            }
-            Err(e) if is_tick(&e) => {
-                let now = Instant::now();
-                idle += now - last;
-                last = now;
-                if idle >= rcfg.ack_timeout {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "no ResumeAt within the ack timeout",
-                    ));
+    /// Writes `frame`, if any, then awaits the collector's answer:
+    /// `ResumeAt`, a read tick, or the end. A shell that cannot read
+    /// answers itself with `ResumeAt(own)`, and leaves its Hello to the
+    /// first epoch's flush: it flushes once per epoch.
+    fn send(
+        mut self,
+        frame: Option<&WireFrame>,
+        own: u64,
+        last_err: &mut Option<io::Error>,
+    ) -> (Option<Self>, agent_core::Input) {
+        let reads = self.reader.is_some();
+        let sent = frame.map_or(Ok(()), |f| {
+            let written = self.writer.write_frame(f);
+            written.and_then(|()| if reads { self.writer.flush() } else { Ok(()) })
+        });
+        if let Err(e) = sent {
+            return (None, self.lost(e, last_err));
+        }
+        let Some(reader) = self.reader.as_mut() else {
+            return (Some(self), agent_core::Input::ResumeAt(own));
+        };
+        let e = loop {
+            match reader.next_frame() {
+                Ok(Some(WireFrame::ResumeAt { epoch })) => {
+                    return (Some(self), agent_core::Input::ResumeAt(epoch))
                 }
-                writer.write_frame(&WireFrame::Heartbeat)?;
-                writer.flush()?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// The resilient agent's world + replay state between sessions.
-struct ResilientState<'a> {
-    config: &'a ExperimentConfig,
-    spec: &'a AgentSpec,
-    rcfg: &'a ResilienceConfig,
-    chaos: Option<&'a ChaosSchedule>,
-    kill: Option<&'a AtomicBool>,
-    world: AgentWorld,
-    stats: AgentStats,
-    /// The epoch whose *start* state `agents` + `snapshot` represent.
-    epoch: usize,
-    /// Per-host sequence counters at the start of `epoch` — rewinding
-    /// to them makes a replay byte-identical.
-    snapshot: Vec<(u32, u64)>,
-    /// Shared chaos frame index: survives reconnects so replayed frames
-    /// draw fresh faults and scheduled resets stay spaced.
-    chaos_index: Arc<AtomicU64>,
-    key: u64,
-}
-
-impl ResilientState<'_> {
-    fn last_epoch(&self) -> usize {
-        self.spec.start_epoch + self.spec.epochs - 1
-    }
-
-    fn capture_snapshot(&mut self) {
-        self.snapshot.clear();
-        for h in self.spec.hosts.clone() {
-            if let Some(agent) = self.world.fleet.agents[h as usize].as_ref() {
-                self.snapshot.push((h, agent.events_emitted()));
-            }
-        }
-    }
-
-    /// Brings `agents` to the start-of-`target` state. Fast path: we
-    /// are already positioned there (or part-way through it) — rewind
-    /// the sequence counters and reset the pacers. Slow path (a fresh
-    /// process resuming mid-run, or a collector restarted from an older
-    /// snapshot): rebuild from `start_epoch`, re-simulating the settled
-    /// epochs with their writes suppressed — determinism makes the
-    /// suppressed epochs evolve the exact per-host state the settled
-    /// ones did.
-    fn position_to(&mut self, target: usize) -> io::Result<()> {
-        let agents = &mut self.world.fleet.agents;
-        if target == self.epoch {
-            let snap: HashMap<u32, u64> = self.snapshot.iter().copied().collect();
-            for h in self.spec.hosts.clone() {
-                match snap.get(&h) {
-                    Some(&seq) => {
-                        let agent = agents[h as usize]
-                            .as_mut()
-                            .expect("snapshotted agent exists");
-                        agent.rewind(seq);
-                        agent.next_epoch();
-                    }
-                    None => agents[h as usize] = None,
+                Ok(Some(_)) => {} // stray frame; the ack is all we want
+                Err(e) if is_tick(&e) => {
+                    return (Some(self), agent_core::Input::Tick(Instant::now()))
                 }
-            }
-            return Ok(());
-        }
-        for h in self.spec.hosts.clone() {
-            agents[h as usize] = None;
-        }
-        let mut sink = FrameWriter::new(io::sink());
-        let mut ghost = AgentStats::default();
-        for e in self.spec.start_epoch..target {
-            self.world.emit_epoch(
-                &self.config.run,
-                self.spec,
-                e,
-                &mut sink,
-                &mut ghost,
-                self.kill,
-            )?;
-        }
-        self.epoch = target;
-        self.capture_snapshot();
-        Ok(())
-    }
-
-    /// One connected session: handshake, then emit/replay epochs until
-    /// the collector settles everything (`Ok(true)`), the run's epochs
-    /// are exhausted from our side but unsettled (`Ok(false)` cannot
-    /// happen — we wait for acks), or the connection dies (`Err`).
-    fn session(&mut self, duplex: Duplex) -> io::Result<bool> {
-        let mut reader = FrameReader::new(duplex.reader);
-        let chaos_writer = ChaosWriter::new(
-            BufWriter::new(duplex.writer),
-            None, // the Hello travels clean; each epoch sets its plan
-            self.key,
-            Arc::clone(&self.chaos_index),
-        );
-        let mut writer = FrameWriter::new(chaos_writer);
-        let result = self.session_inner(&mut reader, &mut writer);
-        if let Err(e) = &result {
-            // An injected reset may escalate into a partition: the next
-            // N reconnect attempts will be refused (simulated in the
-            // reconnect loop, keyed to this reset's ordinal).
-            if e.kind() != io::ErrorKind::Interrupted {
-                if let Some(ordinal) = writer.get_mut().take_reset_ordinal() {
-                    if let Some(plan) = self.chaos.map(|s| s.plan_for(self.epoch as u64)) {
-                        return result.map_err(|e| {
-                            partition_error(e, plan.blocked_attempts(self.key, ordinal))
-                        });
-                    }
+                Ok(None) => {
+                    break io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "collector closed while an ack was pending",
+                    )
                 }
+                Err(e) => break e,
             }
-        }
-        result
+        };
+        (None, self.lost(e, last_err))
     }
-
-    fn session_inner<R: Read, W: Write>(
-        &mut self,
-        reader: &mut FrameReader<R>,
-        writer: &mut FrameWriter<ChaosWriter<W>>,
-    ) -> io::Result<bool> {
-        writer.write_frame(&WireFrame::Hello {
-            version: WIRE_VERSION,
-            flags: HELLO_RESILIENT,
-            host_lo: self.spec.hosts.start,
-            host_hi: self.spec.hosts.end,
-        })?;
-        writer.flush()?;
-        let mut resume_at = wait_resume_at(reader, writer, self.rcfg)?;
-        loop {
-            if resume_at > self.last_epoch() as u64 {
-                return Ok(true); // everything settled
-            }
-            let target = (resume_at as usize).max(self.spec.start_epoch);
-            self.position_to(target)?;
-            writer
-                .get_mut()
-                .set_plan(self.chaos.map(|s| s.plan_for(target as u64)));
-            let events = self.world.emit_epoch(
-                &self.config.run,
-                self.spec,
-                target,
-                writer,
-                &mut self.stats,
-                self.kill,
-            )?;
-            writer.write_frame(&WireFrame::EpochDone {
-                epoch: target as u64,
-                events,
-            })?;
-            writer.flush()?;
-            self.stats.flushes += 1;
-            resume_at = wait_resume_at(reader, writer, self.rcfg)?;
-            if resume_at > target as u64 {
-                // Acked: the epoch is settled. `emit_epoch` already
-                // ticked the agents into `target + 1`; snapshot that
-                // state as the new replay anchor.
-                self.stats.epochs += 1;
-                self.epoch = target + 1;
-                self.capture_snapshot();
-            }
-            // Not acked (resume_at <= target): loop replays it.
-        }
-    }
-}
-
-/// Tags an error with how many reconnect attempts a chaos partition
-/// refuses before the wire heals (0 = plain reset, reconnect freely).
-fn partition_error(e: io::Error, blocked: u32) -> io::Error {
-    if blocked == 0 {
-        e
-    } else {
-        io::Error::new(
-            io::ErrorKind::ConnectionReset,
-            format!("partition:{blocked}:{e}"),
-        )
-    }
-}
-
-/// Extracts the blocked-attempt count a [`partition_error`] carried.
-fn partition_width(e: &io::Error) -> u32 {
-    let text = e.to_string();
-    text.strip_prefix("partition:")
-        .and_then(|rest| rest.split(':').next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0)
 }
 
 /// Runs one self-healing agent: like [`run_agent`], but over a
 /// reconnectable [`Endpoint`], surviving connection resets, collector
 /// restarts, and (optionally) a seeded [`ChaosSchedule`] injecting
 /// faults into its own writes. The agent replays exactly the epochs the
-/// collector has not settled (see the module docs for the ack
-/// protocol); `kill` lets a soak harness crash it between chunks.
+/// collector has not settled (see the module docs for the ack protocol).
 ///
 /// Returns when the collector acknowledges every epoch of `spec`, or
-/// errs after `max_reconnects` consecutive failed attempts (and
-/// immediately on a kill, with `ErrorKind::Interrupted`).
+/// errs after `max_reconnects` consecutive failed attempts.
 pub fn run_agent_resilient(
     config: &ExperimentConfig,
     spec: &AgentSpec,
     endpoint: &Endpoint,
     rcfg: &ResilienceConfig,
     chaos: Option<&ChaosSchedule>,
-    kill: Option<&AtomicBool>,
 ) -> io::Result<AgentStats> {
-    let mut state = ResilientState {
-        config,
-        spec,
-        rcfg,
-        chaos,
-        kill,
-        world: AgentWorld::build(config, spec)?,
-        stats: AgentStats::default(),
-        epoch: spec.start_epoch,
-        snapshot: Vec::new(),
-        chaos_index: Arc::new(AtomicU64::new(0)),
-        key: spec.hosts.start as u64,
+    let connect = |after| {
+        std::thread::sleep(after);
+        let duplex = endpoint.connect_duplex(rcfg.read_tick)?;
+        Ok((Some(FrameReader::new(duplex.reader)), duplex.writer))
     };
+    drive(config, spec, rcfg, chaos, HELLO_RESILIENT, connect)
+}
 
-    let mut failures: u64 = 0; // consecutive, for backoff + give-up
-    let mut blocked: u32 = 0; // partition-refused attempts remaining
-    let mut last_err: Option<io::Error> = None;
+/// The agent shell both drivers share. Every decision is the
+/// `AgentCore`'s: this opens connections with `connect` (which first
+/// waits out the backoff it is given), says Hello with `flags`, has the
+/// world emit, writes, and reads, until the core is done or gives up.
+fn drive<R: Read, W: Write>(
+    config: &ExperimentConfig,
+    spec: &AgentSpec,
+    rcfg: &ResilienceConfig,
+    chaos: Option<&ChaosSchedule>,
+    flags: u8,
+    mut connect: impl FnMut(Duration) -> io::Result<(Option<FrameReader<R>>, W)>,
+) -> io::Result<AgentStats> {
+    use agent_core::{Input, Output};
+    let mut world = AgentWorld::build(config, spec)?;
+    let mut core = AgentCore::new(spec, rcfg, chaos.cloned());
+    let key = u64::from(spec.hosts.start);
+    let (mut fresh, mut link, mut last_err) = (None, None::<Link<R, W>>, None);
+    let mut next = Some(core.start());
     loop {
-        if kill.is_some_and(|k| k.load(Ordering::Relaxed)) {
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "agent killed by churn schedule",
-            ));
-        }
-        if failures > 0 {
-            if failures > rcfg.max_reconnects {
-                return Err(last_err.unwrap_or_else(|| {
-                    other(format!("gave up after {} reconnect attempts", failures - 1))
-                }));
-            }
-            std::thread::sleep(backoff_delay(rcfg, failures - 1));
-        }
-        if blocked > 0 {
-            // Partitioned: the connect itself is refused.
-            blocked -= 1;
-            failures += 1;
-            state.stats.reconnects += 1;
-            continue;
-        }
-        let duplex = match endpoint.connect_duplex(rcfg.read_tick) {
-            Ok(d) => d,
-            Err(e) => {
-                last_err = Some(e);
-                failures += 1;
-                state.stats.reconnects += 1;
-                continue;
-            }
-        };
-        let settled_before = state.stats.epochs;
-        match state.session(duplex) {
-            Ok(true) => return Ok(state.stats),
-            Ok(false) => unreachable!("session only returns on settle or error"),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Err(e),
-            Err(e) => {
-                // A session that settled epochs was healthy: its failure
-                // starts a fresh backoff ladder instead of climbing one.
-                if state.stats.epochs > settled_before {
-                    failures = 0;
+        let (kept, input) = match (next.take(), link.take()) {
+            (Some(Output::Connect { after }), _) => match connect(after) {
+                Ok(halves) => {
+                    fresh = Some(halves);
+                    (None, Input::Connected)
                 }
-                blocked = partition_width(&e);
-                last_err = Some(e);
-                failures += 1;
-                state.stats.reconnects += 1;
+                Err(e) => {
+                    last_err = Some(e);
+                    (None, Input::ConnectFailed)
+                }
+            },
+            (Some(Output::Hello { frames }), _) => {
+                let Some((reader, writer)) = fresh.take() else {
+                    return Err(other("Hello without a connection"));
+                };
+                let chaos = ChaosWriter::new(BufWriter::new(writer), None, key, frames);
+                let writer = FrameWriter::new(chaos);
+                let hello = WireFrame::Hello {
+                    version: WIRE_VERSION,
+                    flags,
+                    host_lo: spec.hosts.start,
+                    host_hi: spec.hosts.end,
+                };
+                let own = spec.start_epoch as u64;
+                Link { reader, writer }.send(Some(&hello), own, &mut last_err)
             }
-        }
+            (Some(Output::Emit { epoch, start, plan }), Some(mut link)) => {
+                world.position(epoch, start)?;
+                link.writer.get_mut().set_plan(plan);
+                match world.emit(epoch, &mut link.writer, &mut core.stats) {
+                    Ok(()) => link.send(None, epoch as u64 + 1, &mut last_err),
+                    Err(e) => (None, link.lost(e, &mut last_err)),
+                }
+            }
+            // Only a shell that reads ticks, so only it heartbeats.
+            (Some(Output::Heartbeat), Some(link)) => {
+                link.send(Some(&WireFrame::Heartbeat), 0, &mut last_err)
+            }
+            (Some(Output::Hangup), Some(link)) => {
+                let timeout = io::ErrorKind::TimedOut;
+                let e = io::Error::new(timeout, "no ResumeAt within the ack timeout");
+                (None, link.lost(e, &mut last_err))
+            }
+            (Some(Output::Done), _) => return Ok(core.stats),
+            (Some(Output::GiveUp { attempts }), _) => {
+                return Err(last_err.unwrap_or_else(|| {
+                    other(format!("gave up after {attempts} reconnect attempts"))
+                }))
+            }
+            // Nothing to do: keep waiting for the answer.
+            (None, Some(link)) => link.send(None, 0, &mut last_err),
+            (output, None) => return Err(other(format!("{output:?} without a connection"))),
+        };
+        link = kept;
+        next = core.step(input);
     }
 }
 
@@ -1178,25 +1067,82 @@ fn spawn_metrics_server(listener: TcpListener) -> Arc<Mutex<MetricsState>> {
     state
 }
 
-fn write_snapshot(path: &PathBuf, snap: &CollectorSnapshot) -> io::Result<()> {
-    let text = serde_json::to_string_pretty(snap).map_err(other)?;
+fn write_snapshot(path: &PathBuf, text: &str) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, text)?;
     std::fs::rename(&tmp, path)
 }
 
+/// The collector's tally: the analysis ledger, the open window's
+/// canonical reports (keyed like the ledger, so duplicates supersede
+/// identically) and the scored windows. What the core forwards lands
+/// here; a window close reads and resets it.
+struct Tally {
+    ledger: VoteLedger<EvidenceKey>,
+    reports: BTreeMap<EvidenceKey, TraceReport>,
+    scored: Vec<EpochReport>,
+}
+
+impl Tally {
+    /// A fresh tally, or a predecessor's restored from its snapshot,
+    /// with the first window it serves.
+    fn open(
+        config: &ExperimentConfig,
+        num_links: usize,
+        snap: Option<CollectorSnapshot>,
+    ) -> (Self, usize) {
+        let (ring, alpha) = (LEDGER_RING_WINDOWS, LEDGER_HEALTH_ALPHA);
+        let (ledger, start, scored) = match snap {
+            Some(s) => {
+                let ledger = VoteLedger::restore(num_links, config.run.alg1, ring, alpha, s.ledger);
+                (ledger, s.epochs_done, s.epochs)
+            }
+            None => (fresh_ledger(num_links, &config.run), 0, Vec::new()),
+        };
+        let reports = BTreeMap::new();
+        (
+            Self {
+                ledger,
+                reports,
+                scored,
+            },
+            start,
+        )
+    }
+
+    /// Tallies one event the core forwarded into the open window.
+    fn absorb(&mut self, event: AgentEvent) {
+        if let AgentEvent::Evidence { report, .. } = event {
+            let key = (report.host, report.tuple);
+            let evidence = FlowEvidence {
+                links: report.links.clone(),
+                retransmissions: report.retransmissions,
+                complete: report.complete,
+            };
+            self.ledger.absorb(key, evidence);
+            self.reports.insert(key, report);
+        }
+    }
+}
+
+/// What a window close drives: the core's intake, and the tally its
+/// outputs fill.
+trait Intake {
+    /// Steps the core on what has arrived. With `block`, waits until the
+    /// core reports the open window complete.
+    fn pump(&mut self, block: bool) -> io::Result<()>;
+    fn tally(&mut self) -> &mut Tally;
+}
+
 /// The window loop's half of the shell: the core, the channel it reads,
-/// every admitted connection's I/O, and the open window's tally.
+/// every admitted connection's I/O, and the tally.
 struct Shell {
     core: CollectorCore,
     rx: Receiver<Inbound>,
     conns: HashMap<usize, Box<ConnIo>>,
     /// The core's output buffer, reused so `step` allocates nothing.
     out: Vec<Output>,
-    ledger: VoteLedger<EvidenceKey>,
-    /// The open window's canonical report map (keyed like the ledger, so
-    /// duplicates supersede identically).
-    reports: BTreeMap<EvidenceKey, TraceReport>,
+    tally: Tally,
     /// The core reported the open window complete; inputs wait in the
     /// channel until the ack.
     complete: bool,
@@ -1233,17 +1179,7 @@ impl Shell {
                 Output::Drop(conn) => {
                     self.conns.remove(&conn);
                 }
-                Output::Absorb(AgentEvent::Evidence { report, .. }) => {
-                    let key = (report.host, report.tuple);
-                    let evidence = FlowEvidence {
-                        links: report.links.clone(),
-                        retransmissions: report.retransmissions,
-                        complete: report.complete,
-                    };
-                    self.ledger.absorb(key, evidence);
-                    self.reports.insert(key, report);
-                }
-                Output::Absorb(_) => {}
+                Output::Absorb(event) => self.tally.absorb(event),
                 Output::WindowComplete => self.complete = true,
                 Output::Abort(why) => return Err(other(why)),
                 Output::Log(line) => eprintln!("collect: {line}"),
@@ -1252,6 +1188,15 @@ impl Shell {
         Ok(())
     }
 
+    /// Acks the closed window into the next one.
+    fn ack(&mut self) -> io::Result<()> {
+        self.core.ack(&mut self.out);
+        self.complete = false;
+        self.apply()
+    }
+}
+
+impl Intake for Shell {
     /// Feeds the core until it reports the open window complete. Without
     /// `block` it stops once the channel is empty (between the replay's
     /// chunks); with it, an empty channel is waited on until input
@@ -1283,16 +1228,12 @@ impl Shell {
         Ok(())
     }
 
-    /// Acks the closed window into the next one.
-    fn ack(&mut self) -> io::Result<()> {
-        self.core.ack(&mut self.out);
-        self.complete = false;
-        self.apply()
+    fn tally(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 }
 
-/// Loads a predecessor's snapshot when resuming, refusing one from
-/// another seed or one that already covers the whole run.
+/// Loads a predecessor's snapshot when resuming.
 fn restore(
     config: &ExperimentConfig,
     ccfg: &CollectorConfig,
@@ -1304,9 +1245,18 @@ fn restore(
         .snapshot_path
         .as_ref()
         .ok_or_else(|| invalid("--resume needs a snapshot path"))?;
-    let text = std::fs::read_to_string(path)?;
+    parse_snapshot(config, ccfg, &std::fs::read_to_string(path)?).map(Some)
+}
+
+/// Parses a snapshot's bytes, refusing one from another seed or one that
+/// already covers the whole run.
+fn parse_snapshot(
+    config: &ExperimentConfig,
+    ccfg: &CollectorConfig,
+    text: &str,
+) -> io::Result<CollectorSnapshot> {
     let snap: CollectorSnapshot =
-        serde_json::from_str(&text).map_err(|e| other(format!("invalid snapshot: {e}")))?;
+        serde_json::from_str(text).map_err(|e| other(format!("invalid snapshot: {e}")))?;
     if snap.seed != config.seed {
         return Err(invalid(format!(
             "snapshot seed {} does not match config seed {}",
@@ -1319,7 +1269,7 @@ fn restore(
             snap.epochs_done, ccfg.epochs
         )));
     }
-    Ok(Some(snap))
+    Ok(snap)
 }
 
 /// Runs the collector daemon over an already-bound `listener`: admits
@@ -1343,15 +1293,7 @@ pub fn run_collector(
     let topo = ClosTopology::new(config.params, rng.gen()).map_err(invalid)?;
     let faults = config.faults.build(&topo, &mut rng);
     let num_hosts = u32::try_from(topo.num_hosts()).map_err(invalid)?;
-    let (ring, alpha) = (LEDGER_RING_WINDOWS, LEDGER_HEALTH_ALPHA);
-    let (ledger, start, scored) = match snap {
-        Some(s) => {
-            let ledger =
-                VoteLedger::restore(topo.num_links(), config.run.alg1, ring, alpha, s.ledger);
-            (ledger, s.epochs_done, s.epochs)
-        }
-        None => (fresh_ledger(topo.num_links(), &config.run), 0, Vec::new()),
-    };
+    let (tally, start) = Tally::open(config, topo.num_links(), snap);
     // Metrics endpoint, up before the start barrier so operators can
     // watch admission.
     let metrics = match &ccfg.metrics {
@@ -1371,8 +1313,7 @@ pub fn run_collector(
         rx,
         conns: HashMap::new(),
         out: Vec::new(),
-        ledger,
-        reports: BTreeMap::new(),
+        tally,
         complete: false,
     };
     let stop = AtomicBool::new(false);
@@ -1404,7 +1345,7 @@ pub fn run_collector(
             faults: &faults,
             metrics: metrics.as_deref(),
         };
-        let result = windows.serve(&mut shell, start, scored, started);
+        let result = windows.serve(&mut shell, start, started);
         // Teardown, so the scope's implicit join cannot hang: dropping the
         // shell drops the channel and every park handle (parked and
         // sending readers exit), readers notice the stop flag within one
@@ -1426,57 +1367,106 @@ struct Windows<'a> {
     metrics: Option<&'a Mutex<MetricsState>>,
 }
 
+/// The collector's ground truth: the fleet's epoch loop over an empty
+/// host range. Evidence admission happened on the agents, so it
+/// dispatches nothing and only draws the identical epoch stream for the
+/// ground truth and the records scoring consults.
+struct Replay {
+    fleet: HostFleet,
+    scratch: EpochScratch,
+}
+
+impl Replay {
+    fn new(topo: &ClosTopology, run_cfg: &RunConfig) -> Self {
+        let fleet = HostFleet::new(topo, run_cfg, 0..0, event_channel().0);
+        let scratch = EpochScratch::new();
+        Self { fleet, scratch }
+    }
+}
+
 impl Windows<'_> {
-    /// The window loop from window `start` on (`scored` holds the reports
-    /// of the windows before it): replay the epoch for ground truth while
-    /// feeding the core, wait out the barrier, then close, score, log,
-    /// publish, snapshot and ack — or pause unacked when `exit_after`
-    /// trips.
-    fn serve(
+    /// One window, `w`: replay its epoch for ground truth while `intake`
+    /// feeds the core between the replay's chunks, wait out the barrier,
+    /// then close the ledger window, score it with the exact batch
+    /// machinery into the tally, and render the snapshot that covers it
+    /// when `snapshot` asks. Returns the evidence scored and that
+    /// snapshot. The threaded window loop and the fleet simulation both
+    /// close windows here.
+    fn close(
         &self,
-        shell: &mut Shell,
-        start: usize,
-        mut scored: Vec<EpochReport>,
-        started: Instant,
-    ) -> io::Result<CollectorOutcome> {
-        let (config, ccfg, run_cfg) = (self.config, self.ccfg, &self.config.run);
-        // The collector runs the fleet's epoch loop with an empty host
-        // range: evidence admission happened on the agents, so it
-        // dispatches nothing and only draws the identical epoch stream for
-        // ground truth and the records scoring consults.
-        let mut replay = HostFleet::new(self.topo, run_cfg, 0..0, event_channel().0);
+        replay: &mut Replay,
+        w: usize,
+        intake: &mut impl Intake,
+        snapshot: bool,
+    ) -> io::Result<(usize, Option<String>)> {
+        let (config, run_cfg) = (self.config, &self.config.run);
         let tuning = StreamTuning {
             chunk_flows: 256,
             hub_capacity: usize::MAX,
         };
-        let mut scratch = EpochScratch::new();
-        let trial_seed = config.trial_seed(0);
+        let pull = replay.fleet.run_epoch(
+            self.topo,
+            run_cfg,
+            self.faults,
+            &mut epoch_rng(config.trial_seed(0), w),
+            &mut replay.scratch,
+            &tuning,
+            Some(RetainPolicy::EvidenceOnly),
+            w as u64 + 1,
+            || intake.pump(false),
+        )?;
+        intake.pump(true)?;
+        let tally = intake.tally();
+        let window = tally.ledger.close_window();
+        let reports = std::mem::take(&mut tally.reports).into_values().collect();
+        let run = assemble_epoch(pull.outcome, reports, window, run_cfg);
+        tally.scored.push(evaluate_epoch(&run));
+        let snapshot = if snapshot {
+            let snap = CollectorSnapshot {
+                seed: config.seed,
+                epochs_done: w + 1,
+                ledger: tally.ledger.snapshot(),
+                epochs: tally.scored.clone(),
+            };
+            Some(serde_json::to_string_pretty(&snap).map_err(other)?)
+        } else {
+            None
+        };
+        Ok((run.evidence.len(), snapshot))
+    }
+
+    /// The final report: the same fold as the in-process trial loop.
+    fn report(&self, scored: Vec<EpochReport>, wall_ms: f64) -> ExperimentReport {
+        let mut acc = TrialAccumulator::new(self.ccfg.epochs);
+        for er in scored {
+            acc.absorb(er);
+        }
+        let mut report = ExperimentReport::empty(self.config);
+        report.merge_trial(acc.finish_at(&self.config.run, 0, wall_ms));
+        report
+    }
+
+    /// The window loop from window `start` on: close each window, then
+    /// log, publish, snapshot and ack — or pause unacked when
+    /// `exit_after` trips.
+    fn serve(
+        &self,
+        shell: &mut Shell,
+        start: usize,
+        started: Instant,
+    ) -> io::Result<CollectorOutcome> {
+        let ccfg = self.ccfg;
+        let mut replay = Replay::new(self.topo, &self.config.run);
         let mut prev = shell.core.stats().clone();
         for w in start..ccfg.epochs {
-            let pull = replay.run_epoch(
-                self.topo,
-                run_cfg,
-                self.faults,
-                &mut epoch_rng(trial_seed, w),
-                &mut scratch,
-                &tuning,
-                Some(RetainPolicy::EvidenceOnly),
-                w as u64 + 1,
-                || shell.pump(false),
-            )?;
-            shell.pump(true)?;
-
-            // Close and score the window with the exact batch machinery.
-            let window = shell.ledger.close_window();
-            let reports = std::mem::take(&mut shell.reports).into_values().collect();
-            let run = assemble_epoch(pull.outcome, reports, window, run_cfg);
-            let er = evaluate_epoch(&run);
+            let path = ccfg.snapshot_path.as_ref();
+            let (evidence, snapshot) = self.close(&mut replay, w, shell, path.is_some())?;
             let stats = shell.core.stats().clone();
             eprintln!(
                 "collect: window {w}: {} evidence, delivered {}, shed {}, gaps {}, \
                  resets {}, rate-limited {}, reconnects {}, quarantined {}, \
                  evicted {}, malformed {}, agents {}/{}",
-                run.evidence.len(),
+                evidence,
                 stats.delivered,
                 stats.shed,
                 stats.seq_gaps,
@@ -1490,36 +1480,10 @@ impl Windows<'_> {
                 stats.agents_admitted,
             );
             if let Some(state) = self.metrics {
-                let heat = shell.ledger.health().heat_map().into_iter().take(8);
-                let window = WindowMetrics {
-                    window: w as u64,
-                    evidence: stats.evidence - prev.evidence,
-                    delivered: stats.delivered - prev.delivered,
-                    shed: stats.shed - prev.shed,
-                    seq_gaps: stats.seq_gaps - prev.seq_gaps,
-                    rate_limited: stats.rate_limited - prev.rate_limited,
-                    reconnects: stats.reconnects - prev.reconnects,
-                    quarantined_frames: stats.quarantined_frames - prev.quarantined_frames,
-                    hosts_evicted: stats.hosts_evicted - prev.hosts_evicted,
-                    coverage: shell.core.coverage(),
-                    detected: er.detected.iter().map(|l| l.0).collect(),
-                    heat: heat.map(|(l, s)| (l.0, s)).collect(),
-                };
-                let mut m = state.lock().unwrap_or_else(PoisonError::into_inner);
-                m.totals = stats.clone();
-                m.windows.push(window);
-                let excess = m.windows.len().saturating_sub(METRICS_RING);
-                m.windows.drain(..excess);
+                self.publish(state, shell, w, &prev, &stats);
             }
-            scored.push(er);
-            if let Some(path) = &ccfg.snapshot_path {
-                let snap = CollectorSnapshot {
-                    seed: config.seed,
-                    epochs_done: w + 1,
-                    ledger: shell.ledger.snapshot(),
-                    epochs: scored.clone(),
-                };
-                write_snapshot(path, &snap)?;
+            if let (Some(path), Some(text)) = (path, &snapshot) {
+                write_snapshot(path, text)?;
             }
             let closed_this_run = w + 1 - start;
             if w + 1 < ccfg.epochs && ccfg.exit_after.is_some_and(|k| closed_this_run >= k) {
@@ -1536,16 +1500,41 @@ impl Windows<'_> {
             prev = stats;
             shell.ack()?;
         }
-
-        // Final assembly: identical fold to the in-process trial loop.
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let mut acc = TrialAccumulator::new(ccfg.epochs);
-        for er in scored {
-            acc.absorb(er);
-        }
-        let mut report = ExperimentReport::empty(config);
-        report.merge_trial(acc.finish_at(run_cfg, 0, wall_ms));
+        let report = self.report(std::mem::take(&mut shell.tally.scored), wall_ms);
         Ok(CollectorOutcome::Completed(Box::new(report), prev))
+    }
+
+    /// Publishes window `w` to the metrics endpoint.
+    fn publish(
+        &self,
+        state: &Mutex<MetricsState>,
+        shell: &Shell,
+        w: usize,
+        prev: &CollectorStats,
+        stats: &CollectorStats,
+    ) {
+        let heat = shell.tally.ledger.health().heat_map().into_iter().take(8);
+        let detected = shell.tally.scored.last().map(|er| &er.detected);
+        let window = WindowMetrics {
+            window: w as u64,
+            evidence: stats.evidence - prev.evidence,
+            delivered: stats.delivered - prev.delivered,
+            shed: stats.shed - prev.shed,
+            seq_gaps: stats.seq_gaps - prev.seq_gaps,
+            rate_limited: stats.rate_limited - prev.rate_limited,
+            reconnects: stats.reconnects - prev.reconnects,
+            quarantined_frames: stats.quarantined_frames - prev.quarantined_frames,
+            hosts_evicted: stats.hosts_evicted - prev.hosts_evicted,
+            coverage: shell.core.coverage(),
+            detected: detected.into_iter().flatten().map(|l| l.0).collect(),
+            heat: heat.map(|(l, s)| (l.0, s)).collect(),
+        };
+        let mut m = state.lock().unwrap_or_else(PoisonError::into_inner);
+        m.totals = stats.clone();
+        m.windows.push(window);
+        let excess = m.windows.len().saturating_sub(METRICS_RING);
+        m.windows.drain(..excess);
     }
 }
 
@@ -1557,7 +1546,6 @@ mod tests {
     use vigil_fabric::faults::{FaultPlan, RateRange};
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
     use vigil_topology::{ClosParams, HostId};
-    use vigil_wire::chaos::ChaosPlan;
 
     fn tiny_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -1723,25 +1711,19 @@ mod tests {
         let _ = std::fs::remove_file(&snap);
     }
 
-    /// The tentpole acceptance, in-process: a chaos plan that corrupts,
-    /// truncates, duplicates, and resets the wire must still converge —
-    /// reconnecting agents replay unacked windows, the dedup ledger
-    /// keeps the tally exactly-once, and the final report is
-    /// byte-identical to the chaos-free in-process stream.
+    /// Resilient agents outlive a collector that pauses after two windows
+    /// and a successor that resumes from its snapshot on the same socket.
+    /// The successor answers their Hello with `ResumeAt(2)`, which settles
+    /// epoch 1 too: each agent must count all three epochs as settled.
+    #[cfg(unix)]
     #[test]
-    fn chaos_fleet_converges_to_identical_tally() {
+    fn resilient_agents_count_every_epoch_across_a_failover() {
         let cfg = tiny_config();
         let hosts = num_hosts(&cfg);
-        let split = hosts / 2;
-        let listener = Endpoint::parse("127.0.0.1:0").bind().unwrap();
-        let addr = listener.local_addr();
-        // reset_every must exceed one epoch's frame volume (~80 per
-        // agent here) or no gap between scheduled resets fits a full
-        // epoch and the replay loop cannot converge.
-        let chaos = ChaosSchedule::constant(
-            ChaosPlan::parse("seed=11,corrupt=0.03,truncate=0.01,dup=0.02,reset_every=150")
-                .unwrap(),
-        );
+        let dir = std::env::temp_dir().join(format!("vigil-settle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (sock, snap) = (dir.join("collector.sock"), dir.join("snapshot.json"));
+        let endpoint = Endpoint::Unix(sock.clone());
         let rcfg = ResilienceConfig {
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(50),
@@ -1749,64 +1731,77 @@ mod tests {
             read_tick: Duration::from_millis(25),
             ..ResilienceConfig::default()
         };
-        let handles: Vec<_> = [0..split, split..hosts]
+        let listener = endpoint.bind().unwrap();
+        let agents: Vec<_> = [0..hosts / 2, hosts / 2..hosts]
             .into_iter()
-            .map(|range| {
-                let cfg = cfg.clone();
-                let addr = addr.clone();
-                let chaos = chaos.clone();
-                let rcfg = rcfg.clone();
+            .map(|hosts| {
+                let (cfg, endpoint, rcfg) = (cfg.clone(), endpoint.clone(), rcfg.clone());
                 std::thread::spawn(move || {
                     let spec = AgentSpec {
-                        hosts: range,
+                        hosts,
                         start_epoch: 0,
                         epochs: cfg.epochs,
                         chunk_flows: 128,
                     };
-                    run_agent_resilient(
-                        &cfg,
-                        &spec,
-                        &Endpoint::parse(&addr),
-                        &rcfg,
-                        Some(&chaos),
-                        None,
-                    )
-                    .expect("resilient agent must outlive the chaos")
+                    run_agent_resilient(&cfg, &spec, &endpoint, &rcfg, None)
                 })
             })
             .collect();
         let ccfg = CollectorConfig {
             agents: 2,
             epochs: cfg.epochs,
-            idle_timeout: Duration::from_secs(5),
-            reconnect_grace: Duration::from_secs(30),
+            snapshot_path: Some(snap.clone()),
+            exit_after: Some(2),
             ..CollectorConfig::default()
         };
-        let outcome = run_collector(&cfg, &listener, &ccfg).unwrap();
-        let mut agent_reconnects = 0;
-        for h in handles {
-            let stats = h.join().unwrap();
-            assert_eq!(stats.epochs, cfg.epochs, "every epoch settled");
-            agent_reconnects += stats.reconnects;
-        }
-        let CollectorOutcome::Completed(report, stats) = outcome else {
-            panic!("chaos run must complete");
+        let paused = run_collector(&cfg, &listener, &ccfg).unwrap();
+        assert!(matches!(paused, CollectorOutcome::Paused(_)));
+        drop(listener);
+        let listener = endpoint.bind().unwrap();
+        let resume = CollectorConfig {
+            resume: true,
+            exit_after: None,
+            ..ccfg
         };
-        assert!(
-            agent_reconnects > 0,
-            "the reset schedule must force at least one reconnect"
-        );
-        assert!(
-            stats.quarantined_frames > 0,
-            "corruption must surface as quarantined frames"
-        );
-        assert_eq!(stats.shed, 0, "loopback must not shed");
-        assert_eq!(stats.hosts_evicted, 0, "no range may be evicted");
+        let CollectorOutcome::Completed(report, _) =
+            run_collector(&cfg, &listener, &resume).unwrap()
+        else {
+            panic!("the successor completes the run");
+        };
+        for agent in agents {
+            let stats = agent.join().unwrap().expect("agent outlives the failover");
+            assert_eq!(
+                stats.epochs, cfg.epochs,
+                "every epoch was settled: {stats:?}"
+            );
+        }
         assert_eq!(
             serde_json::to_string_pretty(&*report).unwrap(),
-            expected_report(&cfg),
-            "chaos + replays must converge to the chaos-free tally"
+            expected_report(&cfg)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The daemon's non-test code returns errors instead of panicking:
+    /// no `unwrap` or `expect` in the collector, the agent, or their
+    /// cores.
+    #[test]
+    fn daemon_sources_hold_no_unwrap_or_expect() {
+        let sources = [
+            ("distributed.rs", include_str!("distributed.rs")),
+            (
+                "collector_core.rs",
+                include_str!("distributed/collector_core.rs"),
+            ),
+            ("agent_core.rs", include_str!("distributed/agent_core.rs")),
+        ];
+        for (name, text) in sources {
+            let code = text.split("#[cfg(test)]\nmod tests").next().unwrap_or(text);
+            for (n, line) in code.lines().enumerate() {
+                let banned = [".unwrap()", ".expect("].iter().any(|b| line.contains(b));
+                assert!(!banned, "{name}:{}: {}", n + 1, line.trim());
+            }
+        }
     }
 
     /// Passes bytes through, splicing `frame` in right after the first

@@ -183,6 +183,14 @@ impl CollectorCore {
         self.ranges.iter().any(|r| r.hosts == *hosts && r.evicted)
     }
 
+    /// What the core holds that could grow with the run: dedup entries
+    /// across ranges, ranges, and connections.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> (usize, usize, usize) {
+        let dedup = self.ranges.iter().map(|r| r.dedup.len()).sum();
+        (dedup, self.ranges.len(), self.conns.len())
+    }
+
     /// Hashes everything that decides the core's future outputs (the
     /// counters do not), so a model checker can tell a state it has
     /// already explored.

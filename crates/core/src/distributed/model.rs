@@ -1,15 +1,18 @@
-//! Model-based checks of the collector's protocol core: model agents
-//! drive [`CollectorCore`] through random and exhaustive schedules of
+//! Model-based checks of both protocol cores: [`AgentCore`]s drive
+//! [`CollectorCore`] through random and exhaustive schedules of
 //! deliveries and faults — no sockets, no threads, no sleeps — and every
 //! window is checked against what the agents actually sent.
 //!
-//! A model agent is a resilient agent reduced to its protocol: it says
-//! Hello, and on every `ResumeAt { e }` it writes epoch `e`'s events and
-//! barrier (an ack and a replay request look alike to it: either way the
-//! epoch goes out byte-identically). The harness plays the shell: one
-//! reader per connection that parks after a Hello or a barrier until the
-//! core unparks it, and a window loop that closes and acks a window the
-//! moment the core reports it complete. The checks:
+//! Each agent is the real agent core over a model world: on its `Emit`
+//! it writes epoch `e`'s events and barrier, which are a pure function
+//! of `(host, e)`, so a replay is byte-identical by construction. The
+//! harness plays both shells: it connects (or refuses the attempt) when
+//! an agent core asks, hands every `ResumeAt` straight to the agent
+//! core, reports lost connections to both sides, and plays the
+//! collector's readers — one per connection, parking after a Hello or a
+//! barrier until the collector core unparks it — and its window loop,
+//! which closes and acks a window the moment the core reports it
+//! complete. The checks:
 //!
 //! - a window absorbs only events of its own epoch — nothing of epoch
 //!   `w+1` reaches window `w` — and each `(host, seq)` at most once;
@@ -19,8 +22,9 @@
 //!   first unclosed window;
 //! - once the faults stop, fair delivery completes the run.
 
+use super::agent_core::{self, AgentCore};
 use super::collector_core::{CollectorCore, Input, Output};
-use super::CollectorConfig;
+use super::{AgentSpec, CollectorConfig, ResilienceConfig};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -32,6 +36,7 @@ use vigil_topology::HostId;
 use vigil_wire::{WireFrame, HELLO_RESILIENT, WIRE_VERSION};
 
 const GRACE: Duration = Duration::from_secs(30);
+const ACK_TIMEOUT: Duration = Duration::from_secs(15);
 
 /// The size of one modelled run.
 #[derive(Debug, Clone, Copy)]
@@ -91,6 +96,23 @@ impl Scope {
         frames.push(WireFrame::EpochDone { epoch, events });
         frames
     }
+
+    /// Agent `agent`'s core: every epoch of the run, and few enough
+    /// reconnects that an agent refused for good gives up soon.
+    fn agent_core(&self, agent: usize) -> AgentCore {
+        let spec = AgentSpec {
+            hosts: self.hosts(agent),
+            start_epoch: 0,
+            epochs: self.epochs as usize,
+            chunk_flows: 1,
+        };
+        let rcfg = ResilienceConfig {
+            max_reconnects: 4,
+            ack_timeout: ACK_TIMEOUT,
+            ..ResilienceConfig::default()
+        };
+        AgentCore::new(&spec, &rcfg, None)
+    }
 }
 
 /// One frame on a model wire, by name: the Hello, or frame `k` of an
@@ -115,6 +137,8 @@ enum Act {
     /// The connection dies unnoticed; its reader reports the close only
     /// after the agent's reconnect replaced it.
     Reattach(usize),
+    /// Agent `i`'s next connect attempt is refused (a partition).
+    Refuse(usize),
     /// The collector restarts from its last closed window.
     Restart,
     /// Reconnect grace runs out for every range without a connection.
@@ -138,16 +162,37 @@ struct Conn {
     quarantined: u64,
 }
 
-#[derive(Debug, Clone, Default, Hash)]
+#[derive(Debug, Clone)]
 struct Agent {
+    core: AgentCore,
     conn: Option<Conn>,
+    /// The core asked to connect.
+    connecting: bool,
     /// A connection that died unnoticed; closed after the reattach.
     lingering: Option<usize>,
-    /// The core refused its Hello (its range was evicted); it stops
-    /// trying until the collector restarts.
-    refused: bool,
-    /// Heard `ResumeAt` past the last epoch.
-    finished: bool,
+    /// The core gave up; a supervisor restarts the agent once time has
+    /// to move the run on, or with the collector.
+    gave_up: bool,
+}
+
+impl Agent {
+    /// A fresh agent process for `scope`'s `i`th range, about to connect.
+    fn new(scope: &Scope, i: usize) -> Self {
+        let mut core = scope.agent_core(i);
+        let connecting = matches!(core.start(), agent_core::Output::Connect { .. });
+        Agent {
+            core,
+            conn: None,
+            connecting,
+            lingering: None,
+            gave_up: false,
+        }
+    }
+
+    fn hash_state(&self, h: &mut impl Hasher) {
+        self.core.hash_state(h);
+        (&self.conn, self.connecting, self.lingering, self.gave_up).hash(h);
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -173,13 +218,14 @@ impl World {
             reconnect_grace: GRACE,
             ..CollectorConfig::default()
         };
+        let agents = (0..scope.agents as usize).map(|i| Agent::new(&scope, i));
         World {
             core: Self::collector(&ccfg, &scope, 0, now),
             scope,
             ccfg,
             now,
             next_conn: 0,
-            agents: vec![Agent::default(); scope.agents as usize],
+            agents: agents.collect(),
             closed: 0,
             open: BTreeSet::new(),
             over: false,
@@ -222,21 +268,25 @@ impl World {
                 None => Ok(false),
             },
             Act::Reset(i) => match self.agents[i].conn.take() {
-                Some(c) if c.greeted => {
-                    let quarantined = c.quarantined;
-                    let error = Some("reset".into());
-                    self.step(Input::Closed {
-                        conn: c.id,
-                        error,
-                        quarantined,
-                    })?;
+                Some(c) => {
+                    if c.greeted {
+                        let quarantined = c.quarantined;
+                        let error = Some("reset".into());
+                        self.step(Input::Closed {
+                            conn: c.id,
+                            error,
+                            quarantined,
+                        })?;
+                    }
+                    self.lose(i)?;
                     Ok(true)
                 }
-                c => Ok(c.is_some()),
+                None => Ok(false),
             },
             Act::Reattach(i) => match self.agents[i].conn.take() {
                 Some(c) if c.greeted && self.agents[i].lingering.is_none() => {
                     self.agents[i].lingering = Some(c.id);
+                    self.lose(i)?;
                     Ok(true)
                 }
                 c => {
@@ -244,12 +294,22 @@ impl World {
                     Ok(false)
                 }
             },
+            Act::Refuse(i) if self.agents[i].connecting => {
+                self.agents[i].connecting = false;
+                self.agent_step(i, agent_core::Input::ConnectFailed)
+            }
+            Act::Refuse(_) => Ok(false),
             Act::Restart => {
                 self.core = Self::collector(&self.ccfg, &self.scope, self.closed, self.now);
-                for agent in &mut self.agents {
-                    *agent = Agent::default();
-                }
                 self.open.clear();
+                for i in 0..self.agents.len() {
+                    self.agents[i].lingering = None;
+                    if self.agents[i].gave_up {
+                        self.agents[i] = Agent::new(&self.scope, i);
+                    } else if self.agents[i].conn.take().is_some() {
+                        self.lose(i)?;
+                    }
+                }
                 Ok(true)
             }
             Act::Tick => {
@@ -266,22 +326,16 @@ impl World {
         }
     }
 
-    /// Agent `i` (re)connects, or its reader reads and forwards a frame.
+    /// Agent `i` connects, or its reader reads and forwards a frame.
     fn deliver(&mut self, i: usize) -> Result<bool, String> {
         let agent = &mut self.agents[i];
-        if agent.finished || agent.refused {
-            return Ok(false);
+        if agent.connecting {
+            agent.connecting = false;
+            self.agent_step(i, agent_core::Input::Connected)?;
+            return Ok(true);
         }
         let Some(c) = agent.conn.as_mut() else {
-            agent.conn = Some(Conn {
-                id: self.next_conn,
-                wire: VecDeque::from([Sent::Hello]),
-                greeted: false,
-                parked: false,
-                quarantined: 0,
-            });
-            self.next_conn += 1;
-            return Ok(true);
+            return Ok(false);
         };
         if c.parked {
             return Ok(false);
@@ -313,6 +367,60 @@ impl World {
         Ok(true)
     }
 
+    /// Agent `i`'s connection is gone: its core hears of it.
+    fn lose(&mut self, i: usize) -> Result<(), String> {
+        let lost = agent_core::Input::Lost {
+            reset: None,
+            frames: 0,
+        };
+        self.agent_step(i, lost).map(drop)
+    }
+
+    /// Steps agent `i`'s core and plays its shell; false when the core
+    /// had nothing to do.
+    fn agent_step(&mut self, i: usize, input: agent_core::Input) -> Result<bool, String> {
+        let agent = &mut self.agents[i];
+        let output = agent.core.step(input);
+        let moved = output.is_some();
+        match output {
+            Some(agent_core::Output::Connect { .. }) => agent.connecting = true,
+            Some(agent_core::Output::Hello { .. }) => {
+                agent.conn = Some(Conn {
+                    id: self.next_conn,
+                    wire: VecDeque::from([Sent::Hello]),
+                    greeted: false,
+                    parked: false,
+                    quarantined: 0,
+                });
+                self.next_conn += 1;
+            }
+            Some(agent_core::Output::Emit { epoch, .. }) => {
+                let Some(c) = agent.conn.as_mut() else {
+                    return Err(format!("agent {i} emitted {epoch} without a connection"));
+                };
+                let frames = self.scope.epoch_frames(i, epoch as u64).len();
+                let epoch = epoch as u64;
+                c.wire.extend((0..frames).map(|k| Sent::Epoch(epoch, k)));
+            }
+            Some(agent_core::Output::Hangup) => {
+                if let Some(c) = agent.conn.take() {
+                    let quarantined = c.quarantined;
+                    let error = Some("ack timeout".into());
+                    self.step(Input::Closed {
+                        conn: c.id,
+                        error,
+                        quarantined,
+                    })?;
+                }
+                self.lose(i)?;
+            }
+            Some(agent_core::Output::GiveUp { .. }) => agent.gave_up = true,
+            // Heartbeats only keep a real reader's idle timeout at bay.
+            Some(agent_core::Output::Heartbeat | agent_core::Output::Done) | None => {}
+        }
+        Ok(moved)
+    }
+
     fn step(&mut self, input: Input) -> Result<(), String> {
         let hello = match input {
             Input::Open { conn, .. } => Some(conn),
@@ -327,8 +435,8 @@ impl World {
         (self.agents.iter()).position(|a| a.conn.as_ref().is_some_and(|c| c.id == conn))
     }
 
-    /// Plays the shell for `out`; `hello` is the connection whose Hello
-    /// produced it, if any.
+    /// Plays the collector's shell for `out`; `hello` is the connection
+    /// whose Hello produced it, if any.
     fn carry_out(&mut self, out: Vec<Output>, hello: Option<usize>) -> Result<(), String> {
         for output in out {
             match output {
@@ -345,22 +453,17 @@ impl World {
                     let Some(c) = self.agents[i].conn.as_mut() else {
                         continue;
                     };
-                    // The reader writes the ResumeAt, and the agent answers
-                    // it with that epoch's frames (or, past the last, stops).
+                    // The reader writes the ResumeAt, and the agent core
+                    // answers it.
                     c.parked = false;
-                    match resume {
-                        Some(epoch) if epoch >= self.scope.epochs => self.agents[i].finished = true,
-                        Some(epoch) => {
-                            let frames = self.scope.epoch_frames(i, epoch).len();
-                            c.wire.extend((0..frames).map(|k| Sent::Epoch(epoch, k)));
-                        }
-                        None => {}
+                    if let Some(epoch) = resume {
+                        self.agent_step(i, agent_core::Input::ResumeAt(epoch))?;
                     }
                 }
                 Output::Drop(conn) => {
                     if let Some(i) = self.agent_of(conn) {
                         self.agents[i].conn = None;
-                        self.agents[i].refused |= hello == Some(conn);
+                        self.lose(i)?;
                     }
                 }
                 Output::Absorb(event) => self.absorb(event.host().0, event.seq())?,
@@ -423,27 +526,30 @@ impl World {
     fn state_key(&self, faults: u32) -> u64 {
         let mut h = DefaultHasher::new();
         self.core.hash_state(&mut h);
-        (
-            faults,
-            self.now,
-            self.closed,
-            self.over,
-            &self.agents,
-            &self.open,
-        )
-            .hash(&mut h);
+        for agent in &self.agents {
+            agent.hash_state(&mut h);
+        }
+        (faults, self.now, self.closed, self.over, &self.open).hash(&mut h);
         h.finish()
     }
 
     /// What time does once nothing can be delivered: every waiting
-    /// agent's ack timeout fires (it resets and reconnects, as a
-    /// resilient agent does), else reconnect grace runs out. False when
-    /// even that moves nothing — a stall.
+    /// agent's ack timeout fires (it hangs up and reconnects), agents
+    /// that gave up are restarted, else reconnect grace runs out. False
+    /// when even that moves nothing — a stall.
     fn time_out(&mut self) -> Result<bool, String> {
         let mut moved = false;
         for i in 0..self.agents.len() {
-            if !self.agents[i].finished {
-                moved |= self.apply(Act::Reset(i))?;
+            let (now, late) = (self.now, self.now + ACK_TIMEOUT);
+            self.agent_step(i, agent_core::Input::Tick(now))?;
+            moved |= self.agent_step(i, agent_core::Input::Tick(late))?;
+        }
+        // A supervisor restarts an agent that gave up on a range the
+        // collector still waits for.
+        for i in 0..self.agents.len() {
+            if self.agents[i].gave_up && !self.core.evicted(&self.scope.hosts(i)) {
+                self.agents[i] = Agent::new(&self.scope, i);
+                moved = true;
             }
         }
         if moved {
@@ -487,7 +593,13 @@ fn explore(
     let mut acts: Vec<Act> = (0..n).map(Act::Deliver).collect();
     if faults > 0 {
         for i in 0..n {
-            acts.extend([Act::Drop(i), Act::Dup(i), Act::Reset(i), Act::Reattach(i)]);
+            acts.extend([
+                Act::Drop(i),
+                Act::Dup(i),
+                Act::Reset(i),
+                Act::Reattach(i),
+                Act::Refuse(i),
+            ]);
         }
         acts.extend([Act::Restart, Act::Tick]);
     }
@@ -517,8 +629,8 @@ fn explore(
 
 /// Every schedule of two one-host agents over three epochs with at most
 /// two faults: every interleaving of the two connections' frames, with
-/// any two of drop, duplicate, reset, unnoticed reset, collector restart
-/// and grace tick at any points.
+/// any two of drop, duplicate, reset, unnoticed reset, refused
+/// reconnect, collector restart and grace tick at any points.
 #[test]
 fn every_small_schedule_keeps_every_window_exact() {
     let scope = Scope {
@@ -532,7 +644,7 @@ fn every_small_schedule_keeps_every_window_exact() {
     // Pinned: a change to what the protocol can reach moves it.
     assert_eq!(
         (count, seen.len()),
-        (1_028_939_786, 26_383),
+        (1_039_737_429, 46_838),
         "schedules, states"
     );
 }
@@ -547,7 +659,7 @@ proptest! {
         agents in 1u32..4,
         hosts_per_agent in 1u32..3,
         epochs in 1u64..5,
-        schedule in proptest::collection::vec((0u8..16, 0u8..3), 0..80),
+        schedule in proptest::collection::vec((0u8..17, 0u8..3), 0..80),
     ) {
         let scope = Scope { agents, hosts_per_agent, epochs };
         let mut world = World::new(scope, Instant::now());
@@ -559,7 +671,8 @@ proptest! {
                 10 => Act::Dup(i),
                 11 => Act::Reset(i),
                 12 => Act::Reattach(i),
-                13 => Act::Restart,
+                13 => Act::Refuse(i),
+                14 => Act::Restart,
                 _ => Act::Tick,
             };
             world.apply(act).map_err(TestCaseError::Fail)?;

@@ -45,7 +45,6 @@ pub mod matrix;
 mod pool;
 pub mod run;
 pub mod scenarios;
-pub mod soak;
 pub mod stream;
 pub mod sweep;
 
@@ -60,7 +59,6 @@ pub use experiment::{
 };
 pub use matrix::{CaseOutcome, Envelope, MatrixReport, MatrixRunner, ScenarioCase};
 pub use run::{run_epoch, run_epoch_with, Baselines, EpochRun, PacerBudget, RunConfig};
-pub use soak::{run_soak, SoakReport, SoakSpec};
 pub use stream::{
     stream_experiment, stream_trial, RetainPolicy, StreamSession, StreamStats, StreamTuning,
 };
@@ -77,7 +75,6 @@ pub mod prelude {
     pub use crate::matrix::{Envelope, MatrixReport, MatrixRunner, ScenarioCase};
     pub use crate::run::{run_epoch, run_epoch_with, Baselines, EpochRun, PacerBudget, RunConfig};
     pub use crate::scenarios;
-    pub use crate::soak::{run_soak, SoakReport, SoakSpec};
     pub use crate::stream::{
         stream_experiment, stream_trial, RetainPolicy, StreamSession, StreamStats, StreamTuning,
     };

@@ -14,7 +14,7 @@
 //! *under* [`FrameWriter`](crate::FrameWriter), whose contract is one
 //! `write_all` per frame, so each `write` call the injector sees is
 //! exactly one frame — faults are per-frame, indexed by a monotone
-//! frame counter that the caller shares across reconnects (a replayed
+//! frame counter that the caller carries across reconnects (a replayed
 //! frame draws a *fresh* index; otherwise a deterministic fault would
 //! re-kill every replay forever).
 //!
@@ -28,8 +28,6 @@
 //! between them is guaranteed.
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Splitmix64-style mixer: the single source of chaos randomness.
 fn mix(mut z: u64) -> u64 {
@@ -308,16 +306,16 @@ impl ChaosSchedule {
 /// frame** — put it directly under a [`FrameWriter`](crate::FrameWriter)
 /// (whose `write_frame` issues exactly one `write_all` per frame).
 ///
-/// The frame index lives in a shared [`AtomicU64`] so a reconnecting
-/// agent's replacement writer continues the same index line: replayed
-/// frames draw fresh faults, and the scheduled-reset guarantee (at most
-/// one reset per `reset_every` frames) spans reconnects.
+/// A reconnecting agent starts its replacement writer at the old one's
+/// [`index`](Self::index), so the index line continues: replayed frames
+/// draw fresh faults, and the scheduled-reset guarantee (at most one
+/// reset per `reset_every` frames) spans reconnects.
 #[derive(Debug)]
 pub struct ChaosWriter<W> {
     inner: W,
     plan: Option<ChaosPlan>,
     key: u64,
-    index: Arc<AtomicU64>,
+    index: u64,
     /// Set when an injected reset fires: the ordinal to feed
     /// [`ChaosPlan::blocked_attempts`] for partition simulation.
     last_reset_ordinal: Option<u64>,
@@ -328,8 +326,8 @@ pub struct ChaosWriter<W> {
 
 impl<W: Write> ChaosWriter<W> {
     /// Wraps `inner`; `key` identifies the stream (agents use their
-    /// first host id) and `index` is the shared frame counter.
-    pub fn new(inner: W, plan: Option<ChaosPlan>, key: u64, index: Arc<AtomicU64>) -> Self {
+    /// first host id) and `index` is where the frame counter starts.
+    pub fn new(inner: W, plan: Option<ChaosPlan>, key: u64, index: u64) -> Self {
         Self {
             inner,
             plan,
@@ -346,6 +344,12 @@ impl<W: Write> ChaosWriter<W> {
         self.plan = plan;
     }
 
+    /// The frame counter: frames written under a plan so far, including
+    /// those of the writers this one continues.
+    pub fn index(&self) -> u64 {
+        self.index
+    }
+
     /// The ordinal of the most recent injected reset, consumed by the
     /// reconnect path to decide partition length.
     pub fn take_reset_ordinal(&mut self) -> Option<u64> {
@@ -359,7 +363,8 @@ impl<W: Write> Write for ChaosWriter<W> {
             self.inner.write_all(buf)?;
             return Ok(buf.len());
         };
-        let index = self.index.fetch_add(1, Ordering::Relaxed);
+        let index = self.index;
+        self.index += 1;
         match plan.frame_fault(self.key, index, buf.len()) {
             FrameFault::None => self.inner.write_all(buf)?,
             FrameFault::Corrupt { byte, mask } => {
@@ -521,32 +526,25 @@ mod tests {
 
     #[test]
     fn writer_shares_index_across_instances() {
-        // Two writers over the same index (a reconnect) must continue
-        // the fault line, not restart it.
+        // A second writer started at the first one's index (a reconnect)
+        // must continue the fault line, not restart it.
         let plan = ChaosPlan {
             reset_every: 8,
             ..ChaosPlan::quiet(11)
         };
-        let index = Arc::new(AtomicU64::new(0));
         let mut hits = 0;
         let mut sink = Vec::new();
-        {
-            let mut w = ChaosWriter::new(&mut sink, Some(plan), 1, Arc::clone(&index));
+        let mut index = 0;
+        for _ in 0..2 {
+            let mut w = ChaosWriter::new(&mut sink, Some(plan), 1, index);
             for _ in 0..12 {
                 if w.write(b"frame").is_err() {
                     hits += 1;
                 }
             }
+            index = w.index();
         }
-        {
-            let mut w = ChaosWriter::new(&mut sink, Some(plan), 1, Arc::clone(&index));
-            for _ in 0..12 {
-                if w.write(b"frame").is_err() {
-                    hits += 1;
-                }
-            }
-        }
-        assert_eq!(index.load(Ordering::Relaxed), 24);
+        assert_eq!(index, 24);
         assert_eq!(hits, 3, "24 frames over reset_every=8 → 3 scheduled resets");
     }
 }

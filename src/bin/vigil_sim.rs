@@ -13,8 +13,6 @@
 //! vigil-sim collect [preset] [options]    # distributed collector daemon
 //! vigil-sim agent [preset] [options]      # one distributed host-agent
 //!                                         # process (feeds a collector)
-//! vigil-sim soak [preset] [options]       # chaos soak: in-process fleet
-//!                                         # under churn, gated report
 //!
 //! options:
 //!   --trials N     independent trials (fresh topology + fault draw)
@@ -54,9 +52,6 @@
 //!            [--start-epoch S] [--epochs N] [--seed N] [--resilient]
 //!            [--chaos SPEC] [--backoff-ms N] [--ack-timeout-ms N]
 //!            [--max-reconnects N]
-//! vigil-sim soak [preset] --dir D [--agents N] [--epochs N] [--seed N]
-//!            [--chaos SPEC] [--agent-kill-after-ms N]
-//!            [--collector-kill-window K] [--report F] [--gate]
 //! ```
 //!
 //! Addresses containing `/` are Unix-domain socket paths, anything else
@@ -76,11 +71,7 @@
 //! injector — `seed=7,corrupt=0.01,truncate=0.005,dup=0.01,`
 //! `delay=0.01:5,reset_every=500,partition=0.2:3` — whose faults are
 //! a pure function of `(seed, host range, frame index)`, identical over
-//! loopback and real sockets. `soak` runs the whole fleet in one
-//! process under a churn schedule (agent kill + restart, collector
-//! kill + `--resume`, chaos) and writes a JSON report; `--gate` exits
-//! nonzero unless the tally is byte-identical, no epoch leaked, and
-//! nothing was shed.
+//! loopback and real sockets.
 //!
 //! `matrix` runs every named scenario (fault × topology × traffic) and
 //! asserts each case's accuracy envelope: exit code 1 when any case
@@ -223,11 +214,10 @@ fn main() -> ExitCode {
         Some("stream") => run_stream(&args[1..]),
         Some("agent") => run_agent_cmd(&args[1..]),
         Some("collect") => run_collect_cmd(&args[1..]),
-        Some("soak") => run_soak_cmd(&args[1..]),
         Some("matrix") => run_matrix(&args[1..]),
         _ => {
             eprintln!(
-                "usage: vigil-sim <list|bounds|run|stream|agent|collect|soak|run-config|matrix> …"
+                "usage: vigil-sim <list|bounds|run|stream|agent|collect|run-config|matrix> …"
             );
             ExitCode::FAILURE
         }
@@ -545,7 +535,7 @@ fn run_agent_cmd(flags: &[String]) -> ExitCode {
     rcfg.jitter_seed ^= (spec.hosts.start as u64) << 32 | spec.hosts.end as u64;
     let endpoint = Endpoint::parse(&collector);
     let result = if resilient {
-        run_agent_resilient(&cfg, &spec, &endpoint, &rcfg, chaos.as_ref(), None)
+        run_agent_resilient(&cfg, &spec, &endpoint, &rcfg, chaos.as_ref())
     } else {
         match endpoint.connect() {
             Ok(sink) => run_agent(&cfg, &spec, sink),
@@ -732,113 +722,6 @@ fn run_collect_cmd(flags: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// The `soak` subcommand: the in-process chaos soak harness.
-fn run_soak_cmd(flags: &[String]) -> ExitCode {
-    let (mut cfg, rest) = match split_preset(flags) {
-        Ok(x) => x,
-        Err(code) => return code,
-    };
-    let mut spec = SoakSpec {
-        config: cfg.clone(),
-        agents: 2,
-        chaos: None,
-        agent_kill_after: None,
-        collector_kill_window: None,
-        resilience: ResilienceConfig::default(),
-        collector: CollectorConfig::default(),
-        dir: std::env::temp_dir().join(format!("vigil-soak-{}", std::process::id())),
-        report_path: None,
-    };
-    let mut gate = false;
-    let mut it = rest.iter();
-    let fail = |msg: &str| {
-        eprintln!("{msg}");
-        eprintln!(
-            "usage: vigil-sim soak [preset] --dir D [--agents N] [--epochs N] [--seed N] \
-             [--chaos SPEC] [--agent-kill-after-ms N] [--collector-kill-window K] \
-             [--report F] [--gate]"
-        );
-        ExitCode::FAILURE
-    };
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--dir" => match it.next() {
-                Some(d) => spec.dir = d.into(),
-                None => return fail("--dir needs a path"),
-            },
-            "--agents" => match positive(flag, it.next()) {
-                Ok(v) => spec.agents = v as usize,
-                Err(e) => return fail(&e),
-            },
-            "--epochs" => match positive(flag, it.next()) {
-                Ok(v) => cfg.epochs = v as usize,
-                Err(e) => return fail(&e),
-            },
-            "--seed" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) => cfg.seed = v,
-                _ => return fail("--seed needs an integer"),
-            },
-            "--chaos" => match it.next().map(|v| ChaosPlan::parse(v)) {
-                Some(Ok(plan)) => spec.chaos = Some(ChaosSchedule::constant(plan)),
-                Some(Err(e)) => return fail(&format!("--chaos: {e}")),
-                None => {
-                    return fail("--chaos needs a spec, e.g. seed=7,corrupt=0.01,reset_every=500")
-                }
-            },
-            "--agent-kill-after-ms" => match positive(flag, it.next()) {
-                Ok(v) => spec.agent_kill_after = Some(std::time::Duration::from_millis(v)),
-                Err(e) => return fail(&e),
-            },
-            "--collector-kill-window" => match positive(flag, it.next()) {
-                Ok(v) => spec.collector_kill_window = Some(v as usize),
-                Err(e) => return fail(&e),
-            },
-            "--report" => match it.next() {
-                Some(p) => spec.report_path = Some(p.into()),
-                None => return fail("--report needs a path"),
-            },
-            "--gate" => gate = true,
-            other => return fail(&format!("unknown flag {other}")),
-        }
-    }
-    spec.config = cfg;
-    let report = match run_soak(&spec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("soak: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match serde_json::to_string_pretty(&report) {
-        Ok(s) => println!("{s}"),
-        Err(e) => {
-            eprintln!("serialization failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if gate {
-        let mut bad = Vec::new();
-        if !report.byte_identical {
-            bad.push("tally diverged from the chaos-free stream".to_string());
-        }
-        if report.leaked_epochs != 0 {
-            bad.push(format!("{} epoch(s) leaked", report.leaked_epochs));
-        }
-        if report.shed != 0 {
-            bad.push(format!("{} event(s) shed", report.shed));
-        }
-        if report.hosts_evicted != 0 {
-            bad.push(format!("{} host(s) evicted", report.hosts_evicted));
-        }
-        if !bad.is_empty() {
-            eprintln!("soak: GATE FAILED: {}", bad.join("; "));
-            return ExitCode::FAILURE;
-        }
-        eprintln!("soak: gate passed");
-    }
-    ExitCode::SUCCESS
 }
 
 /// The `matrix` subcommand: run the scenario grid, assert envelopes,
