@@ -17,6 +17,7 @@ use vigil::prelude::*;
 use vigil::sweep::task_rng;
 use vigil_bench::{banner, print_engine, write_json, Scale};
 use vigil_fabric::faults::LinkFaults;
+use vigil_fabric::EpochScratch;
 use vigil_topology::bounds::{theorem1_ct_bound, theorem2_k_max, Theorem2};
 
 fn main() {
@@ -109,8 +110,14 @@ fn main() {
         // Distinct master from the 0x7772 setup rng: task_rng(m, 0) == m's
         // stream, which would correlate epoch 0 with the fault draw.
         let mut rng = task_rng(0xA0_7772, epoch);
-        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
-        let connections = run.outcome.flows.len() as u64;
+        let mut session = StreamSession::new(
+            &topo,
+            &cfg,
+            StreamTuning::default(),
+            RetainPolicy::EvidenceOnly,
+        );
+        let run = session.run_window(&topo, &cfg, &faults, &mut rng, &mut EpochScratch::new());
+        let connections = session.stats().flows;
         let bad_votes = run
             .evidence
             .iter()

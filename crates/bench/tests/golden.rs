@@ -141,6 +141,18 @@ fn table1_matches_golden() {
     assert_matches_golden(env!("CARGO_BIN_EXE_table1_icmp_rate"), &["table1"]);
 }
 
+// The two figures that read `EpochRun.outcome` rows: thm2 counts the
+// epoch's connections, sec7_2 looks up each reported flow's record.
+#[test]
+fn thm2_matches_golden() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_thm2_bounds"), &["thm2"]);
+}
+
+#[test]
+fn sec7_2_matches_golden() {
+    assert_matches_golden(env!("CARGO_BIN_EXE_sec7_2_two_failures"), &["sec7_2"]);
+}
+
 #[test]
 fn diff_messages_are_path_precise() {
     let golden: Value = serde_json::from_str(r#"{"a": [1, {"b": 2.5}], "c": "x"}"#).unwrap();

@@ -90,7 +90,7 @@ use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator};
 use crate::run::{
     assemble_epoch, fresh_ledger, RunConfig, LEDGER_HEALTH_ALPHA, LEDGER_RING_WINDOWS,
 };
-use crate::stream::{EvidenceKey, HostFleet, RetainPolicy, StreamTuning};
+use crate::stream::{EvidenceKey, HostFleet, StreamTuning};
 use crate::sweep::epoch_rng;
 use agent_core::{AgentCore, Start};
 use collector_core::{CollectorCore, Input, Output};
@@ -469,7 +469,7 @@ impl AgentWorld {
             &mut epoch_rng(*trial_seed, epoch),
             scratch,
             &tuning,
-            None,
+            false, // the agent never scores, so it keeps no rows
             epoch as u64 + 1,
             &mut flush,
         )?;
@@ -1411,7 +1411,7 @@ impl Windows<'_> {
             &mut epoch_rng(config.trial_seed(0), w),
             &mut replay.scratch,
             &tuning,
-            Some(RetainPolicy::EvidenceOnly),
+            true, // a scorer keeps the evidence rows
             w as u64 + 1,
             || intake.pump(false),
         )?;

@@ -9,22 +9,22 @@
 //! Trials are independent by construction — each draws its own topology
 //! seed and fault plan from a per-trial [`ChaCha8Rng`] derived from the
 //! master seed — and every *epoch* inside a trial reseeds from
-//! [`crate::sweep::epoch_rng`], so the runner is factored into
-//! [`run_trial`] (one trial's partial report) plus associative merges
-//! ([`MethodReport::merge`], [`ExperimentReport::merge_trial`]). The
-//! [`crate::sweep::SweepEngine`] shards the flattened (trial × epoch)
-//! grid across worker threads (see `crate::pool`) and merges in
-//! (trial, epoch) order, which makes its output bit-identical to this
-//! module's serial path at any thread count.
+//! [`crate::sweep::epoch_rng`], so the runner is factored into one
+//! trial's partial report ([`TrialReport`], built by a
+//! [`TrialAccumulator`]) plus associative merges ([`MethodReport::merge`],
+//! [`ExperimentReport::merge_trial`]). The [`crate::sweep::SweepEngine`]
+//! shards the flattened (trial × epoch) grid across worker threads (see
+//! `crate::pool`) and merges in (trial, epoch) order, which makes its
+//! output bit-identical to the serial reference
+//! ([`crate::stream::stream_trial`]) at any thread count.
 
-use crate::evaluate::{evaluate_epoch, EpochReport};
+use crate::evaluate::EpochReport;
 use crate::run::RunConfig;
-use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use vigil_fabric::faults::FaultPlan;
 use vigil_stats::{DetectionOutcome, RatioMetric, Summary};
-use vigil_topology::{ClosParams, ClosTopology};
+use vigil_topology::ClosParams;
 
 /// Full experiment specification (one plotted point).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -260,83 +260,11 @@ pub struct TrialReport {
     pub wall_ms: f64,
 }
 
-/// Runs one independent trial of `config`: a fresh topology and fault
-/// draw from [`ExperimentConfig::trial_rng`], then `config.epochs` epochs.
-pub fn run_trial(config: &ExperimentConfig, trial: usize) -> TrialReport {
-    let started = std::time::Instant::now();
-    let mut rng = config.trial_rng(trial);
-    let topo = ClosTopology::new(config.params, rng.gen())
-        .expect("experiment parameters validated upstream");
-    let faults = config.faults.build(&topo, &mut rng);
-    run_trial_with(
-        &config.run,
-        &topo,
-        config.epochs,
-        trial,
-        started,
-        |_| std::borrow::Cow::Borrowed(&faults),
-        config.trial_seed(trial),
-    )
-}
-
-/// The generalized trial loop: `epochs` epochs against the fault table
-/// `faults_for(epoch)` returns, accumulated exactly like [`run_trial`]
-/// (which delegates here with a constant table). The scenario matrix uses
-/// this to run time-varying fault scripts — flaps, maintenance windows —
-/// through the same reporting machinery.
-///
-/// `started` anchors the trial's wall-clock measurement — pass the
-/// instant taken *before* topology/fault construction so `wall_ms`
-/// covers the whole trial, not just its epochs.
-///
-/// `faults_for` returns the epoch's table as a [`std::borrow::Cow`]
-/// so the common static case ([`run_trial`]) borrows one table for
-/// every epoch while timeline drivers materialize fresh ones.
-///
-/// `trial_seed` roots the trial's RNG tree: each epoch body draws from
-/// its own [`crate::sweep::epoch_rng`]`(trial_seed, epoch)` stream, so
-/// any (worker, order) schedule of the epochs reproduces this loop
-/// byte-for-byte.
-#[allow(clippy::too_many_arguments)]
-pub fn run_trial_with<'f>(
-    run_config: &RunConfig,
-    topo: &ClosTopology,
-    epochs: usize,
-    trial: usize,
-    started: std::time::Instant,
-    mut faults_for: impl FnMut(usize) -> std::borrow::Cow<'f, vigil_fabric::LinkFaults>,
-    trial_seed: u64,
-) -> TrialReport {
-    let mut acc = TrialAccumulator::new(epochs);
-    // One scratch AND one stream session for the whole trial: the
-    // simulator's routing buffers and interned-path arena persist across
-    // epochs (same topology, so link ids stay valid), and the session's
-    // hub, ledger, and agent table are built once instead of per epoch —
-    // [`run_epoch_with`]'s throwaway-session path is for one-shot
-    // callers. Neither reuse changes a single output byte (the
-    // determinism suite asserts fresh-per-epoch ≡ persistent).
-    let mut scratch = vigil_fabric::EpochScratch::new();
-    let mut session = crate::stream::StreamSession::new(
-        topo,
-        run_config,
-        crate::stream::StreamTuning::default(),
-        crate::stream::RetainPolicy::All,
-    );
-
-    for epoch in 0..epochs {
-        let faults = faults_for(epoch);
-        let mut rng = crate::sweep::epoch_rng(trial_seed, epoch);
-        let run = session.run_window(topo, run_config, faults.as_ref(), &mut rng, &mut scratch);
-        acc.absorb(evaluate_epoch(&run));
-    }
-    acc.finish(run_config, trial, started)
-}
-
 /// Accumulates per-epoch reports into one trial's partial report — the
-/// shared spine of the batch trial loop ([`run_trial_with`]) and the
-/// streaming session loop ([`crate::stream::stream_trial`]). Feeding the
-/// same [`EpochReport`]s in the same order produces the same
-/// [`TrialReport`], whichever pipeline generated them.
+/// shared spine of the serial trial loop ([`crate::stream::stream_trial`])
+/// and the epoch pool. Feeding the same [`EpochReport`]s in the same
+/// order produces the same [`TrialReport`], whichever runner generated
+/// them.
 #[derive(Debug)]
 pub struct TrialAccumulator {
     vigil_acc: RatioMetric,
@@ -448,6 +376,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{stream_trial, StreamTuning};
     use vigil_fabric::faults::RateRange;
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
 
@@ -508,7 +437,7 @@ mod tests {
         let cfg = small_config();
         let mut manual = ExperimentReport::empty(&cfg);
         for trial in 0..cfg.trials {
-            manual.merge_trial(run_trial(&cfg, trial));
+            manual.merge_trial(stream_trial(&cfg, trial, &StreamTuning::default()).0);
         }
         let auto = run_experiment(&cfg);
         assert_eq!(manual.vote_gaps, auto.vote_gaps);
@@ -522,7 +451,9 @@ mod tests {
     #[test]
     fn report_merge_is_associative_on_counts() {
         let cfg = small_config();
-        let trials: Vec<TrialReport> = (0..3).map(|t| run_trial(&cfg, t)).collect();
+        let trials: Vec<TrialReport> = (0..3)
+            .map(|t| stream_trial(&cfg, t, &StreamTuning::default()).0)
+            .collect();
 
         // (a ⊕ b) ⊕ c
         let mut left = ExperimentReport::empty(&cfg);

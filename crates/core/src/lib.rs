@@ -54,8 +54,8 @@ pub use distributed::{
 };
 pub use evaluate::{EpochReport, MethodMetrics};
 pub use experiment::{
-    run_experiment, run_trial, run_trial_with, ExperimentConfig, ExperimentReport,
-    ExperimentTiming, MethodReport, TrialAccumulator, TrialReport,
+    run_experiment, ExperimentConfig, ExperimentReport, ExperimentTiming, MethodReport,
+    TrialAccumulator, TrialReport,
 };
 pub use matrix::{CaseOutcome, Envelope, MatrixReport, MatrixRunner, ScenarioCase};
 pub use run::{run_epoch, run_epoch_with, Baselines, EpochRun, PacerBudget, RunConfig};

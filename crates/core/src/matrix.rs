@@ -18,15 +18,15 @@
 //! position — filtering the grid never changes any surviving case's
 //! numbers.
 
-use crate::experiment::{run_trial_with, ExperimentReport, TrialReport};
+use crate::experiment::ExperimentReport;
 use crate::pool::{run_epoch_grid, EpochGroup, GroupFaults};
 use crate::run::RunConfig;
-use crate::stream::{RetainPolicy, StreamTuning};
-use crate::sweep::{task_rng, task_seed, SweepEngine};
+use crate::stream::StreamTuning;
+use crate::sweep::SweepEngine;
 use serde::Serialize;
 use vigil_fabric::CompositeFaultPlan;
 use vigil_topology::bounds::Theorem2;
-use vigil_topology::{ClosParams, ClosTopology};
+use vigil_topology::ClosParams;
 
 /// The accuracy envelope a scenario must stay inside. Bounds are chosen
 /// per case — tight where Theorem 2 applies ([`Envelope::from_bounds`]),
@@ -379,30 +379,6 @@ impl MatrixRunner {
         }
     }
 
-    /// Runs one trial of one case: fresh topology + compiled fault story
-    /// from the case/trial seed, then the standard trial loop with
-    /// per-epoch fault materialization.
-    pub fn run_case_trial(&self, case: &ScenarioCase, trial: usize) -> TrialReport {
-        use rand::Rng;
-        let started = std::time::Instant::now();
-        let trial_seed = task_seed(case.seed(self.seed), trial);
-        let mut rng = task_rng(case.seed(self.seed), trial);
-        let topo = ClosTopology::new(case.params, rng.gen())
-            .expect("matrix case parameters validated at grid construction");
-        let compiled = case
-            .faults
-            .compile(&topo, self.epochs, self.epoch_seconds, &mut rng);
-        run_trial_with(
-            &case.run,
-            &topo,
-            self.epochs,
-            trial,
-            started,
-            |epoch| std::borrow::Cow::Owned(compiled.epoch_faults(epoch)),
-            trial_seed,
-        )
-    }
-
     /// Runs every case: the whole `(case × trial × epoch)` grid flattens
     /// into the unified epoch pool (a slow case never idles workers),
     /// partial reports merge in (trial, epoch) order per case — the same
@@ -426,7 +402,6 @@ impl MatrixRunner {
                     plan: &case.faults,
                     epoch_seconds: self.epoch_seconds,
                 },
-                retain: RetainPolicy::All,
                 tuning: StreamTuning::default(),
             })
             .collect();

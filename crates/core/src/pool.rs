@@ -1,14 +1,15 @@
 //! The unified epoch×trial work pool.
 //!
-//! Every runner that repeats epochs — [`crate::sweep::SweepEngine::run_experiment`],
-//! [`crate::sweep::SweepEngine::run_sweep`], the streaming
-//! [`crate::stream::stream_experiment`], and the scenario
+//! Every runner that repeats epochs — [`crate::sweep::SweepEngine::run_experiment`]
+//! and [`crate::stream::stream_experiment`] (one body, [`run_experiment`]),
+//! [`crate::sweep::SweepEngine::run_sweep`], and the scenario
 //! [`crate::matrix::MatrixRunner`] — flattens its work into one grid of
 //! `(group, trial, epoch)` cells and feeds it through
-//! [`run_epoch_grid`]. Sharding at epoch granularity (instead of whole
-//! trials) keeps every worker busy to the end of the run: a
-//! 3-trial × 2-epoch experiment on 6 threads is 6 concurrent cells, not
-//! 3 busy workers and 3 idle ones.
+//! [`run_epoch_grid`]. Every cell scores from what its session keeps
+//! ([`RetainPolicy::EvidenceOnly`]), never from the whole epoch's table.
+//! Sharding at epoch granularity (instead of whole trials) keeps every
+//! worker busy to the end of the run: a 3-trial × 2-epoch experiment on
+//! 6 threads is 6 concurrent cells, not 3 busy workers and 3 idle ones.
 //!
 //! Determinism is carried by the seeding scheme, not the schedule: each
 //! cell's RNG is [`crate::sweep::epoch_rng`]`(task_seed(master, trial),
@@ -19,7 +20,7 @@
 //! epoch ticks; the ledger's cross-window ring and health EWMA never
 //! leak into scored output). So any assignment of cells to workers
 //! absorbs, in `(group, trial, epoch)` order, into exactly the serial
-//! runner's report.
+//! reference's report ([`crate::stream::stream_trial`]).
 //!
 //! Workers cache per-trial state ([`run_tasks_with`]'s worker-local
 //! `S`): claiming a cell of the same `(group, trial)` as the previous
@@ -31,7 +32,7 @@
 //! [`run_tasks_with`]: crate::sweep::SweepEngine::run_tasks_with
 
 use crate::evaluate::{evaluate_epoch, EpochReport};
-use crate::experiment::{ExperimentConfig, TrialAccumulator, TrialReport};
+use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator, TrialReport};
 use crate::run::RunConfig;
 use crate::stream::{RetainPolicy, StreamSession, StreamStats, StreamTuning};
 use crate::sweep::{epoch_rng, task_seed, SweepEngine};
@@ -77,19 +78,13 @@ pub(crate) struct EpochGroup<'a> {
     pub(crate) epochs: usize,
     /// Fault-table source.
     pub(crate) faults: GroupFaults<'a>,
-    /// What each cell's session keeps of the simulated flows.
-    pub(crate) retain: RetainPolicy,
     /// Streaming knobs for the per-worker sessions.
     pub(crate) tuning: StreamTuning,
 }
 
 impl<'a> EpochGroup<'a> {
     /// The group an [`ExperimentConfig`] describes.
-    pub(crate) fn from_experiment(
-        config: &'a ExperimentConfig,
-        retain: RetainPolicy,
-        tuning: StreamTuning,
-    ) -> Self {
+    pub(crate) fn from_experiment(config: &'a ExperimentConfig, tuning: StreamTuning) -> Self {
         Self {
             run: &config.run,
             params: config.params,
@@ -97,7 +92,6 @@ impl<'a> EpochGroup<'a> {
             trials: config.trials,
             epochs: config.epochs,
             faults: GroupFaults::Static(&config.faults),
-            retain,
             tuning,
         }
     }
@@ -138,7 +132,7 @@ struct TrialContext {
     session: StreamSession,
 }
 
-/// Replays exactly the serial trial prologue ([`crate::experiment::run_trial`]):
+/// Replays exactly the serial trial prologue ([`crate::stream::stream_trial`]):
 /// topology seed and fault draws from the trial RNG, in that order.
 fn build_trial(group: &EpochGroup<'_>, trial: usize) -> TrialContext {
     let trial_seed = task_seed(group.master_seed, trial);
@@ -152,7 +146,12 @@ fn build_trial(group: &EpochGroup<'_>, trial: usize) -> TrialContext {
             epoch_seconds,
         } => TrialFaults::Timeline(plan.compile(&topo, group.epochs, epoch_seconds, &mut rng)),
     };
-    let session = StreamSession::new(&topo, group.run, group.tuning.clone(), group.retain);
+    let session = StreamSession::new(
+        &topo,
+        group.run,
+        group.tuning.clone(),
+        RetainPolicy::EvidenceOnly,
+    );
     TrialContext {
         trial_seed,
         topo,
@@ -246,6 +245,28 @@ pub(crate) fn run_epoch_grid(engine: &SweepEngine, groups: &[EpochGroup<'_>]) ->
     results
 }
 
+/// One experiment through the grid, its trials merged in order — the
+/// body behind both [`SweepEngine::run_experiment`] and
+/// [`crate::stream::stream_experiment`].
+pub(crate) fn run_experiment(
+    engine: &SweepEngine,
+    config: &ExperimentConfig,
+    tuning: StreamTuning,
+) -> (ExperimentReport, StreamStats) {
+    let started = std::time::Instant::now();
+    let groups = [EpochGroup::from_experiment(config, tuning)];
+    let result = run_epoch_grid(engine, &groups)
+        .pop()
+        .expect("one group in, one result out");
+    let mut report = ExperimentReport::empty(config);
+    for trial in result.trials {
+        report.merge_trial(trial);
+    }
+    report.timing.total_ms = started.elapsed().as_secs_f64() * 1e3;
+    report.timing.threads = engine.threads();
+    (report, result.stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,23 +295,20 @@ mod tests {
         }
     }
 
-    /// The grid's absorb order must equal the serial trial loop's: same
-    /// trial reports (epoch vectors concatenated identically) at widths
-    /// 1, 2, and wider-than-the-grid — and every cell's counters reach
-    /// the group at every width.
+    /// The grid's absorb order must equal the serial trial loop's
+    /// ([`crate::stream::stream_trial`]): same trial reports (epoch
+    /// vectors concatenated identically) at widths 1, 2, and
+    /// wider-than-the-grid — and every cell's counters reach the group at
+    /// every width.
     #[test]
     fn grid_reproduces_serial_trials_at_any_width() {
         let cfg = tiny_config(2, 2);
         let reference: Vec<TrialReport> = (0..cfg.trials)
-            .map(|t| crate::experiment::run_trial(&cfg, t))
+            .map(|t| crate::stream::stream_trial(&cfg, t, &StreamTuning::default()).0)
             .collect();
         for threads in [1usize, 2, 8] {
             let engine = SweepEngine::new(threads);
-            let groups = [EpochGroup::from_experiment(
-                &cfg,
-                RetainPolicy::All,
-                StreamTuning::default(),
-            )];
+            let groups = [EpochGroup::from_experiment(&cfg, StreamTuning::default())];
             let result = run_epoch_grid(&engine, &groups)
                 .pop()
                 .expect("one group in, one result out");
@@ -320,7 +338,6 @@ mod tests {
         let no_trials = tiny_config(0, 3);
         let groups = [EpochGroup::from_experiment(
             &no_trials,
-            RetainPolicy::All,
             StreamTuning::default(),
         )];
         let result = run_epoch_grid(&engine, &groups).pop().unwrap();
@@ -329,7 +346,6 @@ mod tests {
         let no_epochs = tiny_config(2, 0);
         let groups = [EpochGroup::from_experiment(
             &no_epochs,
-            RetainPolicy::All,
             StreamTuning::default(),
         )];
         let result = run_epoch_grid(&engine, &groups).pop().unwrap();

@@ -125,7 +125,10 @@ impl Default for RunConfig {
 /// Everything produced by one epoch.
 #[derive(Debug)]
 pub struct EpochRun {
-    /// The fabric's records and ground truth.
+    /// Evidence rows plus ground truth: the flow records scoring consults
+    /// (every retransmitting flow, and any flow an agent reported) and the
+    /// epoch's true drops. The full table comes from
+    /// `vigil_fabric::flowsim::simulate_*`.
     pub outcome: EpochOutcome,
     /// Shared tuple → flow-record index over `outcome.flows`, built once
     /// per epoch and reused by the tracer, the evaluator, and the
@@ -167,19 +170,17 @@ pub fn run_epoch<R: Rng + ?Sized>(
     run_epoch_with(topo, faults, config, rng, &mut EpochScratch::new())
 }
 
-/// [`run_epoch`] with caller-owned simulator scratch: the trial loop
-/// passes one [`EpochScratch`] through all its epochs so the per-flow
-/// hot path (routing, path storage, drop sampling) reuses its buffers
-/// instead of reallocating. Output is byte-identical to [`run_epoch`] —
-/// same RNG stream, same reports, same detections.
+/// [`run_epoch`] with caller-owned simulator scratch: a caller running
+/// many epochs passes one [`EpochScratch`] through all of them so the
+/// per-flow hot path (routing, path storage, drop sampling) reuses its
+/// buffers instead of reallocating. Output is byte-identical to
+/// [`run_epoch`] — same RNG stream, same reports, same detections.
 ///
-/// Since the streaming refactor this is a thin wrapper over the
-/// event-driven [`crate::stream`] driver with a retain-everything
-/// policy: the fabric is pulled in chunks, host agents emit evidence
-/// events over the hub, the ledger closes the window — and because the
-/// stream driver reproduces the batch pipeline's exact RNG draw order
-/// and canonical evidence order, the output is byte-identical to the
-/// pre-refactor batch loop (asserted by the committed goldens in CI).
+/// This is a one-window [`StreamSession`]: the fabric is pulled in
+/// chunks, host agents emit evidence events over the hub, the ledger
+/// closes the window, and [`EpochRun::outcome`] keeps only the rows
+/// scoring consults. Code that walks every flow of the epoch simulates
+/// it with `vigil_fabric::flowsim::simulate_epoch_with` instead.
 pub fn run_epoch_with<R: Rng + ?Sized>(
     topo: &ClosTopology,
     faults: &LinkFaults,
@@ -187,8 +188,13 @@ pub fn run_epoch_with<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut EpochScratch,
 ) -> EpochRun {
-    StreamSession::new(topo, config, StreamTuning::default(), RetainPolicy::All)
-        .run_window(topo, config, faults, rng, scratch)
+    StreamSession::new(
+        topo,
+        config,
+        StreamTuning::default(),
+        RetainPolicy::EvidenceOnly,
+    )
+    .run_window(topo, config, faults, rng, scratch)
 }
 
 /// The ledger ring depth the epoch runners use (how many closed-window

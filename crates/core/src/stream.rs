@@ -13,13 +13,15 @@
 //!  EpochRun ◀── close_window ── VoteLedger ◀── drain ── bounded hub
 //! ```
 //!
-//! Flow records live only inside the current chunk (plus whatever the
-//! retain policy keeps for scoring); evidence — a few links and a count
-//! per traced flow — is all that survives to the window close. The
-//! driver reproduces the batch pipeline's exact RNG draw order and
-//! canonical evidence order, so [`crate::run::run_epoch_with`] is now a
-//! thin wrapper over [`StreamSession::run_window`] with a
-//! retain-everything policy, and every golden stays byte-identical.
+//! Flow records live only inside the current chunk, plus the rows scoring
+//! consults: flows that retransmit and flows some agent reported (007
+//! traces only connections that retransmit, §4–5, so scoring never reads
+//! a drop-free flow). Evidence — a few links and a count per traced flow
+//! — is all else that survives to the window close. Every runner scores
+//! through [`StreamSession::run_window`] ([`crate::run::run_epoch_with`]
+//! is a one-window session); the whole-epoch flow table comes only from
+//! `vigil_fabric::flowsim::simulate_epoch`, for analyses that walk every
+//! flow.
 //!
 //! The SLB gate (§4.2) needs the epoch's gate salt, which the batch
 //! pipeline draws *after* the simulation's RNG draws; when the gate is
@@ -84,17 +86,15 @@ impl StreamTuning {
     }
 }
 
-/// What the driver keeps of each simulated flow record.
+/// What the driver keeps of each simulated flow record. There is one
+/// policy; the type survives only as [`StreamSession::new`]'s argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetainPolicy {
-    /// Keep every record — the batch wrapper's policy, so
-    /// [`EpochRun::outcome`] carries the full flow table exactly as the
-    /// pre-streaming pipeline did.
-    All,
-    /// Keep only records with at least one retransmission — everything
-    /// scoring ever consults (evidence lookups, ground-truth dominant
-    /// links, retransmitting-flow counts). Peak resident records stay
-    /// proportional to the *eventful* fraction of traffic, not the epoch.
+    /// Keep the records with at least one retransmission, plus any record
+    /// an agent emitted evidence for — everything scoring ever consults
+    /// (evidence lookups, ground-truth dominant links, retransmitting-flow
+    /// counts). Peak resident records stay proportional to the *eventful*
+    /// fraction of traffic, not the epoch.
     EvidenceOnly,
 }
 
@@ -169,7 +169,8 @@ pub(crate) struct HostFleet {
 
 /// What [`HostFleet::run_epoch`] leaves for scoring.
 pub(crate) struct EpochPull {
-    /// The retained flow records plus the epoch's ground truth.
+    /// The retained flow records (none unless `retain`) plus the epoch's
+    /// ground truth.
     pub(crate) outcome: EpochOutcome,
     /// Flow records simulated.
     pub(crate) flows: usize,
@@ -226,12 +227,13 @@ impl HostFleet {
     /// aborts the epoch.
     ///
     /// A record is materialized only for rows that emit from this fleet
-    /// or that `retain` keeps (`None` keeps nothing), so the common clean
-    /// flow never allocates. The batch pipeline draws the SLB gate salt
-    /// *after* the epoch's simulation draws; an active gate therefore
-    /// defers dispatch to the end of the epoch, buffering evidence-sized
-    /// (event, path) pairs, while the gate-off path streams evidence as
-    /// the epoch is simulated.
+    /// or, when `retain` is set (a scorer), for the rows scoring consults
+    /// ([`RetainPolicy::EvidenceOnly`]); the agent process keeps none. The
+    /// common clean flow never allocates. The batch pipeline draws the SLB
+    /// gate salt *after* the epoch's simulation draws; an active gate
+    /// therefore defers dispatch to the end of the epoch, buffering
+    /// evidence-sized (event, path) pairs, while the gate-off path streams
+    /// evidence as the epoch is simulated.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_epoch<R: Rng + ?Sized, E>(
         &mut self,
@@ -241,7 +243,7 @@ impl HostFleet {
         rng: &mut R,
         scratch: &mut EpochScratch,
         tuning: &StreamTuning,
-        retain: Option<RetainPolicy>,
+        retain: bool,
         next_epoch: u64,
         mut sink: impl FnMut() -> Result<(), E>,
     ) -> Result<EpochPull, E> {
@@ -266,10 +268,7 @@ impl HostFleet {
         let mut stream =
             EpochStream::open(topo, faults, &config.traffic, &config.sim, rng, scratch);
         let flows = stream.total_flows();
-        let mut retained: Vec<FlowRecord> = match retain {
-            Some(RetainPolicy::All) => Vec::with_capacity(flows),
-            _ => Vec::new(),
-        };
+        let mut retained: Vec<FlowRecord> = Vec::new();
         let mut peak_resident = 0usize;
         loop {
             batch.clear();
@@ -286,15 +285,10 @@ impl HostFleet {
                     batch.established()[i],
                     retransmissions,
                 );
-                let keep = match retain {
-                    None => false,
-                    Some(RetainPolicy::All) => true,
-                    // Everything scoring consults: retransmitting flows,
-                    // plus any healthy flow a byzantine agent emitted
-                    // evidence for (its record must resolve in the flow
-                    // index exactly as under retain-all).
-                    Some(RetainPolicy::EvidenceOnly) => retransmissions > 0 || emitted.is_some(),
-                };
+                // Everything scoring consults: retransmitting flows, plus
+                // any healthy flow a byzantine agent emitted evidence for
+                // (its record must resolve in the flow index).
+                let keep = retain && (retransmissions > 0 || emitted.is_some());
                 let emitted = emitted.filter(|_| hosts.contains(&src.0));
                 if emitted.is_none() && !keep {
                     continue;
@@ -398,7 +392,6 @@ impl Intake {
 #[derive(Debug)]
 pub struct StreamSession {
     tuning: StreamTuning,
-    retain: RetainPolicy,
     fleet: HostFleet,
     intake: Intake,
 }
@@ -408,6 +401,9 @@ impl StreamSession {
     /// Every subsequent [`run_window`](Self::run_window) must pass the
     /// same topology and config (the session only retains what sizing
     /// requires: agent slots, the ledger, the adversary model).
+    ///
+    /// `retain` is always [`RetainPolicy::EvidenceOnly`], the only policy:
+    /// [`EpochRun::outcome`] holds the rows scoring consults.
     ///
     /// # Panics
     ///
@@ -419,12 +415,12 @@ impl StreamSession {
         tuning: StreamTuning,
         retain: RetainPolicy,
     ) -> Self {
+        let RetainPolicy::EvidenceOnly = retain;
         tuning.validate();
         let (hub_tx, hub_rx) = event_channel_bounded(tuning.hub_capacity);
         let all_hosts = 0..topo.num_hosts() as u32;
         Self {
             tuning,
-            retain,
             fleet: HostFleet::new(topo, config, all_hosts, hub_tx),
             intake: Intake {
                 hub_rx,
@@ -467,7 +463,6 @@ impl StreamSession {
         );
         let Self {
             tuning,
-            retain,
             fleet,
             intake,
         } = self;
@@ -479,7 +474,7 @@ impl StreamSession {
             rng,
             scratch,
             tuning,
-            Some(*retain),
+            true,
             next_epoch,
             || intake.drain(),
         );
@@ -534,12 +529,11 @@ impl StreamSession {
     }
 }
 
-/// One streaming trial: the exact seed discipline of
-/// [`crate::experiment::run_trial`] (topology and faults from the trial
-/// RNG, each epoch on its own derived [`crate::sweep::epoch_rng`]
-/// stream) driven through a [`StreamSession`] in evidence-only
-/// retention. Produces a [`TrialReport`] bit-identical to the batch
-/// trial's.
+/// One trial on the current thread — the serial reference every other
+/// runner reproduces: topology and faults from the trial RNG, each epoch
+/// on its own derived [`crate::sweep::epoch_rng`] stream, all driven
+/// through one [`StreamSession`]. The epoch pool's report for the same
+/// trial is bit-identical at any width.
 pub fn stream_trial(
     config: &ExperimentConfig,
     trial: usize,
@@ -569,32 +563,17 @@ pub fn stream_trial(
     (acc.finish(&config.run, trial, started), stats)
 }
 
-/// Runs a whole experiment through the streaming pipeline's epoch pool:
-/// `(trial, epoch)` tasks shard across the sweep engine's workers
-/// exactly like [`SweepEngine::run_experiment`], so the report is
-/// bit-identical to the batch path at any thread count — plus the
-/// aggregated service-mode counters.
+/// Runs a whole experiment through the epoch pool: `(trial, epoch)`
+/// tasks shard across the sweep engine's workers exactly like
+/// [`SweepEngine::run_experiment`] (the same body, at `tuning`), so the
+/// report is bit-identical to [`stream_trial`]'s at any thread count —
+/// plus the aggregated service-mode counters.
 pub fn stream_experiment(
     config: &ExperimentConfig,
     engine: &SweepEngine,
     tuning: &StreamTuning,
 ) -> (ExperimentReport, StreamStats) {
-    let started = std::time::Instant::now();
-    let groups = [crate::pool::EpochGroup::from_experiment(
-        config,
-        RetainPolicy::EvidenceOnly,
-        tuning.clone(),
-    )];
-    let result = crate::pool::run_epoch_grid(engine, &groups)
-        .pop()
-        .expect("one group in, one result out");
-    let mut report = ExperimentReport::empty(config);
-    for trial in result.trials {
-        report.merge_trial(trial);
-    }
-    report.timing.total_ms = started.elapsed().as_secs_f64() * 1e3;
-    report.timing.threads = engine.threads();
-    (report, result.stats)
+    crate::pool::run_experiment(engine, config, tuning.clone())
 }
 
 #[cfg(test)]
@@ -629,8 +608,7 @@ mod tests {
         }
     }
 
-    /// Strips an epoch run to the scoring-visible parts shared by both
-    /// retain policies.
+    /// Strips an epoch run to its scoring-visible parts.
     fn fingerprint(run: &EpochRun) -> (Vec<TraceReport>, Vec<vigil_topology::LinkId>, String) {
         (
             run.reports.clone(),
@@ -639,12 +617,9 @@ mod tests {
         )
     }
 
-    #[test]
-    fn chunk_size_is_invisible_in_the_epoch_run() {
-        // Honest, then every byzantine behavior with and without the SLB
-        // gate's deferred dispatch: chunking moves batch boundaries and
-        // hub drains, never a report.
-        let (topo, faults) = setup(2, 51);
+    /// Honest, then every byzantine behavior, each with and without the
+    /// SLB gate's deferred dispatch.
+    fn variants() -> Vec<(ByzantineSpec, SlbModel)> {
         let gate = SlbModel::query_failures(0.4);
         let mut variants = vec![(ByzantineSpec::default(), SlbModel::default())];
         for spec in [
@@ -656,7 +631,14 @@ mod tests {
             variants.push((spec, SlbModel::default()));
             variants.push((spec, gate));
         }
-        for (byzantine, slb) in variants {
+        variants
+    }
+
+    #[test]
+    fn chunk_size_is_invisible_in_the_epoch_run() {
+        // Chunking moves batch boundaries and hub drains, never a report.
+        let (topo, faults) = setup(2, 51);
+        for (byzantine, slb) in variants() {
             let cfg = RunConfig {
                 byzantine,
                 slb,
@@ -665,8 +647,12 @@ mod tests {
             let what = format!("{} / gate {}", byzantine.label(), slb.enabled());
             let baseline = {
                 let mut rng = ChaCha8Rng::seed_from_u64(3);
-                let mut session =
-                    StreamSession::new(&topo, &cfg, StreamTuning::default(), RetainPolicy::All);
+                let mut session = StreamSession::new(
+                    &topo,
+                    &cfg,
+                    StreamTuning::default(),
+                    RetainPolicy::EvidenceOnly,
+                );
                 session.run_window(&topo, &cfg, &faults, &mut rng, &mut EpochScratch::new())
             };
             for chunk in [1usize, 17, 4096] {
@@ -675,7 +661,8 @@ mod tests {
                     chunk_flows: chunk,
                     hub_capacity: 2 * chunk + 16,
                 };
-                let mut session = StreamSession::new(&topo, &cfg, tuning, RetainPolicy::All);
+                let mut session =
+                    StreamSession::new(&topo, &cfg, tuning, RetainPolicy::EvidenceOnly);
                 let run =
                     session.run_window(&topo, &cfg, &faults, &mut rng, &mut EpochScratch::new());
                 assert_eq!(run.outcome.flows, baseline.outcome.flows, "{what}");
@@ -688,40 +675,73 @@ mod tests {
 
     #[test]
     fn evidence_only_retention_scores_identically_and_bounds_memory() {
+        // Scoring must read nothing the session drops: swapping the
+        // retained rows for the fabric's full table (same RNG stream,
+        // index rebuilt) leaves every epoch report unchanged. Flooders
+        // emit evidence for healthy flows, so the keep rule must retain
+        // those rows too; the gated variants cover deferred dispatch.
         let (topo, faults) = setup(2, 53);
-        let cfg = config();
-        let mut rng_all = ChaCha8Rng::seed_from_u64(9);
-        let mut rng_lean = ChaCha8Rng::seed_from_u64(9);
-        let mut all = StreamSession::new(&topo, &cfg, StreamTuning::default(), RetainPolicy::All);
-        let tuning = StreamTuning {
-            chunk_flows: 32,
-            hub_capacity: 256,
-        };
-        let mut lean = StreamSession::new(&topo, &cfg, tuning, RetainPolicy::EvidenceOnly);
-        let full = all.run_window(&topo, &cfg, &faults, &mut rng_all, &mut EpochScratch::new());
-        let slim = lean.run_window(
-            &topo,
-            &cfg,
-            &faults,
-            &mut rng_lean,
-            &mut EpochScratch::new(),
-        );
+        for (byzantine, slb) in variants() {
+            let cfg = RunConfig {
+                byzantine,
+                slb,
+                ..config()
+            };
+            let what = format!("{} / gate {}", byzantine.label(), slb.enabled());
+            let tuning = StreamTuning {
+                chunk_flows: 32,
+                hub_capacity: 256,
+            };
+            let mut lean = StreamSession::new(&topo, &cfg, tuning, RetainPolicy::EvidenceOnly);
+            let mut rng = ChaCha8Rng::seed_from_u64(9);
+            let full = vigil_fabric::flowsim::simulate_epoch_with(
+                &topo,
+                &faults,
+                &cfg.traffic,
+                &cfg.sim,
+                &mut rng.clone(),
+                &mut EpochScratch::new(),
+            );
+            let slim = lean.run_window(&topo, &cfg, &faults, &mut rng, &mut EpochScratch::new());
+            let slim_report = format!("{:?}", evaluate_epoch(&slim));
 
-        // The scoring-visible surface is identical...
-        assert_eq!(slim.reports, full.reports);
-        assert_eq!(fingerprint(&slim), fingerprint(&full));
-        // ...but the resident flow table is the eventful slice only.
-        assert!(slim.outcome.flows.len() < full.outcome.flows.len());
-        assert!(slim.outcome.flows.iter().all(|f| f.retransmissions > 0));
-        assert!(
-            lean.stats().peak_resident_flows < full.outcome.flows.len() as u64,
-            "peak {} must undercut the epoch's {} flows",
-            lean.stats().peak_resident_flows,
-            full.outcome.flows.len()
-        );
-        assert_eq!(lean.stats().shed, 0);
-        assert!(lean.stats().evidence > 0);
-        assert_eq!(lean.stats().evidence as usize, slim.reports.len());
+            // The resident flow table is the eventful slice only: every
+            // kept row is the full table's row for its tuple, and every
+            // reported flow resolves (a flooder's healthy ones included).
+            let full_index = vigil_agents::FlowIndex::from_flows(&full.flows);
+            assert!(slim.outcome.flows.len() < full.flows.len(), "{what}");
+            for rec in &slim.outcome.flows {
+                let i = full_index.get(&rec.tuple).expect("kept rows are simulated");
+                assert_eq!(rec, &full.flows[i], "{what}");
+            }
+            for report in &slim.reports {
+                assert!(slim.flow_index.get(&report.tuple).is_some(), "{what}");
+            }
+            if !byzantine.enabled() {
+                assert!(slim.outcome.flows.iter().all(|f| f.retransmissions > 0));
+            }
+            assert!(
+                lean.stats().peak_resident_flows < full.flows.len() as u64,
+                "{what}: peak {} must undercut the epoch's {} flows",
+                lean.stats().peak_resident_flows,
+                full.flows.len()
+            );
+            assert_eq!(lean.stats().flows as usize, full.flows.len(), "{what}");
+            assert_eq!(lean.stats().shed, 0, "{what}");
+            assert!(lean.stats().evidence > 0, "{what}");
+            assert_eq!(lean.stats().evidence as usize, slim.reports.len(), "{what}");
+
+            let widened = EpochRun {
+                flow_index: full_index,
+                outcome: full,
+                ..slim
+            };
+            assert_eq!(
+                format!("{:?}", evaluate_epoch(&widened)),
+                slim_report,
+                "{what}"
+            );
+        }
     }
 
     #[test]
@@ -796,16 +816,18 @@ mod tests {
             trials: 2,
             seed: 5,
         };
+        // The batch runner shards (trial, epoch) cells over the pool.
+        let batch = SweepEngine::new(2).run_experiment(&cfg);
+        let mut stream = ExperimentReport::empty(&cfg);
         for trial in 0..cfg.trials {
-            let batch = crate::experiment::run_trial(&cfg, trial);
-            let (stream, stats) = stream_trial(&cfg, trial, &StreamTuning::default());
-            assert_eq!(batch.vote_gaps, stream.vote_gaps);
-            assert_eq!(
-                format!("{:?}", batch.epochs),
-                format!("{:?}", stream.epochs)
-            );
+            let (report, stats) = stream_trial(&cfg, trial, &StreamTuning::default());
             assert_eq!(stats.windows, cfg.epochs as u64);
+            stream.merge_trial(report);
         }
+        assert_eq!(
+            serde_json::to_string(&batch).unwrap(),
+            serde_json::to_string(&stream).unwrap()
+        );
     }
 
     #[test]
@@ -820,7 +842,7 @@ mod tests {
                 chunk_flows: 100,
                 hub_capacity: 0,
             },
-            RetainPolicy::All,
+            RetainPolicy::EvidenceOnly,
         );
     }
 

@@ -26,7 +26,7 @@
 
 use crate::experiment::{ExperimentConfig, ExperimentReport};
 use crate::pool::{run_epoch_grid, EpochGroup};
-use crate::stream::{RetainPolicy, StreamTuning};
+use crate::stream::StreamTuning;
 use crossbeam::channel;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -231,24 +231,10 @@ impl SweepEngine {
     /// Runs one config through the unified epoch×trial pool: every
     /// `(trial, epoch)` pair is one task, so parallelism reaches inside
     /// trials. Partial reports merge in (trial, epoch) order —
-    /// bit-identical to the serial runner at any thread count.
+    /// bit-identical to the serial reference
+    /// ([`crate::stream::stream_trial`]) at any thread count.
     pub fn run_experiment(&self, config: &ExperimentConfig) -> ExperimentReport {
-        let started = std::time::Instant::now();
-        let groups = [EpochGroup::from_experiment(
-            config,
-            RetainPolicy::All,
-            StreamTuning::default(),
-        )];
-        let result = run_epoch_grid(self, &groups)
-            .pop()
-            .expect("one group in, one result out");
-        let mut report = ExperimentReport::empty(config);
-        for trial in result.trials {
-            report.merge_trial(trial);
-        }
-        report.timing.total_ms = started.elapsed().as_secs_f64() * 1e3;
-        report.timing.threads = self.threads();
-        report
+        crate::pool::run_experiment(self, config, StreamTuning::default()).0
     }
 
     /// Runs a declarative sweep: every `(point, trial, epoch)` triple
@@ -262,7 +248,7 @@ impl SweepEngine {
 
         let groups: Vec<EpochGroup<'_>> = configs
             .iter()
-            .map(|cfg| EpochGroup::from_experiment(cfg, RetainPolicy::All, StreamTuning::default()))
+            .map(|cfg| EpochGroup::from_experiment(cfg, StreamTuning::default()))
             .collect();
         let results = run_epoch_grid(self, &groups);
 

@@ -58,11 +58,13 @@ fn scratch_reuse_across_epochs_is_invisible() {
     // epoch of a trial.
     // Reuse must be unobservable: a chain of scratch-sharing epochs has
     // to produce byte-identical reports to fresh-scratch epochs on the
-    // same RNG stream, and the experiment JSON must stay identical at
-    // threads 1 vs 4 (both run the scratch-reusing trial loop).
+    // same RNG stream — for the scored run (evidence rows) and for the
+    // fabric's full table (every row) — and the experiment JSON must stay
+    // identical at threads 1 vs 4 (both run the scratch-reusing trial
+    // loop).
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use vigil_fabric::EpochScratch;
+    use vigil_fabric::{simulate_epoch, simulate_epoch_with, EpochScratch};
 
     let cfg = config();
     let topo = ClosTopology::new(ClosParams::tiny(), 7).unwrap();
@@ -95,12 +97,35 @@ fn scratch_reuse_across_epochs_is_invisible() {
     let stats = scratch.route_cache_stats();
     assert_eq!(stats.compiles, 1, "static faults compile one table");
     assert_eq!(stats.table_hits, 2, "epochs 1 and 2 reuse it warm");
-    // `run_epoch_with` keeps every record, so each flow's owned path was
-    // either built (once per distinct route) or shared from the memo.
+    // `run_epoch_with` materializes exactly the rows it keeps, so each
+    // kept flow's owned path was either built (once per distinct route)
+    // or shared from the memo.
     assert_eq!(scratch.interned_paths() as u64, stats.path_misses);
     assert_eq!(stats.path_hits + stats.path_misses, flows);
     assert!(stats.path_misses > 0, "three epochs must build paths");
     assert!(stats.path_hits > 0, "flows on a repeated route share it");
+
+    // The full table: every row of a scratch-sharing chain equals its
+    // fresh-scratch twin, and every row's path went through the memo.
+    let mut fresh_rng = ChaCha8Rng::seed_from_u64(41);
+    let mut shared_rng = ChaCha8Rng::seed_from_u64(41);
+    let mut scratch = EpochScratch::new();
+    let mut flows = 0u64;
+    for epoch in 0..3 {
+        let (traffic, sim) = (&cfg.run.traffic, &cfg.run.sim);
+        let fresh = simulate_epoch(&topo, &faults, traffic, sim, &mut fresh_rng);
+        flows += fresh.flows.len() as u64;
+        let shared =
+            simulate_epoch_with(&topo, &faults, traffic, sim, &mut shared_rng, &mut scratch);
+        assert_eq!(
+            fresh.flows, shared.flows,
+            "epoch {epoch}: scratch reuse changed the full flow table"
+        );
+    }
+    let stats = scratch.route_cache_stats();
+    assert_eq!((stats.compiles, stats.table_hits), (1, 2));
+    assert_eq!(scratch.interned_paths() as u64, stats.path_misses);
+    assert_eq!(stats.path_hits + stats.path_misses, flows);
 
     // And through the engine: both thread counts run the reusing loop.
     let mut cfg = config();

@@ -1274,7 +1274,7 @@ mod tests {
 
     #[test]
     fn memo_bound_clears_at_epoch_open_and_is_invisible() {
-        // A paper-size epoch pulled retain-all builds more owned paths
+        // A paper-size epoch pulled whole builds more owned paths
         // than the memo may carry over, so the next open drops them —
         // without touching a record, and without the cumulative counters
         // ever stepping back.

@@ -98,8 +98,7 @@ impl Theorem2 {
     /// `p_g ≤ (1 − (1 − p_b)^{c_l}) / (α·c_u)` are provably tolerated.
     pub fn noise_ceiling(&self) -> Option<f64> {
         let alpha = self.alpha()?;
-        let r_bad_floor = 1.0 - (1.0 - self.p_bad).powi(self.c_lower as i32);
-        Some(r_bad_floor / (alpha * f64::from(self.c_upper)))
+        Some(self.r_bad_floor() / (alpha * f64::from(self.c_upper)))
     }
 
     /// True when the configured noise `p_good` is within the proven regime.
@@ -125,14 +124,18 @@ impl Theorem2 {
 
     /// Probability a connection through a bad link sees a retransmission,
     /// at the lower packet-count bound: `r_b ≥ 1 − (1 − p_b)^{c_l}`.
+    ///
+    /// `powf`, not `powi`: the compiler folds a constant `powi` exactly
+    /// but evaluates a runtime one by repeated squaring, so debug and
+    /// release builds would disagree in the last digits.
     pub fn r_bad_floor(&self) -> f64 {
-        1.0 - (1.0 - self.p_bad).powi(self.c_lower as i32)
+        1.0 - (1.0 - self.p_bad).powf(f64::from(self.c_lower))
     }
 
     /// Probability a connection through a good link sees a retransmission,
     /// at the upper packet-count bound: `r_g ≤ 1 − (1 − p_g)^{c_u}`.
     pub fn r_good_ceiling(&self) -> f64 {
-        1.0 - (1.0 - self.p_good).powi(self.c_upper as i32)
+        1.0 - (1.0 - self.p_good).powf(f64::from(self.c_upper))
     }
 
     /// Lemma 2, eq. (10a): lower bound on the probability a bad link

@@ -9,6 +9,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vigil::evaluate::evaluate_epoch;
 use vigil::prelude::*;
+use vigil_fabric::EpochScratch;
 
 fn main() {
     // A 2-pod Clos: 4 ToRs/pod, 3 T1s/pod, 4 T2s, 4 hosts per rack.
@@ -38,12 +39,20 @@ fn main() {
 
     // One epoch of the full pipeline: traffic → retransmissions → path
     // discovery (Theorem 1 pacing) → votes → Algorithm 1.
+    // The session keeps only the flows scoring consults; its counters
+    // still see every simulated flow.
     let config = RunConfig::default();
-    let run = run_epoch(&topo, &faults, &config, &mut rng);
+    let mut session = StreamSession::new(
+        &topo,
+        &config,
+        StreamTuning::default(),
+        RetainPolicy::EvidenceOnly,
+    );
+    let run = session.run_window(&topo, &config, &faults, &mut rng, &mut EpochScratch::new());
 
     println!(
         "epoch: {} flows, {} with retransmissions, {} traced",
-        run.outcome.flows.len(),
+        session.stats().flows,
         run.outcome.flows_with_retransmissions().count(),
         run.reports.len()
     );

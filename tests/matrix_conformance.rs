@@ -7,9 +7,27 @@
 use vigil::matrix::{filter_cases, MatrixRunner};
 use vigil::prelude::*;
 
+/// The committed verdict of `VIGIL_FAST=1 vigil-sim matrix` (the smoke
+/// scale below, default seed), byte for byte.
+const GOLDEN: &str = include_str!("../crates/bench/tests/golden/matrix.json");
+
+/// Asserts `report` serializes exactly as the golden, the way
+/// `vigil-sim matrix` writes `results/matrix.json`.
+fn assert_matches_golden(report: &MatrixReport, threads: usize) {
+    let json = serde_json::to_string_pretty(report).expect("report serializes");
+    let line = GOLDEN.lines().zip(json.lines()).position(|(g, a)| g != a);
+    assert!(
+        json == GOLDEN,
+        "the matrix at width {threads} diverged from crates/bench/tests/golden/matrix.json \
+         (first differing line: {:?}); if the change is intentional, regenerate it with \
+         `VIGIL_FAST=1 vigil-sim matrix` and copy results/matrix.json",
+        line.map(|i| i + 1)
+    );
+}
+
 fn smoke_runner(threads: usize) -> MatrixRunner {
     let mut runner = MatrixRunner::new(SweepEngine::new(threads));
-    // The CI smoke scale; `vigil-sim matrix` defaults to 3 × 2.
+    // `vigil-sim matrix`'s VIGIL_FAST scale (its default is 3 × 2).
     runner.trials = 2;
     runner.epochs = 1;
     runner
@@ -52,6 +70,15 @@ fn every_case_conforms_to_its_envelope() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+    assert_matches_golden(&report, 2);
+}
+
+#[test]
+fn matrix_verdict_is_golden_at_widths_1_and_4() {
+    let cases = scenarios::standard_matrix();
+    for threads in [1, 4] {
+        assert_matches_golden(&smoke_runner(threads).run(&cases), threads);
+    }
 }
 
 #[test]
