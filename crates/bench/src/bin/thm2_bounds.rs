@@ -17,7 +17,6 @@ use vigil::prelude::*;
 use vigil::sweep::task_rng;
 use vigil_bench::{banner, print_engine, write_json, Scale};
 use vigil_fabric::faults::LinkFaults;
-use vigil_fabric::EpochScratch;
 use vigil_topology::bounds::{theorem1_ct_bound, theorem2_k_max, Theorem2};
 
 fn main() {
@@ -110,14 +109,9 @@ fn main() {
         // Distinct master from the 0x7772 setup rng: task_rng(m, 0) == m's
         // stream, which would correlate epoch 0 with the fault draw.
         let mut rng = task_rng(0xA0_7772, epoch);
-        let mut session = StreamSession::new(
-            &topo,
-            &cfg,
-            StreamTuning::default(),
-            RetainPolicy::EvidenceOnly,
-        );
-        let run = session.run_window(&topo, &cfg, &faults, &mut rng, &mut EpochScratch::new());
-        let connections = session.stats().flows;
+        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
+        // `ConnCount::Fixed(40)`: every host opens exactly 40 connections.
+        let connections = topo.num_hosts() as u64 * 40;
         let bad_votes = run
             .evidence
             .iter()

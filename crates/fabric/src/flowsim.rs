@@ -130,7 +130,10 @@ impl GroundTruth {
 /// The complete outcome of simulating one epoch.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EpochOutcome {
-    /// All flows, including drop-free ones.
+    /// The flow records. `simulate_*` returns every flow of the epoch,
+    /// drop-free ones included; a scored run's outcome keeps only the
+    /// rows scoring consults (retransmitting or reported flows), and its
+    /// stream's `StreamStats::flows` counts the whole epoch.
     pub flows: Vec<FlowRecord>,
     /// The oracle.
     pub ground_truth: GroundTruth,

@@ -172,12 +172,20 @@ fn host_uplink_blackhole_produces_establishment_failures_not_votes() {
         .unwrap();
     faults.fail_link(up, 1.0);
 
-    let run = vigil::run_epoch(&topo, &faults, &run_config(10), &mut rng);
+    let cfg = run_config(10);
+    // The fabric's full table for the same epoch (same RNG stream).
+    let outcome = vigil_fabric::flowsim::simulate_epoch(
+        &topo,
+        &faults,
+        &cfg.traffic,
+        &cfg.sim,
+        &mut rng.clone(),
+    );
+    let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
     // The victim's flows never establish ⇒ never traced (§4.2).
     assert!(run.reports.iter().all(|r| r.host != victim));
     // And the fabric recorded the establishment failures.
-    let failed = run
-        .outcome
+    let failed = outcome
         .flows
         .iter()
         .filter(|f| f.src == victim && !f.established)
