@@ -17,11 +17,12 @@
 //! not-yet-explained flow whose path contains `lmax` is attributed to
 //! `lmax` and its votes are retracted from every link it touched. The
 //! paper reports the adjustment cuts false positives by ~5 %; the
-//! `ablation_voting` bench measures ours.
+//! figure catalogue's `ablation` entry (`vigil-sim figures --only
+//! ablation`) measures ours.
 //!
 //! The 1 % threshold "provides a reasonable trade-off between precision
 //! and recall. Higher values reduce false positives but increase false
-//! negatives" — the threshold sweep is also in the ablation bench.
+//! negatives" — the threshold sweep is also in the `ablation` entry.
 
 use crate::evidence::FlowEvidence;
 use crate::voting::{to_votes, VoteTally, VoteWeight};

@@ -1,11 +1,10 @@
-//! Golden-file regression tests for the figure pipeline.
+//! Golden-file regression tests for the figure catalogue.
 //!
-//! Each test runs a figure binary in a scratch directory with a fully
-//! pinned environment (`VIGIL_FAST=1 VIGIL_TRIALS=1 VIGIL_EPOCHS=1
-//! VIGIL_THREADS=2` — the committed goldens were generated the same way;
-//! thread count is pinned only for hygiene, output is thread-invariant)
-//! and compares the emitted JSON against `tests/golden/<id>.json` as
-//! **serde_json values**, not bytes, with a path-precise diff message.
+//! Every catalogue entry runs in-process at the pinned golden scale —
+//! fast, 1 trial, 1 epoch, on a 2-worker engine — and each artifact it
+//! returns must equal `tests/golden/<id>.json` **byte for byte**, the
+//! bytes `vigil-sim figures` writes to `results/<id>.json`. On a mismatch
+//! the message names the first differing JSON path.
 //!
 //! The simulation stack is deterministic end to end (vendored ChaCha8,
 //! no ambient entropy, IEEE float ops), so any mismatch is a real
@@ -13,53 +12,29 @@
 //!
 //! ```text
 //! VIGIL_FAST=1 VIGIL_TRIALS=1 VIGIL_EPOCHS=1 VIGIL_THREADS=2 \
-//!   cargo run --release -p vigil_bench --bin <binary>
-//! cp results/<id>.json crates/bench/tests/golden/
+//!   cargo run --release --bin vigil-sim -- figures --only <id>
+//! cp results/<artifact>.json crates/bench/tests/golden/
 //! ```
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use vigil::SweepEngine;
+use vigil_bench::{figure, Artifact, FIGURES};
 
-/// Runs `bin` in a fresh scratch dir with the pinned golden environment
-/// and returns the parsed `results/<id>.json` files.
-fn run_pinned(bin: &str, ids: &[&str]) -> Vec<(String, Value)> {
-    let scratch = std::env::temp_dir().join(format!(
-        "vigil-golden-{}-{}",
-        bin.rsplit('/').next().unwrap_or("bin"),
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
-
-    let out = Command::new(bin)
-        .current_dir(&scratch)
-        .env_remove("VIGIL_SEED")
-        .env("VIGIL_FAST", "1")
-        .env("VIGIL_TRIALS", "1")
-        .env("VIGIL_EPOCHS", "1")
-        .env("VIGIL_THREADS", "2")
-        .output()
-        .expect("spawn figure binary");
-    assert!(
-        out.status.success(),
-        "{bin} failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
+/// Runs one entry at the golden scale on `threads` workers.
+fn run_pinned(id: &str, threads: usize) -> Vec<Artifact> {
+    let fig = figure(id).expect("catalogued");
+    let artifacts = (fig.run)(
+        fig.scale(true, Some(1), Some(1)),
+        &SweepEngine::new(threads),
+    )
+    .unwrap_or_else(|e| panic!("{id} failed: {e}"));
+    let ids: Vec<&str> = artifacts.iter().map(|a| a.id.as_str()).collect();
+    assert_eq!(
+        ids, fig.outputs,
+        "{id} returned other artifacts than it declares"
     );
-
-    let parsed = ids
-        .iter()
-        .map(|id| {
-            let path = scratch.join("results").join(format!("{id}.json"));
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing {}: {e}", path.display()));
-            let value: Value =
-                serde_json::from_str(&text).unwrap_or_else(|e| panic!("{id}.json invalid: {e}"));
-            (id.to_string(), value)
-        })
-        .collect();
-    let _ = std::fs::remove_dir_all(&scratch);
-    parsed
+    artifacts
 }
 
 fn golden_path(id: &str) -> PathBuf {
@@ -105,52 +80,96 @@ fn first_diff(path: &str, golden: &Value, actual: &Value) -> Option<String> {
     }
 }
 
-fn assert_matches_golden(bin: &str, ids: &[&str]) {
-    for (id, actual) in run_pinned(bin, ids) {
-        let path = golden_path(&id);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-        let golden: Value = serde_json::from_str(&text).expect("golden parses");
-        if let Some(diff) = first_diff(&id, &golden, &actual) {
-            panic!(
-                "{id}.json diverged from its golden:\n  {diff}\n\
-                 If the change is intentional, regenerate with:\n  \
-                 VIGIL_FAST=1 VIGIL_TRIALS=1 VIGIL_EPOCHS=1 VIGIL_THREADS=2 \
-                 cargo run --release -p vigil_bench --bin <binary> && \
-                 cp results/{id}.json crates/bench/tests/golden/"
-            );
-        }
+/// Panics unless `artifact` is byte-identical to its golden.
+fn assert_golden(artifact: &Artifact) {
+    let Artifact { id, json } = artifact;
+    let path = golden_path(id);
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+    if golden == *json {
+        return;
     }
-}
-
-#[test]
-fn fig05_matches_golden() {
-    assert_matches_golden(
-        env!("CARGO_BIN_EXE_fig05_drop_rates"),
-        &["fig05a", "fig05b"],
+    let parse = |text: &str| serde_json::from_str::<Value>(text).expect("valid JSON");
+    let diff = first_diff(id, &parse(&golden), &parse(json))
+        .unwrap_or_else(|| format!("{id}: same values, different bytes"));
+    panic!(
+        "{id}.json diverged from its golden:\n  {diff}\n\
+         If the change is intentional, regenerate it (see this file's header)."
     );
 }
 
-#[test]
-fn fig09_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_fig09_hot_tor"), &["fig09"]);
+/// One test per catalogue entry, so entries run in parallel and a
+/// failure names its figure.
+macro_rules! goldens {
+    ($($test:ident => $id:literal),* $(,)?) => {
+        $(
+            #[test]
+            fn $test() {
+                for artifact in run_pinned($id, 2) {
+                    assert_golden(&artifact);
+                }
+            }
+        )*
+
+        /// The entries the tests above cover.
+        const TESTED: &[&str] = &[$($id),*];
+    };
+}
+
+goldens! {
+    fig01_matches_golden => "fig01",
+    fig03_matches_golden => "fig03",
+    fig04_matches_golden => "fig04",
+    fig05_matches_golden => "fig05",
+    fig06_matches_golden => "fig06",
+    fig07_matches_golden => "fig07",
+    fig08_matches_golden => "fig08",
+    fig09_matches_golden => "fig09",
+    fig10_matches_golden => "fig10",
+    fig11_matches_golden => "fig11",
+    fig12_matches_golden => "fig12",
+    sec6_7_matches_golden => "sec6_7",
+    sec7_1_matches_golden => "sec7_1",
+    sec7_2_matches_golden => "sec7_2",
+    fig13_matches_golden => "fig13",
+    sec7_3_matches_golden => "sec7_3",
+    table1_matches_golden => "table1",
+    sec8_2_matches_golden => "sec8_2",
+    sec8_3_matches_golden => "sec8_3",
+    fig14_matches_golden => "fig14",
+    thm2_matches_golden => "thm2",
+    ablation_matches_golden => "ablation",
 }
 
 #[test]
-fn table1_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_table1_icmp_rate"), &["table1"]);
+fn every_entry_and_every_golden_is_covered() {
+    let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+    assert_eq!(ids, TESTED, "each catalogue entry needs a golden test");
+
+    let mut declared: Vec<String> = FIGURES
+        .iter()
+        .flat_map(|f| f.outputs.iter().map(|o| format!("{o}.json")))
+        .collect();
+    declared.push("matrix.json".into()); // tests/matrix_conformance.rs
+    declared.sort();
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut on_disk: Vec<String> = std::fs::read_dir(dir)
+        .expect("golden dir")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    on_disk.sort();
+    assert_eq!(declared, on_disk, "goldens and declared artifacts differ");
 }
 
-// The two figures that read `EpochRun.outcome` rows: thm2 counts the
-// epoch's connections, sec7_2 looks up each reported flow's record.
+/// The sweep engine's contract at the catalogue level: the bytes do not
+/// depend on the worker count.
 #[test]
-fn thm2_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_thm2_bounds"), &["thm2"]);
-}
-
-#[test]
-fn sec7_2_matches_golden() {
-    assert_matches_golden(env!("CARGO_BIN_EXE_sec7_2_two_failures"), &["sec7_2"]);
+fn fig05_is_byte_identical_at_widths_1_and_4() {
+    for threads in [1, 4] {
+        for artifact in run_pinned("fig05", threads) {
+            assert_golden(&artifact);
+        }
+    }
 }
 
 #[test]

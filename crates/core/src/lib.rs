@@ -8,7 +8,7 @@
 //!
 //! This crate is the public face of the reproduction: it wires the
 //! substrate crates into the paper's full pipeline and exposes the
-//! experiment harness the bench binaries use to regenerate every figure
+//! experiment harness the figure catalogue uses to regenerate every figure
 //! and table.
 //!
 //! ```

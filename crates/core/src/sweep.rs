@@ -91,7 +91,7 @@ pub fn env_threads() -> Option<NonZeroUsize> {
 /// value becomes an [`ExperimentConfig`].
 ///
 /// `id` doubles as the output-path stem (`results/<id>.json`) for the
-/// figure binaries; `knob` labels the x-axis column in printed tables.
+/// figure catalogue; `knob` labels the x-axis column in printed tables.
 pub struct SweepSpec<'a, X> {
     /// Output identifier (e.g. `"fig05a"`).
     pub id: &'a str,

@@ -3,7 +3,7 @@
 //! Table 1 of the paper reports the distribution of ICMP messages per second
 //! per switch in irregular bins: `T = 0`, `0 < T ≤ 3`, `T > 3`, plus
 //! `max(T)`. [`Histogram`] supports arbitrary right-closed bin edges so the
-//! bench binary can print exactly those rows.
+//! `table1` figure entry can count exactly those rows.
 
 use serde::Serialize;
 

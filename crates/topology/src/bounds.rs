@@ -12,7 +12,7 @@
 //!   where `ε ≤ 2·e^{−O(N)}` via the Chernoff–KL bounds in `vigil-stats`.
 //!
 //! The path-discovery agent uses [`theorem1_ct_bound`] to configure its
-//! host-side rate limiter; the bench binaries use [`Theorem2`] to annotate
+//! host-side rate limiter; the figure catalogue uses [`Theorem2`] to annotate
 //! whether each experiment sits inside or outside the proven regime.
 
 use crate::params::ClosParams;

@@ -10,6 +10,7 @@
 //! vigil-sim run-config <config.json>      # run a JSON ExperimentConfig
 //! vigil-sim bounds                        # print the Theorem 1/2 numbers
 //! vigil-sim matrix [--filter pat] [--list]  # the scenario-matrix grid
+//! vigil-sim figures [--only id]           # the paper's figures and tables
 //! vigil-sim collect [preset] [options]    # distributed collector daemon
 //! vigil-sim agent [preset] [options]      # one distributed host-agent
 //!                                         # process (feeds a collector)
@@ -84,9 +85,18 @@
 //! envelope); `--byzantine-fraction F` overrides every byzantine case's
 //! fraction while keeping its calibrated envelope — the forced-violation
 //! knob (e.g. `--filter byzantine --byzantine-fraction 0.9` must exit 1).
+//!
+//! `figures` runs the figure catalogue (`vigil_bench::FIGURES`; every
+//! entry, or the one `--only` names) and writes each artifact to
+//! `results/<id>.json`, exiting 1 when a write or an entry's check fails.
+//! Its scale comes from the environment: `VIGIL_FAST=1` shrinks every
+//! entry (a quarter of its trials, half its epochs, a smaller fabric),
+//! `VIGIL_TRIALS` / `VIGIL_EPOCHS` override trials and epochs, and
+//! `VIGIL_THREADS` sets the engine width — the bytes are the same at any.
 
 use std::process::ExitCode;
 use vigil::prelude::*;
+use vigil_bench::{Figure, FIGURES};
 use vigil_wire::chaos::{ChaosPlan, ChaosSchedule};
 
 const PRESETS: &[(&str, &str)] = &[
@@ -215,9 +225,10 @@ fn main() -> ExitCode {
         Some("agent") => run_agent_cmd(&args[1..]),
         Some("collect") => run_collect_cmd(&args[1..]),
         Some("matrix") => run_matrix(&args[1..]),
+        Some("figures") => run_figures(&args[1..]),
         _ => {
             eprintln!(
-                "usage: vigil-sim <list|bounds|run|stream|agent|collect|run-config|matrix> …"
+                "usage: vigil-sim <list|bounds|run|stream|agent|collect|run-config|matrix|figures> …"
             );
             ExitCode::FAILURE
         }
@@ -815,7 +826,7 @@ fn run_matrix(flags: &[String]) -> ExitCode {
     }
 
     let mut runner = MatrixRunner::new(engine.clone());
-    // VIGIL_FAST shrinks the conformance run like the figure binaries.
+    // VIGIL_FAST shrinks the conformance run like the figure catalogue.
     if std::env::var("VIGIL_FAST").is_ok_and(|v| v == "1") {
         runner.trials = 2;
         runner.epochs = 1;
@@ -887,7 +898,7 @@ fn run_matrix(flags: &[String]) -> ExitCode {
         }
     }
 
-    // Best-effort JSON drop, like the figure binaries.
+    // Best-effort JSON drop.
     if std::fs::create_dir_all("results").is_ok() {
         if let Ok(s) = serde_json::to_string_pretty(&report) {
             if std::fs::write("results/matrix.json", s).is_ok() {
@@ -910,6 +921,83 @@ fn run_matrix(flags: &[String]) -> ExitCode {
         }
         ExitCode::FAILURE
     }
+}
+
+/// The `figures` subcommand: run the catalogue, write `results/<id>.json`.
+fn run_figures(flags: &[String]) -> ExitCode {
+    let figures: Vec<&Figure> = match flags {
+        [] => FIGURES.iter().collect(),
+        [flag, id] if flag == "--only" => match vigil_bench::figure(id) {
+            Some(fig) => vec![fig],
+            None => {
+                let ids: Vec<_> = FIGURES.iter().map(|f| f.id).collect();
+                eprintln!("unknown figure '{id}'; valid ids: {}", ids.join(" "));
+                return ExitCode::FAILURE;
+            }
+        },
+        _ => {
+            eprintln!("usage: vigil-sim figures [--only <id>]");
+            return ExitCode::FAILURE;
+        }
+    };
+    let (trials, epochs, engine) = match figure_knobs() {
+        Ok(knobs) => knobs,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let fast = std::env::var("VIGIL_FAST").is_ok_and(|v| v == "1");
+    let dir = std::path::Path::new("results");
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("cannot create {}: {e}", dir.display());
+        return ExitCode::FAILURE;
+    }
+    let rule = "=".repeat(64);
+    for fig in figures {
+        let scale = fig.scale(fast, trials, epochs);
+        println!("{rule}\n{}: {}\npaper: {}", fig.id, fig.what, fig.paper);
+        println!(
+            "{} trial(s) × {} epoch(s), {} worker thread(s)\n{rule}",
+            scale.trials,
+            scale.epochs,
+            engine.threads()
+        );
+        let artifacts = match (fig.run)(scale, &engine) {
+            Ok(artifacts) => artifacts,
+            Err(e) => {
+                eprintln!("{}: {e}", fig.id);
+                return ExitCode::FAILURE;
+            }
+        };
+        for artifact in artifacts {
+            let path = dir.join(format!("{}.json", artifact.id));
+            if let Err(e) = std::fs::write(&path, artifact.json) {
+                eprintln!("cannot write {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+            println!("(wrote {})", path.display());
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// The `figures` scale knobs: `VIGIL_TRIALS`, `VIGIL_EPOCHS` (each a
+/// positive integer when set) and the engine `VIGIL_THREADS` asks for.
+fn figure_knobs() -> Result<(Option<usize>, Option<usize>, SweepEngine), String> {
+    let read = |name: &str| match std::env::var(name) {
+        Ok(v) => v
+            .parse::<usize>()
+            .map(Some)
+            .map_err(|_| format!("{name} must be a non-negative integer, got '{v}'")),
+        Err(_) => Ok(None),
+    };
+    let positive = |name: &str| match read(name)? {
+        Some(0) => Err(format!("{name} needs a positive integer, got 0")),
+        n => Ok(n),
+    };
+    let engine = read("VIGIL_THREADS")?.map_or_else(SweepEngine::from_env, SweepEngine::new);
+    Ok((positive("VIGIL_TRIALS")?, positive("VIGIL_EPOCHS")?, engine))
 }
 
 /// Applies CLI flags to the config; returns the sweep engine to run it

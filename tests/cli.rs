@@ -1,5 +1,6 @@
 //! End-to-end tests of the `vigil-sim` CLI front door: preset listing,
-//! the JSON config path (`run-config`), and machine-readable reports.
+//! the JSON config path (`run-config`), machine-readable reports, and the
+//! figure catalogue (`figures`).
 
 use std::process::Command;
 use vigil::prelude::*;
@@ -384,6 +385,96 @@ fn zero_valued_counts_are_rejected_not_vacuous() {
             err.contains("positive integer"),
             "{sub} {flag} 0: unexpected stderr:\n{err}"
         );
+    }
+    // `figures` takes its counts from the environment: zero and
+    // non-integers are one-line errors (exit 1), not a JSON of nulls or a
+    // panic.
+    let dir = scratch_dir("zero-figures");
+    for (var, value) in [
+        ("VIGIL_TRIALS", "0"),
+        ("VIGIL_EPOCHS", "0"),
+        ("VIGIL_TRIALS", "x"),
+    ] {
+        let out = vigil_sim()
+            .args(["figures", "--only", "fig05"])
+            .current_dir(&dir)
+            .env(var, value)
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {err}");
+        assert!(out.stdout.is_empty(), "{var}={value} must not run a figure");
+        assert_eq!(err.lines().count(), 1, "{var}={value}: {err}");
+        assert!(err.contains(var), "{var}={value}: {err}");
+    }
+    assert!(!dir.join("results/fig05a.json").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fresh, empty directory under the system temp dir.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("vigil-sim-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn figures_writes_golden_bytes_and_fails_loudly() {
+    let golden = |id: &str| {
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/tests/golden");
+        std::fs::read(dir.join(format!("{id}.json"))).unwrap()
+    };
+    let figures = |dir: &std::path::Path, id: &str| {
+        vigil_sim()
+            .args(["figures", "--only", id])
+            .current_dir(dir)
+            .env("VIGIL_FAST", "1")
+            .env("VIGIL_TRIALS", "1")
+            .env("VIGIL_EPOCHS", "1")
+            .env("VIGIL_THREADS", "2")
+            .output()
+            .expect("spawn vigil-sim")
+    };
+
+    let dir = scratch_dir("figures");
+    let out = figures(&dir, "fig05");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for id in ["fig05a", "fig05b"] {
+        let written = std::fs::read(dir.join(format!("results/{id}.json"))).unwrap();
+        assert!(written == golden(id), "{id}.json differs from its golden");
+    }
+
+    let out = figures(&dir, "fig99");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("fig99") && err.contains("fig05 ") && err.contains("table1"));
+
+    // A results path that cannot be a directory must fail and say so.
+    std::fs::remove_dir_all(dir.join("results")).unwrap();
+    std::fs::write(dir.join("results"), "not a directory").unwrap();
+    let out = figures(&dir, "fig05");
+    assert!(!out.status.success(), "an unwritable results/ must fail");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("results"),
+        "the error must name the path: {err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bounds_prints_the_theorem_numbers() {
+    let out = vigil_sim().arg("bounds").output().expect("spawn vigil-sim");
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    for needle in ["Theorem 1: Ct = ", "Theorem 2 (k=1", "noise ceiling"] {
+        assert!(text.contains(needle), "missing '{needle}' in:\n{text}");
     }
 }
 
