@@ -216,6 +216,73 @@ pub fn ablation_base(failures: u32, alg1: Algorithm1Config) -> ExperimentConfig 
     cfg
 }
 
+/// `failures` failed links in the Figure 3 regime with `fraction` of the
+/// hosts lying about their paths (the adversarial preset).
+pub fn byzantine_liars(failures: u32, fraction: f64) -> ExperimentConfig {
+    let mut cfg = fig03_optimal_case(failures);
+    cfg.name = format!("byzantine-liar k={failures} f={fraction}");
+    cfg.run.byzantine = ByzantineSpec::liars(fraction);
+    cfg
+}
+
+/// A named, ready-to-run configuration: what `vigil-sim list` shows and
+/// `vigil-sim run <name>` runs.
+pub struct Preset {
+    /// The name on the command line.
+    pub name: &'static str,
+    /// One line for `vigil-sim list`.
+    pub what: &'static str,
+    /// Builds the configuration.
+    pub config: fn() -> ExperimentConfig,
+}
+
+/// The presets, in `vigil-sim list` order.
+pub const PRESETS: &[Preset] = &[
+    Preset {
+        name: "single-failure",
+        what: "one fabric link failing at 0.05–1% (fig. 3 point)",
+        config: || fig03_optimal_case(1),
+    },
+    Preset {
+        name: "multi-failure",
+        what: "six simultaneous failures (fig. 5b point)",
+        config: || fig05_multi(6),
+    },
+    Preset {
+        name: "skewed-traffic",
+        what: "80% of flows into 25% of racks (fig. 8)",
+        config: || fig08_skew(1, Some(1e-3)),
+    },
+    Preset {
+        name: "hot-tor",
+        what: "one ToR sinks half the traffic, 5 failures (fig. 9)",
+        config: || fig09_hot_tor(0.5, 5),
+    },
+    Preset {
+        name: "skewed-rates",
+        what: "one scorching link among mild ones (fig. 12)",
+        config: || fig12_skewed_rates(6),
+    },
+    Preset {
+        name: "test-cluster",
+        what: "the paper's 10-ToR test cluster, 0.1% failure (fig. 13)",
+        config: || fig13_cluster(1e-3),
+    },
+    Preset {
+        name: "byzantine-liar",
+        what: "two failures with 20% of hosts lying about paths",
+        config: || byzantine_liars(2, 0.2),
+    },
+];
+
+/// The configuration of the preset called `name`.
+pub fn preset(name: &str) -> Option<ExperimentConfig> {
+    PRESETS
+        .iter()
+        .find(|p| p.name == name)
+        .map(|p| (p.config)())
+}
+
 // --- the scenario matrix (crate::matrix) ---------------------------------
 
 /// The matrix's baseline fabric: a 2-pod Clos small enough that the full

@@ -7,6 +7,8 @@
 //! tests can write `vigil_repro::vigil::…` or depend on the members
 //! directly.
 
+pub mod cli;
+
 pub use vigil;
 pub use vigil_agents;
 pub use vigil_analysis;

@@ -170,6 +170,27 @@ fn matrix_run_with_filter_reports_conformance_and_is_thread_invariant() {
             "case failed conformance: {case:?}"
         );
     }
+
+    // A `results` path that cannot be a directory must fail and say so.
+    let dir = scratch_dir("matrix-unwritable");
+    std::fs::write(dir.join("results"), "not a directory").unwrap();
+    let out = vigil_sim()
+        .args(["matrix", "--filter", "drop/k1-severe"])
+        .args(["--trials", "1", "--epochs", "1"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "an unwritable results/ must fail"
+    );
+    assert!(
+        err.contains("results/matrix.json"),
+        "must name the path: {err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -299,6 +320,11 @@ fn stream_json_equals_batch_run_and_is_thread_invariant() {
     assert_eq!(batch, stream, "stream JSON diverged from the batch path");
     let stream4 = run("stream", "4");
     assert_eq!(stream, stream4, "thread count changed the stream JSON");
+    assert_eq!(
+        stream,
+        run("stream", "2"),
+        "thread count changed the stream JSON"
+    );
 
     // The service-mode accounting lands on stderr, not in the JSON.
     let out = vigil_sim()
@@ -364,16 +390,22 @@ fn zero_valued_counts_are_rejected_not_vacuous() {
     // A zero window, trial, or epoch count must fail loudly — not
     // "succeed" with an empty report (or divide the pacer budget by a
     // zero-length window).
+    let dir = scratch_dir("zero-counts");
     for args in [
         ["stream", "--window-ms", "0"],
         ["stream", "--trials", "0"],
         ["stream", "--epochs", "0"],
         ["run", "single-failure", "--trials"], // missing value
+        ["matrix", "--trials", "0"],
+        ["matrix", "--epochs", "0"],
     ] {
-        let out = vigil_sim().args(args).output().unwrap();
+        let out = vigil_sim().args(args).current_dir(&dir).output().unwrap();
         assert!(!out.status.success(), "{args:?} must fail");
         assert!(out.stdout.is_empty(), "{args:?} must not print a report");
     }
+    // A rejected matrix run leaves no `results/matrix.json` behind.
+    assert!(!dir.join("results").exists());
+    std::fs::remove_dir_all(&dir).ok();
     for (sub, flag) in [("run", "--trials"), ("run", "--epochs")] {
         let out = vigil_sim()
             .args([sub, "single-failure", flag, "0"])
@@ -550,10 +582,86 @@ fn threads_flag_is_accepted_and_output_is_thread_invariant() {
     let one = run("1");
     let four = run("4");
     assert_eq!(one, four, "thread count changed the report JSON");
+    assert_eq!(one, run("2"), "thread count changed the report JSON");
 
     let bad = vigil_sim()
         .args(["run", "single-failure", "--threads", "zero"])
         .output()
         .unwrap();
     assert!(!bad.status.success(), "non-numeric --threads must fail");
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn stdout_write_errors_exit_1_without_panicking() {
+    // A full disk (or a closed pipe) under stdout is an ordinary error:
+    // one line on stderr and exit code 1, not a panic.
+    for args in ["list", "run single-failure --trials 1 --epochs 1 --json"] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let out = vigil_sim()
+            .args(args.split(' '))
+            .stdout(full)
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn usage_and_readme_synopsis_declare_the_same_flags() {
+    // The flags each subcommand's generated usage names (printed on an
+    // unknown flag) must be exactly the ones README's command-line
+    // synopsis lists for it, and the synopsis must cover every subcommand.
+    let flags_in = |text: &str| -> std::collections::BTreeSet<String> {
+        text.split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .filter(|t| t.starts_with("--") && *t != "--no-such-flag")
+            .map(String::from)
+            .collect()
+    };
+    let readme = include_str!("../README.md");
+    let section = readme
+        .split("\n## Command line\n")
+        .nth(1)
+        .expect("README has a `## Command line` section");
+    let block = section.split("```").nth(1).expect("a synopsis code block");
+    let mut synopsis = std::collections::BTreeMap::<String, String>::new();
+    let mut current = String::new();
+    for line in block.lines() {
+        if let Some(rest) = line.strip_prefix("vigil-sim ") {
+            current = rest.split_whitespace().next().unwrap().to_string();
+        }
+        if !current.is_empty() {
+            let text = synopsis.entry(current.clone()).or_default();
+            text.push_str(line);
+            text.push('\n');
+        }
+    }
+
+    let out = vigil_sim().output().unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    let listed = err.split(['<', '>']).nth(1).expect("subcommand list");
+    let subcommands: Vec<&str> = listed.split('|').collect();
+    let mut sorted = subcommands.clone();
+    sorted.sort();
+    assert_eq!(
+        synopsis.keys().map(String::as_str).collect::<Vec<_>>(),
+        sorted,
+        "README's synopsis and the subcommand table differ"
+    );
+    for sub in subcommands {
+        let out = vigil_sim().args([sub, "--no-such-flag"]).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{sub} --no-such-flag: {err}");
+        assert!(err.contains(&format!("usage: vigil-sim {sub}")), "{err}");
+        assert_eq!(
+            flags_in(&err),
+            flags_in(&synopsis[sub]),
+            "{sub}: usage (left) and README synopsis (right) differ"
+        );
+    }
 }
