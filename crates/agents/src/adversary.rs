@@ -16,7 +16,7 @@
 //! at any thread count or chunk size (arrival order never enters the
 //! hash).
 
-use crate::monitor::RetransmissionEvent;
+use crate::monitor::{is_eventful, RetransmissionEvent};
 use crate::pathdisc::DiscoveredPath;
 use serde::{Deserialize, Serialize};
 use vigil_fabric::flowsim::FlowRecord;
@@ -152,8 +152,8 @@ fn unit(h: u64) -> f64 {
 
 /// The compiled adversary for one topology: answers, per flow, what the
 /// source host's monitoring agent emits. Honest hosts emit the
-/// §4.2 eventful rule exactly; compromised hosts follow the spec's
-/// behavior. All answers are pure functions of `(salt, host, tuple)`.
+/// §4.2 eventful rule ([`is_eventful`]) exactly; compromised hosts follow
+/// the spec's behavior. All answers are pure functions of `(salt, host, tuple)`.
 #[derive(Debug, Clone)]
 pub struct AdversaryModel {
     spec: ByzantineSpec,
@@ -206,7 +206,7 @@ impl AdversaryModel {
         established: bool,
         retransmissions: u32,
     ) -> Option<RetransmissionEvent> {
-        let eventful = established && retransmissions > 0;
+        let eventful = is_eventful(established, retransmissions);
         let honest = || RetransmissionEvent {
             host: src,
             tuple: *tuple,

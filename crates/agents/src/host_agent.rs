@@ -4,7 +4,7 @@
 use crate::events::AgentEvent;
 use crate::hub::EventSender;
 use crate::monitor::RetransmissionEvent;
-use crate::pathdisc::{DiscoveredPath, HostPacer, Tracer};
+use crate::pathdisc::{DiscoveredPath, HostPacer};
 use serde::{Deserialize, Serialize};
 use vigil_packet::FiveTuple;
 use vigil_topology::{HostId, LinkId};
@@ -73,22 +73,24 @@ impl HostAgent {
         self.pacer.used()
     }
 
-    /// Handles one retransmission event: admits it through the pacer,
-    /// discovers the path, and emits a report.
+    /// Handles one retransmission event: admits it through the pacer
+    /// (once per flow per epoch, within the Theorem 1 budget), then runs
+    /// `discover` and reports the path it found. A refused event never
+    /// runs `discover`, so it sends no probe.
     ///
     /// Returns `None` when the event is filtered (already traced this
-    /// epoch, budget exhausted, or discovery failed) — the cases §4/§9.1
-    /// accept as lost coverage in exchange for bounded overhead.
-    pub fn handle_event(
+    /// epoch, budget exhausted, or discovery found no links) — the cases
+    /// §4/§9.1 accept as lost coverage in exchange for bounded overhead.
+    pub fn trace(
         &mut self,
         event: &RetransmissionEvent,
-        tracer: &mut dyn Tracer,
+        discover: impl FnOnce() -> Option<DiscoveredPath>,
     ) -> Option<TraceReport> {
         debug_assert_eq!(event.host, self.host, "event routed to wrong host agent");
         if !self.pacer.admit(&event.tuple) {
             return None;
         }
-        let DiscoveredPath { links, complete } = tracer.trace(self.host, &event.tuple)?;
+        let DiscoveredPath { links, complete } = discover()?;
         if links.is_empty() {
             return None;
         }
@@ -98,37 +100,6 @@ impl HostAgent {
             retransmissions: event.retransmissions,
             links,
             complete,
-        })
-    }
-
-    /// Handles one retransmission event whose path is already discovered
-    /// — the streaming pipeline's form, where the flow's path arrives
-    /// with the event (the chunk being simulated is the only place the
-    /// record exists) instead of via a [`Tracer`] lookup into an
-    /// epoch-sized flow table.
-    ///
-    /// Filter order matches [`handle_event`](Self::handle_event) exactly
-    /// — pacer admission *then* path usability — so for any event whose
-    /// trace would have succeeded, both forms leave the pacer in the same
-    /// state and return the same report (asserted in tests).
-    pub fn handle_discovered(
-        &mut self,
-        event: &RetransmissionEvent,
-        path: DiscoveredPath,
-    ) -> Option<TraceReport> {
-        debug_assert_eq!(event.host, self.host, "event routed to wrong host agent");
-        if !self.pacer.admit(&event.tuple) {
-            return None;
-        }
-        if path.links.is_empty() {
-            return None;
-        }
-        Some(TraceReport {
-            host: self.host,
-            tuple: event.tuple,
-            retransmissions: event.retransmissions,
-            links: path.links,
-            complete: path.complete,
         })
     }
 
@@ -151,7 +122,7 @@ impl HostAgent {
             seq: open_seq,
             tuple: event.tuple,
         });
-        match self.handle_discovered(event, path) {
+        match self.trace(event, || Some(path)) {
             Some(report) => {
                 let seq = self.bump_seq();
                 hub.try_send(AgentEvent::Evidence { seq, report })
@@ -183,18 +154,6 @@ impl HostAgent {
         });
     }
 
-    /// Processes a batch of this host's events for the epoch.
-    pub fn run_epoch(
-        &mut self,
-        events: impl IntoIterator<Item = RetransmissionEvent>,
-        tracer: &mut dyn Tracer,
-    ) -> Vec<TraceReport> {
-        events
-            .into_iter()
-            .filter_map(|e| self.handle_event(&e, tracer))
-            .collect()
-    }
-
     /// Rolls the agent into the next epoch.
     pub fn next_epoch(&mut self) {
         self.pacer.next_epoch();
@@ -204,16 +163,15 @@ impl HostAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::TcpMonitor;
-    use crate::pathdisc::OracleTracer;
+    use crate::monitor::is_eventful;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vigil_fabric::faults::LinkFaults;
-    use vigil_fabric::flowsim::{simulate_epoch, SimConfig};
+    use vigil_fabric::flowsim::{simulate_epoch, EpochOutcome, SimConfig};
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
     use vigil_topology::{ClosParams, ClosTopology, LinkKind};
 
-    fn epoch() -> (ClosTopology, vigil_fabric::flowsim::EpochOutcome) {
+    fn epoch() -> (ClosTopology, EpochOutcome) {
         let topo = ClosTopology::new(ClosParams::tiny(), 17).unwrap();
         let mut faults = LinkFaults::new(topo.num_links());
         let bad = topo
@@ -232,16 +190,34 @@ mod tests {
         (topo, out)
     }
 
+    /// `host`'s retransmission events this epoch, in flow order, each
+    /// with its flow's oracle path.
+    fn events_of(host: HostId, out: &EpochOutcome) -> Vec<(RetransmissionEvent, DiscoveredPath)> {
+        out.flows
+            .iter()
+            .filter(|f| f.src == host && is_eventful(f.established, f.retransmissions))
+            .map(|f| {
+                let event = RetransmissionEvent {
+                    host,
+                    tuple: f.tuple,
+                    retransmissions: f.retransmissions,
+                };
+                (event, DiscoveredPath::of_flow_path(&f.path))
+            })
+            .collect()
+    }
+
     #[test]
     fn reports_cover_all_admitted_events() {
         let (topo, out) = epoch();
-        let monitor = TcpMonitor::new();
-        let mut tracer = OracleTracer::from_flows(&out.flows);
         let mut total_reports = 0;
         for h in topo.hosts() {
             let mut agent = HostAgent::new(h, HostPacer::with_budget(1000));
-            let events: Vec<_> = monitor.events_for_host(h, &out.flows).collect();
-            let reports = agent.run_epoch(events.iter().copied(), &mut tracer);
+            let events = events_of(h, &out);
+            let reports: Vec<_> = events
+                .iter()
+                .filter_map(|(e, path)| agent.trace(e, || Some(path.clone())))
+                .collect();
             assert_eq!(reports.len(), events.len(), "ample budget traces all");
             for r in &reports {
                 assert_eq!(r.host, h);
@@ -257,47 +233,27 @@ mod tests {
     #[test]
     fn budget_caps_reports() {
         let (topo, out) = epoch();
-        let monitor = TcpMonitor::new();
-        let mut tracer = OracleTracer::from_flows(&out.flows);
         // Find a host with ≥ 2 events.
-        let busy = topo
-            .hosts()
-            .find(|h| monitor.events_for_host(*h, &out.flows).count() >= 2);
+        let busy = topo.hosts().find(|h| events_of(*h, &out).len() >= 2);
         let Some(h) = busy else {
             // Statistically improbable with a 10% failed link; treat as
             // test-environment failure.
             panic!("no host saw two retransmitting flows");
         };
         let mut agent = HostAgent::new(h, HostPacer::with_budget(1));
-        let events: Vec<_> = monitor.events_for_host(h, &out.flows).collect();
-        let reports = agent.run_epoch(events.iter().copied(), &mut tracer);
+        let mut discovered = 0;
+        let reports: Vec<_> = events_of(h, &out)
+            .into_iter()
+            .filter_map(|(e, path)| {
+                agent.trace(&e, || {
+                    discovered += 1;
+                    Some(path)
+                })
+            })
+            .collect();
         assert_eq!(reports.len(), 1, "budget of 1 admits exactly one trace");
         assert_eq!(agent.traceroutes_used(), 1);
-    }
-
-    #[test]
-    fn handle_discovered_matches_handle_event() {
-        // The streaming form (path arrives with the event) must evolve
-        // the pacer and produce reports exactly like the tracer form for
-        // every event of the epoch — including budget-exhausted and
-        // duplicate events, where both must burn/skip identically.
-        let (topo, out) = epoch();
-        let monitor = TcpMonitor::new();
-        let mut tracer = OracleTracer::from_flows(&out.flows);
-        for h in topo.hosts() {
-            let events: Vec<_> = monitor.events_for_host(h, &out.flows).collect();
-            // Tight budget so both agents hit the exhausted path too.
-            let mut batch = HostAgent::new(h, HostPacer::with_budget(2));
-            let mut stream = HostAgent::new(h, HostPacer::with_budget(2));
-            for e in &events {
-                let flow = out.flows.iter().find(|f| f.tuple == e.tuple).unwrap();
-                let discovered = crate::pathdisc::DiscoveredPath::of_flow_path(&flow.path);
-                let a = batch.handle_event(e, &mut tracer);
-                let b = stream.handle_discovered(e, discovered);
-                assert_eq!(a, b, "host {h:?}: forms diverged on {:?}", e.tuple);
-            }
-            assert_eq!(batch.traceroutes_used(), stream.traceroutes_used());
-        }
+        assert_eq!(discovered, 1, "a refused event runs no discovery");
     }
 
     #[test]
@@ -305,18 +261,15 @@ mod tests {
         use crate::events::AgentEvent;
         use crate::hub::event_channel;
         let (topo, out) = epoch();
-        let monitor = TcpMonitor::new();
         let (tx, collector) = event_channel();
         let h = topo
             .hosts()
-            .find(|h| monitor.events_for_host(*h, &out.flows).count() >= 1)
+            .find(|h| !events_of(*h, &out).is_empty())
             .unwrap();
         let mut agent = HostAgent::new(h, HostPacer::with_budget(1000));
-        let events: Vec<_> = monitor.events_for_host(h, &out.flows).collect();
-        for e in &events {
-            let flow = out.flows.iter().find(|f| f.tuple == e.tuple).unwrap();
-            let discovered = crate::pathdisc::DiscoveredPath::of_flow_path(&flow.path);
-            assert!(agent.on_retransmission(e, discovered, &tx));
+        let events = events_of(h, &out);
+        for (e, discovered) in &events {
+            assert!(agent.on_retransmission(e, discovered.clone(), &tx));
         }
         agent.epoch_tick(1, &tx);
         agent.drain(&tx);
@@ -341,22 +294,20 @@ mod tests {
     #[test]
     fn duplicate_events_traced_once() {
         let (topo, out) = epoch();
-        let monitor = TcpMonitor::new();
-        let mut tracer = OracleTracer::from_flows(&out.flows);
         let h = topo
             .hosts()
-            .find(|h| monitor.events_for_host(*h, &out.flows).count() >= 1)
+            .find(|h| !events_of(*h, &out).is_empty())
             .unwrap();
-        let event = monitor.events_for_host(h, &out.flows).next().unwrap();
+        let (event, path) = events_of(h, &out).swap_remove(0);
         let mut agent = HostAgent::new(h, HostPacer::with_budget(10));
-        assert!(agent.handle_event(&event, &mut tracer).is_some());
+        assert!(agent.trace(&event, || Some(path.clone())).is_some());
         assert!(
-            agent.handle_event(&event, &mut tracer).is_none(),
+            agent.trace(&event, || Some(path.clone())).is_none(),
             "same flow, same epoch: cached"
         );
         agent.next_epoch();
         assert!(
-            agent.handle_event(&event, &mut tracer).is_some(),
+            agent.trace(&event, || Some(path.clone())).is_some(),
             "next epoch traces again"
         );
     }

@@ -6,13 +6,17 @@
 //!    for a given connection no more than once every epoch");
 //! 2. checks the **host traceroute budget** `Ct` from Theorem 1 so the
 //!    fleet never pushes a switch past `Tmax` ICMP replies per second;
-//! 3. queries the **SLB** for the VIP→DIP mapping when the flow targets a
-//!    VIP (skipping discovery on query failure or SNAT, §4.2/§9.1);
-//! 4. discovers the path: in flow-mode via the [`OracleTracer`] (the
-//!    paper's §6 simulator votes on actual paths), or on the packet-level
-//!    emulator via the [`ProbeTracer`], which sends the real 15-probe
-//!    train and reconstructs the path from the ICMP replies — including
-//!    **partial paths** when probes die at a blackhole.
+//! 3. discovers the path: in flow-mode as the flow's recorded path
+//!    ([`DiscoveredPath::of_flow_path`]; the paper's §6 simulator votes on
+//!    actual paths), or on the packet-level emulator via the
+//!    [`ProbeTracer`], which sends the real 15-probe train and
+//!    reconstructs the path from the ICMP replies — including **partial
+//!    paths** when probes die at a blackhole.
+//!
+//! [`HostAgent::trace`](crate::HostAgent::trace) runs steps 1–3 in that
+//! order. The §4.2/§9.1 SLB gate (a failed VIP→DIP query or a SNATed
+//! flow skips discovery) is `vigil_fabric::slb::SlbModel`, applied by
+//! the pipeline before the agent sees the event.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -34,53 +38,15 @@ pub struct DiscoveredPath {
 }
 
 impl DiscoveredPath {
-    /// The oracle discovery of a flow's recorded path — exactly what
-    /// [`OracleTracer`] returns for that flow, usable
-    /// when the record is in hand (the streaming pipeline, where the
-    /// chunk being simulated is the only place the record lives).
+    /// The oracle discovery of a flow's recorded path — what a probe
+    /// train on a stable fabric finds — taken from the record in hand
+    /// (the streaming pipeline, where the chunk being simulated is the
+    /// only place the record lives).
     pub fn of_flow_path(p: &Path) -> Self {
         Self {
             links: p.links.clone(),
             complete: path_is_complete(p),
         }
-    }
-}
-
-/// Path discovery back-end.
-pub trait Tracer {
-    /// Discovers the path of `tuple` from `src`, or `None` when discovery
-    /// produced nothing usable (no replies at all).
-    fn trace(&mut self, src: HostId, tuple: &FiveTuple) -> Option<DiscoveredPath>;
-}
-
-/// Flow-mode tracer: returns the flow's actual path from the simulator's
-/// records — exactly what the paper's MATLAB evaluation does, and the
-/// right model when probes share the data path (same five-tuple, stable
-/// routing).
-#[derive(Debug, Clone, Default)]
-pub struct OracleTracer {
-    paths: HashMap<FiveTuple, std::sync::Arc<Path>>,
-}
-
-impl OracleTracer {
-    /// Builds the oracle from the epoch's flow records.
-    pub fn from_flows<'a>(
-        flows: impl IntoIterator<Item = &'a vigil_fabric::flowsim::FlowRecord>,
-    ) -> Self {
-        let paths = flows
-            .into_iter()
-            .map(|f| (f.tuple, f.path.clone()))
-            .collect();
-        Self { paths }
-    }
-}
-
-impl Tracer for OracleTracer {
-    fn trace(&mut self, _src: HostId, tuple: &FiveTuple) -> Option<DiscoveredPath> {
-        self.paths.get(tuple).map(|p| DiscoveredPath {
-            links: p.links.clone(),
-            complete: path_is_complete(p),
-        })
     }
 }
 
@@ -139,6 +105,13 @@ impl<'a> ProbeTracer<'a> {
         Self { sim }
     }
 
+    /// Sends `tuple`'s probe train from `src` and reconstructs the path,
+    /// or `None` when no probe drew a reply.
+    pub fn trace(&mut self, src: HostId, tuple: &FiveTuple) -> Option<DiscoveredPath> {
+        let outcome = self.sim.send_probe_train(src, tuple);
+        Self::reconstruct(self.sim.topo(), src, tuple, &outcome.replies)
+    }
+
     /// Reconstructs the path from hop replies. Known points: the source
     /// host, each answering switch at its hop index, and — when the
     /// deepest answering switch is the destination's ToR — the final
@@ -188,13 +161,6 @@ impl<'a> ProbeTracer<'a> {
             }
         }
         Some(DiscoveredPath { links, complete })
-    }
-}
-
-impl Tracer for ProbeTracer<'_> {
-    fn trace(&mut self, src: HostId, tuple: &FiveTuple) -> Option<DiscoveredPath> {
-        let outcome = self.sim.send_probe_train(src, tuple);
-        Self::reconstruct(self.sim.topo(), src, tuple, &outcome.replies)
     }
 }
 
@@ -259,41 +225,12 @@ impl HostPacer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
     use vigil_fabric::faults::LinkFaults;
-    use vigil_fabric::flowsim::{simulate_epoch, SimConfig};
     use vigil_fabric::netsim::{NetSim, NetSimConfig};
-    use vigil_fabric::traffic::{ConnCount, TrafficSpec};
     use vigil_topology::{ClosParams, ClosTopology};
 
     fn topo() -> ClosTopology {
         ClosTopology::new(ClosParams::tiny(), 9).unwrap()
-    }
-
-    #[test]
-    fn oracle_tracer_returns_actual_paths() {
-        let topo = topo();
-        let faults = LinkFaults::new(topo.num_links());
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let traffic = TrafficSpec {
-            conns_per_host: ConnCount::Fixed(3),
-            ..TrafficSpec::paper_default()
-        };
-        let out = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng);
-        let mut tracer = OracleTracer::from_flows(&out.flows);
-        for f in &out.flows {
-            let d = tracer.trace(f.src, &f.tuple).unwrap();
-            assert_eq!(d.links, f.path.links);
-            assert!(d.complete);
-        }
-        let unknown = FiveTuple::tcp(
-            "10.0.0.1".parse().unwrap(),
-            1,
-            "10.0.0.2".parse().unwrap(),
-            2,
-        );
-        assert!(tracer.trace(HostId(0), &unknown).is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rand::{seq::SliceRandom, Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use vigil::prelude::*;
 use vigil::sweep::task_rng;
-use vigil_agents::{HostAgent, HostPacer, ProbeTracer, TcpMonitor, Tracer};
+use vigil_agents::{is_eventful, HostAgent, HostPacer, ProbeTracer, RetransmissionEvent};
 use vigil_analysis::{blame_flow, FlowEvidence, VoteTally};
 use vigil_fabric::faults::LinkFaults;
 use vigil_fabric::flowsim::simulate_epoch;
@@ -144,7 +144,6 @@ pub(crate) fn table1(scale: Scale, engine: &SweepEngine) -> Outputs {
         conns_per_host: ConnCount::Fixed(30),
         ..TrafficSpec::paper_default()
     };
-    let monitor = TcpMonitor::new();
 
     let windows = engine.run_tasks(epochs, |epoch| {
         // Distinct master from the 0x1C setup rng: task_rng(m, 0) == m's
@@ -164,14 +163,21 @@ pub(crate) fn table1(scale: Scale, engine: &SweepEngine) -> Outputs {
         for host in topo.hosts() {
             let pacer = HostPacer::from_theorem1(&topo, tmax, epoch_seconds);
             let mut agent = HostAgent::new(host, pacer);
-            let events: Vec<_> = monitor.events_for_host(host, &outcome.flows).collect();
-            for event in events {
+            for f in &outcome.flows {
+                if f.src != host || !is_eventful(f.established, f.retransmissions) {
+                    continue;
+                }
+                let event = RetransmissionEvent {
+                    host,
+                    tuple: f.tuple,
+                    retransmissions: f.retransmissions,
+                };
                 let target = epoch_start + rng.gen_range(0.0..epoch_seconds * 0.95);
                 if target > sim.now() {
                     sim.advance(target - sim.now());
                 }
-                let mut tracer = ProbeTracer::new(&mut sim);
-                if agent.handle_event(&event, &mut tracer).is_some() {
+                let discover = || ProbeTracer::new(&mut sim).trace(host, &event.tuple);
+                if agent.trace(&event, discover).is_some() {
                     traces += 1;
                 }
             }
@@ -253,7 +259,7 @@ pub(crate) fn sec8_2(scale: Scale, engine: &SweepEngine) -> Outputs {
 
         let mut discovered = Vec::new();
         for (i, f) in outcome.flows.iter().enumerate() {
-            if f.retransmissions == 0 || !f.established {
+            if !is_eventful(f.established, f.retransmissions) {
                 continue;
             }
             sim.advance(5e-3);

@@ -1783,8 +1783,8 @@ mod tests {
     }
 
     /// The daemon's non-test code returns errors instead of panicking:
-    /// no `unwrap` or `expect` in the collector, the agent, or their
-    /// cores.
+    /// no `unwrap` or `expect` in the collector, the agent, their cores,
+    /// or the wire codec they parse untrusted bytes with.
     #[test]
     fn daemon_sources_hold_no_unwrap_or_expect() {
         let sources = [
@@ -1794,6 +1794,7 @@ mod tests {
                 include_str!("distributed/collector_core.rs"),
             ),
             ("agent_core.rs", include_str!("distributed/agent_core.rs")),
+            ("wire/src/lib.rs", include_str!("../../wire/src/lib.rs")),
         ];
         for (name, text) in sources {
             let code = text.split("#[cfg(test)]\nmod tests").next().unwrap_or(text);

@@ -31,9 +31,10 @@
 //!
 //! Layering (bottom-up): `vigil-packet` (wire formats) → `vigil-topology`
 //! (Clos + ECMP + bounds) → `vigil-fabric` (flow simulator, packet
-//! emulator, SLB, faults, traffic) → `vigil-agents` (monitoring + path
-//! discovery) / `vigil-analysis` (voting, Algorithm 1) / `vigil-optim`
-//! (the NP-hard baselines) → this crate.
+//! emulator, faults, traffic, the SLB-gate skip model) → `vigil-agents`
+//! (the host agent: monitoring, pacing, path discovery) /
+//! `vigil-analysis` (voting, Algorithm 1) / `vigil-optim` (the NP-hard
+//! baselines) → this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

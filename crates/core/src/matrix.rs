@@ -140,12 +140,6 @@ impl Envelope {
         self
     }
 
-    /// Overrides the precision floor (builder style).
-    pub fn with_min_precision(mut self, v: Option<f64>) -> Self {
-        self.min_precision = v;
-        self
-    }
-
     /// Checks measured metrics against the envelope; returns one message
     /// per violated bound (empty ⇒ conformant).
     pub fn check(&self, m: &CaseMetrics) -> Vec<String> {
@@ -342,11 +336,6 @@ impl Serialize for MatrixReport {
 }
 
 impl MatrixReport {
-    /// True when every case conformed.
-    pub fn all_pass(&self) -> bool {
-        self.cases.iter().all(|c| c.pass)
-    }
-
     /// The failing cases.
     pub fn failures(&self) -> Vec<&CaseOutcome> {
         self.cases.iter().filter(|c| !c.pass).collect()

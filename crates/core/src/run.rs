@@ -279,6 +279,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use vigil_agents::is_eventful;
     use vigil_fabric::faults::FaultPlan;
     use vigil_fabric::faults::RateRange;
     use vigil_topology::ClosParams;
@@ -348,6 +349,42 @@ mod tests {
             gated.reports.len(),
             ungated.reports.len()
         );
+
+        // A skipped flow spends no traceroute budget: with one trace per
+        // host, a host whose first eventful flow is SNATed still reports
+        // its next eligible flow. SNAT membership ignores the salt.
+        let snat = SlbModel {
+            query_failure_rate: 0.0,
+            snat_frac: 0.5,
+        };
+        cfg.slb = snat;
+        cfg.pacer = PacerBudget::Fixed(1);
+        let run = run_epoch(&topo, &faults, &cfg, &mut ChaCha8Rng::seed_from_u64(23));
+        let full = vigil_fabric::flowsim::simulate_epoch(
+            &topo,
+            &faults,
+            &cfg.traffic,
+            &cfg.sim,
+            &mut ChaCha8Rng::seed_from_u64(23),
+        );
+        let mut checked = 0;
+        for host in topo.hosts() {
+            let mut eventful = full
+                .flows
+                .iter()
+                .filter(|f| f.src == host && is_eventful(f.established, f.retransmissions));
+            if !eventful.next().is_some_and(|f| snat.skips(&f.tuple, 0)) {
+                continue;
+            }
+            let Some(next) = eventful.find(|f| !snat.skips(&f.tuple, 0)) else {
+                continue;
+            };
+            let reported: Vec<_> = run.reports.iter().filter(|r| r.host == host).collect();
+            assert_eq!(reported.len(), 1, "host {host:?}");
+            assert_eq!(reported[0].tuple, next.tuple, "host {host:?}");
+            checked += 1;
+        }
+        assert!(checked > 0, "no host's first eventful flow was SNATed");
     }
 
     #[test]

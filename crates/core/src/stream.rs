@@ -7,9 +7,9 @@
 //! always-on analysis backend. This module is that shape:
 //!
 //! ```text
-//!  EpochStream ──chunks──▶ TcpMonitor-style eventing ──▶ HostAgent(s)
-//!      (fabric)              (per flow record)              │ AgentEvent
-//!                                                           ▼
+//!  EpochStream ──chunks──▶ §4.2 eventing (is_eventful) ──▶ HostAgent(s)
+//!      (fabric)              (per flow row)                  │ AgentEvent
+//!                                                            ▼
 //!  EpochRun ◀── close_window ── VoteLedger ◀── drain ── bounded hub
 //! ```
 //!

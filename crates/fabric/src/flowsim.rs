@@ -116,15 +116,6 @@ impl GroundTruth {
     pub fn is_noise_link(&self, link: LinkId) -> bool {
         self.drops_per_link[link.index()] == 1
     }
-
-    /// Links that dropped at least one packet.
-    pub fn dropping_links(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.drops_per_link
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, _)| LinkId(i as u32))
-    }
 }
 
 /// The complete outcome of simulating one epoch.
@@ -346,31 +337,6 @@ pub fn simulate_epoch_with<R: Rng + ?Sized>(
     EpochStream::open(topo, faults, traffic, config, rng, scratch).into_outcome()
 }
 
-/// Simulates a pre-generated flow list (used by the test-cluster replay
-/// experiments, which fix the workload across trials).
-pub fn simulate_flows<R: Rng + ?Sized>(
-    topo: &ClosTopology,
-    faults: &LinkFaults,
-    specs: &[FlowSpec],
-    config: &SimConfig,
-    rng: &mut R,
-) -> EpochOutcome {
-    simulate_flows_with(topo, faults, specs, config, rng, &mut EpochScratch::new())
-}
-
-/// [`simulate_flows`] with caller-owned scratch (see
-/// [`simulate_epoch_with`]).
-pub fn simulate_flows_with<R: Rng + ?Sized>(
-    topo: &ClosTopology,
-    faults: &LinkFaults,
-    specs: &[FlowSpec],
-    config: &SimConfig,
-    rng: &mut R,
-    scratch: &mut EpochScratch,
-) -> EpochOutcome {
-    EpochStream::replay(topo, faults, specs, config, rng, scratch).into_outcome()
-}
-
 /// Column-level outcome of simulating one spec: everything a
 /// [`FlowRecord`] carries except the owned path (the 16-byte route
 /// decision stands in for it) and the drop list (appended to a
@@ -580,9 +546,6 @@ pub struct EpochStream<'a, R: Rng + ?Sized> {
     config: &'a SimConfig,
     rng: &'a mut R,
     scratch: &'a mut EpochScratch,
-    /// A caller's pre-generated flow list; `None` streams the specs
-    /// [`Self::open`] generated into the scratch.
-    replayed: Option<&'a [FlowSpec]>,
     cursor: usize,
     drops_per_link: Vec<u64>,
 }
@@ -603,31 +566,6 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
         scratch: &'a mut EpochScratch,
     ) -> Self {
         traffic.generate_into(topo, rng, &mut scratch.specs);
-        Self::start(topo, faults, None, config, rng, scratch)
-    }
-
-    /// A stream over a pre-generated flow list (the replay experiments'
-    /// fixed workload). No generation draws; drop draws stream in flow
-    /// order.
-    pub fn replay(
-        topo: &'a ClosTopology,
-        faults: &'a LinkFaults,
-        specs: &'a [FlowSpec],
-        config: &'a SimConfig,
-        rng: &'a mut R,
-        scratch: &'a mut EpochScratch,
-    ) -> Self {
-        Self::start(topo, faults, Some(specs), config, rng, scratch)
-    }
-
-    fn start(
-        topo: &'a ClosTopology,
-        faults: &'a LinkFaults,
-        replayed: Option<&'a [FlowSpec]>,
-        config: &'a SimConfig,
-        rng: &'a mut R,
-        scratch: &'a mut EpochScratch,
-    ) -> Self {
         scratch.prepare_route_cache(topo, faults);
         Self {
             topo,
@@ -635,7 +573,6 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
             config,
             rng,
             scratch,
-            replayed,
             cursor: 0,
             drops_per_link: vec![0; topo.num_links()],
         }
@@ -643,7 +580,7 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
 
     /// Total flows this epoch will produce.
     pub fn total_flows(&self) -> usize {
-        self.replayed.unwrap_or(&self.scratch.specs).len()
+        self.scratch.specs.len()
     }
 
     /// Flows not yet pulled.
@@ -672,7 +609,7 @@ impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
     /// means the epoch is exhausted. Materialize interesting rows with
     /// [`materialize`](Self::materialize).
     pub fn next_batch(&mut self, max_flows: usize, out: &mut FlowBatch) -> usize {
-        let specs = self.replayed.unwrap_or(&self.scratch.specs);
+        let specs = &self.scratch.specs;
         let table = &self.scratch.cache.tables[0];
         let end = specs
             .len()
@@ -1406,11 +1343,24 @@ mod tests {
             })
             .expect("some port crosses the bad link");
 
+        let mut scratch = EpochScratch::new();
+        scratch.prepare_route_cache(&topo, &faults);
+        let mut pairs = Vec::new();
+        let mut drops = vec![0; topo.num_links()];
         let n = 20_000;
         let mut hit = 0u32;
         for _ in 0..n {
-            let out = simulate_flows(&topo, &faults, &[spec], &SimConfig::default(), &mut rng);
-            if out.flows[0].retransmissions > 0 {
+            let raw = simulate_row(
+                &topo,
+                &scratch.cache.tables[0],
+                &faults,
+                &SimConfig::default(),
+                &spec,
+                &mut rng,
+                &mut pairs,
+                &mut drops,
+            );
+            if raw.retransmissions > 0 {
                 hit += 1;
             }
         }

@@ -18,8 +18,9 @@
 //!
 //! Shared pieces: [`faults`] (drop-rate tables and failure injection),
 //! [`traffic`] (the paper's workload generators, including the skewed and
-//! hot-ToR variants of §6.5), [`slb`] (the Ananta-style software load
-//! balancer of §4.2), and [`control_plane`] (ICMP token buckets).
+//! hot-ToR variants of §6.5), [`slb`] (the §4.2 software-load-balancer
+//! gate as a per-flow skip model), and [`control_plane`] (ICMP token
+//! buckets).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,6 @@ pub mod dynamics;
 pub mod faults;
 pub mod flowsim;
 pub mod netsim;
-pub mod replay;
 pub mod slb;
 pub mod traffic;
 
@@ -42,6 +42,5 @@ pub use flowsim::{
     FlowId, FlowRecord, GroundTruth, RouteCacheStats, SimConfig,
 };
 pub use netsim::{NetSim, NetSimConfig, TracerouteOutcome};
-pub use replay::{RecordedConn, Recording};
-pub use slb::{Slb, SlbError, SlbModel, VipPool};
+pub use slb::SlbModel;
 pub use traffic::{ConnCount, DestSpec, FlowSpec, PacketCount, TrafficSpec};

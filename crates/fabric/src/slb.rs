@@ -1,77 +1,29 @@
-//! The software load balancer (paper §4.2, modelled on Ananta).
+//! The software load balancer gate (paper §4.2, modelled on Ananta).
 //!
 //! "The connection is first established to a virtual IP (VIP) and the SYN
 //! packet … goes to a software load balancer (SLB) which assigns that flow
-//! to a physical destination IP (DIP) and a service port associated with
-//! that VIP. The SLB then sends a configuration message to the virtual
-//! switch (vSwitch) in the hypervisor of the source machine … For the path
-//! of the traceroute packets to match that of the data packets, its header
-//! should contain the DIP and not the VIP. Thus, before tracing the path
-//! of a flow, the path discovery agent first queries the SLB for the
-//! VIP-to-DIP mapping for that flow. … It is also not triggered when the
-//! query to the SLB fails to avoid tracerouting the internet."
+//! to a physical destination IP (DIP) … before tracing the path of a flow,
+//! the path discovery agent first queries the SLB for the VIP-to-DIP
+//! mapping for that flow. … It is also not triggered when the query to
+//! the SLB fails to avoid tracerouting the internet."
 //!
-//! This module provides exactly those moving parts: VIP pools, SYN-time
-//! DIP assignment, per-host vSwitch tables (which lose the mapping when
-//! the connection dies — the reason the agent queries the SLB instead),
-//! query-failure injection, and a SNAT flag (§9.1: SNATed flows need an
-//! SLB query to fix up the ICMP source matching; our implementation, like
-//! the paper's, assumes SNAT-bypassed connections and reports SNATed ones
-//! as un-traceable).
+//! Flow-mode traffic already carries DIP five-tuples, so what the gate
+//! changes is which flows go untraced: those whose query fails, and
+//! SNATed ones (§9.1: their probes' replies cannot be matched to the
+//! source; our implementation, like the paper's, reports them as
+//! un-traceable). [`SlbModel`] draws both as a pure function of the
+//! five-tuple.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::net::Ipv4Addr;
 use vigil_packet::FiveTuple;
-use vigil_topology::HostId;
-
-/// A VIP with its backing DIP pool.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VipPool {
-    /// The virtual IP clients connect to.
-    pub vip: Ipv4Addr,
-    /// The service port exposed on the VIP.
-    pub vip_port: u16,
-    /// Backend servers: `(host, dip, service port)`.
-    pub backends: Vec<(HostId, Ipv4Addr, u16)>,
-}
-
-/// Errors from SLB queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SlbError {
-    /// The VIP is not configured.
-    UnknownVip,
-    /// No mapping exists for this flow (e.g. never established here).
-    UnknownFlow,
-    /// The query itself failed (timeout / SLB overload). Path discovery
-    /// must not proceed — "to avoid tracerouting the internet".
-    QueryFailed,
-    /// The flow is SNATed; the ICMP replies would not reach this agent
-    /// (§9.1). Reported so callers can count skipped traces.
-    Snat,
-}
-
-impl std::fmt::Display for SlbError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SlbError::UnknownVip => write!(f, "VIP not configured"),
-            SlbError::UnknownFlow => write!(f, "no VIP-to-DIP mapping for flow"),
-            SlbError::QueryFailed => write!(f, "SLB query failed"),
-            SlbError::Snat => write!(f, "flow is SNATed; traceroute replies unroutable"),
-        }
-    }
-}
-
-impl std::error::Error for SlbError {}
 
 /// A statistical model of SLB-gate outcomes for flow-mode experiment
 /// runs (§4.2, §9.1 as *operational noise* rather than per-flow state).
 ///
-/// The full [`Slb`] models individual pools and mappings; epoch-level
-/// experiments only need the aggregate effect — some fraction of
-/// retransmitting flows cannot be traced because the VIP→DIP query
-/// failed ("to avoid tracerouting the internet") or the flow is SNATed.
+/// Epoch-level experiments need the gate's aggregate effect: some
+/// fraction of retransmitting flows cannot be traced because the VIP→DIP
+/// query failed ("to avoid tracerouting the internet") or the flow is
+/// SNATed.
 /// Decisions are a pure function of the flow five-tuple and a per-epoch
 /// salt, so sequential and host-sharded runs skip exactly the same
 /// flows regardless of iteration order.
@@ -144,132 +96,10 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// A flow's resolved backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DipAssignment {
-    /// Backend host.
-    pub host: HostId,
-    /// Backend (physical) address — what probes must carry.
-    pub dip: Ipv4Addr,
-    /// Backend service port.
-    pub port: u16,
-}
-
-/// The software load balancer plus the per-host vSwitch tables.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Slb {
-    pools: HashMap<(Ipv4Addr, u16), VipPool>,
-    /// Authoritative flow table (the SLB's own state).
-    assignments: HashMap<FiveTuple, DipAssignment>,
-    /// Per-source-host vSwitch tables; lose entries on connection
-    /// termination.
-    vswitch: HashMap<HostId, HashMap<FiveTuple, DipAssignment>>,
-    /// Probability a query to the SLB fails (operational noise).
-    query_failure_rate: f64,
-    /// Flows marked as SNATed.
-    snat_flows: std::collections::HashSet<FiveTuple>,
-}
-
-impl Slb {
-    /// An SLB with no pools.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a VIP pool.
-    pub fn add_pool(&mut self, pool: VipPool) {
-        assert!(!pool.backends.is_empty(), "a VIP pool needs backends");
-        self.pools.insert((pool.vip, pool.vip_port), pool);
-    }
-
-    /// Sets the probability that [`Slb::query`] fails spuriously.
-    pub fn set_query_failure_rate(&mut self, rate: f64) {
-        assert!((0.0..=1.0).contains(&rate));
-        self.query_failure_rate = rate;
-    }
-
-    /// Marks a flow as SNATed (its probes' replies will not return to the
-    /// source, so path discovery must refuse it).
-    pub fn mark_snat(&mut self, flow: FiveTuple) {
-        self.snat_flows.insert(flow);
-    }
-
-    /// Handles a SYN to a VIP: picks a backend (five-tuple hash — Ananta
-    /// keeps flow affinity), records the mapping, configures the source
-    /// host's vSwitch, and returns the assignment.
-    ///
-    /// `vip_flow` is the five-tuple as the client sees it (destination =
-    /// VIP).
-    pub fn establish<R: Rng + ?Sized>(
-        &mut self,
-        src_host: HostId,
-        vip_flow: FiveTuple,
-        rng: &mut R,
-    ) -> Result<DipAssignment, SlbError> {
-        let pool = self
-            .pools
-            .get(&(vip_flow.dst_ip, vip_flow.dst_port))
-            .ok_or(SlbError::UnknownVip)?;
-        let pick = rng.gen_range(0..pool.backends.len());
-        let (host, dip, port) = pool.backends[pick];
-        let assignment = DipAssignment { host, dip, port };
-        self.assignments.insert(vip_flow, assignment);
-        self.vswitch
-            .entry(src_host)
-            .or_default()
-            .insert(vip_flow, assignment);
-        Ok(assignment)
-    }
-
-    /// Terminates a connection: the vSwitch forgets the mapping (which is
-    /// exactly why the agent queries the SLB, whose state persists).
-    pub fn terminate(&mut self, src_host: HostId, vip_flow: &FiveTuple) {
-        if let Some(table) = self.vswitch.get_mut(&src_host) {
-            table.remove(vip_flow);
-        }
-    }
-
-    /// The path discovery agent's query: VIP flow → DIP assignment.
-    ///
-    /// Fails spuriously at the configured rate, declines SNATed flows,
-    /// and errors on unknown VIPs/flows.
-    pub fn query<R: Rng + ?Sized>(
-        &self,
-        vip_flow: &FiveTuple,
-        rng: &mut R,
-    ) -> Result<DipAssignment, SlbError> {
-        if self.query_failure_rate > 0.0 && rng.gen_bool(self.query_failure_rate) {
-            return Err(SlbError::QueryFailed);
-        }
-        if self.snat_flows.contains(vip_flow) {
-            return Err(SlbError::Snat);
-        }
-        if !self
-            .pools
-            .contains_key(&(vip_flow.dst_ip, vip_flow.dst_port))
-        {
-            return Err(SlbError::UnknownVip);
-        }
-        self.assignments
-            .get(vip_flow)
-            .copied()
-            .ok_or(SlbError::UnknownFlow)
-    }
-
-    /// The (less reliable) vSwitch lookup — present for completeness and
-    /// for tests demonstrating why the SLB is the right source (§4.2:
-    /// "the mapping may be removed from the vSwitch table. It is
-    /// therefore more reliable to query the SLB").
-    pub fn vswitch_lookup(&self, src_host: HostId, vip_flow: &FiveTuple) -> Option<DipAssignment> {
-        self.vswitch.get(&src_host)?.get(vip_flow).copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use std::net::Ipv4Addr;
 
     fn vip_flow(port: u16) -> FiveTuple {
         FiveTuple::tcp(
@@ -278,115 +108,6 @@ mod tests {
             Ipv4Addr::new(10, 255, 0, 1),
             443,
         )
-    }
-
-    fn pool() -> VipPool {
-        VipPool {
-            vip: Ipv4Addr::new(10, 255, 0, 1),
-            vip_port: 443,
-            backends: vec![
-                (HostId(10), Ipv4Addr::new(10, 1, 0, 1), 8443),
-                (HostId(11), Ipv4Addr::new(10, 1, 0, 2), 8443),
-                (HostId(12), Ipv4Addr::new(10, 1, 1, 1), 8443),
-            ],
-        }
-    }
-
-    #[test]
-    fn establish_then_query() {
-        let mut slb = Slb::new();
-        slb.add_pool(pool());
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let flow = vip_flow(50_000);
-        let a = slb.establish(HostId(0), flow, &mut rng).unwrap();
-        assert_eq!(slb.query(&flow, &mut rng).unwrap(), a);
-        assert!(pool()
-            .backends
-            .iter()
-            .any(|(h, d, p)| (*h, *d, *p) == (a.host, a.dip, a.port)));
-    }
-
-    #[test]
-    fn unknown_vip_rejected() {
-        let mut slb = Slb::new();
-        slb.add_pool(pool());
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let stray = FiveTuple::tcp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            50_000,
-            Ipv4Addr::new(10, 255, 9, 9),
-            443,
-        );
-        assert_eq!(
-            slb.establish(HostId(0), stray, &mut rng).unwrap_err(),
-            SlbError::UnknownVip
-        );
-        assert_eq!(
-            slb.query(&stray, &mut rng).unwrap_err(),
-            SlbError::UnknownVip
-        );
-    }
-
-    #[test]
-    fn unknown_flow_rejected() {
-        let mut slb = Slb::new();
-        slb.add_pool(pool());
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        assert_eq!(
-            slb.query(&vip_flow(50_001), &mut rng).unwrap_err(),
-            SlbError::UnknownFlow
-        );
-    }
-
-    #[test]
-    fn slb_survives_termination_but_vswitch_does_not() {
-        // The §4.2 rationale for querying the SLB rather than the vSwitch.
-        let mut slb = Slb::new();
-        slb.add_pool(pool());
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let flow = vip_flow(50_002);
-        let a = slb.establish(HostId(0), flow, &mut rng).unwrap();
-        assert_eq!(slb.vswitch_lookup(HostId(0), &flow), Some(a));
-        slb.terminate(HostId(0), &flow);
-        assert_eq!(slb.vswitch_lookup(HostId(0), &flow), None);
-        assert_eq!(slb.query(&flow, &mut rng).unwrap(), a, "SLB state persists");
-    }
-
-    #[test]
-    fn query_failures_injected() {
-        let mut slb = Slb::new();
-        slb.add_pool(pool());
-        slb.set_query_failure_rate(1.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let flow = vip_flow(50_003);
-        let _ = slb.establish(HostId(0), flow, &mut rng).unwrap();
-        assert_eq!(
-            slb.query(&flow, &mut rng).unwrap_err(),
-            SlbError::QueryFailed
-        );
-    }
-
-    #[test]
-    fn snat_flows_refused() {
-        let mut slb = Slb::new();
-        slb.add_pool(pool());
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let flow = vip_flow(50_004);
-        let _ = slb.establish(HostId(0), flow, &mut rng).unwrap();
-        slb.mark_snat(flow);
-        assert_eq!(slb.query(&flow, &mut rng).unwrap_err(), SlbError::Snat);
-    }
-
-    #[test]
-    fn affinity_is_stable() {
-        let mut slb = Slb::new();
-        slb.add_pool(pool());
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let flow = vip_flow(50_005);
-        let a = slb.establish(HostId(0), flow, &mut rng).unwrap();
-        for _ in 0..10 {
-            assert_eq!(slb.query(&flow, &mut rng).unwrap(), a);
-        }
     }
 
     #[test]
@@ -415,16 +136,5 @@ mod tests {
             model.skips(&t, 1) != model.skips(&t, 2)
         });
         assert!(differs, "salt must matter");
-    }
-
-    #[test]
-    #[should_panic(expected = "needs backends")]
-    fn empty_pool_rejected() {
-        let mut slb = Slb::new();
-        slb.add_pool(VipPool {
-            vip: Ipv4Addr::new(10, 255, 0, 2),
-            vip_port: 443,
-            backends: vec![],
-        });
     }
 }

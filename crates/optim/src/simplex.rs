@@ -71,11 +71,6 @@ impl LinearProgram {
         self.num_vars
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Sets the objective coefficient of one variable.
     pub fn set_objective(&mut self, var: usize, coeff: f64) {
         self.objective[var] = coeff;

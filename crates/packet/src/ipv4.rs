@@ -101,12 +101,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         self.buffer.as_ref()[field::PROTOCOL]
     }
 
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        let d = self.buffer.as_ref();
-        u16::from_be_bytes([d[field::CHECKSUM][0], d[field::CHECKSUM][1]])
-    }
-
     /// Source address.
     pub fn src_addr(&self) -> Ipv4Addr {
         let d = self.buffer.as_ref();
@@ -158,13 +152,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         buf[field::CHECKSUM].copy_from_slice(&[0, 0]);
         let c = checksum::checksum(&buf[..hl]);
         buf[field::CHECKSUM].copy_from_slice(&c.to_be_bytes());
-    }
-
-    /// Mutable access to the payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let hl = self.header_len();
-        let total = usize::from(self.total_len()).min(self.buffer.as_ref().len());
-        &mut self.buffer.as_mut()[hl..total]
     }
 }
 

@@ -286,16 +286,25 @@ impl<'a> Payload<'a> {
         Ok(head)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FrameError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(FrameError::Malformed)?;
+        self.buf = rest;
+        Ok(*head)
+    }
+
     fn u16(&mut self) -> Result<u16, FrameError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("len 2")))
+        self.array().map(u16::from_be_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
+        self.array().map(u32::from_be_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
+        self.array().map(u64::from_be_bytes)
     }
 
     fn tuple(&mut self) -> Result<FiveTuple, FrameError> {
@@ -327,19 +336,19 @@ impl<'a> Payload<'a> {
 /// position (a lenient reader resynchronizes on the next magic). Never
 /// panics and never reads past the claimed frame, whatever the input.
 pub fn parse_frame(buf: &[u8]) -> Result<(WireFrame, usize), FrameError> {
-    if buf.len() < HEADER_LEN {
+    let Some(header) = buf.first_chunk::<HEADER_LEN>() else {
         // Report BadMagic as soon as the prefix can't be ours, so garbage
         // shorter than a header is not mistaken for a truncated frame.
         if !MAGIC.starts_with(&buf[..buf.len().min(3)]) {
             return Err(FrameError::BadMagic);
         }
         return Err(FrameError::Truncated);
-    }
-    if buf[..3] != MAGIC {
+    };
+    if header[..3] != MAGIC {
         return Err(FrameError::BadMagic);
     }
-    let kind = buf[3];
-    let payload_len = u32::from_be_bytes(buf[4..8].try_into().expect("len 4")) as usize;
+    let kind = header[3];
+    let payload_len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]) as usize;
     if payload_len > MAX_PAYLOAD {
         return Err(FrameError::Malformed);
     }
@@ -347,7 +356,7 @@ pub fn parse_frame(buf: &[u8]) -> Result<(WireFrame, usize), FrameError> {
     if buf.len() < total {
         return Err(FrameError::Truncated);
     }
-    let claimed = u32::from_be_bytes(buf[8..12].try_into().expect("len 4"));
+    let claimed = u32::from_be_bytes([header[8], header[9], header[10], header[11]]);
     let payload = &buf[HEADER_LEN..total];
     if frame_checksum(kind, payload) != claimed {
         return Err(FrameError::BadChecksum);

@@ -14,7 +14,7 @@
 //! ```
 
 use vigil::prelude::*;
-use vigil_agents::{ProbeTracer, Tracer};
+use vigil_agents::ProbeTracer;
 use vigil_fabric::faults::LinkFaults;
 use vigil_fabric::netsim::{NetSim, NetSimConfig};
 use vigil_packet::FiveTuple;

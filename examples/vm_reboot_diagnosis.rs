@@ -1,10 +1,10 @@
 //! The paper's motivating scenario (§1, Appendix A): VM images are
-//! mounted over the network from a storage service behind a VIP; "even a
-//! small network outage or a few lossy links can cause the VM to 'panic'
-//! and reboot" — and 70 % of those reboots were unexplained before 007.
+//! mounted over the network from a storage service; "even a small network
+//! outage or a few lossy links can cause the VM to 'panic' and reboot" —
+//! and 70 % of those reboots were unexplained before 007.
 //!
-//! This example builds that world: a storage VIP pool behind the SLB,
-//! hosts mounting VHDs over TCP, a transient host↔ToR fault (the §8.3
+//! This example builds that world: hosts mounting VHDs over TCP from
+//! storage hosts in other racks, a transient host↔ToR fault (the §8.3
 //! dominant cause: 262 of 281 reboots), and 007 explaining each reboot by
 //! naming the culpable link.
 //!
@@ -12,32 +12,14 @@
 //! cargo run --release --example vm_reboot_diagnosis
 //! ```
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use vigil::evaluate::evaluate_epoch;
 use vigil::prelude::*;
-use vigil_fabric::slb::{Slb, VipPool};
 use vigil_topology::Node;
 
 fn main() {
     let topo = ClosTopology::new(ClosParams::tiny(), 1).expect("valid parameters");
     let mut rng = ChaCha8Rng::seed_from_u64(2024);
-
-    // --- The storage service: one VIP, backends in pod 1 ----------------
-    let vip = "10.255.0.1".parse().unwrap();
-    let backends: Vec<_> = topo
-        .hosts()
-        .filter(|h| topo.host_pod(*h) == 1)
-        .take(6)
-        .map(|h| (h, topo.host_ip(h), 8443))
-        .collect();
-    let mut slb = Slb::new();
-    slb.add_pool(VipPool {
-        vip,
-        vip_port: 443,
-        backends: backends.clone(),
-    });
-    println!("storage service: VIP {vip} -> {} backends", backends.len());
 
     // --- The outage: a compute host's ToR uplink goes transiently bad ---
     let victim = vigil_topology::HostId(0);
@@ -52,66 +34,38 @@ fn main() {
         victim, uplink
     );
 
-    // --- VHD mounts: every compute host keeps connections to the VIP ----
-    // The SLB resolves each mount's DIP at SYN time; the flows 007 sees
-    // (and traces) carry the DIP, exactly as §4.2 requires.
-    let mut mounts = Vec::new();
-    for host in topo.hosts().filter(|h| topo.host_pod(*h) == 0) {
-        for i in 0..8u16 {
-            let vip_flow = vigil_packet::FiveTuple::tcp(topo.host_ip(host), 40_000 + i, vip, 443);
-            let assignment = slb
-                .establish(host, vip_flow, &mut rng)
-                .expect("VIP configured");
-            let dip_flow = vip_flow.with_destination(assignment.dip, assignment.port);
-            mounts.push(vigil_fabric::traffic::FlowSpec {
-                src: host,
-                dst: assignment.host,
-                tuple: dip_flow,
-                packets: 80,
-            });
-        }
-    }
+    // --- VHD mounts: every host keeps 8 storage connections open --------
+    let cfg = RunConfig {
+        traffic: TrafficSpec {
+            conns_per_host: ConnCount::Fixed(8),
+            packets_per_flow: PacketCount::Fixed(80),
+            ..TrafficSpec::paper_default()
+        },
+        baselines: Baselines {
+            integer: false,
+            ..Baselines::default()
+        },
+        ..RunConfig::default()
+    };
     println!(
-        "{} VHD mount connections established through the SLB",
-        mounts.len()
+        "{} VHD mount connections to storage hosts in other racks",
+        topo.num_hosts() * 8
     );
 
     // --- One epoch of storage traffic over the faulty fabric ------------
-    let sim = SimConfig::default();
-    let outcome = vigil_fabric::flowsim::simulate_flows(&topo, &faults, &mounts, &sim, &mut rng);
-
-    // VM reboot rule of thumb: a mount that failed to deliver its writes
-    // (incomplete flow) panics the guest.
-    let reboots: Vec<_> = outcome.flows.iter().filter(|f| !f.completed).collect();
+    // The run keeps every flow that retransmitted; a mount that failed to
+    // deliver its writes (incomplete flow) panics the guest, and an
+    // incomplete flow always retransmitted.
+    let run = run_epoch(&topo, &faults, &cfg, &mut rng);
+    let reboots: Vec<_> = run.outcome.flows.iter().filter(|f| !f.completed).collect();
     println!(
         "epoch outcome: {} mounts suffered retransmissions, {} VM reboots",
-        outcome.flows_with_retransmissions().count(),
+        run.outcome.flows_with_retransmissions().count(),
         reboots.len()
     );
 
     // --- 007 explains the reboots ---------------------------------------
-    let monitor = vigil_agents::TcpMonitor::new();
-    let mut tracer = vigil_agents::OracleTracer::from_flows(&outcome.flows);
-    let mut reports = Vec::new();
-    for host in topo.hosts() {
-        let mut agent = vigil_agents::HostAgent::new(
-            host,
-            vigil_agents::HostPacer::from_theorem1(&topo, 100.0, 30.0),
-        );
-        let events: Vec<_> = monitor.events_for_host(host, &outcome.flows).collect();
-        reports.extend(agent.run_epoch(events, &mut tracer));
-    }
-    let evidence: Vec<vigil_analysis::FlowEvidence> = reports
-        .iter()
-        .map(|r| vigil_analysis::FlowEvidence {
-            links: r.links.clone(),
-            retransmissions: r.retransmissions,
-            complete: r.complete,
-        })
-        .collect();
-    let detection =
-        vigil_analysis::detect(&evidence, topo.num_links(), &Algorithm1Config::default());
-
+    let detection = &run.detection;
     println!("\n007's verdict:");
     for d in &detection.detections {
         let link = topo.link(d.link);
@@ -147,7 +101,4 @@ fn main() {
         explained,
         reboots.len()
     );
-
-    let _ = evaluate_epoch; // (used by the experiment harness; see benches)
-    let _: u64 = rng.gen(); // keep rng alive to mirror long-running agents
 }

@@ -156,8 +156,13 @@ fn matrix_run_with_filter_reports_conformance_and_is_thread_invariant() {
         "thread count changed the matrix JSON"
     );
 
-    // The JSON verdict is machine-readable and case-complete.
+    // The JSON verdict is machine-readable and case-complete, and the
+    // byzantine axis does not even annotate an honest-only report.
     let report: serde_json::Value = serde_json::from_str(&json_of(&one)).unwrap();
+    assert!(
+        report.get("breaking_points").is_none(),
+        "honest report grew byzantine fields"
+    );
     let cases = report
         .get("cases")
         .and_then(serde_json::Value::as_seq)

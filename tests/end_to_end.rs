@@ -81,7 +81,7 @@ fn experiment_runner_deterministic_across_calls() {
 fn theorem1_budget_holds_in_packet_emulation() {
     // Drive traceroutes as fast as the Theorem 1 pacer allows; no switch
     // may exceed Tmax + burst replies in any second.
-    use vigil_agents::{HostAgent, HostPacer, ProbeTracer, TcpMonitor};
+    use vigil_agents::{is_eventful, HostAgent, HostPacer, ProbeTracer, RetransmissionEvent};
     use vigil_fabric::flowsim::simulate_epoch;
     use vigil_fabric::netsim::{NetSim, NetSimConfig};
 
@@ -99,13 +99,18 @@ fn theorem1_budget_holds_in_packet_emulation() {
         ..TrafficSpec::paper_default()
     };
     let outcome = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng);
-    let monitor = TcpMonitor::new();
     for host in topo.hosts() {
         let mut agent = HostAgent::new(host, HostPacer::from_theorem1(&topo, 100.0, 30.0));
-        let events: Vec<_> = monitor.events_for_host(host, &outcome.flows).collect();
-        for e in events {
-            let mut tracer = ProbeTracer::new(&mut sim);
-            let _ = agent.handle_event(&e, &mut tracer);
+        for f in &outcome.flows {
+            if f.src != host || !is_eventful(f.established, f.retransmissions) {
+                continue;
+            }
+            let e = RetransmissionEvent {
+                host,
+                tuple: f.tuple,
+                retransmissions: f.retransmissions,
+            };
+            let _ = agent.trace(&e, || ProbeTracer::new(&mut sim).trace(host, &e.tuple));
         }
     }
     let max = sim.icmp_accounting().max_per_second();
@@ -120,7 +125,7 @@ fn flowsim_and_netsim_agree_on_paths() {
     // Identical topology + faults: the flow simulator's recorded path and
     // the packet emulator's probe-discovered path must agree (the §8.2
     // validation as an invariant).
-    use vigil_agents::{ProbeTracer, Tracer};
+    use vigil_agents::ProbeTracer;
     use vigil_fabric::netsim::{NetSim, NetSimConfig};
 
     let topo = ClosTopology::new(ClosParams::tiny(), 103).unwrap();

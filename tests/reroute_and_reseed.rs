@@ -4,7 +4,7 @@
 //! window between them.
 
 use vigil::prelude::*;
-use vigil_agents::{ProbeTracer, Tracer};
+use vigil_agents::ProbeTracer;
 use vigil_fabric::faults::LinkFaults;
 use vigil_fabric::netsim::{NetSim, NetSimConfig};
 use vigil_packet::FiveTuple;
