@@ -7,9 +7,10 @@
 //! the path, since each link on the path is equally likely to be
 //! responsible for the drop."
 //!
-//! [`VoteWeight`] carries the DESIGN.md ablation: the paper's `1/h`
-//! against flat votes (over-blames long paths) and `1/h²` (under-weights
-//! evidence from long paths).
+//! [`VoteWeight`] carries the vote-weight ablation (the `ablation` entry
+//! of `vigil_bench::FIGURES`): the paper's `1/h` against flat votes
+//! (over-blames long paths) and `1/h²` (under-weights evidence from long
+//! paths).
 //!
 //! **Exact units.** A tally counts integer units of 1/3600 of a vote: no
 //! route has more than [`MAX_ROUTE_LINKS`] = 6 links, and 3600 is the lcm

@@ -2281,12 +2281,14 @@ mod tests {
     /// the plain-text counter lines — so dashboards don't silently break.
     #[test]
     fn metrics_renders_pin_their_field_names() {
-        let mut totals = CollectorStats::default();
-        totals.windows = 2;
-        totals.reconnects = 3;
-        totals.quarantined_frames = 5;
-        totals.hosts_evicted = 7;
-        totals.malformed = 9;
+        let totals = CollectorStats {
+            windows: 2,
+            reconnects: 3,
+            quarantined_frames: 5,
+            hosts_evicted: 7,
+            malformed: 9,
+            ..CollectorStats::default()
+        };
         let state = MetricsState {
             totals,
             windows: vec![WindowMetrics {

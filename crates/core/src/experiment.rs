@@ -169,9 +169,9 @@ impl ExperimentReport {
     }
 
     /// An empty report from just a name and the enabled baselines — the
-    /// shape [`merge_trial`](Self::merge_trial) needs; the scenario
-    /// matrix builds reports without a full [`ExperimentConfig`].
-    pub fn empty_named(name: &str, baselines: &crate::run::Baselines) -> Self {
+    /// shape [`merge_trial`](Self::merge_trial) needs; the epoch pool
+    /// builds each group's report without a full [`ExperimentConfig`].
+    pub(crate) fn empty_named(name: &str, baselines: &crate::run::Baselines) -> Self {
         Self {
             name: name.into(),
             vigil: MethodReport::default(),
@@ -209,28 +209,6 @@ impl ExperimentReport {
         self.vote_gaps.extend(trial.vote_gaps);
         self.epochs.extend(trial.epochs);
         self.timing.per_trial_ms.push(trial.wall_ms);
-    }
-
-    /// Merges a whole sibling report (associative). Both sides must come
-    /// from the same config shape (same baselines enabled); trial-derived
-    /// vectors concatenate in call order. Consumes `other` so the
-    /// per-epoch reports move instead of cloning — sibling reports can
-    /// carry thousands of epochs.
-    pub fn merge(&mut self, other: ExperimentReport) {
-        self.vigil.merge(&other.vigil);
-        if let (Some(mine), Some(theirs)) = (self.integer.as_mut(), other.integer.as_ref()) {
-            mine.merge(theirs);
-        }
-        if let (Some(mine), Some(theirs)) = (self.binary.as_mut(), other.binary.as_ref()) {
-            mine.merge(theirs);
-        }
-        self.noise_marked += other.noise_marked;
-        self.noise_marked_incorrectly += other.noise_marked_incorrectly;
-        self.detected_per_epoch.merge(&other.detected_per_epoch);
-        self.vote_gaps.extend(other.vote_gaps);
-        self.epochs.extend(other.epochs);
-        self.timing.per_trial_ms.extend(other.timing.per_trial_ms);
-        self.timing.total_ms += other.timing.total_ms;
     }
 }
 
@@ -445,39 +423,6 @@ mod tests {
         assert_eq!(
             manual.detected_per_epoch.mean(),
             auto.detected_per_epoch.mean()
-        );
-    }
-
-    #[test]
-    fn report_merge_is_associative_on_counts() {
-        let cfg = small_config();
-        let trials: Vec<TrialReport> = (0..3)
-            .map(|t| stream_trial(&cfg, t, &StreamTuning::default()).0)
-            .collect();
-
-        // (a ⊕ b) ⊕ c
-        let mut left = ExperimentReport::empty(&cfg);
-        left.merge_trial(trials[0].clone());
-        left.merge_trial(trials[1].clone());
-        let mut c_only = ExperimentReport::empty(&cfg);
-        c_only.merge_trial(trials[2].clone());
-        left.merge(c_only);
-
-        // a ⊕ (b ⊕ c)
-        let mut right = ExperimentReport::empty(&cfg);
-        right.merge_trial(trials[0].clone());
-        let mut bc = ExperimentReport::empty(&cfg);
-        bc.merge_trial(trials[1].clone());
-        bc.merge_trial(trials[2].clone());
-        right.merge(bc);
-
-        assert_eq!(left.vigil.pooled.accuracy, right.vigil.pooled.accuracy);
-        assert_eq!(left.noise_marked, right.noise_marked);
-        assert_eq!(left.vote_gaps, right.vote_gaps);
-        assert_eq!(left.epochs.len(), right.epochs.len());
-        assert_eq!(
-            left.detected_per_epoch.count(),
-            right.detected_per_epoch.count()
         );
     }
 

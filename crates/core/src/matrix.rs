@@ -52,24 +52,13 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// A permissive envelope asserting only sanity: some accuracy, a
-    /// bounded blame list, a sound noise classifier.
-    pub fn relaxed(max_blamed: f64) -> Self {
-        Self {
-            min_accuracy: Some(0.5),
-            min_recall: Some(0.4),
-            min_precision: None,
-            max_blamed_per_epoch: max_blamed,
-            max_incorrect_noise_frac: 0.0,
-        }
-    }
-
     /// Derives the envelope from the Theorem 2/3 machinery in
     /// [`vigil_topology::bounds`]: when the configured noise sits under
     /// the theorem's ceiling (and the vote-probability gap is positive),
     /// 007 is *provably* in the high-accuracy regime and the envelope
     /// tightens; otherwise the scenario is outside the proven regime and
-    /// the relaxed envelope applies.
+    /// a permissive envelope asserts only sanity: some accuracy, a bounded
+    /// blame list, a sound noise classifier.
     pub fn from_bounds(
         params: &ClosParams,
         k: u32,
@@ -105,39 +94,14 @@ impl Envelope {
                 max_incorrect_noise_frac: if k <= 1 { 0.0 } else { 0.02 },
             }
         } else {
-            Self::relaxed(max_blamed)
+            Self {
+                min_accuracy: Some(0.5),
+                min_recall: Some(0.4),
+                min_precision: None,
+                max_blamed_per_epoch: max_blamed,
+                max_incorrect_noise_frac: 0.0,
+            }
         }
-    }
-
-    /// The blindness envelope: the scenario is *documented* as invisible
-    /// to 007 (silent blackholes — no SYN establishes, §4.2 never
-    /// traces), so the assertion flips — blame nothing, mismark nothing.
-    pub fn blind() -> Self {
-        Self {
-            min_accuracy: None,
-            min_recall: None,
-            min_precision: None,
-            max_blamed_per_epoch: 0.5,
-            max_incorrect_noise_frac: 0.0,
-        }
-    }
-
-    /// Overrides the incorrect-noise-mark fraction cap (builder style).
-    pub fn with_max_incorrect_noise(mut self, frac: f64) -> Self {
-        self.max_incorrect_noise_frac = frac;
-        self
-    }
-
-    /// Overrides the accuracy floor (builder style).
-    pub fn with_min_accuracy(mut self, v: Option<f64>) -> Self {
-        self.min_accuracy = v;
-        self
-    }
-
-    /// Overrides the recall floor (builder style).
-    pub fn with_min_recall(mut self, v: Option<f64>) -> Self {
-        self.min_recall = v;
-        self
     }
 
     /// Checks measured metrics against the envelope; returns one message
@@ -370,8 +334,8 @@ impl MatrixRunner {
 
     /// Runs every case: the whole `(case × trial × epoch)` grid flattens
     /// into the unified epoch pool (a slow case never idles workers),
-    /// partial reports merge in (trial, epoch) order per case — the same
-    /// discipline that makes [`SweepEngine::run_experiment`]
+    /// which merges each case's partial reports in (trial, epoch) order —
+    /// the same discipline that makes [`SweepEngine::run_experiment`]
     /// bit-identical at any thread count.
     pub fn run(&self, cases: &[ScenarioCase]) -> MatrixReport {
         for case in cases {
@@ -382,6 +346,7 @@ impl MatrixRunner {
         let groups: Vec<EpochGroup<'_>> = cases
             .iter()
             .map(|case| EpochGroup {
+                name: &case.name,
                 run: &case.run,
                 params: case.params,
                 master_seed: case.seed(self.seed),
@@ -397,21 +362,10 @@ impl MatrixRunner {
         let results = run_epoch_grid(&self.engine, &groups);
 
         let mut outcomes: Vec<CaseOutcome> = Vec::with_capacity(cases.len());
-        let mut reports: Vec<ExperimentReport> = cases
-            .iter()
-            .map(|c| ExperimentReport::empty_named(&c.name, &c.run.baselines))
-            .collect();
-        // Grid results arrive case-major, trials ascending — serial merge
-        // order per case.
-        for (report, result) in reports.iter_mut().zip(results) {
-            for trial in result.trials {
-                report.merge_trial(trial);
-            }
-        }
         // (behavior, fraction, within-honest-envelope) per byzantine case.
         let mut byz_samples: Vec<(&'static str, f64, bool)> = Vec::new();
-        for (case, report) in cases.iter().zip(&reports) {
-            let metrics = CaseMetrics::from_report(report);
+        for (case, result) in cases.iter().zip(&results) {
+            let metrics = CaseMetrics::from_report(&result.report);
             if let Some(honest) = &case.honest_envelope {
                 if case.run.byzantine.enabled() {
                     byz_samples.push((

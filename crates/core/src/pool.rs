@@ -32,7 +32,7 @@
 //! [`run_tasks_with`]: crate::sweep::SweepEngine::run_tasks_with
 
 use crate::evaluate::{evaluate_epoch, EpochReport};
-use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator, TrialReport};
+use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator};
 use crate::run::RunConfig;
 use crate::stream::{RetainPolicy, StreamSession, StreamStats, StreamTuning};
 use crate::sweep::{epoch_rng, task_seed, SweepEngine};
@@ -66,6 +66,8 @@ pub(crate) enum GroupFaults<'a> {
 /// group per knob value; the matrix one per case.
 #[derive(Debug, Clone)]
 pub(crate) struct EpochGroup<'a> {
+    /// The name the group's [`ExperimentReport`] carries.
+    pub(crate) name: &'a str,
     /// Pipeline configuration every cell runs.
     pub(crate) run: &'a RunConfig,
     /// Topology parameters (a fresh topology is drawn per trial).
@@ -86,6 +88,7 @@ impl<'a> EpochGroup<'a> {
     /// The group an [`ExperimentConfig`] describes.
     pub(crate) fn from_experiment(config: &'a ExperimentConfig, tuning: StreamTuning) -> Self {
         Self {
+            name: &config.name,
             run: &config.run,
             params: config.params,
             master_seed: config.seed,
@@ -97,12 +100,12 @@ impl<'a> EpochGroup<'a> {
     }
 }
 
-/// One group's assembled output: its trial reports (trial order) plus
-/// the summed streaming counters of its cells.
+/// One group's assembled output: its report (trials merged in order)
+/// plus the summed streaming counters of its cells.
 #[derive(Debug)]
 pub(crate) struct GroupResult {
-    /// Per-trial reports, trials ascending.
-    pub(crate) trials: Vec<TrialReport>,
+    /// The group's report; timing carries per-trial wall time only.
+    pub(crate) report: ExperimentReport,
     /// Service-mode counters over the group's cells.
     pub(crate) stats: StreamStats,
 }
@@ -181,10 +184,10 @@ struct EpochUnit {
 }
 
 /// Runs every `(trial, epoch)` cell of every group across the engine's
-/// workers and assembles per-group results. Cells are flattened
-/// group-major, trial-major, epochs ascending, and absorbed in exactly
-/// that order — bit-identical to running each group's trials serially,
-/// at any thread count.
+/// workers and assembles one report per group. Cells are flattened
+/// group-major, trial-major, epochs ascending, absorbed in exactly that
+/// order and their trials merged in trial order — bit-identical to
+/// running each group's trials serially, at any thread count.
 pub(crate) fn run_epoch_grid(engine: &SweepEngine, groups: &[EpochGroup<'_>]) -> Vec<GroupResult> {
     let mut offsets: Vec<usize> = Vec::with_capacity(groups.len() + 1);
     let mut total = 0usize;
@@ -227,7 +230,7 @@ pub(crate) fn run_epoch_grid(engine: &SweepEngine, groups: &[EpochGroup<'_>]) ->
     let mut results = Vec::with_capacity(groups.len());
     let mut units = units.into_iter();
     for group in groups {
-        let mut trials = Vec::with_capacity(group.trials);
+        let mut report = ExperimentReport::empty_named(group.name, &group.run.baselines);
         let mut stats = StreamStats::default();
         for trial in 0..group.trials {
             let mut acc = TrialAccumulator::new(group.epochs);
@@ -238,15 +241,15 @@ pub(crate) fn run_epoch_grid(engine: &SweepEngine, groups: &[EpochGroup<'_>]) ->
                 stats.merge(&unit.stats);
                 acc.absorb(unit.report);
             }
-            trials.push(acc.finish_at(group.run, trial, wall_ms));
+            report.merge_trial(acc.finish_at(group.run, trial, wall_ms));
         }
-        results.push(GroupResult { trials, stats });
+        results.push(GroupResult { report, stats });
     }
     results
 }
 
-/// One experiment through the grid, its trials merged in order — the
-/// body behind both [`SweepEngine::run_experiment`] and
+/// One experiment through the grid — the body behind both
+/// [`SweepEngine::run_experiment`] and
 /// [`crate::stream::stream_experiment`].
 pub(crate) fn run_experiment(
     engine: &SweepEngine,
@@ -255,16 +258,12 @@ pub(crate) fn run_experiment(
 ) -> (ExperimentReport, StreamStats) {
     let started = std::time::Instant::now();
     let groups = [EpochGroup::from_experiment(config, tuning)];
-    let result = run_epoch_grid(engine, &groups)
+    let GroupResult { mut report, stats } = run_epoch_grid(engine, &groups)
         .pop()
         .expect("one group in, one result out");
-    let mut report = ExperimentReport::empty(config);
-    for trial in result.trials {
-        report.merge_trial(trial);
-    }
     report.timing.total_ms = started.elapsed().as_secs_f64() * 1e3;
     report.timing.threads = engine.threads();
-    (report, result.stats)
+    (report, stats)
 }
 
 #[cfg(test)]
@@ -295,38 +294,36 @@ mod tests {
         }
     }
 
-    /// The grid's absorb order must equal the serial trial loop's
-    /// ([`crate::stream::stream_trial`]): same trial reports (epoch
+    /// The grid's absorb and merge order must equal the serial trial
+    /// loop's ([`crate::stream::stream_trial`]): the same report (epoch
     /// vectors concatenated identically) at widths 1, 2, and
     /// wider-than-the-grid — and every cell's counters reach the group at
     /// every width.
     #[test]
     fn grid_reproduces_serial_trials_at_any_width() {
         let cfg = tiny_config(2, 2);
-        let reference: Vec<TrialReport> = (0..cfg.trials)
-            .map(|t| crate::stream::stream_trial(&cfg, t, &StreamTuning::default()).0)
-            .collect();
+        let mut reference = ExperimentReport::empty(&cfg);
+        for t in 0..cfg.trials {
+            reference.merge_trial(crate::stream::stream_trial(&cfg, t, &StreamTuning::default()).0);
+        }
+        let reference = serde_json::to_string(&reference).unwrap();
         for threads in [1usize, 2, 8] {
             let engine = SweepEngine::new(threads);
             let groups = [EpochGroup::from_experiment(&cfg, StreamTuning::default())];
             let result = run_epoch_grid(&engine, &groups)
                 .pop()
                 .expect("one group in, one result out");
-            assert_eq!(result.trials.len(), reference.len());
+            assert_eq!(result.report.timing.per_trial_ms.len(), cfg.trials);
             assert_eq!(
                 result.stats.windows,
                 (cfg.trials * cfg.epochs) as u64,
                 "threads = {threads}"
             );
-            for (got, want) in result.trials.iter().zip(&reference) {
-                assert_eq!(got.trial, want.trial);
-                assert_eq!(got.vote_gaps, want.vote_gaps, "threads = {threads}");
-                assert_eq!(
-                    format!("{:?}", got.epochs),
-                    format!("{:?}", want.epochs),
-                    "threads = {threads}"
-                );
-            }
+            assert_eq!(
+                serde_json::to_string(&result.report).unwrap(),
+                reference,
+                "threads = {threads}"
+            );
         }
     }
 
@@ -341,7 +338,7 @@ mod tests {
             StreamTuning::default(),
         )];
         let result = run_epoch_grid(&engine, &groups).pop().unwrap();
-        assert!(result.trials.is_empty());
+        assert!(result.report.timing.per_trial_ms.is_empty());
 
         let no_epochs = tiny_config(2, 0);
         let groups = [EpochGroup::from_experiment(
@@ -349,7 +346,11 @@ mod tests {
             StreamTuning::default(),
         )];
         let result = run_epoch_grid(&engine, &groups).pop().unwrap();
-        assert_eq!(result.trials.len(), 2, "empty trials still report");
-        assert!(result.trials.iter().all(|t| t.epochs.is_empty()));
+        assert_eq!(
+            result.report.timing.per_trial_ms.len(),
+            2,
+            "empty trials still report"
+        );
+        assert!(result.report.epochs.is_empty());
     }
 }

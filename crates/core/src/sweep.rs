@@ -250,17 +250,10 @@ impl SweepEngine {
             .iter()
             .map(|cfg| EpochGroup::from_experiment(cfg, StreamTuning::default()))
             .collect();
-        let results = run_epoch_grid(self, &groups);
-
-        let mut reports: Vec<ExperimentReport> =
-            configs.iter().map(ExperimentReport::empty).collect();
-        // Grid results arrive group-major, trials ascending — exactly
-        // the serial merge order per point.
-        for (report, result) in reports.iter_mut().zip(results) {
-            for trial in result.trials {
-                report.merge_trial(trial);
-            }
-        }
+        let mut reports: Vec<ExperimentReport> = run_epoch_grid(self, &groups)
+            .into_iter()
+            .map(|result| result.report)
+            .collect();
         let total_ms = started.elapsed().as_secs_f64() * 1e3;
         for report in &mut reports {
             report.timing.total_ms = total_ms;

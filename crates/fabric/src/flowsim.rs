@@ -1097,7 +1097,7 @@ mod tests {
                     break;
                 }
                 assert!(chunk == usize::MAX || buf.len() <= chunk);
-                flows.extend(buf.drain(..));
+                flows.append(&mut buf);
             }
             assert_eq!(stream.remaining(), 0);
             let truth = stream.finish();

@@ -134,8 +134,9 @@ mod tests {
         // Unweighted: link 2 covers… actually rows merge; both cover all.
         assert!(i.covers(&unweighted));
         assert!(i.covers(&weighted));
-        // Weighted first pick explains demand 10.
-        assert_eq!(i.link_of(weighted[0]), 1.min(9));
+        // Weighted first pick explains demand 10; links 1 and 9 tie on
+        // that row and the lower id wins.
+        assert_eq!(i.link_of(weighted[0]), 1);
     }
 
     #[test]

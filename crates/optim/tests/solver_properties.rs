@@ -95,8 +95,8 @@ proptest! {
         costs in proptest::collection::vec(0u64..10, 5))
     {
         let mut lp = LinearProgram::new(n);
-        for v in 0..n {
-            lp.set_objective(v, costs[v] as f64 / 2.0 + 0.5);
+        for (v, &cost) in costs.iter().enumerate().take(n) {
+            lp.set_objective(v, cost as f64 / 2.0 + 0.5);
         }
         let mut dense_rows: Vec<(Vec<f64>, f64)> = Vec::new();
         for (coeffs, rhs) in &rows {

@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut buf = vec![0u8; 20];
+        let mut buf = [0u8; 20];
         buf[0] = 0x65; // version 6
         assert_eq!(
             Ipv4Packet::new_checked(&buf[..]).unwrap_err(),
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn bad_ihl_rejected() {
-        let mut buf = vec![0u8; 20];
+        let mut buf = [0u8; 20];
         buf[0] = 0x43; // IHL = 3 words < 20 bytes
         buf[2..4].copy_from_slice(&20u16.to_be_bytes());
         assert_eq!(

@@ -28,7 +28,6 @@ pub mod degrade;
 pub mod ecmp;
 pub mod ids;
 pub mod params;
-pub mod paths;
 pub mod route;
 pub mod route_table;
 

@@ -130,11 +130,7 @@ impl ChaosPlan {
     /// The ordinal of the reset block containing `index` (used to key
     /// partition decisions to "the n-th injected reset").
     fn reset_ordinal(&self, index: u64) -> u64 {
-        if self.reset_every == 0 {
-            0
-        } else {
-            index / self.reset_every
-        }
+        index.checked_div(self.reset_every).unwrap_or(0)
     }
 
     /// The fault (if any) to apply to frame `index` of stream `key`,

@@ -5,11 +5,9 @@
 //! up to (not through) the one-third boundary, mutes only thin evidence,
 //! flooders and flippers poison precision early.
 
-use vigil::matrix::{filter_cases, Envelope, MatrixRunner, ScenarioCase};
+use vigil::matrix::{filter_cases, MatrixRunner, ScenarioCase};
 use vigil::prelude::*;
 use vigil_agents::ByzantineSpec;
-use vigil_fabric::faults::RateRange;
-use vigil_fabric::{CompositeFaultPlan, FaultKind};
 use vigil_topology::ClosParams;
 
 fn smoke_runner(threads: usize) -> MatrixRunner {
@@ -28,12 +26,16 @@ fn byzantine_grid_conforms_and_reports_breaking_points() {
         cases.len()
     );
     let report = smoke_runner(2).run(&cases);
-    for case in report.failures() {
-        panic!(
-            "{} violated its tolerance envelope: {:?}",
-            case.name, case.violations
-        );
-    }
+    let failures = report.failures();
+    assert!(
+        failures.is_empty(),
+        "cases outside their tolerance envelopes:\n{}",
+        failures
+            .iter()
+            .map(|c| format!("  {}: {}", c.name, c.violations.join("; ")))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 
     let point = |behavior: &str| {
         report
@@ -88,53 +90,19 @@ fn liar_breaking_point_on_paper_topology_is_at_least_20_percent() {
     // The acceptance claim on the paper's own §6 fabric (800 hosts): the
     // democratic tally holds the honest-voter envelope with up to 20 % of
     // hosts lying about their paths.
-    let params = ClosParams::paper_sim();
-    let traffic = vigil_fabric::traffic::TrafficSpec {
-        conns_per_host: vigil_fabric::traffic::ConnCount::Fixed(40),
-        ..vigil_fabric::traffic::TrafficSpec::paper_default()
-    };
-    let honest = Envelope::from_bounds(
-        &params,
-        2,
-        1e-4,
-        RateRange::PAPER_NOISE.hi,
-        traffic.packets_per_flow.bounds(),
-    )
-    // Ground-truth noise marks are adversary-corrupted (see the
-    // byzantine-case builder's derivation note) — excluded here too.
-    .with_max_incorrect_noise(1.0);
-    assert_eq!(
-        honest.min_accuracy,
-        Some(0.75),
-        "paper topology must be in the Theorem-2 regime for the claim to mean anything"
-    );
-
+    let paper = ("paper-sim", ClosParams::paper_sim());
     let cases: Vec<ScenarioCase> = [0.05, 0.10, 0.20]
         .into_iter()
         .map(|fraction| {
-            let mut run = scenarios::paper_run_config();
-            run.traffic = traffic.clone();
-            run.baselines.integer = false;
-            let mut c = ScenarioCase {
-                name: format!("paper/liar-{:02}", (fraction * 100.0) as u32),
-                topology: "paper-sim",
-                traffic: "uniform",
-                params,
-                faults: CompositeFaultPlan::new(vec![FaultKind::RandomDrop {
-                    failures: 2,
-                    rate: RateRange::PAPER_FAILURE,
-                }]),
-                run,
-                envelope: honest,
-                honest_envelope: Some(honest),
-            };
-            c.run.byzantine = ByzantineSpec {
-                salt: c.seed(0x0007_BAD5_0007_BAD5),
-                ..ByzantineSpec::liars(fraction)
-            };
-            c
+            let name = format!("paper/liar-{:02}", (fraction * 100.0) as u32);
+            scenarios::byzantine_case(&name, paper, ByzantineSpec::liars(fraction), None)
         })
         .collect();
+    assert_eq!(
+        cases[0].honest_envelope.and_then(|e| e.min_accuracy),
+        Some(0.75),
+        "paper topology must be in the Theorem-2 regime for the claim to mean anything"
+    );
 
     let report = smoke_runner(2).run(&cases);
     let liar = report

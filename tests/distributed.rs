@@ -341,7 +341,7 @@ fn chaos_fleet_with_collector_failover_stays_byte_identical() {
         let count = err
             .lines()
             .filter_map(|l| l.split_whitespace().rev().nth(1)?.parse::<u64>().ok())
-            .last()
+            .next_back()
             .unwrap_or(0);
         reconnects_total += count;
     }
