@@ -167,7 +167,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vigil_fabric::faults::LinkFaults;
-    use vigil_fabric::flowsim::{simulate_epoch, EpochOutcome, SimConfig};
+    use vigil_fabric::flowsim::{simulate_epoch, EpochOutcome, EpochScratch, SimConfig};
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
     use vigil_topology::{ClosParams, ClosTopology, LinkKind};
 
@@ -186,7 +186,14 @@ mod tests {
             ..TrafficSpec::paper_default()
         };
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let out = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng);
+        let out = simulate_epoch(
+            &topo,
+            &faults,
+            &traffic,
+            &SimConfig::default(),
+            &mut rng,
+            &mut EpochScratch::new(),
+        );
         (topo, out)
     }
 

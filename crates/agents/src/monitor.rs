@@ -42,7 +42,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vigil_fabric::faults::LinkFaults;
-    use vigil_fabric::flowsim::{simulate_epoch, SimConfig};
+    use vigil_fabric::flowsim::{simulate_epoch, EpochScratch, SimConfig};
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
     use vigil_topology::{ClosParams, ClosTopology, LinkKind};
 
@@ -64,7 +64,14 @@ mod tests {
             conns_per_host: ConnCount::Fixed(20),
             ..TrafficSpec::paper_default()
         };
-        let out = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng);
+        let out = simulate_epoch(
+            &topo,
+            &faults,
+            &traffic,
+            &SimConfig::default(),
+            &mut rng,
+            &mut EpochScratch::new(),
+        );
         let failed = out.flows.iter().filter(|f| !f.established).count();
         assert!(failed > 0, "blackhole must break establishments");
         for f in out.flows.iter().filter(|f| !f.established) {

@@ -39,7 +39,7 @@ proptest! {
         };
         let sim = SimConfig::default();
         let records =
-            simulate_epoch(&topo, &faults, &traffic, &sim, &mut ChaCha8Rng::seed_from_u64(!seed));
+            simulate_epoch(&topo, &faults, &traffic, &sim, &mut ChaCha8Rng::seed_from_u64(!seed), &mut EpochScratch::new());
         prop_assert!(records.flows.iter().any(|f| f.retransmissions > 0));
 
         for behavior in [

@@ -43,6 +43,28 @@ impl LinkHealth {
         }
     }
 
+    /// Checks that this state tracks `num_links` links at `alpha` — what
+    /// a restored snapshot must match before it replaces a fresh one.
+    pub(crate) fn check_shape(&self, num_links: usize, alpha: f64) -> Result<(), String> {
+        let sizes = [
+            self.ewma.len(),
+            self.streak.len(),
+            self.longest_streak.len(),
+        ];
+        if sizes.iter().any(|&n| n != num_links) {
+            return Err(format!(
+                "snapshot link health tracks {sizes:?} links, this fabric has {num_links}"
+            ));
+        }
+        if self.alpha != alpha {
+            return Err(format!(
+                "snapshot link-health alpha {} differs from the configured {alpha}",
+                self.alpha
+            ));
+        }
+        Ok(())
+    }
+
     /// Folds one epoch's detection output in.
     pub fn absorb(&mut self, epoch: &Algorithm1Output) {
         self.epochs += 1;

@@ -287,28 +287,35 @@ impl<K: Ord> VoteLedger<K> {
     /// ledger's (they are configuration, not state, so the snapshot does
     /// not carry them).
     ///
+    /// # Errors
+    ///
+    /// Refuses a snapshot that does not fit these parameters: a ring
+    /// longer than `ring_capacity`, link-health state sized for another
+    /// link count, or a health EWMA taken at another `alpha`.
+    ///
     /// # Panics
     ///
-    /// Panics when `ring_capacity` is 0, `alpha` is outside `(0, 1]`, or
-    /// the snapshot's ring exceeds `ring_capacity`.
+    /// Panics when `ring_capacity` is 0 or `alpha` is outside `(0, 1]`.
     pub fn restore(
         num_links: usize,
         config: Algorithm1Config,
         ring_capacity: usize,
         alpha: f64,
         snapshot: LedgerSnapshot,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let mut ledger = Self::new(num_links, config, ring_capacity, alpha);
-        assert!(
-            snapshot.ring.len() <= ring_capacity,
-            "snapshot ring ({} windows) exceeds ring capacity {ring_capacity}",
-            snapshot.ring.len()
-        );
+        if snapshot.ring.len() > ring_capacity {
+            return Err(format!(
+                "snapshot ring ({} windows) exceeds ring capacity {ring_capacity}",
+                snapshot.ring.len()
+            ));
+        }
+        snapshot.health.check_shape(num_links, alpha)?;
         ledger.epoch = snapshot.epoch;
         ledger.ring = snapshot.ring.into();
         ledger.health = snapshot.health;
         ledger.robustness = snapshot.robustness;
-        ledger
+        Ok(ledger)
     }
 }
 
@@ -511,7 +518,8 @@ mod tests {
         let snap = original.snapshot();
         assert_eq!(snap.epoch, 2);
 
-        let mut restored = VoteLedger::restore(64, Algorithm1Config::default(), 4, 0.3, snap);
+        let mut restored =
+            VoteLedger::restore(64, Algorithm1Config::default(), 4, 0.3, snap).unwrap();
         assert_eq!(restored.epoch(), 2);
         for w in 2..5 {
             feed(&mut original, w);
@@ -524,6 +532,33 @@ mod tests {
             assert_eq!(a.unbounded_picks, b.unbounded_picks);
         }
         assert_eq!(original.snapshot(), restored.snapshot());
+    }
+
+    /// A snapshot that does not fit the restoring ledger is refused with
+    /// an error: a ring longer than the capacity, health sized for
+    /// another fabric, or another EWMA factor.
+    #[test]
+    fn restore_refuses_a_snapshot_of_another_shape() {
+        let mut l = VoteLedger::new(64, Algorithm1Config::default(), 9, 0.3);
+        for w in 0..9 {
+            l.absorb((0, w), ev(&[5, 20], 2));
+            l.close_window();
+        }
+        let restore = |links, capacity, alpha, snap| {
+            VoteLedger::<Key>::restore(links, Algorithm1Config::default(), capacity, alpha, snap)
+        };
+        let err = restore(64, 8, 0.3, l.snapshot()).unwrap_err();
+        assert!(err.contains("9 windows"), "{err}");
+
+        // A larger fabric's state would index past this ledger's tally at
+        // the first window close; a smaller one's would mix heat maps.
+        for links in [32, 128] {
+            let err = restore(links, 9, 0.3, l.snapshot()).unwrap_err();
+            assert!(err.contains(&links.to_string()), "{err}");
+        }
+        let err = restore(64, 9, 0.5, l.snapshot()).unwrap_err();
+        assert!(err.contains("alpha"), "{err}");
+        assert!(restore(64, 9, 0.3, l.snapshot()).is_ok());
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! * [`robustness`] — absorb/discard counters and per-host vote-volume
 //!   outlier stats: the observability for the byzantine-voter axis.
 //! * [`switch_votes`] — the switch-level voting extension (§5.1).
-//! * [`latency`] — the latency-diagnosis extension sketched in §9.2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +29,6 @@ pub mod algorithm1;
 pub mod blame;
 pub mod evidence;
 pub mod history;
-pub mod latency;
 pub mod ledger;
 pub mod noise;
 pub mod robustness;

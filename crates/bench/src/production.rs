@@ -13,7 +13,7 @@ use vigil::sweep::task_rng;
 use vigil_agents::{is_eventful, HostAgent, HostPacer, ProbeTracer, RetransmissionEvent};
 use vigil_analysis::{blame_flow, FlowEvidence, VoteTally};
 use vigil_fabric::faults::LinkFaults;
-use vigil_fabric::flowsim::simulate_epoch;
+use vigil_fabric::flowsim::{simulate_epoch, EpochScratch};
 use vigil_fabric::netsim::{NetSim, NetSimConfig};
 use vigil_stats::{Ecdf, Summary};
 use vigil_topology::{HostId, Node};
@@ -62,7 +62,14 @@ pub(crate) fn fig01(scale: Scale, engine: &SweepEngine) -> Outputs {
             ..FaultPlan::paper_default(0)
         };
         let faults = plan.build(&topo, &mut rng);
-        let out = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng);
+        let out = simulate_epoch(
+            &topo,
+            &faults,
+            &traffic,
+            &SimConfig::default(),
+            &mut rng,
+            &mut EpochScratch::new(),
+        );
 
         let total: u64 = out.ground_truth.drops_per_link.iter().sum();
         let drops: Vec<f64> = out
@@ -157,7 +164,14 @@ pub(crate) fn table1(scale: Scale, engine: &SweepEngine) -> Outputs {
         );
         let mut traces = 0u64;
         let epoch_start = sim.now();
-        let outcome = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng);
+        let outcome = simulate_epoch(
+            &topo,
+            &faults,
+            &traffic,
+            &SimConfig::default(),
+            &mut rng,
+            &mut EpochScratch::new(),
+        );
         // Each host paces itself by Theorem 1 and spreads its traces over
         // the epoch (retransmissions arrive throughout the 30 s).
         for host in topo.hosts() {
@@ -255,7 +269,14 @@ pub(crate) fn sec8_2(scale: Scale, engine: &SweepEngine) -> Outputs {
         let mut rng = task_rng(0xA0_82, round);
         let seed = 88 + round as u64;
         let mut sim = NetSim::new(topo.clone(), faults.clone(), NetSimConfig::default(), seed);
-        let outcome = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng);
+        let outcome = simulate_epoch(
+            &topo,
+            &faults,
+            &traffic,
+            &SimConfig::default(),
+            &mut rng,
+            &mut EpochScratch::new(),
+        );
 
         let mut discovered = Vec::new();
         for (i, f) in outcome.flows.iter().enumerate() {
@@ -390,7 +411,7 @@ pub(crate) fn sec8_3(scale: Scale, engine: &SweepEngine) -> Outputs {
                 [LinkKind::T1ToT2, LinkKind::T2ToT1]
             }
         };
-        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
+        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
         let blamed = run.detection.detections.first().map(|top| {
             let kind = topo.link(top.link).kind;
             (expected_kinds.contains(&kind), tier(kind))
@@ -452,7 +473,7 @@ pub(crate) fn sec8_3(scale: Scale, engine: &SweepEngine) -> Outputs {
             let l = any_link(&topo, |k| k.is_level2(), &mut rng);
             faults.fail_link(l, rng.gen_range(0.005..0.05));
         }
-        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
+        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
         // HostToTor, TorToHost, TorToT1, T1ToTor, T1ToT2, T2ToT1
         let mut kinds = [0u64; 6];
         for d in &run.detection.detections {
@@ -516,7 +537,7 @@ pub(crate) fn fig14(scale: Scale, engine: &SweepEngine) -> Outputs {
             faults.set_noise(RateRange::PAPER_NOISE, &mut rng);
             let up = uplink(&topo, any_host(&topo, &mut rng));
             faults.fail_link(up, rng.gen_range(0.1..0.5));
-            let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
+            let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
             explained += u64::from(run.detection.detected_links().contains(&up));
         }
         (hour, reboots, explained)

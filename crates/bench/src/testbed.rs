@@ -14,6 +14,7 @@ use vigil::sweep::task_rng;
 use vigil_analysis::blame_flow;
 use vigil_analysis::switch_votes::SwitchTally;
 use vigil_fabric::faults::LinkFaults;
+use vigil_fabric::EpochScratch;
 use vigil_stats::{Ecdf, Summary};
 use vigil_topology::{Node, SwitchId};
 
@@ -75,7 +76,7 @@ fn observe(
 ) -> (Summary, usize) {
     let observations = engine.run_tasks(epochs, |epoch| {
         let mut rng = task_rng(seed, epoch);
-        let run = vigil::run_epoch(topo, faults, cfg, &mut rng);
+        let run = vigil::run_epoch(topo, faults, cfg, &mut rng, &mut EpochScratch::new());
         let arriving: f64 = topo
             .links()
             .iter()
@@ -107,7 +108,13 @@ pub(crate) fn sec7_2(scale: Scale, engine: &SweepEngine) -> Outputs {
         // [scored, correct]
         let mut counts = [0u64; 2];
         for _epoch in 0..scale.epochs {
-            let run = vigil::run_epoch(&topo, &faults, &base.run, &mut rng);
+            let run = vigil::run_epoch(
+                &topo,
+                &faults,
+                &base.run,
+                &mut rng,
+                &mut EpochScratch::new(),
+            );
             let flow_idx = run.flow_index();
             for (ev, report) in run.evidence.iter().zip(&run.reports) {
                 let flow = &run.outcome.flows[flow_idx
@@ -222,7 +229,13 @@ pub(crate) fn sec7_3(scale: Scale, engine: &SweepEngine) -> Outputs {
 
         let mut c = [0u64; 11];
         for _epoch in 0..scale.epochs {
-            let run = vigil::run_epoch(&topo, &faults, &base.run, &mut rng);
+            let run = vigil::run_epoch(
+                &topo,
+                &faults,
+                &base.run,
+                &mut rng,
+                &mut EpochScratch::new(),
+            );
             let ranking: Vec<_> = run
                 .detection
                 .raw_tally

@@ -14,6 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use vigil::prelude::*;
 use vigil::sweep::task_rng;
 use vigil_fabric::faults::LinkFaults;
+use vigil_fabric::EpochScratch;
 use vigil_topology::bounds::{theorem1_ct_bound, theorem2_k_max, Theorem2};
 
 pub(crate) fn thm2(scale: Scale, engine: &SweepEngine) -> Outputs {
@@ -71,7 +72,7 @@ pub(crate) fn thm2(scale: Scale, engine: &SweepEngine) -> Outputs {
         // Distinct master from the 0x7772 setup rng: task_rng(m, 0) == m's
         // stream, which would correlate epoch 0 with the fault draw.
         let mut rng = task_rng(0xA0_7772, epoch);
-        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
+        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
         let bad_votes = run
             .evidence
             .iter()

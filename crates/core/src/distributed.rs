@@ -1085,29 +1085,31 @@ struct Tally {
 
 impl Tally {
     /// A fresh tally, or a predecessor's restored from its snapshot,
-    /// with the first window it serves.
+    /// with the first window it serves. A snapshot that does not fit
+    /// this run's fabric or ledger shape is an `InvalidInput` error.
     fn open(
         config: &ExperimentConfig,
         num_links: usize,
         snap: Option<CollectorSnapshot>,
-    ) -> (Self, usize) {
+    ) -> io::Result<(Self, usize)> {
         let (ring, alpha) = (LEDGER_RING_WINDOWS, LEDGER_HEALTH_ALPHA);
         let (ledger, start, scored) = match snap {
             Some(s) => {
-                let ledger = VoteLedger::restore(num_links, config.run.alg1, ring, alpha, s.ledger);
+                let ledger = VoteLedger::restore(num_links, config.run.alg1, ring, alpha, s.ledger)
+                    .map_err(|e| invalid(format!("snapshot does not fit this run: {e}")))?;
                 (ledger, s.epochs_done, s.epochs)
             }
             None => (fresh_ledger(num_links, &config.run), 0, Vec::new()),
         };
         let reports = BTreeMap::new();
-        (
+        Ok((
             Self {
                 ledger,
                 reports,
                 scored,
             },
             start,
-        )
+        ))
     }
 
     /// Tallies one event the core forwarded into the open window.
@@ -1293,7 +1295,7 @@ pub fn run_collector(
     let topo = ClosTopology::new(config.params, rng.gen()).map_err(invalid)?;
     let faults = config.faults.build(&topo, &mut rng);
     let num_hosts = u32::try_from(topo.num_hosts()).map_err(invalid)?;
-    let (tally, start) = Tally::open(config, topo.num_links(), snap);
+    let (tally, start) = Tally::open(config, topo.num_links(), snap)?;
     // Metrics endpoint, up before the start barrier so operators can
     // watch admission.
     let metrics = match &ccfg.metrics {
@@ -1442,7 +1444,7 @@ impl Windows<'_> {
             acc.absorb(er);
         }
         let mut report = ExperimentReport::empty(self.config);
-        report.merge_trial(acc.finish_at(&self.config.run, 0, wall_ms));
+        report.merge_trial(acc.finish(&self.config.run, 0, wall_ms));
         report
     }
 
@@ -2275,6 +2277,50 @@ mod tests {
         assert_eq!(back.seed, snap.seed);
         assert_eq!(back.epochs_done, 1);
         assert_eq!(back.ledger, snap.ledger);
+    }
+
+    /// `--resume` with a snapshot from a larger fabric under the same
+    /// seed (written by `collect single-failure`, read by `collect
+    /// test-cluster`) is refused before any agent is admitted, with an
+    /// `InvalidInput` error naming the mismatch.
+    #[test]
+    fn resume_refuses_a_snapshot_from_another_fabric() {
+        let preset = |name| crate::scenarios::preset(name).expect("preset");
+        let (large, mut small) = (preset("single-failure"), preset("test-cluster"));
+        small.seed = large.seed;
+        let links = |cfg: &ExperimentConfig| {
+            ClosTopology::new(cfg.params, 0)
+                .expect("preset fabric")
+                .num_links()
+        };
+        assert!(links(&large) > links(&small));
+        let snap = CollectorSnapshot {
+            seed: large.seed,
+            epochs_done: 1,
+            ledger: fresh_ledger(links(&large), &large.run).snapshot(),
+            epochs: Vec::new(),
+        };
+        let path = std::env::temp_dir().join(format!(
+            "vigil-foreign-snapshot-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, serde_json::to_string(&snap).unwrap()).unwrap();
+        let listener = Listener::Tcp(TcpListener::bind("127.0.0.1:0").unwrap());
+        let ccfg = CollectorConfig {
+            agents: 1,
+            epochs: 3,
+            snapshot_path: Some(path.clone()),
+            resume: true,
+            ..CollectorConfig::default()
+        };
+        let err = run_collector(&small, &listener, &ccfg).expect_err("foreign snapshot");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("does not fit") && msg.contains("links"),
+            "{msg}"
+        );
     }
 
     /// Pins the metrics endpoint's field names — both the JSON keys and

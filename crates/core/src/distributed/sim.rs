@@ -247,7 +247,7 @@ impl<'a> Sim<'a> {
     ) -> Collector {
         let (config, ccfg) = (windows.config, windows.ccfg);
         let snap = snapshot.map(|text| parse_snapshot(config, ccfg, text).expect("snapshot"));
-        let (tally, window) = Tally::open(config, num_links, snap);
+        let (tally, window) = Tally::open(config, num_links, snap).expect("snapshot fits");
         let core = CollectorCore::new(ccfg, num_hosts, num_links, window as u64, now);
         let out = Vec::new();
         Collector {

@@ -194,6 +194,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use vigil_fabric::faults::{FaultPlan, RateRange};
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
+    use vigil_fabric::EpochScratch;
     use vigil_topology::{ClosParams, ClosTopology};
 
     fn run_one(failures: u32, rate: f64, seed: u64) -> EpochReport {
@@ -211,7 +212,7 @@ mod tests {
             },
             ..RunConfig::default()
         };
-        let run = run_epoch(&topo, &faults, &cfg, &mut rng);
+        let run = run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
         evaluate_epoch(&run)
     }
 

@@ -1,10 +1,12 @@
-//! Multi-trial experiment runner.
+//! Multi-trial experiment reports.
 //!
 //! Every figure in the paper's §6 is a sweep over one parameter, with
-//! each point averaged over repeated simulation runs. [`run_experiment`]
-//! produces one such point: `trials` independent topologies/fault draws ×
-//! `epochs` epochs each, aggregated into per-method accuracy, precision
-//! and recall with confidence intervals.
+//! each point averaged over repeated simulation runs. An
+//! [`ExperimentConfig`] describes one such point: `trials` independent
+//! topologies/fault draws × `epochs` epochs each;
+//! [`crate::sweep::SweepEngine::run_experiment`] runs it into an
+//! [`ExperimentReport`] of per-method accuracy, precision and recall with
+//! confidence intervals.
 //!
 //! Trials are independent by construction — each draws its own topology
 //! seed and fault plan from a per-trial [`ChaCha8Rng`] derived from the
@@ -301,22 +303,10 @@ impl TrialAccumulator {
         self.epochs.push(er);
     }
 
-    /// Seals the trial (per-trial summaries recorded, wall clock taken).
-    pub fn finish(
-        self,
-        run_config: &RunConfig,
-        trial: usize,
-        started: std::time::Instant,
-    ) -> TrialReport {
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        self.finish_at(run_config, trial, wall_ms)
-    }
-
-    /// Seals the trial with an explicitly measured wall-clock figure —
-    /// for drivers (the `crate::pool` work queue) whose trial is spread
-    /// over workers and therefore has no single `started` instant; the
-    /// caller sums the per-epoch wall times instead.
-    pub fn finish_at(self, run_config: &RunConfig, trial: usize, wall_ms: f64) -> TrialReport {
+    /// Seals the trial (per-trial summaries recorded) with the wall
+    /// time the caller measured — the pool sums a trial's per-epoch
+    /// times, since its epochs may run on different workers.
+    pub fn finish(self, run_config: &RunConfig, trial: usize, wall_ms: f64) -> TrialReport {
         let mut vigil = MethodReport::default();
         vigil.absorb_trial(self.vigil_acc, &self.vigil_out);
         let integer = run_config.baselines.integer.then(|| {
@@ -345,16 +335,11 @@ impl TrialAccumulator {
     }
 }
 
-/// Runs the experiment on the current thread. [`crate::sweep::SweepEngine`]
-/// runs the same trials across workers with a bit-identical result.
-pub fn run_experiment(config: &ExperimentConfig) -> ExperimentReport {
-    crate::sweep::SweepEngine::serial().run_experiment(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::{stream_trial, StreamTuning};
+    use crate::sweep::SweepEngine;
     use vigil_fabric::faults::RateRange;
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
 
@@ -377,6 +362,10 @@ mod tests {
             trials: 2,
             seed: 5,
         }
+    }
+
+    fn run_experiment(config: &ExperimentConfig) -> ExperimentReport {
+        SweepEngine::serial().run_experiment(config).0
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!     seed: 7,
 //!     ..ExperimentConfig::default()
 //! };
-//! let report = run_experiment(&config);
+//! let (report, _stats) = SweepEngine::serial().run_experiment(&config);
 //! // With one hot failure and ample traffic, 007 should locate it.
 //! assert!(report.vigil.pooled.accuracy.value().unwrap_or(0.0) > 0.5);
 //! ```
@@ -55,14 +55,12 @@ pub use distributed::{
 };
 pub use evaluate::{EpochReport, MethodMetrics};
 pub use experiment::{
-    run_experiment, ExperimentConfig, ExperimentReport, ExperimentTiming, MethodReport,
-    TrialAccumulator, TrialReport,
+    ExperimentConfig, ExperimentReport, ExperimentTiming, MethodReport, TrialAccumulator,
+    TrialReport,
 };
 pub use matrix::{CaseOutcome, Envelope, MatrixReport, MatrixRunner, ScenarioCase};
-pub use run::{run_epoch, run_epoch_with, Baselines, EpochRun, PacerBudget, RunConfig};
-pub use stream::{
-    stream_experiment, stream_trial, RetainPolicy, StreamSession, StreamStats, StreamTuning,
-};
+pub use run::{run_epoch, Baselines, EpochRun, PacerBudget, RunConfig};
+pub use stream::{stream_trial, RetainPolicy, StreamSession, StreamStats, StreamTuning};
 pub use sweep::{epoch_rng, task_rng, task_seed, SweepEngine, SweepSpec};
 
 /// Convenient glob-import for examples and benches.
@@ -72,19 +70,17 @@ pub mod prelude {
         CollectorOutcome, Endpoint, ResilienceConfig,
     };
     pub use crate::evaluate::{EpochReport, MethodMetrics};
-    pub use crate::experiment::{run_experiment, ExperimentConfig, ExperimentReport, MethodReport};
+    pub use crate::experiment::{ExperimentConfig, ExperimentReport, MethodReport};
     pub use crate::matrix::{Envelope, MatrixReport, MatrixRunner, ScenarioCase};
-    pub use crate::run::{run_epoch, run_epoch_with, Baselines, EpochRun, PacerBudget, RunConfig};
+    pub use crate::run::{run_epoch, Baselines, EpochRun, PacerBudget, RunConfig};
     pub use crate::scenarios;
-    pub use crate::stream::{
-        stream_experiment, stream_trial, RetainPolicy, StreamSession, StreamStats, StreamTuning,
-    };
+    pub use crate::stream::{stream_trial, RetainPolicy, StreamSession, StreamStats, StreamTuning};
     pub use crate::sweep::{SweepEngine, SweepSpec};
     pub use vigil_analysis::{Algorithm1Config, ThresholdBase, VoteWeight};
     pub use vigil_fabric::compose::{CompositeFaultPlan, FaultKind};
     pub use vigil_fabric::faults::{FaultLocation, FaultPlan, RateRange};
     pub use vigil_fabric::slb::SlbModel;
     pub use vigil_fabric::traffic::{ConnCount, DestSpec, PacketCount, TrafficSpec};
-    pub use vigil_fabric::SimConfig;
+    pub use vigil_fabric::{EpochScratch, SimConfig};
     pub use vigil_topology::{ClosParams, ClosTopology, LinkId, LinkKind};
 }

@@ -19,9 +19,8 @@
 //! numbers.
 
 use crate::experiment::ExperimentReport;
-use crate::pool::{run_epoch_grid, EpochGroup, GroupFaults};
+use crate::pool::{run_epoch_grid, EpochGroup};
 use crate::run::RunConfig;
-use crate::stream::StreamTuning;
 use crate::sweep::SweepEngine;
 use serde::Serialize;
 use vigil_fabric::CompositeFaultPlan;
@@ -352,11 +351,8 @@ impl MatrixRunner {
                 master_seed: case.seed(self.seed),
                 trials: self.trials,
                 epochs: self.epochs,
-                faults: GroupFaults::Timeline {
-                    plan: &case.faults,
-                    epoch_seconds: self.epoch_seconds,
-                },
-                tuning: StreamTuning::default(),
+                faults: std::borrow::Cow::Borrowed(&case.faults),
+                epoch_seconds: self.epoch_seconds,
             })
             .collect();
         let results = run_epoch_grid(&self.engine, &groups);

@@ -1,12 +1,14 @@
 //! The unified epoch×trial work pool.
 //!
-//! Every runner that repeats epochs — [`crate::sweep::SweepEngine::run_experiment`]
-//! and [`crate::stream::stream_experiment`] (one body, [`run_experiment`]),
+//! Every runner that repeats epochs — [`crate::sweep::SweepEngine::run_experiment`],
 //! [`crate::sweep::SweepEngine::run_sweep`], and the scenario
 //! [`crate::matrix::MatrixRunner`] — flattens its work into one grid of
-//! `(group, trial, epoch)` cells and feeds it through
-//! [`run_epoch_grid`]. Every cell scores from what its session keeps
-//! ([`RetainPolicy::EvidenceOnly`]), never from the whole epoch's table.
+//! `(group, trial, epoch)` cells and feeds it through [`run_epoch_grid`].
+//! Each group carries one [`CompositeFaultPlan`], compiled once per
+//! trial; an experiment's [`FaultPlan`] enters in its composite form,
+//! which draws exactly what [`FaultPlan::build`] draws. Every cell scores
+//! from what its session keeps ([`RetainPolicy::EvidenceOnly`]), never
+//! from the whole epoch's table.
 //! Sharding at epoch granularity (instead of whole trials) keeps every
 //! worker busy to the end of the run: a 3-trial × 2-epoch experiment on
 //! 6 threads is 6 concurrent cells, not 3 busy workers and 3 idle ones.
@@ -30,6 +32,8 @@
 //! cell is the unit of parallelism.
 //!
 //! [`run_tasks_with`]: crate::sweep::SweepEngine::run_tasks_with
+//! [`FaultPlan`]: vigil_fabric::FaultPlan
+//! [`FaultPlan::build`]: vigil_fabric::FaultPlan::build
 
 use crate::evaluate::{evaluate_epoch, EpochReport};
 use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator};
@@ -40,26 +44,9 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::borrow::Cow;
 use vigil_fabric::compose::CompiledFaults;
-use vigil_fabric::faults::{FaultPlan, LinkFaults};
 use vigil_fabric::flowsim::EpochScratch;
 use vigil_fabric::CompositeFaultPlan;
 use vigil_topology::{ClosParams, ClosTopology};
-
-/// How a group's per-trial fault tables are produced.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum GroupFaults<'a> {
-    /// One static table per trial, drawn by [`FaultPlan::build`] — the
-    /// experiment runners.
-    Static(&'a FaultPlan),
-    /// A compiled fault timeline materializing per-epoch tables — the
-    /// scenario matrix's flaps and maintenance windows.
-    Timeline {
-        /// The composite story to compile per trial.
-        plan: &'a CompositeFaultPlan,
-        /// Epoch length on the timeline clock (paper: 30 s).
-        epoch_seconds: f64,
-    },
-}
 
 /// One homogeneous block of the grid: `trials × epochs` cells sharing a
 /// config, topology parameters, and master seed. A sweep submits one
@@ -78,15 +65,16 @@ pub(crate) struct EpochGroup<'a> {
     pub(crate) trials: usize,
     /// Epochs per trial.
     pub(crate) epochs: usize,
-    /// Fault-table source.
-    pub(crate) faults: GroupFaults<'a>,
-    /// Streaming knobs for the per-worker sessions.
-    pub(crate) tuning: StreamTuning,
+    /// The fault story, compiled once per trial.
+    pub(crate) faults: Cow<'a, CompositeFaultPlan>,
+    /// Epoch length on the fault timeline's clock (paper: 30 s).
+    pub(crate) epoch_seconds: f64,
 }
 
 impl<'a> EpochGroup<'a> {
-    /// The group an [`ExperimentConfig`] describes.
-    pub(crate) fn from_experiment(config: &'a ExperimentConfig, tuning: StreamTuning) -> Self {
+    /// The group an [`ExperimentConfig`] describes, its `FaultPlan` in
+    /// composite form.
+    pub(crate) fn from_experiment(config: &'a ExperimentConfig) -> Self {
         Self {
             name: &config.name,
             run: &config.run,
@@ -94,8 +82,9 @@ impl<'a> EpochGroup<'a> {
             master_seed: config.seed,
             trials: config.trials,
             epochs: config.epochs,
-            faults: GroupFaults::Static(&config.faults),
-            tuning,
+            faults: Cow::Owned(CompositeFaultPlan::from(&config.faults)),
+            // A static plan never reads the clock.
+            epoch_seconds: 30.0,
         }
     }
 }
@@ -110,28 +99,12 @@ pub(crate) struct GroupResult {
     pub(crate) stats: StreamStats,
 }
 
-/// A trial's fault tables, materialized once per (worker, trial).
-enum TrialFaults {
-    Static(LinkFaults),
-    Timeline(CompiledFaults),
-}
-
-impl TrialFaults {
-    /// The table epoch `e` runs against.
-    fn epoch(&self, e: usize) -> Cow<'_, LinkFaults> {
-        match self {
-            TrialFaults::Static(f) => Cow::Borrowed(f),
-            TrialFaults::Timeline(c) => Cow::Owned(c.epoch_faults(e)),
-        }
-    }
-}
-
 /// Everything a worker needs to run any epoch of one trial. Rebuilt when
 /// a worker's claimed cell crosses a trial boundary; reused otherwise.
 struct TrialContext {
     trial_seed: u64,
     topo: ClosTopology,
-    faults: TrialFaults,
+    faults: CompiledFaults,
     session: StreamSession,
 }
 
@@ -142,17 +115,13 @@ fn build_trial(group: &EpochGroup<'_>, trial: usize) -> TrialContext {
     let mut rng = ChaCha8Rng::seed_from_u64(trial_seed);
     let topo =
         ClosTopology::new(group.params, rng.gen()).expect("group parameters validated upstream");
-    let faults = match group.faults {
-        GroupFaults::Static(plan) => TrialFaults::Static(plan.build(&topo, &mut rng)),
-        GroupFaults::Timeline {
-            plan,
-            epoch_seconds,
-        } => TrialFaults::Timeline(plan.compile(&topo, group.epochs, epoch_seconds, &mut rng)),
-    };
+    let faults = group
+        .faults
+        .compile(&topo, group.epochs, group.epoch_seconds, &mut rng);
     let session = StreamSession::new(
         &topo,
         group.run,
-        group.tuning.clone(),
+        StreamTuning::default(),
         RetainPolicy::EvidenceOnly,
     );
     TrialContext {
@@ -213,7 +182,7 @@ pub(crate) fn run_epoch_grid(engine: &SweepEngine, groups: &[EpochGroup<'_>]) ->
 
         let started = std::time::Instant::now();
         let mut rng = epoch_rng(ctx.trial_seed, epoch);
-        let faults = ctx.faults.epoch(epoch);
+        let faults = ctx.faults.epoch_faults(epoch);
         let before = ctx.session.stats().clone();
         let run = ctx
             .session
@@ -241,35 +210,17 @@ pub(crate) fn run_epoch_grid(engine: &SweepEngine, groups: &[EpochGroup<'_>]) ->
                 stats.merge(&unit.stats);
                 acc.absorb(unit.report);
             }
-            report.merge_trial(acc.finish_at(group.run, trial, wall_ms));
+            report.merge_trial(acc.finish(group.run, trial, wall_ms));
         }
         results.push(GroupResult { report, stats });
     }
     results
 }
 
-/// One experiment through the grid — the body behind both
-/// [`SweepEngine::run_experiment`] and
-/// [`crate::stream::stream_experiment`].
-pub(crate) fn run_experiment(
-    engine: &SweepEngine,
-    config: &ExperimentConfig,
-    tuning: StreamTuning,
-) -> (ExperimentReport, StreamStats) {
-    let started = std::time::Instant::now();
-    let groups = [EpochGroup::from_experiment(config, tuning)];
-    let GroupResult { mut report, stats } = run_epoch_grid(engine, &groups)
-        .pop()
-        .expect("one group in, one result out");
-    report.timing.total_ms = started.elapsed().as_secs_f64() * 1e3;
-    report.timing.threads = engine.threads();
-    (report, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vigil_fabric::faults::RateRange;
+    use vigil_fabric::faults::{FaultPlan, RateRange};
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
     use vigil_topology::ClosParams;
 
@@ -309,7 +260,7 @@ mod tests {
         let reference = serde_json::to_string(&reference).unwrap();
         for threads in [1usize, 2, 8] {
             let engine = SweepEngine::new(threads);
-            let groups = [EpochGroup::from_experiment(&cfg, StreamTuning::default())];
+            let groups = [EpochGroup::from_experiment(&cfg)];
             let result = run_epoch_grid(&engine, &groups)
                 .pop()
                 .expect("one group in, one result out");
@@ -333,18 +284,12 @@ mod tests {
     fn degenerate_grids_assemble_cleanly() {
         let engine = SweepEngine::new(4);
         let no_trials = tiny_config(0, 3);
-        let groups = [EpochGroup::from_experiment(
-            &no_trials,
-            StreamTuning::default(),
-        )];
+        let groups = [EpochGroup::from_experiment(&no_trials)];
         let result = run_epoch_grid(&engine, &groups).pop().unwrap();
         assert!(result.report.timing.per_trial_ms.is_empty());
 
         let no_epochs = tiny_config(2, 0);
-        let groups = [EpochGroup::from_experiment(
-            &no_epochs,
-            StreamTuning::default(),
-        )];
+        let groups = [EpochGroup::from_experiment(&no_epochs)];
         let result = run_epoch_grid(&engine, &groups).pop().unwrap();
         assert_eq!(
             result.report.timing.per_trial_ms.len(),

@@ -160,28 +160,17 @@ impl EpochRun {
     }
 }
 
-/// Runs one epoch sequentially (hosts iterated in id order).
-pub fn run_epoch<R: Rng + ?Sized>(
-    topo: &ClosTopology,
-    faults: &LinkFaults,
-    config: &RunConfig,
-    rng: &mut R,
-) -> EpochRun {
-    run_epoch_with(topo, faults, config, rng, &mut EpochScratch::new())
-}
-
-/// [`run_epoch`] with caller-owned simulator scratch: a caller running
-/// many epochs passes one [`EpochScratch`] through all of them so the
-/// per-flow hot path (routing, path storage, drop sampling) reuses its
-/// buffers instead of reallocating. Output is byte-identical to
-/// [`run_epoch`] — same RNG stream, same reports, same detections.
+/// Runs one epoch end to end. The caller owns the simulator scratch: a
+/// caller running many epochs passes one [`EpochScratch`] through all of
+/// them so the per-flow hot path (routing, path storage, drop sampling)
+/// reuses its buffers; reuse never changes a byte of the output.
 ///
 /// This is a one-window [`StreamSession`]: the fabric is pulled in
 /// chunks, host agents emit evidence events over the hub, the ledger
 /// closes the window, and [`EpochRun::outcome`] keeps only the rows
 /// scoring consults. Code that walks every flow of the epoch simulates
-/// it with `vigil_fabric::flowsim::simulate_epoch_with` instead.
-pub fn run_epoch_with<R: Rng + ?Sized>(
+/// it with `vigil_fabric::flowsim::simulate_epoch` instead.
+pub fn run_epoch<R: Rng + ?Sized>(
     topo: &ClosTopology,
     faults: &LinkFaults,
     config: &RunConfig,
@@ -204,7 +193,7 @@ pub(crate) const LEDGER_RING_WINDOWS: usize = 8;
 /// memory).
 pub(crate) const LEDGER_HEALTH_ALPHA: f64 = 0.3;
 
-/// A fresh analysis ledger shaped for `config` — [`run_epoch_with`]
+/// A fresh analysis ledger shaped for `config` — [`run_epoch`]
 /// closes one window on a throwaway ledger; a long-lived session keeps
 /// one alive across windows so the ring and health EWMA accumulate.
 pub(crate) fn fresh_ledger(
@@ -308,7 +297,13 @@ mod tests {
     #[test]
     fn pipeline_detects_single_failure() {
         let (topo, faults, mut rng) = setup(1, 11);
-        let run = run_epoch(&topo, &faults, &config(), &mut rng);
+        let run = run_epoch(
+            &topo,
+            &faults,
+            &config(),
+            &mut rng,
+            &mut EpochScratch::new(),
+        );
         let bad = *faults.failed_set().iter().next().unwrap();
         assert!(
             run.detection.detected_links().contains(&bad),
@@ -326,7 +321,7 @@ mod tests {
         let (topo, faults, mut rng) = setup(1, 13);
         let mut cfg = config();
         cfg.baselines.binary = true;
-        let run = run_epoch(&topo, &faults, &cfg, &mut rng);
+        let run = run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
         let integer = run.integer.as_ref().expect("integer baseline enabled");
         let binary = run.binary.as_ref().expect("binary baseline enabled");
         let bad = faults.failed_set().iter().next().unwrap().0;
@@ -341,8 +336,14 @@ mod tests {
         cfg.slb = SlbModel::query_failures(0.5);
         let mut rng1 = ChaCha8Rng::seed_from_u64(23);
         let mut rng2 = ChaCha8Rng::seed_from_u64(23);
-        let gated = run_epoch(&topo, &faults, &cfg, &mut rng1);
-        let ungated = run_epoch(&topo, &faults, &config(), &mut rng2);
+        let gated = run_epoch(&topo, &faults, &cfg, &mut rng1, &mut EpochScratch::new());
+        let ungated = run_epoch(
+            &topo,
+            &faults,
+            &config(),
+            &mut rng2,
+            &mut EpochScratch::new(),
+        );
         assert!(
             gated.reports.len() < ungated.reports.len(),
             "a 50% query-failure rate must suppress traces ({} vs {})",
@@ -359,13 +360,20 @@ mod tests {
         };
         cfg.slb = snat;
         cfg.pacer = PacerBudget::Fixed(1);
-        let run = run_epoch(&topo, &faults, &cfg, &mut ChaCha8Rng::seed_from_u64(23));
+        let run = run_epoch(
+            &topo,
+            &faults,
+            &cfg,
+            &mut ChaCha8Rng::seed_from_u64(23),
+            &mut EpochScratch::new(),
+        );
         let full = vigil_fabric::flowsim::simulate_epoch(
             &topo,
             &faults,
             &cfg.traffic,
             &cfg.sim,
             &mut ChaCha8Rng::seed_from_u64(23),
+            &mut EpochScratch::new(),
         );
         let mut checked = 0;
         for host in topo.hosts() {
@@ -391,7 +399,13 @@ mod tests {
     fn every_byzantine_behavior_changes_the_evidence() {
         let (topo, faults, _) = setup(2, 29);
         let mut honest_rng = ChaCha8Rng::seed_from_u64(31);
-        let honest = run_epoch(&topo, &faults, &config(), &mut honest_rng);
+        let honest = run_epoch(
+            &topo,
+            &faults,
+            &config(),
+            &mut honest_rng,
+            &mut EpochScratch::new(),
+        );
         for spec in [
             ByzantineSpec::liars(0.33),
             ByzantineSpec::mutes(0.33),
@@ -401,7 +415,7 @@ mod tests {
             let mut cfg = config();
             cfg.byzantine = spec;
             let mut rng = ChaCha8Rng::seed_from_u64(31);
-            let run = run_epoch(&topo, &faults, &cfg, &mut rng);
+            let run = run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
             assert_ne!(
                 run.reports,
                 honest.reports,
@@ -425,8 +439,14 @@ mod tests {
         };
         let mut rng1 = ChaCha8Rng::seed_from_u64(47);
         let mut rng2 = ChaCha8Rng::seed_from_u64(47);
-        let plain = run_epoch(&topo, &faults, &config(), &mut rng1);
-        let specced = run_epoch(&topo, &faults, &cfg, &mut rng2);
+        let plain = run_epoch(
+            &topo,
+            &faults,
+            &config(),
+            &mut rng1,
+            &mut EpochScratch::new(),
+        );
+        let specced = run_epoch(&topo, &faults, &cfg, &mut rng2, &mut EpochScratch::new());
         assert_eq!(plain.reports, specced.reports);
         assert_eq!(rng1.gen::<u64>(), rng2.gen::<u64>());
     }
@@ -436,7 +456,13 @@ mod tests {
         let topo = ClosTopology::new(ClosParams::tiny(), 19).unwrap();
         let faults = LinkFaults::new(topo.num_links());
         let mut rng = ChaCha8Rng::seed_from_u64(19);
-        let run = run_epoch(&topo, &faults, &config(), &mut rng);
+        let run = run_epoch(
+            &topo,
+            &faults,
+            &config(),
+            &mut rng,
+            &mut EpochScratch::new(),
+        );
         assert!(run.reports.is_empty());
         assert!(run.detection.detections.is_empty());
     }

@@ -18,7 +18,7 @@
 //! traces only connections that retransmit, §4–5, so scoring never reads
 //! a drop-free flow). Evidence — a few links and a count per traced flow
 //! — is all else that survives to the window close. Every runner scores
-//! through [`StreamSession::run_window`] ([`crate::run::run_epoch_with`]
+//! through [`StreamSession::run_window`] ([`crate::run::run_epoch`]
 //! is a one-window session); the whole-epoch flow table comes only from
 //! `vigil_fabric::flowsim::simulate_epoch`, for analyses that walk every
 //! flow.
@@ -31,9 +31,8 @@
 //! through the hub while the epoch is still being simulated.
 
 use crate::evaluate::evaluate_epoch;
-use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator, TrialReport};
+use crate::experiment::{ExperimentConfig, TrialAccumulator, TrialReport};
 use crate::run::{assemble_epoch, fresh_ledger, EpochRun, RunConfig};
-use crate::sweep::SweepEngine;
 use rand::Rng;
 use serde::Serialize;
 use std::convert::Infallible;
@@ -532,8 +531,9 @@ impl StreamSession {
 /// One trial on the current thread — the serial reference every other
 /// runner reproduces: topology and faults from the trial RNG, each epoch
 /// on its own derived [`crate::sweep::epoch_rng`] stream, all driven
-/// through one [`StreamSession`]. The epoch pool's report for the same
-/// trial is bit-identical at any width.
+/// through one [`StreamSession`] at `tuning`. The epoch pool's report for
+/// the same trial is bit-identical at any width, and `tuning` never
+/// changes it.
 pub fn stream_trial(
     config: &ExperimentConfig,
     trial: usize,
@@ -559,26 +559,18 @@ pub fn stream_trial(
         acc.absorb(evaluate_epoch(&run));
     }
     session.shutdown();
-    let stats = session.stats().clone();
-    (acc.finish(&config.run, trial, started), stats)
-}
-
-/// Runs a whole experiment through the epoch pool: `(trial, epoch)`
-/// tasks shard across the sweep engine's workers exactly like
-/// [`SweepEngine::run_experiment`] (the same body, at `tuning`), so the
-/// report is bit-identical to [`stream_trial`]'s at any thread count —
-/// plus the aggregated service-mode counters.
-pub fn stream_experiment(
-    config: &ExperimentConfig,
-    engine: &SweepEngine,
-    tuning: &StreamTuning,
-) -> (ExperimentReport, StreamStats) {
-    crate::pool::run_experiment(engine, config, tuning.clone())
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    (
+        acc.finish(&config.run, trial, wall_ms),
+        session.stats().clone(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentReport;
+    use crate::sweep::SweepEngine;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use vigil_agents::ByzantineSpec;
@@ -694,7 +686,7 @@ mod tests {
             };
             let mut lean = StreamSession::new(&topo, &cfg, tuning, RetainPolicy::EvidenceOnly);
             let mut rng = ChaCha8Rng::seed_from_u64(9);
-            let full = vigil_fabric::flowsim::simulate_epoch_with(
+            let full = vigil_fabric::flowsim::simulate_epoch(
                 &topo,
                 &faults,
                 &cfg.traffic,
@@ -753,7 +745,13 @@ mod tests {
         cfg.slb = SlbModel::query_failures(0.5);
         let mut rng_batch = ChaCha8Rng::seed_from_u64(23);
         let mut rng_stream = ChaCha8Rng::seed_from_u64(23);
-        let batch = crate::run::run_epoch(&topo, &faults, &cfg, &mut rng_batch);
+        let batch = crate::run::run_epoch(
+            &topo,
+            &faults,
+            &cfg,
+            &mut rng_batch,
+            &mut EpochScratch::new(),
+        );
         let tuning = StreamTuning {
             chunk_flows: 19,
             hub_capacity: 64,
@@ -817,7 +815,7 @@ mod tests {
             seed: 5,
         };
         // The batch runner shards (trial, epoch) cells over the pool.
-        let batch = SweepEngine::new(2).run_experiment(&cfg);
+        let (batch, _) = SweepEngine::new(2).run_experiment(&cfg);
         let mut stream = ExperimentReport::empty(&cfg);
         for trial in 0..cfg.trials {
             let (report, stats) = stream_trial(&cfg, trial, &StreamTuning::default());

@@ -11,22 +11,24 @@
 //!   counter (dynamic load balancing), results fan into the main thread
 //!   over a crossbeam channel and are re-ordered by index, so the output
 //!   is always `[f(0), f(1), …, f(n-1)]` regardless of scheduling.
-//! * [`SweepEngine::run_experiment`] shards one config's trials. Each
-//!   trial re-seeds from the master seed and its index alone
-//!   ([`ExperimentConfig::trial_rng`]), and partial reports merge in
-//!   trial order, so the report is **bit-identical** at any thread
-//!   count — `threads = 4` reproduces `threads = 1` byte for byte.
+//! * [`SweepEngine::run_experiment`] is the one experiment runner: it
+//!   shards one config's `(trial, epoch)` cells over the epoch pool.
+//!   Each trial re-seeds from the master seed and its index alone
+//!   ([`ExperimentConfig::trial_rng`]), each epoch from
+//!   [`epoch_rng`], and partial reports merge in trial order, so the
+//!   report is **bit-identical** to the serial reference
+//!   ([`crate::stream::stream_trial`]) at any thread count.
 //! * [`SweepEngine::run_sweep`] runs a declarative [`SweepSpec`] — knob
 //!   name, values, config mutator — flattening every point's trials into
 //!   one task grid so a slow point cannot leave workers idle.
 //!
-//! Thread count resolution: `VIGIL_THREADS` env var, else
-//! [`std::thread::available_parallelism`], else 1 — see
-//! [`SweepEngine::from_env`].
+//! The engine's width is its constructor's argument; the front door
+//! (`vigil-sim`) resolves it from `--threads`, `VIGIL_THREADS` or the
+//! machine's parallelism.
 
 use crate::experiment::{ExperimentConfig, ExperimentReport};
-use crate::pool::{run_epoch_grid, EpochGroup};
-use crate::stream::StreamTuning;
+use crate::pool::{run_epoch_grid, EpochGroup, GroupResult};
+use crate::stream::StreamStats;
 use crossbeam::channel;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -65,26 +67,6 @@ pub fn epoch_rng(trial_seed: u64, epoch: usize) -> ChaCha8Rng {
     let mut t = trial_seed.wrapping_mul(GOLDEN);
     t ^= t >> 32;
     ChaCha8Rng::seed_from_u64(t ^ ((epoch as u64) + 1).wrapping_mul(GOLDEN))
-}
-
-/// Hardware parallelism, with a serial fallback when it cannot be
-/// determined.
-pub fn available_threads() -> NonZeroUsize {
-    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
-}
-
-/// The `VIGIL_THREADS` override, when set. `0` is clamped to 1.
-///
-/// # Panics
-///
-/// Panics when the variable is set but not an integer, to fail loudly
-/// rather than silently running at the wrong width.
-pub fn env_threads() -> Option<NonZeroUsize> {
-    let raw = std::env::var("VIGIL_THREADS").ok()?;
-    let n: usize = raw
-        .parse()
-        .expect("VIGIL_THREADS must be a non-negative integer");
-    Some(NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN))
 }
 
 /// A declarative parameter sweep: one knob, its values, and how each
@@ -128,12 +110,6 @@ pub struct SweepEngine {
     threads: NonZeroUsize,
 }
 
-impl Default for SweepEngine {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 impl SweepEngine {
     /// An engine with exactly `threads` workers (0 is clamped to 1).
     pub fn new(threads: usize) -> Self {
@@ -145,14 +121,6 @@ impl SweepEngine {
     /// A single-threaded engine (the deterministic reference).
     pub fn serial() -> Self {
         Self::new(1)
-    }
-
-    /// Resolves the thread count from the environment: `VIGIL_THREADS`
-    /// when set, otherwise all available hardware parallelism.
-    pub fn from_env() -> Self {
-        Self {
-            threads: env_threads().unwrap_or_else(available_threads),
-        }
     }
 
     /// Worker threads this engine runs.
@@ -232,9 +200,17 @@ impl SweepEngine {
     /// `(trial, epoch)` pair is one task, so parallelism reaches inside
     /// trials. Partial reports merge in (trial, epoch) order —
     /// bit-identical to the serial reference
-    /// ([`crate::stream::stream_trial`]) at any thread count.
-    pub fn run_experiment(&self, config: &ExperimentConfig) -> ExperimentReport {
-        crate::pool::run_experiment(self, config, StreamTuning::default()).0
+    /// ([`crate::stream::stream_trial`]) at any thread count. Returns
+    /// the report and the summed service-mode counters of every window.
+    pub fn run_experiment(&self, config: &ExperimentConfig) -> (ExperimentReport, StreamStats) {
+        let started = std::time::Instant::now();
+        let groups = [EpochGroup::from_experiment(config)];
+        let GroupResult { mut report, stats } = run_epoch_grid(self, &groups)
+            .pop()
+            .expect("one group in, one result out");
+        report.timing.total_ms = started.elapsed().as_secs_f64() * 1e3;
+        report.timing.threads = self.threads();
+        (report, stats)
     }
 
     /// Runs a declarative sweep: every `(point, trial, epoch)` triple
@@ -246,10 +222,7 @@ impl SweepEngine {
         let started = std::time::Instant::now();
         let configs: Vec<ExperimentConfig> = spec.values.iter().map(|x| (spec.config)(x)).collect();
 
-        let groups: Vec<EpochGroup<'_>> = configs
-            .iter()
-            .map(|cfg| EpochGroup::from_experiment(cfg, StreamTuning::default()))
-            .collect();
+        let groups: Vec<EpochGroup<'_>> = configs.iter().map(EpochGroup::from_experiment).collect();
         let mut reports: Vec<ExperimentReport> = run_epoch_grid(self, &groups)
             .into_iter()
             .map(|result| result.report)
@@ -367,8 +340,8 @@ mod tests {
     #[test]
     fn parallel_experiment_matches_serial_bit_for_bit() {
         let cfg = tiny_config(4);
-        let serial = SweepEngine::serial().run_experiment(&cfg);
-        let parallel = SweepEngine::new(4).run_experiment(&cfg);
+        let (serial, _) = SweepEngine::serial().run_experiment(&cfg);
+        let (parallel, _) = SweepEngine::new(4).run_experiment(&cfg);
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap()
@@ -384,7 +357,7 @@ mod tests {
         let reports = engine.run_sweep(&spec);
         assert_eq!(reports.len(), 3);
         for (i, &trials) in spec.values.iter().enumerate() {
-            let lone = SweepEngine::serial().run_experiment(&tiny_config(trials));
+            let (lone, _) = SweepEngine::serial().run_experiment(&tiny_config(trials));
             assert_eq!(
                 serde_json::to_string(&reports[i]).unwrap(),
                 serde_json::to_string(&lone).unwrap(),

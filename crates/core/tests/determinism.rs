@@ -1,15 +1,22 @@
-//! Determinism regression: sharding trials across threads must never
-//! change the science. `threads = 1` and `threads = 4` runs of the same
-//! config produce identical `ExperimentReport`s (full serde_json
-//! equality), and the engine reproduces the plain serial runner.
+//! The contract table: every driver, at every width and tuning the repo
+//! promises, checked against its serial reference. The reference for an
+//! experiment is [`stream_trial`] run for each trial and merged in trial
+//! order; for a scenario-matrix case, whose composite fault plan has no
+//! `ExperimentConfig` form, it is the same serial loop over the case's
+//! compiled plan. Each test checks one section of the table and asserts
+//! once, naming every failing row.
 
+use rand::Rng;
+use serde::Serialize;
+use vigil::evaluate::evaluate_epoch;
+use vigil::matrix::CaseMetrics;
 use vigil::prelude::*;
-use vigil_fabric::faults::{FaultPlan, RateRange};
-use vigil_fabric::traffic::{ConnCount, TrafficSpec};
+use vigil::{epoch_rng, TrialAccumulator};
+use vigil_agents::ByzantineSpec;
 
 fn config() -> ExperimentConfig {
     ExperimentConfig {
-        name: "determinism-regression".into(),
+        name: "honest".into(),
         params: ClosParams::tiny(),
         faults: FaultPlan {
             failure_rate: RateRange::fixed(0.02),
@@ -28,43 +35,315 @@ fn config() -> ExperimentConfig {
     }
 }
 
-#[test]
-fn one_thread_and_four_threads_agree_exactly() {
-    let cfg = config();
-    let one = SweepEngine::new(1).run_experiment(&cfg);
-    let four = SweepEngine::new(4).run_experiment(&cfg);
-    assert_eq!(
-        serde_json::to_string_pretty(&one).unwrap(),
-        serde_json::to_string_pretty(&four).unwrap(),
-        "thread count leaked into the report"
-    );
+/// The honest config, each byzantine behavior, and the SLB gate, which
+/// defers agent dispatch to the window close.
+fn configs() -> Vec<ExperimentConfig> {
+    let mut configs = vec![config()];
+    for spec in [
+        ByzantineSpec::liars(0.2),
+        ByzantineSpec::mutes(0.2),
+        ByzantineSpec::flooders(0.2, 0.1),
+        ByzantineSpec::flippers(0.2),
+    ] {
+        let mut cfg = config();
+        cfg.name = spec.label().into();
+        cfg.run.byzantine = spec;
+        configs.push(cfg);
+    }
+    let mut gated = config();
+    gated.name = "slb-gate".into();
+    gated.run.slb = SlbModel::query_failures(0.4);
+    configs.push(gated);
+    configs
+}
+
+fn json(value: &impl Serialize) -> String {
+    serde_json::to_string(value).unwrap()
+}
+
+/// The serial reference: [`stream_trial`] for every trial at `tuning`,
+/// merged in trial order, plus the summed counters.
+fn reference(cfg: &ExperimentConfig, tuning: &StreamTuning) -> (String, StreamStats) {
+    let mut report = ExperimentReport::empty(cfg);
+    let mut stats = StreamStats::default();
+    for trial in 0..cfg.trials {
+        let (partial, trial_stats) = stream_trial(cfg, trial, tuning);
+        report.merge_trial(partial);
+        stats.merge(&trial_stats);
+    }
+    (json(&report), stats)
+}
+
+/// A matrix case's serial reference: [`stream_trial`]'s loop — topology
+/// and faults from the trial RNG, one session, each epoch on its own
+/// [`epoch_rng`] stream — over the case's compiled composite plan.
+fn case_reference(case: &ScenarioCase, runner: &MatrixRunner) -> String {
+    let cfg = ExperimentConfig {
+        name: case.name.clone(),
+        params: case.params,
+        run: case.run.clone(),
+        epochs: runner.epochs,
+        trials: runner.trials,
+        seed: case.seed(runner.seed),
+        ..ExperimentConfig::default()
+    };
+    let mut report = ExperimentReport::empty(&cfg);
+    for trial in 0..cfg.trials {
+        let mut rng = cfg.trial_rng(trial);
+        let topo = ClosTopology::new(cfg.params, rng.gen()).unwrap();
+        let plan = case
+            .faults
+            .compile(&topo, cfg.epochs, runner.epoch_seconds, &mut rng);
+        let tuning = StreamTuning::default();
+        let mut session = StreamSession::new(&topo, &cfg.run, tuning, RetainPolicy::EvidenceOnly);
+        let mut scratch = EpochScratch::new();
+        let mut acc = TrialAccumulator::new(cfg.epochs);
+        for epoch in 0..cfg.epochs {
+            let mut erng = epoch_rng(cfg.trial_seed(trial), epoch);
+            let faults = plan.epoch_faults(epoch);
+            let run = session.run_window(&topo, &cfg.run, &faults, &mut erng, &mut scratch);
+            acc.absorb(evaluate_epoch(&run));
+        }
+        report.merge_trial(acc.finish(&cfg.run, trial, 0.0));
+    }
+    json(&CaseMetrics {
+        accuracy: report.vigil.pooled.accuracy.value(),
+        precision: report.vigil.pooled.confusion.precision(),
+        recall: report.vigil.pooled.confusion.recall(),
+        blamed_per_epoch: report.detected_per_epoch.mean(),
+        noise_marked_incorrectly: report.noise_marked_incorrectly,
+        traced_flows: report.epochs.iter().map(|e| e.traced_flows as u64).sum(),
+    })
+}
+
+/// `f` over every item, one scoped thread each: the references are
+/// serial runs, so the table computes them side by side.
+fn each<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items.iter().map(|x| scope.spawn(move || f(x))).collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// The names of the rows that failed.
+#[derive(Default)]
+struct Table(Vec<String>);
+
+impl Table {
+    /// Row `name` holds when `got` serializes to the reference `want`.
+    fn same(&mut self, name: String, got: &impl Serialize, want: &str) {
+        if json(got) != want {
+            self.0.push(name);
+        }
+    }
+
+    /// Row `name` holds when `holds` does.
+    fn check(&mut self, name: String, holds: bool) {
+        if !holds {
+            self.0.push(name);
+        }
+    }
+
+    /// One assert, naming every failing row.
+    fn holds(self) {
+        assert!(self.0.is_empty(), "failing rows: {:#?}", self.0);
+    }
+}
+
+/// Rows `run/<config>/width-<w>`: the experiment runner on each config
+/// at each width against the config's reference. Counters: one window
+/// per cell, nothing shed, and never a whole epoch of flow records
+/// resident at once.
+fn run_rows(configs: &[ExperimentConfig], widths: &[usize]) -> Table {
+    let mut table = Table::default();
+    let wants = each(configs, |c| reference(c, &StreamTuning::default()).0);
+    let rows: Vec<(usize, usize)> = (0..configs.len())
+        .flat_map(|c| widths.iter().map(move |&width| (c, width)))
+        .collect();
+    let runs = each(&rows, |&(c, width)| {
+        SweepEngine::new(width).run_experiment(&configs[c])
+    });
+    for (&(c, width), (report, stats)) in rows.iter().zip(&runs) {
+        let cfg = &configs[c];
+        let row = format!("run/{}/width-{width}", cfg.name);
+        table.same(row.clone(), report, &wants[c]);
+        let cells = (cfg.trials * cfg.epochs) as u64;
+        table.check(
+            format!("{row}: one window per cell"),
+            stats.windows == cells,
+        );
+        table.check(format!("{row}: nothing shed"), stats.shed == 0);
+        table.check(
+            format!("{row}: peak resident below an epoch's flows"),
+            stats.peak_resident_flows < stats.flows / stats.windows,
+        );
+    }
+    table
+}
+
+/// Rows `matrix/width-<w>/<case>`: the matrix runner, 2 trials × 2
+/// epochs, on the cases each pattern selects, each case's metrics
+/// against its serial reference.
+fn matrix_rows(patterns: &[&str], widths: &[usize]) -> Table {
+    let mut table = Table::default();
+    let mut cases = Vec::new();
+    for pattern in patterns {
+        let sample = vigil::matrix::filter_cases(scenarios::standard_matrix(), pattern);
+        table.check(
+            format!("matrix: a case matches {pattern}"),
+            !sample.is_empty(),
+        );
+        cases.extend(sample);
+    }
+    let runner = |width| {
+        let mut runner = MatrixRunner::new(SweepEngine::new(width));
+        runner.trials = 2;
+        runner.epochs = 2;
+        runner
+    };
+    let wants = each(&cases, |c| case_reference(c, &runner(1)));
+    let matrices = each(widths, |&width| runner(width).run(&cases));
+    for (width, report) in widths.iter().zip(&matrices) {
+        table.check(
+            format!("matrix/width-{width}: one outcome per case"),
+            report.cases.len() == cases.len(),
+        );
+        for (outcome, want) in report.cases.iter().zip(&wants) {
+            let row = format!("matrix/width-{width}/{}", outcome.name);
+            table.same(row, &outcome.metrics, want);
+        }
+        if patterns.iter().any(|p| p.starts_with("byzantine/")) {
+            table.check(
+                format!("matrix/width-{width}: the byzantine report carries breaking points"),
+                json(&report).contains("breaking_points"),
+            );
+        }
+    }
+    table
 }
 
 #[test]
+fn one_thread_and_four_threads_agree_exactly() {
+    run_rows(&[config()], &[1, 4]).holds();
+}
+
+/// Width 2 is the first width where two workers race for the cells of
+/// one trial, and the width every CI job pins.
+#[test]
 fn engine_reproduces_serial_runner() {
-    let cfg = config();
-    let reference = run_experiment(&cfg);
-    let engine = SweepEngine::new(3).run_experiment(&cfg);
-    assert_eq!(
-        serde_json::to_string(&reference).unwrap(),
-        serde_json::to_string(&engine).unwrap()
-    );
+    run_rows(&[config()], &[2]).holds();
+}
+
+/// The SLB gate defers agent dispatch to the window close: the
+/// pipeline's other dispatch path, at every width.
+#[test]
+fn stream_pipeline_reproduces_the_batch_experiment_exactly() {
+    let last = configs().pop().unwrap();
+    run_rows(&[last], &[1, 2, 4]).holds();
+}
+
+#[test]
+fn byzantine_stream_reproduces_batch_for_every_behavior() {
+    run_rows(&configs()[1..5], &[1, 2, 4]).holds();
+}
+
+/// One trial × one epoch on a 4-wide engine: three workers stay idle.
+#[test]
+fn more_threads_than_cells_matches_one_thread() {
+    let mut lone = config();
+    lone.name = "honest-1x1".into();
+    lone.trials = 1;
+    lone.epochs = 1;
+    run_rows(&[lone], &[4]).holds();
+}
+
+/// Chunk size and hub depth are memory knobs, never science knobs:
+/// every tuning reproduces the default tuning's reference.
+#[test]
+fn stream_chunk_and_hub_tuning_are_invisible() {
+    let mut table = Table::default();
+    let want = reference(&config(), &StreamTuning::default()).0;
+    let tunings = [(1, 8), (37, 96), (5000, 10_000)];
+    let runs = each(&tunings, |&(chunk_flows, hub_capacity)| {
+        let tuning = StreamTuning {
+            chunk_flows,
+            hub_capacity,
+        };
+        reference(&config(), &tuning)
+    });
+    for ((chunk_flows, hub_capacity), (got, stats)) in tunings.iter().zip(runs) {
+        let row = format!("stream_trial/tuning-{chunk_flows}x{hub_capacity}");
+        table.check(row.clone(), got == want);
+        table.check(format!("{row}: nothing shed"), stats.shed == 0);
+    }
+    table.holds();
+}
+
+/// A sweep's points, each against its own reference.
+#[test]
+fn sweep_grid_is_deterministic_across_thread_counts() {
+    let mut table = Table::default();
+    let point = |&k: &u32| ExperimentConfig {
+        faults: FaultPlan {
+            failure_rate: RateRange::fixed(0.02),
+            ..FaultPlan::paper_default(k)
+        },
+        trials: 2,
+        ..config()
+    };
+    let spec = SweepSpec::new("det", "#failures", vec![1u32, 2, 3], point);
+    let wants = each(&spec.values, |k| {
+        reference(&point(k), &StreamTuning::default()).0
+    });
+    let widths = [1, 4];
+    let sweeps = each(&widths, |&width| SweepEngine::new(width).run_sweep(&spec));
+    for (width, reports) in widths.iter().zip(&sweeps) {
+        table.check(
+            format!("sweep/width-{width}: one report per point"),
+            reports.len() == 3,
+        );
+        for (i, (report, want)) in reports.iter().zip(&wants).enumerate() {
+            table.same(format!("sweep/width-{width}/point-{i}"), report, want);
+        }
+    }
+    table.holds();
+}
+
+/// Static, timeline, SLB-gated and degraded cases.
+#[test]
+fn matrix_runner_is_deterministic_across_thread_counts() {
+    let patterns = ["flap/k1", "slb/q25", "degraded/drop-k2"];
+    matrix_rows(&patterns, &[1, 2, 4]).holds();
+}
+
+#[test]
+fn byzantine_matrix_is_deterministic_across_thread_counts() {
+    let patterns = [
+        "byzantine/liar-20",
+        "byzantine/mute-50",
+        "byzantine/flood-20",
+        "byzantine/flip-10",
+    ];
+    matrix_rows(&patterns, &[1, 2, 4]).holds();
+}
+
+#[test]
+fn pool_is_byte_identical_at_one_two_and_four_threads() {
+    matrix_rows(&["drop/k1"], &[1, 2, 4]).holds();
 }
 
 #[test]
 fn scratch_reuse_across_epochs_is_invisible() {
     // The allocation-free hot path threads one `EpochScratch` (flow-spec
     // buffer, compiled route tables, owned-path memo) through every
-    // epoch of a trial.
-    // Reuse must be unobservable: a chain of scratch-sharing epochs has
-    // to produce byte-identical reports to fresh-scratch epochs on the
-    // same RNG stream — for the scored run (evidence rows) and for the
-    // fabric's full table (every row) — and the experiment JSON must stay
-    // identical at threads 1 vs 4 (both run the scratch-reusing trial
-    // loop).
+    // epoch of a trial. Reuse must be unobservable: a chain of
+    // scratch-sharing epochs produces byte-identical reports to
+    // fresh-scratch epochs on the same RNG stream — for the scored run
+    // (evidence rows) and for the fabric's full table (every row).
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use vigil_fabric::{simulate_epoch, simulate_epoch_with, EpochScratch};
+    use vigil_fabric::simulate_epoch;
 
     let cfg = config();
     let topo = ClosTopology::new(ClosParams::tiny(), 7).unwrap();
@@ -76,9 +355,15 @@ fn scratch_reuse_across_epochs_is_invisible() {
     let mut scratch = EpochScratch::new();
     let mut flows = 0u64;
     for epoch in 0..3 {
-        let fresh = run_epoch(&topo, &faults, &cfg.run, &mut fresh_rng);
+        let fresh = run_epoch(
+            &topo,
+            &faults,
+            &cfg.run,
+            &mut fresh_rng,
+            &mut EpochScratch::new(),
+        );
         flows += fresh.outcome.flows.len() as u64;
-        let shared = run_epoch_with(&topo, &faults, &cfg.run, &mut shared_rng, &mut scratch);
+        let shared = run_epoch(&topo, &faults, &cfg.run, &mut shared_rng, &mut scratch);
         assert_eq!(
             fresh.reports, shared.reports,
             "epoch {epoch}: scratch reuse changed the reports"
@@ -97,9 +382,9 @@ fn scratch_reuse_across_epochs_is_invisible() {
     let stats = scratch.route_cache_stats();
     assert_eq!(stats.compiles, 1, "static faults compile one table");
     assert_eq!(stats.table_hits, 2, "epochs 1 and 2 reuse it warm");
-    // `run_epoch_with` materializes exactly the rows it keeps, so each
-    // kept flow's owned path was either built (once per distinct route)
-    // or shared from the memo.
+    // `run_epoch` materializes exactly the rows it keeps, so each kept
+    // flow's owned path was either built (once per distinct route) or
+    // shared from the memo.
     assert_eq!(scratch.interned_paths() as u64, stats.path_misses);
     assert_eq!(stats.path_hits + stats.path_misses, flows);
     assert!(stats.path_misses > 0, "three epochs must build paths");
@@ -111,12 +396,18 @@ fn scratch_reuse_across_epochs_is_invisible() {
     let mut shared_rng = ChaCha8Rng::seed_from_u64(41);
     let mut scratch = EpochScratch::new();
     let mut flows = 0u64;
+    let (traffic, sim) = (&cfg.run.traffic, &cfg.run.sim);
     for epoch in 0..3 {
-        let (traffic, sim) = (&cfg.run.traffic, &cfg.run.sim);
-        let fresh = simulate_epoch(&topo, &faults, traffic, sim, &mut fresh_rng);
+        let fresh = simulate_epoch(
+            &topo,
+            &faults,
+            traffic,
+            sim,
+            &mut fresh_rng,
+            &mut EpochScratch::new(),
+        );
         flows += fresh.flows.len() as u64;
-        let shared =
-            simulate_epoch_with(&topo, &faults, traffic, sim, &mut shared_rng, &mut scratch);
+        let shared = simulate_epoch(&topo, &faults, traffic, sim, &mut shared_rng, &mut scratch);
         assert_eq!(
             fresh.flows, shared.flows,
             "epoch {epoch}: scratch reuse changed the full flow table"
@@ -126,241 +417,4 @@ fn scratch_reuse_across_epochs_is_invisible() {
     assert_eq!((stats.compiles, stats.table_hits), (1, 2));
     assert_eq!(scratch.interned_paths() as u64, stats.path_misses);
     assert_eq!(stats.path_hits + stats.path_misses, flows);
-
-    // And through the engine: both thread counts run the reusing loop.
-    let mut cfg = config();
-    cfg.epochs = 3;
-    let one = SweepEngine::new(1).run_experiment(&cfg);
-    let four = SweepEngine::new(4).run_experiment(&cfg);
-    assert_eq!(
-        serde_json::to_string_pretty(&one).unwrap(),
-        serde_json::to_string_pretty(&four).unwrap(),
-        "scratch reuse perturbed thread-count determinism"
-    );
-}
-
-#[test]
-fn stream_pipeline_reproduces_the_batch_experiment_exactly() {
-    // The streaming refactor's contract, at the report level: the
-    // event-driven constant-memory pipeline produces the same
-    // ExperimentReport JSON as the batch path, and is itself identical
-    // at threads 1 vs 4 (trials shard through the same engine).
-    let cfg = config();
-    let batch = SweepEngine::new(1).run_experiment(&cfg);
-    let (stream_one, stats_one) =
-        stream_experiment(&cfg, &SweepEngine::new(1), &StreamTuning::default());
-    let (stream_four, stats_four) =
-        stream_experiment(&cfg, &SweepEngine::new(4), &StreamTuning::default());
-    assert_eq!(
-        serde_json::to_string_pretty(&batch).unwrap(),
-        serde_json::to_string_pretty(&stream_one).unwrap(),
-        "streaming changed the science"
-    );
-    assert_eq!(
-        serde_json::to_string_pretty(&stream_one).unwrap(),
-        serde_json::to_string_pretty(&stream_four).unwrap(),
-        "thread count leaked into the streamed report"
-    );
-    // Constant-memory evidence: the stream never held a full epoch of
-    // flow records, and the bounded hub never shed an event.
-    let epoch_flows = stats_one.flows / stats_one.windows;
-    assert!(stats_one.peak_resident_flows < epoch_flows);
-    assert_eq!(stats_one.shed, 0);
-    assert_eq!(stats_four.shed, 0);
-}
-
-#[test]
-fn stream_chunk_and_hub_tuning_are_invisible() {
-    // Chunk size and queue depth are memory knobs, not science knobs.
-    let cfg = config();
-    let reference = serde_json::to_string_pretty(
-        &stream_experiment(&cfg, &SweepEngine::serial(), &StreamTuning::default()).0,
-    )
-    .unwrap();
-    for (chunk_flows, hub_capacity) in [(1, 8), (37, 96), (5000, 10_000)] {
-        let tuning = StreamTuning {
-            chunk_flows,
-            hub_capacity,
-        };
-        let (report, stats) = stream_experiment(&cfg, &SweepEngine::serial(), &tuning);
-        assert_eq!(
-            serde_json::to_string_pretty(&report).unwrap(),
-            reference,
-            "tuning ({chunk_flows}, {hub_capacity}) changed the report"
-        );
-        assert_eq!(stats.shed, 0, "driver must drain before the hub fills");
-    }
-}
-
-#[test]
-fn matrix_runner_is_deterministic_across_thread_counts() {
-    // A sampled sub-grid spanning static, timeline, SLB-gated, and
-    // degraded cases: threads 1 and 4 must produce identical JSON
-    // (CaseMetrics include every float the conformance check reads).
-    let sample = |pat: &str| {
-        let cases = vigil::matrix::filter_cases(scenarios::standard_matrix(), pat);
-        assert!(!cases.is_empty(), "no case matches {pat}");
-        cases
-    };
-    let mut cases = Vec::new();
-    for pat in ["drop/k1", "flap/k1", "slb/q25", "degraded/drop-k2"] {
-        cases.extend(sample(pat));
-    }
-    let run = |threads: usize| {
-        let mut runner = MatrixRunner::new(SweepEngine::new(threads));
-        runner.trials = 2;
-        runner.epochs = 2;
-        serde_json::to_string_pretty(&runner.run(&cases)).unwrap()
-    };
-    assert_eq!(run(1), run(4), "thread count leaked into the matrix report");
-}
-
-#[test]
-fn byzantine_matrix_is_deterministic_across_thread_counts() {
-    // The adversary's decisions are pure functions of (case seed, host
-    // id, flow tuple) — so the byzantine sub-grid, breaking points
-    // included, must serialize byte-identically at any thread count.
-    let mut cases = Vec::new();
-    for pat in [
-        "byzantine/liar-20",
-        "byzantine/mute-50",
-        "byzantine/flood-20",
-        "byzantine/flip-10",
-    ] {
-        let sample = vigil::matrix::filter_cases(scenarios::standard_matrix(), pat);
-        assert!(!sample.is_empty(), "no case matches {pat}");
-        cases.extend(sample);
-    }
-    let run = |threads: usize| {
-        let mut runner = MatrixRunner::new(SweepEngine::new(threads));
-        runner.trials = 2;
-        runner.epochs = 1;
-        serde_json::to_string_pretty(&runner.run(&cases)).unwrap()
-    };
-    let one = run(1);
-    assert_eq!(one, run(4), "thread count leaked into the byzantine grid");
-    assert!(
-        one.contains("breaking_points"),
-        "byzantine report must carry the breaking-point fold"
-    );
-}
-
-#[test]
-fn byzantine_stream_reproduces_batch_for_every_behavior() {
-    // Adversarial emission rides the same per-flow hook in both paths:
-    // for each behavior, the streaming pipeline must reproduce the batch
-    // report byte-for-byte, at one thread and at four.
-    use vigil_agents::ByzantineSpec;
-    for spec in [
-        ByzantineSpec::liars(0.2),
-        ByzantineSpec::mutes(0.2),
-        ByzantineSpec::flooders(0.2, 0.1),
-        ByzantineSpec::flippers(0.2),
-    ] {
-        let mut cfg = config();
-        cfg.name = format!("determinism-{}", spec.label());
-        cfg.run.byzantine = spec;
-        let batch =
-            serde_json::to_string_pretty(&SweepEngine::new(1).run_experiment(&cfg)).unwrap();
-        let (stream_one, _) =
-            stream_experiment(&cfg, &SweepEngine::new(1), &StreamTuning::default());
-        let (stream_four, _) =
-            stream_experiment(&cfg, &SweepEngine::new(4), &StreamTuning::default());
-        assert_eq!(
-            batch,
-            serde_json::to_string_pretty(&stream_one).unwrap(),
-            "{}: streaming changed the adversarial science",
-            cfg.name
-        );
-        assert_eq!(
-            serde_json::to_string_pretty(&stream_one).unwrap(),
-            serde_json::to_string_pretty(&stream_four).unwrap(),
-            "{}: thread count leaked into the adversarial stream",
-            cfg.name
-        );
-    }
-}
-
-#[test]
-fn pool_is_byte_identical_at_one_two_and_four_threads() {
-    // The unified epoch×trial pool's contract across every front door:
-    // run, stream, and matrix reports serialize byte-identically at
-    // widths 1, 2, and 4. Width 2 matters separately from 4 — it is the
-    // first width where two workers race for units of the same trial,
-    // and the width every CI job pins.
-    let cfg = config();
-    let runs: Vec<String> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| serde_json::to_string_pretty(&SweepEngine::new(t).run_experiment(&cfg)).unwrap())
-        .collect();
-    assert_eq!(runs[0], runs[1], "run: width 2 diverged from width 1");
-    assert_eq!(runs[0], runs[2], "run: width 4 diverged from width 1");
-
-    let streams: Vec<String> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| {
-            let (report, stats) =
-                stream_experiment(&cfg, &SweepEngine::new(t), &StreamTuning::default());
-            assert_eq!(stats.shed, 0, "width {t} shed evidence");
-            serde_json::to_string_pretty(&report).unwrap()
-        })
-        .collect();
-    assert_eq!(streams[0], streams[1], "stream: width 2 diverged");
-    assert_eq!(streams[0], streams[2], "stream: width 4 diverged");
-
-    let cases = vigil::matrix::filter_cases(scenarios::standard_matrix(), "drop/k1");
-    assert!(!cases.is_empty());
-    let matrices: Vec<String> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| {
-            let mut runner = MatrixRunner::new(SweepEngine::new(t));
-            runner.trials = 2;
-            runner.epochs = 2;
-            serde_json::to_string_pretty(&runner.run(&cases)).unwrap()
-        })
-        .collect();
-    assert_eq!(matrices[0], matrices[1], "matrix: width 2 diverged");
-    assert_eq!(matrices[0], matrices[2], "matrix: width 4 diverged");
-}
-
-#[test]
-fn more_threads_than_cells_matches_one_thread() {
-    // One trial × one epoch on a 4-wide engine leaves three pool workers
-    // without a cell. The report must still match the fully serial run
-    // byte for byte.
-    let mut cfg = config();
-    cfg.trials = 1;
-    cfg.epochs = 1;
-    let serial = SweepEngine::new(1).run_experiment(&cfg);
-    let wide = SweepEngine::new(4).run_experiment(&cfg);
-    assert_eq!(
-        serde_json::to_string_pretty(&serial).unwrap(),
-        serde_json::to_string_pretty(&wide).unwrap(),
-        "idle workers changed the report"
-    );
-}
-
-#[test]
-fn sweep_grid_is_deterministic_across_thread_counts() {
-    let spec = || {
-        SweepSpec::new("det", "#failures", vec![1u32, 2, 3], |&k| {
-            ExperimentConfig {
-                faults: FaultPlan {
-                    failure_rate: RateRange::fixed(0.02),
-                    ..FaultPlan::paper_default(k)
-                },
-                trials: 2,
-                ..config()
-            }
-        })
-    };
-    let one = SweepEngine::new(1).run_sweep(&spec());
-    let four = SweepEngine::new(4).run_sweep(&spec());
-    assert_eq!(one.len(), four.len());
-    for (a, b) in one.iter().zip(&four) {
-        assert_eq!(
-            serde_json::to_string(a).unwrap(),
-            serde_json::to_string(b).unwrap()
-        );
-    }
 }

@@ -15,10 +15,11 @@
 //! topology, trial seed), independent of epoch count or thread schedule.
 
 use crate::dynamics::FaultTimeline;
-use crate::faults::{FaultLocation, LinkFaults, RateRange};
+use crate::faults::{FaultLocation, FaultPlan, LinkFaults, RateRange};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use vigil_topology::{ClosTopology, DegradeSpec, LinkId};
 
 /// Gray-failure severity: barely above the noise floor, well below the
@@ -163,9 +164,11 @@ impl CompositeFaultPlan {
         seen
     }
 
-    /// Samples this plan for one trial: degradations first (they remove
-    /// links from the eligible set), then one shuffled eligible list that
-    /// the remaining ingredients claim disjoint links from.
+    /// Samples this plan for one trial: noise on every link, then
+    /// degradations (they remove links from the eligible set), then one
+    /// shuffled eligible list that the remaining ingredients claim
+    /// disjoint links from, in order. This is the only fault sampler:
+    /// [`FaultPlan::build`] compiles its composite form.
     ///
     /// # Panics
     ///
@@ -200,7 +203,7 @@ impl CompositeFaultPlan {
         let claimed: u32 = self.kinds.iter().map(FaultKind::claimed_links).sum();
         assert!(
             (claimed as usize) <= eligible.len(),
-            "composite plan claims {claimed} links but only {} are eligible",
+            "cannot inject faults: the plan claims {claimed} links but only {} are eligible",
             eligible.len()
         );
         eligible.shuffle(rng);
@@ -291,10 +294,33 @@ impl CompositeFaultPlan {
     }
 }
 
+impl From<&FaultPlan> for CompositeFaultPlan {
+    /// The composite form of a homogeneous plan: one
+    /// [`FaultKind::RandomDrop`] — or, when `first_failure_rate` is set,
+    /// one link at that rate followed by the rest at `failure_rate`.
+    /// Compiling it draws what the plan describes, in order: noise on
+    /// every link, one shuffle of the eligible links, one rate per link.
+    fn from(plan: &FaultPlan) -> Self {
+        let drop = |failures, rate| FaultKind::RandomDrop { failures, rate };
+        let kinds = match plan.first_failure_rate {
+            Some(first) if plan.failures >= 1 => {
+                vec![drop(1, first), drop(plan.failures - 1, plan.failure_rate)]
+            }
+            _ => vec![drop(plan.failures, plan.failure_rate)],
+        };
+        Self {
+            noise: plan.noise,
+            location: plan.location,
+            kinds,
+        }
+    }
+}
+
 /// A compiled trial: static base faults plus a timeline.
 #[derive(Debug, Clone)]
 pub struct CompiledFaults {
-    base: LinkFaults,
+    /// Degradations, static failures and noise.
+    pub(crate) base: LinkFaults,
     timeline: FaultTimeline,
     epoch_seconds: f64,
 }
@@ -306,20 +332,16 @@ impl CompiledFaults {
         self.timeline.episodes().is_empty()
     }
 
-    /// The static base table (degradations + static failures + noise).
-    pub fn base(&self) -> &LinkFaults {
-        &self.base
-    }
-
     /// The fault table epoch `epoch` runs against: the base plus each
     /// timeline link's time-weighted drop rate over the epoch window, and
-    /// withdrawal when any overlapping episode withdraws. Draws no
-    /// randomness — materialization is schedule-independent.
-    pub fn epoch_faults(&self, epoch: usize) -> LinkFaults {
-        let mut faults = self.base.clone();
+    /// withdrawal when any overlapping episode withdraws. A static plan
+    /// borrows its base table. Draws no randomness — materialization is
+    /// schedule-independent.
+    pub fn epoch_faults(&self, epoch: usize) -> Cow<'_, LinkFaults> {
         if self.is_static() {
-            return faults;
+            return Cow::Borrowed(&self.base);
         }
+        let mut faults = self.base.clone();
         let from = epoch as f64 * self.epoch_seconds;
         let to = from + self.epoch_seconds;
         let mut acc: std::collections::HashMap<LinkId, (f64, bool)> =
@@ -343,7 +365,7 @@ impl CompiledFaults {
                 faults.set_admin_down(link, true);
             }
         }
-        faults
+        Cow::Owned(faults)
     }
 }
 

@@ -10,7 +10,7 @@
 //! failure ground truth; [`FaultPlan`] describes *what to inject* so each
 //! experiment can state its scenario declaratively and reproducibly.
 
-use rand::seq::SliceRandom;
+use crate::compose::CompositeFaultPlan;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -110,36 +110,13 @@ impl FaultPlan {
         }
     }
 
-    /// Builds the per-link fault table by sampling this plan.
+    /// Builds the per-link fault table by sampling this plan: compiles its
+    /// [`CompositeFaultPlan`] form, whose ingredients are all static.
     pub fn build<R: Rng + ?Sized>(&self, topo: &ClosTopology, rng: &mut R) -> LinkFaults {
-        let mut faults = LinkFaults::new(topo.num_links());
-        faults.set_noise(self.noise, rng);
-
-        let mut eligible: Vec<LinkId> = topo
-            .links()
-            .iter()
-            .filter(|l| self.location.admits(l.kind))
-            .map(|l| l.id)
-            .collect();
-        assert!(
-            (self.failures as usize) <= eligible.len(),
-            "cannot inject {} failures into {} eligible links",
-            self.failures,
-            eligible.len()
-        );
-        eligible.shuffle(rng);
-        for (i, link) in eligible
-            .into_iter()
-            .take(self.failures as usize)
-            .enumerate()
-        {
-            let range = match (&self.first_failure_rate, i) {
-                (Some(first), 0) => *first,
-                _ => self.failure_rate,
-            };
-            faults.fail_link(link, range.sample(rng));
-        }
-        faults
+        // One epoch of any length: a static plan never reads the clock.
+        CompositeFaultPlan::from(self)
+            .compile(topo, 1, 30.0, rng)
+            .base
     }
 }
 

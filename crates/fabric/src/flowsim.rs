@@ -312,21 +312,11 @@ impl EpochScratch {
     }
 }
 
-/// Simulates one epoch: generate traffic, route, drop, record.
+/// Simulates one epoch's full flow table: generate traffic, route, drop,
+/// record. The caller owns the scratch — a trial loop reuses one
+/// [`EpochScratch`] across its epochs so the per-flow hot path stops
+/// allocating; reuse never changes the RNG stream or the output.
 pub fn simulate_epoch<R: Rng + ?Sized>(
-    topo: &ClosTopology,
-    faults: &LinkFaults,
-    traffic: &TrafficSpec,
-    config: &SimConfig,
-    rng: &mut R,
-) -> EpochOutcome {
-    simulate_epoch_with(topo, faults, traffic, config, rng, &mut EpochScratch::new())
-}
-
-/// [`simulate_epoch`] with caller-owned scratch — the trial loop reuses
-/// one [`EpochScratch`] across its epochs so the per-flow hot path stops
-/// allocating. Same RNG stream, same output, fewer allocations.
-pub fn simulate_epoch_with<R: Rng + ?Sized>(
     topo: &ClosTopology,
     faults: &LinkFaults,
     traffic: &TrafficSpec,
@@ -536,7 +526,7 @@ impl FlowBatch {
 /// The RNG draw order does not depend on how the epoch is pulled: all
 /// traffic-generation draws happen in [`EpochStream::open`], then each
 /// flow's drop draws happen in flow order. Chunk size is therefore
-/// invisible in the output (asserted in tests; [`simulate_epoch_with`]
+/// invisible in the output (asserted in tests; [`simulate_epoch`]
 /// is the one-chunk pull) — only in the peak number of live
 /// [`FlowRecord`]s.
 #[derive(Debug)]
@@ -878,6 +868,7 @@ mod tests {
             &traffic(5, 50),
             &SimConfig::default(),
             &mut rng,
+            &mut EpochScratch::new(),
         );
         assert!(out.flows.iter().all(|f| f.retransmissions == 0));
         assert!(out.flows.iter().all(|f| f.established && f.completed));
@@ -904,6 +895,7 @@ mod tests {
             &traffic(20, 20),
             &SimConfig::default(),
             &mut rng,
+            &mut EpochScratch::new(),
         );
 
         let through: Vec<_> = out
@@ -944,6 +936,7 @@ mod tests {
             &traffic(20, 50),
             &SimConfig::default(),
             &mut rng,
+            &mut EpochScratch::new(),
         );
 
         let affected: Vec<_> = out.flows.iter().filter(|f| f.retransmissions > 0).collect();
@@ -973,6 +966,7 @@ mod tests {
             &traffic(20, 20),
             &SimConfig::default(),
             &mut rng,
+            &mut EpochScratch::new(),
         );
         assert!(out.flows.iter().all(|f| !f.path.contains_link(dead)));
         assert!(out.flows.iter().all(|f| f.retransmissions == 0));
@@ -997,6 +991,7 @@ mod tests {
             &traffic(3, 10),
             &SimConfig::default(),
             &mut rng,
+            &mut EpochScratch::new(),
         );
         let from_h0: Vec<_> = out
             .flows
@@ -1026,6 +1021,7 @@ mod tests {
             &traffic(10, 50),
             &SimConfig::default(),
             &mut rng,
+            &mut EpochScratch::new(),
         );
         // Sum of per-flow drops equals sum of per-link global drops.
         let per_flow: u64 = out.flows.iter().map(|f| f.total_drops() as u64).sum();
@@ -1050,6 +1046,7 @@ mod tests {
             &traffic(30, 100),
             &SimConfig::default(),
             &mut rng,
+            &mut EpochScratch::new(),
         );
         let noisy_flows = out.flows_with_retransmissions().count();
         assert!(noisy_flows > 0, "exaggerated noise should hit someone");
@@ -1082,7 +1079,14 @@ mod tests {
         let cfg = SimConfig::default();
 
         let mut batch_rng = ChaCha8Rng::seed_from_u64(77);
-        let batch = simulate_epoch(&topo, &faults, &spec, &cfg, &mut batch_rng);
+        let batch = simulate_epoch(
+            &topo,
+            &faults,
+            &spec,
+            &cfg,
+            &mut batch_rng,
+            &mut EpochScratch::new(),
+        );
 
         for chunk in [1usize, 7, 64, usize::MAX] {
             let mut rng = ChaCha8Rng::seed_from_u64(77);
@@ -1226,7 +1230,7 @@ mod tests {
 
         let mut shared = EpochScratch::new();
         let mut shared_rng = ChaCha8Rng::seed_from_u64(14);
-        let first = simulate_epoch_with(&topo, &faults, &spec, &cfg, &mut shared_rng, &mut shared);
+        let first = simulate_epoch(&topo, &faults, &spec, &cfg, &mut shared_rng, &mut shared);
         assert!(
             shared.memo.len() > MAX_MEMO_PATHS,
             "epoch too small to test"
@@ -1242,11 +1246,18 @@ mod tests {
         assert_eq!(shared.route_cache_stats().path_misses, stats.path_misses);
         assert_eq!(shared.route_cache_stats().path_hits, stats.path_hits);
 
-        let second = simulate_epoch_with(&topo, &faults, &spec, &cfg, &mut shared_rng, &mut shared);
+        let second = simulate_epoch(&topo, &faults, &spec, &cfg, &mut shared_rng, &mut shared);
         assert!(shared.interned_paths() > built);
         let mut fresh_rng = ChaCha8Rng::seed_from_u64(14);
         for shared_epoch in [first, second] {
-            let fresh = simulate_epoch(&topo, &faults, &spec, &cfg, &mut fresh_rng);
+            let fresh = simulate_epoch(
+                &topo,
+                &faults,
+                &spec,
+                &cfg,
+                &mut fresh_rng,
+                &mut EpochScratch::new(),
+            );
             assert_eq!(shared_epoch.flows, fresh.flows);
             assert_eq!(
                 shared_epoch.ground_truth.drops_per_link,
@@ -1267,6 +1278,7 @@ mod tests {
             &traffic(5, 20),
             &SimConfig::default(),
             &mut rng1,
+            &mut EpochScratch::new(),
         );
         let b = simulate_epoch(
             &topo,
@@ -1274,6 +1286,7 @@ mod tests {
             &traffic(5, 20),
             &SimConfig::default(),
             &mut rng2,
+            &mut EpochScratch::new(),
         );
         assert_eq!(a.flows, b.flows);
     }

@@ -38,8 +38,8 @@ pub use compose::{CompiledFaults, CompositeFaultPlan, FaultKind};
 pub use dynamics::{Episode, FaultTimeline};
 pub use faults::{FaultPlan, LinkFaults};
 pub use flowsim::{
-    simulate_epoch, simulate_epoch_with, EpochOutcome, EpochScratch, EpochStream, FlowBatch,
-    FlowId, FlowRecord, GroundTruth, RouteCacheStats, SimConfig,
+    simulate_epoch, EpochOutcome, EpochScratch, EpochStream, FlowBatch, FlowId, FlowRecord,
+    GroundTruth, RouteCacheStats, SimConfig,
 };
 pub use netsim::{NetSim, NetSimConfig, TracerouteOutcome};
 pub use slb::SlbModel;

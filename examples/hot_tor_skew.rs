@@ -23,7 +23,7 @@ fn main() {
         cfg.run.traffic.conns_per_host = ConnCount::Fixed(40);
         cfg.faults.failure_rate = RateRange::fixed(5e-3);
 
-        let report = run_experiment(&cfg);
+        let (report, _) = SweepEngine::serial().run_experiment(&cfg);
         let vigil_acc = report.vigil.pooled.accuracy.value().unwrap_or(f64::NAN);
         let opt_acc = report
             .integer

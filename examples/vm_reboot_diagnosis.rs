@@ -56,7 +56,7 @@ fn main() {
     // The run keeps every flow that retransmitted; a mount that failed to
     // deliver its writes (incomplete flow) panics the guest, and an
     // incomplete flow always retransmitted.
-    let run = run_epoch(&topo, &faults, &cfg, &mut rng);
+    let run = run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
     let reboots: Vec<_> = run.outcome.flows.iter().filter(|f| !f.completed).collect();
     println!(
         "epoch outcome: {} mounts suffered retransmissions, {} VM reboots",

@@ -171,7 +171,8 @@ fn engine(p: &Parsed) -> Result<SweepEngine, String> {
         Some(n) => Some(n),
         None => cli::env("VIGIL_THREADS", Integer)?,
     };
-    Ok(threads.map_or_else(SweepEngine::from_env, SweepEngine::new))
+    let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    Ok(SweepEngine::new(threads.unwrap_or_else(cores)))
 }
 
 fn fast() -> bool {
@@ -235,7 +236,7 @@ fn run_config(p: &Parsed, out: &mut Out) -> Result<(), String> {
 
 /// Runs `cfg` on the batch pipeline.
 fn execute(mut cfg: ExperimentConfig, p: &Parsed, out: &mut Out) -> Result<(), String> {
-    let report = apply_report_flags(&mut cfg, p)?.run_experiment(&cfg);
+    let (report, _) = apply_report_flags(&mut cfg, p)?.run_experiment(&cfg);
     out.report(p.has("--json"), &cfg, &report)
 }
 
@@ -268,7 +269,7 @@ fn stream(p: &Parsed, out: &mut Out) -> Result<(), String> {
         return stream_forever(&cfg, p.has("--epochs").then_some(cfg.epochs), out);
     }
 
-    let (report, stats) = stream_experiment(&cfg, &engine, &StreamTuning::default());
+    let (report, stats) = engine.run_experiment(&cfg);
     // Service-mode accounting goes to stderr so `--json` stdout stays
     // byte-identical to the batch `run --json` output.
     eprintln!(

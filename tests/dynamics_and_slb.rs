@@ -47,7 +47,7 @@ fn flapping_link_detected_only_while_flapping() {
             from + 30.0,
             &mut rng,
         );
-        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
+        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
         detected_by_epoch.push(run.detection.detected_links().contains(&flappy));
     }
     assert!(
@@ -97,7 +97,14 @@ fn maintenance_window_reroutes_without_drop_storm() {
     // A withdrawn link drops nothing, so the check walks the fabric's
     // full table: a flow routed over it would not retransmit, and a
     // scored run would not keep its row.
-    let outcome = simulate_epoch(&topo, &faults, &cfg.traffic, &cfg.sim, &mut rng);
+    let outcome = simulate_epoch(
+        &topo,
+        &faults,
+        &cfg.traffic,
+        &cfg.sim,
+        &mut rng,
+        &mut EpochScratch::new(),
+    );
     assert!(!outcome.flows.is_empty());
     assert!(
         outcome.flows.iter().all(|f| !f.path.contains_link(link)),

@@ -29,7 +29,13 @@ fn single_failure_localized_end_to_end() {
     .build(&topo, &mut rng);
     let bad = *faults.failed_set().iter().next().unwrap();
 
-    let run = vigil::run_epoch(&topo, &faults, &run_config(30), &mut rng);
+    let run = vigil::run_epoch(
+        &topo,
+        &faults,
+        &run_config(30),
+        &mut rng,
+        &mut EpochScratch::new(),
+    );
     // The failed link must top the ranking…
     assert_eq!(run.detection.raw_tally.ranking()[0].0, bad);
     // …be detected by Algorithm 1…
@@ -50,7 +56,13 @@ fn multiple_failures_ranked_and_detected() {
     }
     .build(&topo, &mut rng);
 
-    let run = vigil::run_epoch(&topo, &faults, &run_config(40), &mut rng);
+    let run = vigil::run_epoch(
+        &topo,
+        &faults,
+        &run_config(40),
+        &mut rng,
+        &mut EpochScratch::new(),
+    );
     let detected = run.detection.detected_links();
     for bad in faults.failed_set() {
         assert!(
@@ -71,8 +83,8 @@ fn experiment_runner_deterministic_across_calls() {
         trials: 2,
         seed: 999,
     };
-    let a = run_experiment(&cfg);
-    let b = run_experiment(&cfg);
+    let a = SweepEngine::serial().run_experiment(&cfg).0;
+    let b = SweepEngine::serial().run_experiment(&cfg).0;
     assert_eq!(a.vote_gaps, b.vote_gaps);
     assert_eq!(a.vigil.pooled.accuracy, b.vigil.pooled.accuracy);
 }
@@ -98,7 +110,14 @@ fn theorem1_budget_holds_in_packet_emulation() {
         conns_per_host: ConnCount::Fixed(20),
         ..TrafficSpec::paper_default()
     };
-    let outcome = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng);
+    let outcome = simulate_epoch(
+        &topo,
+        &faults,
+        &traffic,
+        &SimConfig::default(),
+        &mut rng,
+        &mut EpochScratch::new(),
+    );
     for host in topo.hosts() {
         let mut agent = HostAgent::new(host, HostPacer::from_theorem1(&topo, 100.0, 30.0));
         for f in &outcome.flows {
@@ -157,7 +176,13 @@ fn noise_classifier_sound_under_ground_truth() {
             ..FaultPlan::paper_default(2)
         }
         .build(&topo, &mut rng);
-        let run = vigil::run_epoch(&topo, &faults, &run_config(30), &mut rng);
+        let run = vigil::run_epoch(
+            &topo,
+            &faults,
+            &run_config(30),
+            &mut rng,
+            &mut EpochScratch::new(),
+        );
         let report = evaluate_epoch(&run);
         assert_eq!(
             report.noise_marked_incorrectly, 0,
@@ -185,8 +210,9 @@ fn host_uplink_blackhole_produces_establishment_failures_not_votes() {
         &cfg.traffic,
         &cfg.sim,
         &mut rng.clone(),
+        &mut EpochScratch::new(),
     );
-    let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
+    let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
     // The victim's flows never establish ⇒ never traced (§4.2).
     assert!(run.reports.iter().all(|r| r.host != victim));
     // And the fabric recorded the establishment failures.
@@ -211,7 +237,7 @@ fn baselines_and_vigil_agree_on_hot_failure() {
 
     let mut cfg = run_config(30);
     cfg.baselines.binary = true;
-    let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
+    let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
     assert!(run.detection.detected_links().contains(&bad));
     assert!(run.integer.as_ref().unwrap().counts.contains_key(&bad.0));
     assert!(run.binary.as_ref().unwrap().links.contains(&bad.0));
@@ -234,7 +260,7 @@ fn link_health_heat_map_tracks_a_persistent_failure() {
     let cfg = run_config(25);
     let mut health = vigil_analysis::LinkHealth::new(topo.num_links(), 0.4);
     for _ in 0..3 {
-        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
+        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
         health.absorb(&run.detection);
     }
     assert_eq!(health.heat_map().first().map(|(l, _)| *l), Some(bad));
@@ -245,7 +271,7 @@ fn link_health_heat_map_tracks_a_persistent_failure() {
     let hot_score = health.score(bad);
     faults.repair_link(bad, RateRange::PAPER_NOISE, &mut rng);
     for _ in 0..3 {
-        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng);
+        let run = vigil::run_epoch(&topo, &faults, &cfg, &mut rng, &mut EpochScratch::new());
         health.absorb(&run.detection);
     }
     assert_eq!(health.current_streak(bad), 0);

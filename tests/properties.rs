@@ -89,7 +89,7 @@ proptest! {
             packets_per_flow: PacketCount::Fixed(30),
             ..TrafficSpec::paper_default()
         };
-        let out = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng);
+        let out = simulate_epoch(&topo, &faults, &traffic, &SimConfig::default(), &mut rng, &mut EpochScratch::new());
         let per_flow: u64 = out.flows.iter().map(|f| f.total_drops() as u64).sum();
         let per_link: u64 = out.ground_truth.drops_per_link.iter().sum();
         prop_assert_eq!(per_flow, per_link);
