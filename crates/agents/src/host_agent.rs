@@ -68,11 +68,6 @@ impl HostAgent {
         self.host
     }
 
-    /// Traceroutes spent so far this epoch.
-    pub fn traceroutes_used(&self) -> u32 {
-        self.pacer.used()
-    }
-
     /// Handles one retransmission event: admits it through the pacer
     /// (once per flow per epoch, within the Theorem 1 budget), then runs
     /// `discover` and reports the path it found. A refused event never
@@ -259,7 +254,6 @@ mod tests {
             })
             .collect();
         assert_eq!(reports.len(), 1, "budget of 1 admits exactly one trace");
-        assert_eq!(agent.traceroutes_used(), 1);
         assert_eq!(discovered, 1, "a refused event runs no discovery");
     }
 

@@ -6,37 +6,33 @@
 //! happen and tallies "at regular intervals of 30s" (§5.1). The
 //! [`VoteLedger`] is that always-on accumulator:
 //!
-//! * [`VoteLedger::absorb`] folds one flow's [`FlowEvidence`] in the
-//!   moment it arrives — a [`VoteTally::cast`] into the live tally plus
-//!   an insertion into the window's key-ordered evidence store.
-//!   [`VoteLedger::retract`] undoes one (a withdrawn or superseded
-//!   report) via [`VoteTally::retract`].
-//! * [`VoteLedger::close_window`] runs the full two-pass analysis
-//!   (conservative detection → noise classification → Algorithm 1 on the
-//!   failure class) over the window's evidence **without ever touching
-//!   flow records** — the epoch's flows are long gone; only their
-//!   evidence (a few links + a count per traced flow) was retained.
+//! * [`VoteLedger::absorb`] stores one flow's [`FlowEvidence`] in the
+//!   window's key-ordered evidence store the moment it arrives;
+//!   re-absorbing a key supersedes the earlier evidence.
+//! * [`VoteLedger::close_window`] tallies the window and runs the full
+//!   two-pass analysis (conservative detection → noise classification →
+//!   Algorithm 1 on the failure class) over its evidence **without ever
+//!   touching flow records** — the epoch's flows are long gone; only
+//!   their evidence (a few links + a count per traced flow) was retained.
 //! * Closed windows feed a bounded ring of [`WindowSummary`]s and a
 //!   cross-window [`LinkHealth`] EWMA — the operator's heat map — so the
 //!   ledger's memory is constant in epochs: `O(window evidence + K
 //!   summaries + num_links)`.
 //!
-//! **Order.** Votes are exact integer units ([`crate::voting`]), so
-//! absorb, retract and close give the same tallies and the same verdict
-//! in any evidence order, and the live tally always equals the tally the
-//! close re-derives from the same evidence. The window still stores its
-//! evidence in a `BTreeMap` keyed by the caller's `K` (the pipeline uses
-//! `(HostId, FiveTuple)`), for two reasons that have nothing to do with
-//! vote values: re-absorbing a key supersedes its earlier evidence, and
-//! key order pairs the closed window's evidence with the scorer's
-//! `reports`, which the batch pipeline sorts the same way.
+//! **Order.** Votes are exact integer units ([`crate::voting`]), so a
+//! close gives the same tallies and the same verdict in any absorb
+//! order. The window still stores its evidence in a `BTreeMap` keyed by
+//! the caller's `K` (the pipeline uses `(HostId, FiveTuple)`), for two
+//! reasons that have nothing to do with vote values: re-absorbing a key
+//! supersedes its earlier evidence, and key order pairs the closed
+//! window's evidence with the scorer's `reports`, which the batch
+//! pipeline sorts the same way.
 
 use crate::algorithm1::{detect, Algorithm1Config, Algorithm1Output, ThresholdBase};
 use crate::evidence::FlowEvidence;
 use crate::history::LinkHealth;
 use crate::noise::{classify_flows, DropClass};
 use crate::robustness::RobustnessCounters;
-use crate::voting::VoteTally;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use vigil_topology::LinkId;
@@ -86,7 +82,6 @@ pub struct VoteLedger<K: Ord> {
     config: Algorithm1Config,
     epoch: u64,
     window: BTreeMap<K, FlowEvidence>,
-    live: VoteTally,
     ring: VecDeque<WindowSummary>,
     ring_capacity: usize,
     health: LinkHealth,
@@ -113,7 +108,6 @@ impl<K: Ord> VoteLedger<K> {
             config,
             epoch: 0,
             window: BTreeMap::new(),
-            live: VoteTally::new(num_links),
             ring: VecDeque::with_capacity(ring_capacity + 1),
             ring_capacity,
             health: LinkHealth::new(num_links, alpha),
@@ -121,28 +115,14 @@ impl<K: Ord> VoteLedger<K> {
         }
     }
 
-    /// Absorbs one flow's evidence into the open window: casts its votes
-    /// into the live tally and stores it at `key`. Re-absorbing a key
-    /// supersedes the earlier evidence (its votes are retracted first),
-    /// so at-least-once delivery cannot double-count a flow.
+    /// Absorbs one flow's evidence into the open window at `key`.
+    /// Re-absorbing a key supersedes the earlier evidence, so
+    /// at-least-once delivery cannot double-count a flow.
     pub fn absorb(&mut self, key: K, evidence: FlowEvidence) {
         self.robustness.absorbed += 1;
-        if let Some(old) = self.window.get(&key) {
-            self.live.retract(old, self.config.weight);
+        if self.window.insert(key, evidence).is_some() {
             self.robustness.superseded += 1;
         }
-        self.live.cast(&evidence, self.config.weight);
-        self.window.insert(key, evidence);
-    }
-
-    /// Retracts the evidence stored at `key` (a withdrawn report): its
-    /// votes leave the live tally and the window forgets it. Returns the
-    /// evidence, or `None` when the key was never absorbed this window.
-    pub fn retract(&mut self, key: &K) -> Option<FlowEvidence> {
-        let evidence = self.window.remove(key)?;
-        self.live.retract(&evidence, self.config.weight);
-        self.robustness.retracted += 1;
-        Some(evidence)
     }
 
     /// Evidence items resident in the open window.
@@ -153,14 +133,6 @@ impl<K: Ord> VoteLedger<K> {
     /// The open window's index.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The live tally: votes cast so far in the open window — the
-    /// between-closes monitoring snapshot. It equals the raw tally of
-    /// the conservative pass that [`close_window`](Self::close_window)
-    /// would run on the window right now.
-    pub fn live_tally(&self) -> &VoteTally {
-        &self.live
     }
 
     /// The cross-window link-health EWMA (the operator heat map).
@@ -178,9 +150,7 @@ impl<K: Ord> VoteLedger<K> {
     /// The open window's evidence volume grouped by `group_of(key)` —
     /// usually the host half of the pipeline's `(HostId, FiveTuple)`
     /// key. Keys arrive in ascending order, so the result is
-    /// sorted by group; feed it to
-    /// [`volume_outliers`](crate::robustness::volume_outliers) to flag
-    /// flooding hosts.
+    /// sorted by group.
     pub fn volumes_by<H: Ord + Copy>(&self, group_of: impl Fn(&K) -> H) -> Vec<(H, u64)> {
         let mut volumes: BTreeMap<H, u64> = BTreeMap::new();
         for key in self.window.keys() {
@@ -251,7 +221,6 @@ impl<K: Ord> VoteLedger<K> {
 
         let closed = self.epoch;
         self.epoch += 1;
-        self.live = VoteTally::new(self.num_links);
 
         WindowAnalysis {
             epoch: closed,
@@ -427,9 +396,10 @@ mod tests {
         l.absorb((0, 0), ev(&[3, 4], 1));
         l.absorb((0, 0), ev(&[3, 4], 5));
         assert_eq!(l.resident(), 1);
-        assert_eq!(l.live_tally().total(), 1.0, "one flow's mass, not two");
         let win = l.close_window();
         assert_eq!(win.evidence.len(), 1);
+        let mass = win.conservative.raw_tally.total();
+        assert_eq!(mass, 1.0, "one flow's mass, not two");
         assert_eq!(win.evidence[0].retransmissions, 5, "newest evidence wins");
     }
 
@@ -440,42 +410,16 @@ mod tests {
         l.absorb((0, 1), ev(&[1, 2], 1));
         l.absorb((0, 1), ev(&[1, 2], 3)); // supersedes
         l.absorb((7, 0), ev(&[3, 4], 2));
-        l.retract(&(7, 0)).expect("absorbed");
-        l.retract(&(7, 0)); // miss: not counted
         let c = l.robustness();
         assert_eq!(c.absorbed, 4);
         assert_eq!(c.superseded, 1);
-        assert_eq!(c.retracted, 1);
-        assert_eq!(c.discarded(), 2);
-        assert_eq!(c.net_absorbed(), 2);
-        assert_eq!(l.volumes_by(|k| k.0), vec![(0, 2)]);
+        assert_eq!(c.retracted, 0);
+        assert_eq!(c.discarded(), 1);
+        assert_eq!(l.volumes_by(|k| k.0), vec![(0, 2), (7, 1)]);
         // Counters are cumulative: a close resets the window, not them.
         l.close_window();
         assert_eq!(l.robustness(), c);
         assert!(l.volumes_by(|k| k.0).is_empty());
-    }
-
-    #[test]
-    fn retract_returns_evidence_and_unwinds_votes() {
-        let mut l = ledger();
-        l.absorb((0, 0), ev(&[1, 2], 1));
-        l.absorb((0, 1), ev(&[2, 3], 1));
-        let got = l.retract(&(0, 0)).expect("was absorbed");
-        assert_eq!(got, ev(&[1, 2], 1));
-        assert!(l.retract(&(0, 0)).is_none(), "already gone");
-        assert_eq!(l.resident(), 1);
-        assert_eq!(l.live_tally().votes(LinkId(2)), 0.5);
-        assert_eq!(l.live_tally().votes(LinkId(1)), 0.0);
-    }
-
-    #[test]
-    fn live_tally_tracks_absorbed_mass() {
-        let mut l = ledger();
-        assert_eq!(l.live_tally().total(), 0.0);
-        l.absorb((0, 0), ev(&[1, 2, 3, 4], 1));
-        assert_eq!(l.live_tally().votes(LinkId(1)), 0.25);
-        l.close_window();
-        assert_eq!(l.live_tally().total(), 0.0, "live tally resets at close");
     }
 
     #[test]
@@ -490,7 +434,8 @@ mod tests {
             0.5,
         );
         l.absorb(0, ev(&[1, 2], 1));
-        assert_eq!(l.live_tally().votes(LinkId(1)), 1.0);
+        let win = l.close_window();
+        assert_eq!(win.conservative.raw_tally.votes(LinkId(1)), 1.0);
     }
 
     #[test]

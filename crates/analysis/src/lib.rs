@@ -15,11 +15,11 @@
 //!   the ECMP-based vote adjustment (§5.1, −5 % false positives).
 //! * [`blame`] — per-flow most-likely-cause assignment from the ranking.
 //! * [`ledger`] — the incremental [`VoteLedger`] of the streaming service
-//!   mode: absorb/retract evidence as it arrives, close 30-second
-//!   windows without re-scanning flows, feed the [`LinkHealth`] ring.
+//!   mode: absorb evidence as it arrives, close 30-second windows
+//!   without re-scanning flows, feed the [`LinkHealth`] ring.
 //! * [`noise`] — the noise / failure-drop classification of §6.
-//! * [`robustness`] — absorb/discard counters and per-host vote-volume
-//!   outlier stats: the observability for the byzantine-voter axis.
+//! * [`robustness`] — absorb/discard counters: the observability for the
+//!   byzantine-voter axis.
 //! * [`switch_votes`] — the switch-level voting extension (§5.1).
 
 #![forbid(unsafe_code)]
@@ -41,6 +41,6 @@ pub use evidence::FlowEvidence;
 pub use history::LinkHealth;
 pub use ledger::{LedgerSnapshot, VoteLedger, WindowAnalysis, WindowSummary};
 pub use noise::{classify_flows, DropClass};
-pub use robustness::{volume_outliers, RobustnessCounters, VoteVolumeStats};
-pub use switch_votes::{detect_switches, SwitchDetection, SwitchTally};
+pub use robustness::RobustnessCounters;
+pub use switch_votes::SwitchTally;
 pub use voting::{VoteTally, VoteWeight};

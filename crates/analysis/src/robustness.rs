@@ -2,17 +2,11 @@
 //!
 //! The byzantine-voter axis (a fraction of hosts lying, muting, or
 //! flooding) degrades the tally gradually rather than failing it
-//! outright. These counters make the degradation measurable without
-//! changing any verdict:
-//!
-//! * [`RobustnessCounters`] — how much evidence the [`VoteLedger`]
-//!   absorbed versus discarded again (superseded by at-least-once
-//!   redelivery, or retracted by withdrawal). A flooder inflates
-//!   `absorbed`; dedup shows up in `superseded`.
-//! * [`VoteVolumeStats`] — per-host vote-volume moments with a
-//!   `mean + 3σ` outlier cutoff. A flooding host casts far more evidence
-//!   than its honest peers and surfaces here long before it moves the
-//!   link ranking.
+//! outright. [`RobustnessCounters`] make the degradation measurable
+//! without changing any verdict: how much evidence the [`VoteLedger`]
+//! absorbed versus discarded again (superseded by at-least-once
+//! redelivery). A flooder inflates `absorbed`; dedup shows up in
+//! `superseded`.
 //!
 //! [`VoteLedger`]: crate::ledger::VoteLedger
 
@@ -26,10 +20,13 @@ use serde::{Deserialize, Serialize};
 pub struct RobustnessCounters {
     /// Evidence items absorbed into a window (every `absorb` call).
     pub absorbed: u64,
-    /// Absorptions that superseded an existing key — the earlier votes
-    /// were retracted first, so redelivery never double-counts.
+    /// Absorptions that superseded an existing key — the earlier
+    /// evidence is replaced, so redelivery never double-counts.
     pub superseded: u64,
-    /// Evidence explicitly retracted (withdrawn reports).
+    /// Evidence explicitly retracted. The ledger has no retraction, so
+    /// this stays 0; it is kept because [`LedgerSnapshot`] persists it.
+    ///
+    /// [`LedgerSnapshot`]: crate::ledger::LedgerSnapshot
     pub retracted: u64,
 }
 
@@ -38,91 +35,6 @@ impl RobustnessCounters {
     pub fn discarded(&self) -> u64 {
         self.superseded + self.retracted
     }
-
-    /// Evidence that actually contributed votes at window close.
-    pub fn net_absorbed(&self) -> u64 {
-        self.absorbed - self.discarded()
-    }
-}
-
-/// Moments of a per-host vote-volume distribution with a `mean + 3σ`
-/// outlier cutoff — the cheap flooder detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct VoteVolumeStats {
-    /// Hosts with at least one evidence item.
-    pub hosts: usize,
-    /// Total evidence items across all hosts.
-    pub total: u64,
-    /// Mean evidence items per reporting host.
-    pub mean: f64,
-    /// Population standard deviation of the per-host counts.
-    pub stddev: f64,
-    /// The largest single host's volume.
-    pub max: u64,
-    /// Hosts above the outlier cutoff.
-    pub outliers: usize,
-}
-
-impl VoteVolumeStats {
-    /// Computes the moments of `counts` (one entry per reporting host).
-    pub fn from_counts(counts: &[u64]) -> Self {
-        if counts.is_empty() {
-            return Self {
-                hosts: 0,
-                total: 0,
-                mean: 0.0,
-                stddev: 0.0,
-                max: 0,
-                outliers: 0,
-            };
-        }
-        let hosts = counts.len();
-        let total: u64 = counts.iter().sum();
-        let mean = total as f64 / hosts as f64;
-        let var = counts
-            .iter()
-            .map(|&c| {
-                let d = c as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / hosts as f64;
-        let stddev = var.sqrt();
-        let mut stats = Self {
-            hosts,
-            total,
-            mean,
-            stddev,
-            max: counts.iter().copied().max().unwrap_or(0),
-            outliers: 0,
-        };
-        stats.outliers = counts.iter().filter(|&&c| stats.is_outlier(c)).count();
-        stats
-    }
-
-    /// The outlier bar: `mean + 3σ`, but never below `mean + 1` so a
-    /// perfectly uniform distribution (σ = 0) has no outliers.
-    pub fn outlier_cutoff(&self) -> f64 {
-        self.mean + (3.0 * self.stddev).max(1.0)
-    }
-
-    /// Whether a single host's volume clears the outlier bar.
-    pub fn is_outlier(&self, count: u64) -> bool {
-        count as f64 > self.outlier_cutoff()
-    }
-}
-
-/// Computes [`VoteVolumeStats`] over keyed volumes and returns the stats
-/// plus the outlier keys (the suspect hosts), in input order.
-pub fn volume_outliers<H: Copy>(volumes: &[(H, u64)]) -> (VoteVolumeStats, Vec<H>) {
-    let counts: Vec<u64> = volumes.iter().map(|(_, c)| *c).collect();
-    let stats = VoteVolumeStats::from_counts(&counts);
-    let suspects = volumes
-        .iter()
-        .filter(|(_, c)| stats.is_outlier(*c))
-        .map(|(h, _)| *h)
-        .collect();
-    (stats, suspects)
 }
 
 #[cfg(test)]
@@ -137,35 +49,5 @@ mod tests {
             retracted: 1,
         };
         assert_eq!(c.discarded(), 3);
-        assert_eq!(c.net_absorbed(), 7);
-    }
-
-    #[test]
-    fn uniform_volumes_have_no_outliers() {
-        let stats = VoteVolumeStats::from_counts(&[4, 4, 4, 4]);
-        assert_eq!(stats.hosts, 4);
-        assert_eq!(stats.total, 16);
-        assert_eq!(stats.stddev, 0.0);
-        assert_eq!(stats.outliers, 0, "sigma-0 floor suppresses outliers");
-    }
-
-    #[test]
-    fn a_flooding_host_is_an_outlier() {
-        // 30 honest hosts around 3 items, one host at 400.
-        let mut volumes: Vec<(u32, u64)> = (0..30).map(|h| (h, 2 + u64::from(h) % 3)).collect();
-        volumes.push((99, 400));
-        let (stats, suspects) = volume_outliers(&volumes);
-        assert_eq!(stats.outliers, 1);
-        assert_eq!(suspects, vec![99]);
-        assert_eq!(stats.max, 400);
-        assert!(stats.mean < 20.0);
-    }
-
-    #[test]
-    fn empty_distribution_is_degenerate_but_valid() {
-        let stats = VoteVolumeStats::from_counts(&[]);
-        assert_eq!(stats.hosts, 0);
-        assert_eq!(stats.outliers, 0);
-        assert!(!stats.is_outlier(0));
     }
 }

@@ -13,7 +13,6 @@
 //! Evidence naming more links panics, as in [`crate::VoteTally::cast`].
 
 use crate::evidence::FlowEvidence;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use vigil_topology::{ClosTopology, Node, SwitchId, MAX_ROUTE_LINKS};
 
@@ -52,17 +51,12 @@ pub struct SwitchTally {
 }
 
 impl SwitchTally {
-    /// An empty tally over the topology's switches.
-    pub fn new(num_switches: usize) -> Self {
-        Self {
-            units: vec![0; num_switches],
-        }
-    }
-
     /// Tallies evidence: each flow votes `1/s` on each distinct switch
     /// its links touch (link endpoints that are switches).
     pub fn tally(topo: &ClosTopology, evidence: &[FlowEvidence]) -> Self {
-        let mut t = Self::new(topo.num_switches());
+        let mut t = Self {
+            units: vec![0; topo.num_switches()],
+        };
         for e in evidence {
             t.cast(&switches_of(topo, e));
         }
@@ -98,66 +92,6 @@ impl SwitchTally {
     pub fn total(&self) -> f64 {
         to_votes(self.units.iter().sum())
     }
-}
-
-/// A detected switch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SwitchDetection {
-    /// The switch.
-    pub switch: SwitchId,
-    /// Its votes when picked.
-    pub votes: f64,
-}
-
-/// Algorithm 1 transplanted to switches: iteratively take the most-voted
-/// switch (ties to the lowest id), retract the flows it explains (any
-/// flow whose path touches it), stop at `threshold_frac` of the running
-/// total — "007 can also be used to detect switch failures in a similar
-/// fashion by applying votes to switches instead of links" (§5.1).
-pub fn detect_switches(
-    topo: &ClosTopology,
-    evidence: &[FlowEvidence],
-    threshold_frac: f64,
-) -> Vec<SwitchDetection> {
-    // Per-flow distinct switch sets, computed once.
-    let switch_sets: Vec<Vec<SwitchId>> = evidence.iter().map(|e| switches_of(topo, e)).collect();
-    let mut tally = SwitchTally::new(topo.num_switches());
-    for set in &switch_sets {
-        tally.cast(set);
-    }
-
-    let mut explained = vec![false; evidence.len()];
-    let mut detected: Vec<SwitchDetection> = Vec::new();
-    loop {
-        let total: u64 = tally.units.iter().sum();
-        let Some((idx, units)) = tally
-            .units
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(i, u)| u > 0 && !detected.iter().any(|d| d.switch.0 as usize == i))
-            .max_by_key(|&(i, u)| (u, Reverse(i)))
-        else {
-            break;
-        };
-        if (units as f64) < threshold_frac * total as f64 {
-            break;
-        }
-        let switch = SwitchId(idx as u32);
-        detected.push(SwitchDetection {
-            switch,
-            votes: to_votes(units),
-        });
-        for (set, done) in switch_sets.iter().zip(&mut explained) {
-            if !*done && set.contains(&switch) {
-                *done = true;
-                for s in set {
-                    tally.units[s.0 as usize] -= UNITS_PER_VOTE / set.len() as u64;
-                }
-            }
-        }
-    }
-    detected
 }
 
 #[cfg(test)]
@@ -216,58 +150,5 @@ mod tests {
         let tally = SwitchTally::tally(&topo, &evidence);
         assert_eq!(tally.votes(tor), 1.0);
         assert_eq!(tally.total(), 1.0);
-    }
-
-    #[test]
-    fn detect_switches_finds_the_sick_one() {
-        let topo = topo();
-        let t1 = topo.t1(0, 1);
-        // Flows through many distinct interfaces of t1 (a failing ASIC),
-        // plus unrelated flows elsewhere.
-        let t1_links: Vec<LinkId> = topo
-            .links()
-            .iter()
-            .filter(|l| l.from == Node::Switch(t1) || l.to == Node::Switch(t1))
-            .map(|l| l.id)
-            .collect();
-        let mut evidence: Vec<FlowEvidence> = t1_links
-            .windows(2)
-            .take(10)
-            .map(|w| FlowEvidence::new(w.to_vec(), 1))
-            .collect();
-        // Unrelated lone flow through a different pod's T1.
-        let other = topo.t1(1, 0);
-        let other_link = topo
-            .links()
-            .iter()
-            .find(|l| l.from == Node::Switch(other))
-            .unwrap()
-            .id;
-        evidence.push(FlowEvidence::new(vec![other_link], 1));
-
-        let detections = detect_switches(&topo, &evidence, 0.01);
-        assert_eq!(detections.first().map(|d| d.switch), Some(t1));
-        // After explaining t1's flows, only the lone flow remains; its
-        // switches clear 1% of the residual total, so extra detections
-        // are allowed — but t1 must be first and dominant (each of the 10
-        // flows gives it ⅓–½ of a vote; no neighbour gets more than a
-        // couple).
-        assert!(detections[0].votes > 3.0, "got {}", detections[0].votes);
-    }
-
-    #[test]
-    fn detect_switches_empty_and_threshold() {
-        let topo = topo();
-        assert!(detect_switches(&topo, &[], 0.01).is_empty());
-        // A uniform smear with a high threshold detects nothing.
-        let evidence: Vec<FlowEvidence> = topo
-            .links()
-            .iter()
-            .filter(|l| l.kind == vigil_topology::LinkKind::TorToT1)
-            .take(12)
-            .map(|l| FlowEvidence::new(vec![l.id], 1))
-            .collect();
-        let detections = detect_switches(&topo, &evidence, 0.9);
-        assert!(detections.is_empty());
     }
 }

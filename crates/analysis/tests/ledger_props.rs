@@ -2,18 +2,21 @@
 //! units, so these are equalities, not tolerances:
 //!
 //! * any interleaving of casts and retracts that retracts everything it
-//!   cast returns the [`VoteTally`] (and the [`VoteLedger`]'s live tally)
-//!   to `== VoteTally::new(n)`, under every [`VoteWeight`];
+//!   cast returns the [`VoteTally`] to `== VoteTally::new(n)`, under
+//!   every [`VoteWeight`];
 //! * absorbing a window in any order closes to the identical
-//!   [`WindowAnalysis`](vigil_analysis::WindowAnalysis), down to the bits
-//!   of every detection's votes, and Algorithm 1 itself returns the same
-//!   verdict on any permutation of its evidence;
-//! * the live tally just before a close equals the close's conservative
-//!   raw tally, whatever was superseded or retracted on the way.
+//!   [`WindowAnalysis`], down to the bits of every detection's votes, and
+//!   Algorithm 1 itself returns the same verdict on any permutation of
+//!   its evidence;
+//! * a window absorbed with colliding keys closes exactly like one that
+//!   absorbed only each key's last evidence: superseded evidence leaves
+//!   no trace in the verdict.
 
 use proptest::prelude::*;
 use vigil_analysis::ledger::VoteLedger;
-use vigil_analysis::{detect, Algorithm1Config, FlowEvidence, VoteTally, VoteWeight};
+use vigil_analysis::{
+    detect, Algorithm1Config, FlowEvidence, VoteTally, VoteWeight, WindowAnalysis,
+};
 use vigil_topology::{LinkId, MAX_ROUTE_LINKS};
 
 const NUM_LINKS: usize = 24;
@@ -81,6 +84,15 @@ fn run_interleaved(
     }
 }
 
+/// Every detection's link and votes, to the bit.
+fn bits(w: &WindowAnalysis) -> Vec<(LinkId, u64)> {
+    w.detection
+        .detections
+        .iter()
+        .map(|d| (d.link, d.votes.to_bits()))
+        .collect()
+}
+
 fn ledger() -> VoteLedger<u32> {
     VoteLedger::new(NUM_LINKS, Algorithm1Config::default(), 2, 0.3)
 }
@@ -100,41 +112,6 @@ proptest! {
             run_interleaved(&mut tally, &evidence, &order, weight);
             prop_assert_eq!(&tally, &VoteTally::new(NUM_LINKS), "residue under {:?}", weight);
         }
-    }
-
-    #[test]
-    fn absorb_then_retract_restores_ledger_bitwise(
-        evidence in arb_evidence(),
-        order in proptest::collection::vec(proptest::any::<bool>(), 0..80),
-    ) {
-        let mut ledger = ledger();
-
-        // The same interleaving discipline, through the ledger's
-        // absorb/retract (keys are the batch indices).
-        let mut next_absorb = 0usize;
-        let mut next_retract = 0usize;
-        for &do_retract in &order {
-            if do_retract && next_retract < next_absorb {
-                let got = ledger.retract(&(next_retract as u32));
-                prop_assert!(got.is_some(), "absorbed key must retract");
-                next_retract += 1;
-            } else if next_absorb < evidence.len() {
-                ledger.absorb(next_absorb as u32, evidence[next_absorb].clone());
-                next_absorb += 1;
-            }
-        }
-        while next_absorb < evidence.len() {
-            ledger.absorb(next_absorb as u32, evidence[next_absorb].clone());
-            next_absorb += 1;
-        }
-        while next_retract < next_absorb {
-            let got = ledger.retract(&(next_retract as u32));
-            prop_assert!(got.is_some());
-            next_retract += 1;
-        }
-
-        prop_assert_eq!(ledger.resident(), 0, "window must be empty again");
-        prop_assert_eq!(ledger.live_tally(), &VoteTally::new(NUM_LINKS));
     }
 
     #[test]
@@ -171,29 +148,35 @@ proptest! {
         prop_assert_eq!(&x.unbounded_picks, &y.unbounded_picks);
         prop_assert_eq!(&x.conservative.raw_tally, &y.conservative.raw_tally);
         prop_assert_eq!(&x.detection.adjusted_tally, &y.detection.adjusted_tally);
-        let bits = |w: &vigil_analysis::WindowAnalysis| -> Vec<(LinkId, u64)> {
-            w.detection.detections.iter().map(|d| (d.link, d.votes.to_bits())).collect()
-        };
         prop_assert_eq!(bits(&x), bits(&y));
     }
 
     #[test]
-    fn live_tally_equals_the_close_tally(
+    fn colliding_keys_close_like_their_last_evidence(
         evidence in arb_evidence(),
         keys in proptest::collection::vec(0u32..16, 40),
-        withdraw in proptest::collection::vec(proptest::any::<bool>(), 40),
     ) {
-        // Keys collide (supersede) and some are withdrawn (retract): the
-        // live tally must still be exactly the tally of what is resident.
-        let mut ledger = ledger();
+        // Keys collide, so later evidence supersedes earlier evidence at
+        // the same key: the window must close exactly like one that only
+        // ever absorbed each key's last evidence.
+        let mut colliding = ledger();
+        let mut last = std::collections::BTreeMap::new();
         for (i, e) in evidence.iter().enumerate() {
-            ledger.absorb(keys[i], e.clone());
-            if withdraw[i] && i % 3 == 0 {
-                ledger.retract(&keys[i]);
-            }
+            colliding.absorb(keys[i], e.clone());
+            last.insert(keys[i], e.clone());
         }
-        let live = ledger.live_tally().clone();
-        let closed = ledger.close_window();
-        prop_assert_eq!(&live, &closed.conservative.raw_tally);
+        let mut deduped = ledger();
+        for (k, e) in last {
+            deduped.absorb(k, e);
+        }
+        prop_assert_eq!(colliding.resident(), deduped.resident());
+        let x = colliding.close_window();
+        let y = deduped.close_window();
+        prop_assert_eq!(&x.evidence, &y.evidence);
+        prop_assert_eq!(&x.classes, &y.classes);
+        prop_assert_eq!(&x.conservative.raw_tally, &y.conservative.raw_tally);
+        prop_assert_eq!(&x.detection.adjusted_tally, &y.detection.adjusted_tally);
+        prop_assert_eq!(&x.unbounded_picks, &y.unbounded_picks);
+        prop_assert_eq!(bits(&x), bits(&y));
     }
 }

@@ -105,7 +105,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use vigil_agents::{event_channel, AgentEvent, EventCollector, HostAgent, TraceReport};
+use vigil_agents::{event_channel, AgentEvent, EventCollector, TraceReport};
 use vigil_analysis::{FlowEvidence, LedgerSnapshot, VoteLedger};
 use vigil_fabric::faults::LinkFaults;
 use vigil_fabric::flowsim::EpochScratch;
@@ -339,14 +339,12 @@ struct AgentWorld {
     staging: EventCollector,
     inbox: Vec<AgentEvent>,
     run_cfg: RunConfig,
-    hosts: Range<u32>,
     chunk_flows: usize,
     /// The epoch whose barrier frame also carries the shutdown drains.
     last_epoch: usize,
-    /// Per-host sequence counters at the anchor's start, `None` for a
-    /// host without an agent yet — rewinding to them makes a replay
-    /// byte-identical.
-    anchor: Vec<Option<u64>>,
+    /// Per-host sequence counters at the anchor's start — rewinding to
+    /// them makes a replay byte-identical.
+    anchor: Vec<u64>,
 }
 
 impl AgentWorld {
@@ -376,10 +374,9 @@ impl AgentWorld {
             staging,
             inbox: Vec::new(),
             run_cfg: config.run.clone(),
-            hosts: spec.hosts.clone(),
             chunk_flows: spec.chunk_flows,
             last_epoch: spec.start_epoch + spec.epochs - 1,
-            anchor: vec![None; spec.hosts.len()],
+            anchor: vec![0; spec.hosts.len()],
         })
     }
 
@@ -399,7 +396,7 @@ impl AgentWorld {
                 from
             }
             Start::Rebuild { from } => {
-                self.anchor.fill(None);
+                self.anchor.fill(0);
                 self.rewind();
                 from
             }
@@ -408,27 +405,18 @@ impl AgentWorld {
         for e in from..epoch {
             self.emit(e, &mut unsent, &mut AgentStats::default())?;
         }
-        let Range { start, end } = self.hosts;
-        let agents = &self.fleet.agents[start as usize..end as usize];
-        for (seq, agent) in self.anchor.iter_mut().zip(agents) {
-            *seq = agent.as_ref().map(HostAgent::events_emitted);
+        for (seq, agent) in self.anchor.iter_mut().zip(&self.fleet.agents) {
+            *seq = agent.events_emitted();
         }
         Ok(())
     }
 
     /// Restores the anchor's start state: sequence counters rewound,
-    /// pacers reset, agents born since forgotten.
+    /// pacers reset.
     fn rewind(&mut self) {
-        let Range { start, end } = self.hosts;
-        let agents = &mut self.fleet.agents[start as usize..end as usize];
-        for (slot, seq) in agents.iter_mut().zip(&self.anchor) {
-            match (slot.as_mut(), seq) {
-                (Some(agent), Some(seq)) => {
-                    agent.rewind(*seq);
-                    agent.next_epoch();
-                }
-                _ => *slot = None,
-            }
+        for (agent, seq) in self.fleet.agents.iter_mut().zip(&self.anchor) {
+            agent.rewind(*seq);
+            agent.next_epoch();
         }
     }
 
@@ -477,7 +465,7 @@ impl AgentWorld {
             // Shutdown drains ride inside the final window (before its
             // barrier) so the agent never writes after the collector may
             // have torn the run down.
-            fleet.each_agent(usize::MAX, |agent, hub| agent.drain(hub), &mut flush)?;
+            fleet.drain(usize::MAX, &mut flush)?;
         }
         let events = stats.events_sent - before;
         writer.write_frame(&WireFrame::EpochDone {

@@ -188,12 +188,6 @@ impl ExperimentReport {
         }
     }
 
-    /// Convenience: pooled accuracy over everything (flows weighted
-    /// equally), `None` when nothing was scored.
-    pub fn pooled_accuracy(&self) -> Option<f64> {
-        self.vigil.pooled.accuracy.value()
-    }
-
     /// Folds one trial's partial report in. Merging trials 0..n in index
     /// order reproduces the serial runner exactly, whichever threads
     /// computed the partials.
@@ -373,7 +367,7 @@ mod tests {
         let report = run_experiment(&small_config());
         assert_eq!(report.epochs.len(), 4);
         assert_eq!(report.vigil.accuracy.count(), 2, "one value per trial");
-        assert!(report.pooled_accuracy().unwrap() > 0.5);
+        assert!(report.vigil.pooled.accuracy.value().unwrap() > 0.5);
         assert!(report.integer.is_some());
         assert_eq!(report.noise_marked_incorrectly, 0);
         assert_eq!(report.vote_gaps.len(), 4, "single failure ⇒ gap per epoch");
@@ -383,7 +377,7 @@ mod tests {
     fn deterministic_given_seed() {
         let a = run_experiment(&small_config());
         let b = run_experiment(&small_config());
-        assert_eq!(a.pooled_accuracy(), b.pooled_accuracy());
+        assert_eq!(a.vigil.pooled.accuracy, b.vigil.pooled.accuracy);
         assert_eq!(a.vote_gaps, b.vote_gaps);
         assert_eq!(a.detected_per_epoch.mean(), b.detected_per_epoch.mean());
     }

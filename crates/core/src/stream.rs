@@ -155,8 +155,13 @@ impl StreamStats {
 /// local replay all drive their epochs through it.
 #[derive(Debug)]
 pub(crate) struct HostFleet {
-    /// Per-host agents, created on a host's first dispatched event.
-    pub(crate) agents: Vec<Option<HostAgent>>,
+    /// One agent per host of `hosts`, in host order, created up front.
+    pub(crate) agents: Vec<HostAgent>,
+    /// Which agents the current epoch dispatched to. Only they roll into
+    /// the next epoch on the hub; every other agent's pacer is already
+    /// fresh. A window's events therefore depend on that window alone,
+    /// never on which hosts earlier windows woke.
+    awake: Vec<bool>,
     /// Hosts this process speaks for; flows sourced elsewhere are
     /// simulated (every process draws the same epoch) but never emitted.
     hosts: Range<u32>,
@@ -187,7 +192,10 @@ impl HostFleet {
         hub: EventSender,
     ) -> Self {
         Self {
-            agents: (0..topo.num_hosts()).map(|_| None).collect(),
+            agents: (hosts.clone())
+                .map(|h| HostAgent::new(HostId(h), config.pacer.pacer(topo)))
+                .collect(),
+            awake: vec![false; hosts.len()],
             hosts,
             adversary: AdversaryModel::new(config.byzantine, topo.num_links()),
             hub,
@@ -196,25 +204,16 @@ impl HostFleet {
         }
     }
 
-    /// Runs `act` on every live agent, calling `sink` after every `burst`
-    /// agents (so a large fleet's announcements cannot overflow a bounded
-    /// hub) and once at the end.
-    pub(crate) fn each_agent<E>(
+    /// Announces [`AgentEvent::Drain`] from every agent that has emitted
+    /// since it was created or rewound, running `sink` after every
+    /// `burst` of them and once at the end.
+    pub(crate) fn drain<E>(
         &mut self,
         burst: usize,
-        act: impl Fn(&mut HostAgent, &EventSender),
-        mut sink: impl FnMut() -> Result<(), E>,
+        sink: impl FnMut() -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut since_sink = 0usize;
-        for agent in self.agents.iter_mut().flatten() {
-            act(agent, &self.hub);
-            since_sink += 1;
-            if since_sink >= burst {
-                sink()?;
-                since_sink = 0;
-            }
-        }
-        sink()
+        let live = self.agents.iter_mut().filter(|a| a.events_emitted() > 0);
+        in_bursts(live, &self.hub, burst, |agent, hub| agent.drain(hub), sink)
     }
 
     /// One epoch of the agent side: pull the fabric in column batches,
@@ -248,21 +247,24 @@ impl HostFleet {
     ) -> Result<EpochPull, E> {
         let Self {
             agents,
+            awake,
             hosts,
             adversary,
             hub,
             batch,
             pending,
         } = self;
-        // Routes one emission through its (lazily created) host agent,
-        // which emits protocol events onto the hub.
+        // An aborted epoch may have left some behind.
+        pending.clear();
+        awake.fill(false);
+        // Routes one emission through its host's agent, which emits
+        // protocol events onto the hub.
         let mut dispatch = |event: RetransmissionEvent, path: DiscoveredPath| {
-            agents[event.host.0 as usize]
-                .get_or_insert_with(|| HostAgent::new(event.host, config.pacer.pacer(topo)))
-                .on_retransmission(&event, path, hub);
+            let i = (event.host.0 - hosts.start) as usize;
+            awake[i] = true;
+            agents[i].on_retransmission(&event, path, hub);
         };
         let deferred_gate = config.slb.enabled();
-        pending.clear(); // an aborted epoch may have left some behind
 
         let mut stream =
             EpochStream::open(topo, faults, &config.traffic, &config.sim, rng, scratch);
@@ -324,9 +326,13 @@ impl HostFleet {
             sink()?;
         }
 
-        // Roll every live agent into the next epoch (budget refresh,
-        // trace-cache clear), announced on the hub like any other event.
-        self.each_agent(
+        // Roll every agent this epoch woke into the next epoch (budget
+        // refresh, trace-cache clear), announced on the hub like any other
+        // event.
+        let woken = (agents.iter_mut().zip(awake.iter())).filter_map(|(a, w)| w.then_some(a));
+        in_bursts(
+            woken,
+            hub,
             tuning.hub_capacity,
             |agent, hub| agent.epoch_tick(next_epoch, hub),
             sink,
@@ -340,6 +346,25 @@ impl HostFleet {
             peak_resident,
         })
     }
+}
+
+/// Runs `act` on each of `agents`, calling `sink` after every `burst`
+/// agents (so a large fleet's announcements cannot overflow a bounded
+/// hub) and once at the end.
+fn in_bursts<'a, E>(
+    agents: impl Iterator<Item = &'a mut HostAgent>,
+    hub: &EventSender,
+    burst: usize,
+    act: impl Fn(&mut HostAgent, &EventSender),
+    mut sink: impl FnMut() -> Result<(), E>,
+) -> Result<(), E> {
+    for (i, agent) in agents.enumerate() {
+        act(agent, hub);
+        if (i + 1) % burst == 0 {
+            sink()?;
+        }
+    }
+    sink()
 }
 
 /// The analysis side of the hub: drains events into the ledger.
@@ -493,11 +518,9 @@ impl StreamSession {
     /// [`AgentEvent::Drain`] and the hub is drained one last time.
     pub fn shutdown(&mut self) {
         let intake = &mut self.intake;
-        let Ok(()) = self.fleet.each_agent(
-            self.tuning.hub_capacity,
-            |agent, hub| agent.drain(hub),
-            || intake.drain(),
-        );
+        let Ok(()) = self
+            .fleet
+            .drain(self.tuning.hub_capacity, || intake.drain());
         self.account_hub(None);
     }
 
@@ -533,7 +556,8 @@ impl StreamSession {
 /// on its own derived [`crate::sweep::epoch_rng`] stream, all driven
 /// through one [`StreamSession`] at `tuning`. The epoch pool's report for
 /// the same trial is bit-identical at any width, and `tuning` never
-/// changes it.
+/// changes it. The returned counters are the sum of the trial's windows
+/// (no shutdown drain), which is what the pool sums per cell.
 pub fn stream_trial(
     config: &ExperimentConfig,
     trial: usize,
@@ -558,7 +582,6 @@ pub fn stream_trial(
         let run = session.run_window(&topo, &config.run, &faults, &mut erng, &mut scratch);
         acc.absorb(evaluate_epoch(&run));
     }
-    session.shutdown();
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     (
         acc.finish(&config.run, trial, wall_ms),

@@ -152,12 +152,15 @@ impl Table {
 }
 
 /// Rows `run/<config>/width-<w>`: the experiment runner on each config
-/// at each width against the config's reference. Counters: one window
-/// per cell, nothing shed, and never a whole epoch of flow records
-/// resident at once.
+/// at each width against the config's reference, report and counters
+/// alike. Counters also: one window per cell, nothing shed, and never a
+/// whole epoch of flow records resident at once.
 fn run_rows(configs: &[ExperimentConfig], widths: &[usize]) -> Table {
     let mut table = Table::default();
-    let wants = each(configs, |c| reference(c, &StreamTuning::default()).0);
+    let wants = each(configs, |c| {
+        let (report, stats) = reference(c, &StreamTuning::default());
+        (report, json(&stats))
+    });
     let rows: Vec<(usize, usize)> = (0..configs.len())
         .flat_map(|c| widths.iter().map(move |&width| (c, width)))
         .collect();
@@ -167,7 +170,8 @@ fn run_rows(configs: &[ExperimentConfig], widths: &[usize]) -> Table {
     for (&(c, width), (report, stats)) in rows.iter().zip(&runs) {
         let cfg = &configs[c];
         let row = format!("run/{}/width-{width}", cfg.name);
-        table.same(row.clone(), report, &wants[c]);
+        table.same(row.clone(), report, &wants[c].0);
+        table.same(format!("{row}: stream stats"), stats, &wants[c].1);
         let cells = (cfg.trials * cfg.epochs) as u64;
         table.check(
             format!("{row}: one window per cell"),

@@ -32,11 +32,6 @@ pub struct Episode {
 }
 
 impl Episode {
-    /// True when the episode covers instant `t`.
-    pub fn active_at(&self, t: f64) -> bool {
-        t >= self.start && t < self.end
-    }
-
     /// Overlap duration with the window `[from, to)`.
     pub fn overlap(&self, from: f64, to: f64) -> f64 {
         (self.end.min(to) - self.start.max(from)).max(0.0)
@@ -191,10 +186,6 @@ mod tests {
             rate: 0.5,
             withdrawn: false,
         };
-        assert!(!e.active_at(9.9));
-        assert!(e.active_at(10.0));
-        assert!(e.active_at(19.9));
-        assert!(!e.active_at(20.0));
         assert_eq!(e.overlap(0.0, 30.0), 10.0);
         assert_eq!(e.overlap(15.0, 30.0), 5.0);
         assert_eq!(e.overlap(20.0, 30.0), 0.0);

@@ -542,7 +542,7 @@ pub struct EpochStream<'a, R: Rng + ?Sized> {
 
 impl<'a, R: Rng + ?Sized> EpochStream<'a, R> {
     /// Opens the epoch: draws *all* traffic-generation randomness (the
-    /// same draws, in the same order, as [`TrafficSpec::generate`]) into
+    /// same draws, in the same order, as [`TrafficSpec::generate_into`]) into
     /// the scratch's spec buffer and positions the stream before the
     /// first flow. Flow specs are plain `(src, dst, tuple, packets)`
     /// quadruples — holding an epoch of them is cheap; the heavy

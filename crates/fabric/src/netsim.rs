@@ -74,13 +74,6 @@ pub struct TracerouteOutcome {
     pub oracle_path: Path,
 }
 
-impl TracerouteOutcome {
-    /// The deepest hop index that answered (0 when none did).
-    pub fn deepest_hop(&self) -> u8 {
-        self.replies.iter().map(|r| r.hop).max().unwrap_or(0)
-    }
-}
-
 /// The timestamped packet-walk emulator.
 #[derive(Debug)]
 pub struct NetSim {
@@ -362,7 +355,7 @@ mod tests {
         // Probes with TTL ≥ 3 die crossing link index 2; hops 1 and 2
         // still answer. The deepest answering hop sits right before the
         // failed link — the "directly pinpoints the faulty link" property.
-        assert_eq!(out.deepest_hop(), 2);
+        assert_eq!(out.replies.iter().map(|r| r.hop).max(), Some(2));
         assert_eq!(out.replies.len(), 2);
     }
 

@@ -117,19 +117,12 @@ impl TrafficSpec {
         }
     }
 
-    /// Generates every flow of one epoch.
+    /// Generates every flow of one epoch into a caller-owned buffer
+    /// (cleared first) — no per-epoch allocation once the buffer has grown
+    /// to an epoch's size.
     ///
     /// Five-tuples are made unique by a per-host ephemeral source port
     /// counter; the fabric and agents key flows by [`FlowSpec::tuple`].
-    pub fn generate<R: Rng + ?Sized>(&self, topo: &ClosTopology, rng: &mut R) -> Vec<FlowSpec> {
-        let mut flows = Vec::new();
-        self.generate_into(topo, rng, &mut flows);
-        flows
-    }
-
-    /// [`generate`](Self::generate) into a caller-owned buffer (cleared
-    /// first) — same draws in the same order, no per-epoch allocation
-    /// once the buffer has grown to an epoch's size.
     pub fn generate_into<R: Rng + ?Sized>(
         &self,
         topo: &ClosTopology,
@@ -271,6 +264,13 @@ mod tests {
         ClosTopology::new(ClosParams::tiny(), 11).unwrap()
     }
 
+    /// One epoch's flows in a fresh buffer.
+    fn generate(spec: &TrafficSpec, topo: &ClosTopology, rng: &mut ChaCha8Rng) -> Vec<FlowSpec> {
+        let mut flows = Vec::new();
+        spec.generate_into(topo, rng, &mut flows);
+        flows
+    }
+
     #[test]
     fn fixed_conn_count_generates_exactly() {
         let topo = topo();
@@ -279,7 +279,7 @@ mod tests {
             conns_per_host: ConnCount::Fixed(3),
             ..TrafficSpec::paper_default()
         };
-        let flows = spec.generate(&topo, &mut rng);
+        let flows = generate(&spec, &topo, &mut rng);
         assert_eq!(flows.len(), topo.num_hosts() * 3);
     }
 
@@ -291,7 +291,7 @@ mod tests {
             conns_per_host: ConnCount::Uniform(2, 5),
             ..TrafficSpec::paper_default()
         };
-        let flows = spec.generate(&topo, &mut rng);
+        let flows = generate(&spec, &topo, &mut rng);
         let total = flows.len();
         assert!(total >= topo.num_hosts() * 2 && total <= topo.num_hosts() * 5);
     }
@@ -300,7 +300,7 @@ mod tests {
     fn destinations_leave_the_rack() {
         let topo = topo();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let flows = TrafficSpec::paper_default().generate(&topo, &mut rng);
+        let flows = generate(&TrafficSpec::paper_default(), &topo, &mut rng);
         for f in &flows {
             assert_ne!(
                 topo.host_tor(f.src),
@@ -315,7 +315,7 @@ mod tests {
     fn tuples_unique_within_epoch() {
         let topo = topo();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let flows = TrafficSpec::paper_default().generate(&topo, &mut rng);
+        let flows = generate(&TrafficSpec::paper_default(), &topo, &mut rng);
         let mut seen = std::collections::HashSet::new();
         for f in &flows {
             assert!(seen.insert(f.tuple), "duplicate tuple {}", f.tuple);
@@ -330,7 +330,7 @@ mod tests {
             packets_per_flow: PacketCount::Uniform(10, 20),
             ..TrafficSpec::paper_default()
         };
-        for f in spec.generate(&topo, &mut rng) {
+        for f in generate(&spec, &topo, &mut rng) {
             assert!((10..=20).contains(&f.packets));
         }
         assert_eq!(spec.packets_per_flow.bounds(), (10, 20));
@@ -345,7 +345,7 @@ mod tests {
             dest: DestSpec::HotTor { frac: 0.5 },
             ..TrafficSpec::paper_default()
         };
-        let flows = spec.generate(&topo, &mut rng);
+        let flows = generate(&spec, &topo, &mut rng);
         let mut per_tor: HashMap<SwitchId, usize> = HashMap::new();
         for f in &flows {
             *per_tor.entry(topo.host_tor(f.dst)).or_default() += 1;
@@ -367,7 +367,7 @@ mod tests {
             },
             ..TrafficSpec::paper_default()
         };
-        let flows = spec.generate(&topo, &mut rng);
+        let flows = generate(&spec, &topo, &mut rng);
         let mut per_tor: HashMap<SwitchId, usize> = HashMap::new();
         for f in &flows {
             *per_tor.entry(topo.host_tor(f.dst)).or_default() += 1;
@@ -399,7 +399,7 @@ mod tests {
                 dest,
                 ..TrafficSpec::paper_default()
             };
-            let fresh = spec.generate(&topo, &mut ChaCha8Rng::seed_from_u64(8));
+            let fresh = generate(&spec, &topo, &mut ChaCha8Rng::seed_from_u64(8));
             spec.generate_into(&topo, &mut ChaCha8Rng::seed_from_u64(8), &mut buf);
             assert_eq!(buf, fresh);
         }
@@ -409,8 +409,8 @@ mod tests {
     fn generation_is_deterministic_per_seed() {
         let topo = topo();
         let spec = TrafficSpec::paper_default();
-        let a = spec.generate(&topo, &mut ChaCha8Rng::seed_from_u64(9));
-        let b = spec.generate(&topo, &mut ChaCha8Rng::seed_from_u64(9));
+        let a = generate(&spec, &topo, &mut ChaCha8Rng::seed_from_u64(9));
+        let b = generate(&spec, &topo, &mut ChaCha8Rng::seed_from_u64(9));
         assert_eq!(a, b);
     }
 }

@@ -11,9 +11,6 @@
 //! The paper solves these with Mosek; this crate substitutes a
 //! self-contained solver stack:
 //!
-//! * [`simplex`] — a dense two-phase primal simplex LP solver;
-//! * [`milp`] — branch & bound on the LP relaxation (with indicator
-//!   variables for the `‖p‖₀` objective), the literal MILP route;
 //! * [`setcover`] — an exact branch-and-bound minimum set cover exploiting
 //!   the problems' structure (see below), fast enough for epoch-scale
 //!   instances;
@@ -28,21 +25,31 @@
 //! uncovered row has path sum `0 < c_i`. Hence the minimal `‖p‖₀` of both
 //! (3) and (4) equals the minimum set cover size, and (4)'s extra power is
 //! in the count assignment (the ranking), which [`programs`] computes by
-//! demand-weighted attribution. The [`milp`] solver cross-checks this
-//! equivalence in tests.
+//! demand-weighted attribution.
+//!
+//! The literal MILP route — a dense two-phase simplex with branch & bound
+//! on the LP relaxation and indicator variables for the `‖p‖₀` objective
+//! — is exponential, so no run calls it. It lives under `tests/lp/` as
+//! the reference that cross-checks this equivalence, compiled into this
+//! crate's unit tests and into `tests/solver_properties.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod greedy;
 pub mod instance;
-pub mod milp;
 pub mod programs;
 pub mod setcover;
-pub mod simplex;
+
+#[cfg(test)]
+#[path = "../tests/lp/simplex.rs"]
+mod simplex;
+
+#[cfg(test)]
+#[path = "../tests/lp/milp.rs"]
+mod milp;
 
 pub use greedy::greedy_cover;
 pub use instance::{CoverInstance, FlowRow};
 pub use programs::{binary_program, integer_program, BinarySolution, IntegerSolution};
 pub use setcover::{min_set_cover, CoverResult, SearchLimits};
-pub use simplex::{LinearProgram, LpOutcome, Relation};

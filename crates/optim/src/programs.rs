@@ -7,16 +7,10 @@
 //!   crate-level structure theorem) plus demand-weighted count
 //!   attribution, which yields the ranking the paper uses for per-flow
 //!   blame.
-//! * [`integer_program_milp`] — the same program solved literally through
-//!   the MILP formulation (indicator variables); exponentially slower but
-//!   used by tests to validate the structure theorem and by callers with
-//!   small instances who want the certified route.
 
 use crate::greedy::greedy_cover;
 use crate::instance::CoverInstance;
-use crate::milp::{solve_milp, MilpLimits, MilpOutcome};
 use crate::setcover::{min_set_cover, SearchLimits};
-use crate::simplex::{LinearProgram, Relation};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -118,82 +112,23 @@ fn attribute_counts(instance: &CoverInstance, support: &[usize]) -> BTreeMap<u32
     counts
 }
 
-/// MILP limits specialized for the integer program.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct MilpProgramLimits {
-    /// Underlying branch-and-bound budget.
-    pub milp: MilpLimits,
-}
-
-/// Solves the integer program (4) through the literal MILP encoding:
-/// integer `p_l ≥ 0`, binary indicators `y_l`, `p_l ≤ ‖c‖₁·y_l`, minimize
-/// `Σ y_l`. Exponential; intended for small instances and validation.
-///
-/// Returns `None` when the node budget ran out without an incumbent.
-pub fn integer_program_milp(
-    instance: &CoverInstance,
-    limits: &MilpProgramLimits,
-) -> Option<IntegerSolution> {
-    if instance.is_empty() {
-        return Some(IntegerSolution {
-            counts: BTreeMap::new(),
-            optimal: true,
-        });
-    }
-    let ncand = instance.num_candidates();
-    let budget = instance.total_demand() as f64;
-    // Variables: p_0..ncand | y_0..ncand.
-    let mut lp = LinearProgram::new(2 * ncand);
-    for y in ncand..2 * ncand {
-        lp.set_objective(y, 1.0);
-        lp.add_constraint(&[(y, 1.0)], Relation::Le, 1.0);
-    }
-    for row in instance.rows() {
-        let terms: Vec<(usize, f64)> = row.cand.iter().map(|c| (*c, 1.0)).collect();
-        lp.add_constraint(&terms, Relation::Ge, f64::from(row.demand));
-    }
-    let all_p: Vec<(usize, f64)> = (0..ncand).map(|p| (p, 1.0)).collect();
-    lp.add_constraint(&all_p, Relation::Eq, budget);
-    for p in 0..ncand {
-        lp.add_constraint(&[(p, 1.0), (p + ncand, -budget)], Relation::Le, 0.0);
-    }
-    let integers: Vec<usize> = (0..2 * ncand).collect();
-    match solve_milp(&lp, &integers, &limits.milp) {
-        MilpOutcome::Optimal { x, .. } => Some(solution_from_x(instance, &x, true)),
-        MilpOutcome::Budget { incumbent } => {
-            incumbent.map(|(x, _)| solution_from_x(instance, &x, false))
-        }
-        MilpOutcome::Infeasible | MilpOutcome::Unbounded => None,
-    }
-}
-
-fn solution_from_x(instance: &CoverInstance, x: &[f64], optimal: bool) -> IntegerSolution {
-    let ncand = instance.num_candidates();
-    let mut counts = BTreeMap::new();
-    for (c, v) in x.iter().take(ncand).enumerate() {
-        let rounded = v.round() as i64;
-        if rounded > 0 {
-            counts.insert(instance.link_of(c), rounded as u64);
-        }
-    }
-    IntegerSolution { counts, optimal }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::FlowRow;
+    use crate::milp::{integer_program_milp, MilpProgramLimits};
+
+    fn flows(data: &[(&[u32], u32)]) -> Vec<FlowRow> {
+        data.iter()
+            .map(|(links, d)| FlowRow {
+                links: links.to_vec(),
+                demand: *d,
+            })
+            .collect()
+    }
 
     fn rows(data: &[(&[u32], u32)]) -> CoverInstance {
-        CoverInstance::new(
-            &data
-                .iter()
-                .map(|(links, d)| FlowRow {
-                    links: links.to_vec(),
-                    demand: *d,
-                })
-                .collect::<Vec<_>>(),
-        )
+        CoverInstance::new(&flows(data))
     }
 
     #[test]
@@ -253,7 +188,7 @@ mod tests {
         for case in cases {
             let i = rows(&case);
             let fast = integer_program(&i, &SearchLimits::default());
-            let slow = integer_program_milp(&i, &MilpProgramLimits::default())
+            let slow = integer_program_milp(&flows(&case), &MilpProgramLimits::default())
                 .expect("small instances solve");
             assert!(fast.optimal && slow.optimal);
             assert_eq!(
@@ -276,7 +211,7 @@ mod tests {
         assert!(b.links.is_empty() && b.optimal);
         let s = integer_program(&i, &SearchLimits::default());
         assert!(s.counts.is_empty() && s.optimal);
-        let m = integer_program_milp(&i, &MilpProgramLimits::default()).unwrap();
+        let m = integer_program_milp(&[], &MilpProgramLimits::default()).unwrap();
         assert!(m.counts.is_empty());
     }
 

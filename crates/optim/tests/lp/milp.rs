@@ -6,9 +6,15 @@
 //! `x ≥ ⌈v⌉`, prune on incumbent. A node budget keeps adversarial
 //! instances from hanging; exceeding it returns the best incumbent with
 //! `optimal = false`.
+//!
+//! [`integer_program_milp`] encodes program (4) with indicator variables
+//! and solves it here — exponential, so only tests call it, to check the
+//! crate-level structure theorem against `integer_program`.
 
-use crate::simplex::{LinearProgram, LpOutcome, Relation};
+use super::simplex::{LinearProgram, LpOutcome, Relation};
+use super::{CoverInstance, FlowRow, IntegerSolution};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Node budget for the search.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -131,6 +137,76 @@ pub fn solve_milp(lp: &LinearProgram, integer_vars: &[usize], limits: &MilpLimit
         Some((x, objective)) => MilpOutcome::Optimal { x, objective },
         None => MilpOutcome::Infeasible,
     }
+}
+
+/// MILP limits specialized for the integer program.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub struct MilpProgramLimits {
+    /// Underlying branch-and-bound budget.
+    pub milp: MilpLimits,
+}
+
+/// Solves the integer program (4) over `flows` through the literal MILP
+/// encoding: integer `p_l ≥ 0`, binary indicators `y_l`, `p_l ≤ ‖c‖₁·y_l`,
+/// one `Σ p ≥ c` row per flow, minimize `Σ y_l`. The flows go in
+/// unmerged: a duplicate link set only repeats a constraint, so the
+/// feasible region is the merged instance's. Exponential; intended for
+/// small instances and validation.
+///
+/// Returns `None` when the node budget ran out without an incumbent.
+pub fn integer_program_milp(
+    flows: &[FlowRow],
+    limits: &MilpProgramLimits,
+) -> Option<IntegerSolution> {
+    let instance = CoverInstance::new(flows);
+    if instance.is_empty() {
+        return Some(IntegerSolution {
+            counts: BTreeMap::new(),
+            optimal: true,
+        });
+    }
+    let ncand = instance.num_candidates();
+    let budget = instance.total_demand() as f64;
+    // Variables: p_0..ncand | y_0..ncand.
+    let mut lp = LinearProgram::new(2 * ncand);
+    for y in ncand..2 * ncand {
+        lp.set_objective(y, 1.0);
+        lp.add_constraint(&[(y, 1.0)], Relation::Le, 1.0);
+    }
+    for flow in flows.iter().filter(|f| !f.links.is_empty()) {
+        let mut cand: Vec<usize> = (flow.links.iter())
+            .map(|l| instance.candidates().binary_search(l).expect("a candidate"))
+            .collect();
+        cand.sort_unstable();
+        cand.dedup();
+        let terms: Vec<(usize, f64)> = cand.iter().map(|c| (*c, 1.0)).collect();
+        lp.add_constraint(&terms, Relation::Ge, f64::from(flow.demand.max(1)));
+    }
+    let all_p: Vec<(usize, f64)> = (0..ncand).map(|p| (p, 1.0)).collect();
+    lp.add_constraint(&all_p, Relation::Eq, budget);
+    for p in 0..ncand {
+        lp.add_constraint(&[(p, 1.0), (p + ncand, -budget)], Relation::Le, 0.0);
+    }
+    let integers: Vec<usize> = (0..2 * ncand).collect();
+    match solve_milp(&lp, &integers, &limits.milp) {
+        MilpOutcome::Optimal { x, .. } => Some(solution_from_x(&instance, &x, true)),
+        MilpOutcome::Budget { incumbent } => {
+            incumbent.map(|(x, _)| solution_from_x(&instance, &x, false))
+        }
+        MilpOutcome::Infeasible | MilpOutcome::Unbounded => None,
+    }
+}
+
+fn solution_from_x(instance: &CoverInstance, x: &[f64], optimal: bool) -> IntegerSolution {
+    let ncand = instance.num_candidates();
+    let mut counts = BTreeMap::new();
+    for (c, v) in x.iter().take(ncand).enumerate() {
+        let rounded = v.round() as i64;
+        if rounded > 0 {
+            counts.insert(instance.link_of(c), rounded as u64);
+        }
+    }
+    IntegerSolution { counts, optimal }
 }
 
 #[cfg(test)]

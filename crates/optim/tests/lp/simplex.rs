@@ -66,11 +66,6 @@ impl LinearProgram {
         }
     }
 
-    /// Number of structural variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
     /// Sets the objective coefficient of one variable.
     pub fn set_objective(&mut self, var: usize, coeff: f64) {
         self.objective[var] = coeff;

@@ -1,17 +1,25 @@
 //! Property-based cross-validation of the solver stack: the simplex, the
 //! MILP branch-and-bound, the exact set cover, and the greedy
 //! approximation must agree with each other on randomized instances.
+//!
+//! The simplex and the MILP are test code: `lp/` holds them, shared with
+//! the crate's unit tests.
 
+#[path = "lp/simplex.rs"]
+mod simplex;
+
+#[path = "lp/milp.rs"]
+mod milp;
+
+use milp::{integer_program_milp, solve_milp, MilpLimits, MilpOutcome, MilpProgramLimits};
 use proptest::prelude::*;
-use vigil_optim::milp::{solve_milp, MilpLimits};
-use vigil_optim::programs::integer_program_milp;
-use vigil_optim::programs::MilpProgramLimits;
+use simplex::{LinearProgram, LpOutcome, Relation};
 use vigil_optim::{
     binary_program, greedy_cover, integer_program, min_set_cover, CoverInstance, FlowRow,
-    LinearProgram, LpOutcome, Relation, SearchLimits,
+    IntegerSolution, SearchLimits,
 };
 
-fn arb_instance() -> impl Strategy<Value = CoverInstance> {
+fn arb_flows() -> impl Strategy<Value = Vec<FlowRow>> {
     proptest::collection::vec(
         (
             proptest::collection::vec(0u32..8, 1..4),
@@ -20,13 +28,14 @@ fn arb_instance() -> impl Strategy<Value = CoverInstance> {
         1..7,
     )
     .prop_map(|rows| {
-        CoverInstance::new(
-            &rows
-                .into_iter()
-                .map(|(links, demand)| FlowRow { links, demand })
-                .collect::<Vec<_>>(),
-        )
+        rows.into_iter()
+            .map(|(links, demand)| FlowRow { links, demand })
+            .collect()
     })
+}
+
+fn arb_instance() -> impl Strategy<Value = CoverInstance> {
+    arb_flows().prop_map(|flows| CoverInstance::new(&flows))
 }
 
 proptest! {
@@ -36,13 +45,14 @@ proptest! {
     /// agrees with the structure-theorem route on ‖p‖₀ — the crate-level
     /// equivalence, fuzzed.
     #[test]
-    fn exact_greedy_and_milp_agree(instance in arb_instance()) {
+    fn exact_greedy_and_milp_agree(flows in arb_flows()) {
+        let instance = CoverInstance::new(&flows);
         let exact = min_set_cover(&instance, &SearchLimits::default());
         prop_assert!(exact.optimal);
         let greedy = greedy_cover(&instance, false);
         prop_assert!(exact.picked.len() <= greedy.len());
 
-        let milp = integer_program_milp(&instance, &MilpProgramLimits::default());
+        let milp = integer_program_milp(&flows, &MilpProgramLimits::default());
         if let Some(sol) = milp {
             prop_assert!(sol.optimal);
             prop_assert_eq!(sol.counts.len(), exact.picked.len(),
@@ -130,7 +140,7 @@ proptest! {
         let rhs = rhs_tenths as f64 / 10.0;
         lp.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Ge, rhs);
         match solve_milp(&lp, &[0, 1], &MilpLimits::default()) {
-            vigil_optim::milp::MilpOutcome::Optimal { x, objective } => {
+            MilpOutcome::Optimal { x, objective } => {
                 for v in &x {
                     prop_assert!((v - v.round()).abs() < 1e-6);
                 }

@@ -78,17 +78,6 @@ impl FiveTuple {
         }
     }
 
-    /// Returns a copy with the destination rewritten — what the SLB does
-    /// when it maps a VIP to a DIP (paper §4.2): the destination IP (and
-    /// possibly service port) change, everything else is preserved.
-    pub fn with_destination(&self, dst_ip: Ipv4Addr, dst_port: u16) -> Self {
-        Self {
-            dst_ip,
-            dst_port,
-            ..*self
-        }
-    }
-
     /// Canonical 13-byte encoding hashed by ECMP implementations:
     /// `src_ip ‖ dst_ip ‖ src_port ‖ dst_port ‖ protocol`, all big-endian.
     pub fn to_bytes(&self) -> [u8; 13] {
@@ -139,18 +128,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.reversed().reversed(), t);
         assert_ne!(t.reversed(), t);
-    }
-
-    #[test]
-    fn with_destination_preserves_source() {
-        let t = sample();
-        let dip = Ipv4Addr::new(10, 9, 9, 9);
-        let u = t.with_destination(dip, 8443);
-        assert_eq!(u.src_ip, t.src_ip);
-        assert_eq!(u.src_port, t.src_port);
-        assert_eq!(u.dst_ip, dip);
-        assert_eq!(u.dst_port, 8443);
-        assert_eq!(u.protocol, t.protocol);
     }
 
     #[test]

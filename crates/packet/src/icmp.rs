@@ -12,7 +12,6 @@ use crate::checksum;
 use crate::ipv4::{self, Ipv4Packet, Ipv4Repr};
 use crate::WireError;
 use serde::{Deserialize, Serialize};
-use std::net::Ipv4Addr;
 
 /// ICMP message type for Time Exceeded.
 pub const TYPE_TIME_EXCEEDED: u8 = 11;
@@ -106,20 +105,11 @@ impl IcmpTimeExceeded {
     }
 }
 
-/// A fully addressed ICMP reply as delivered to the probing host: the outer
-/// IPv4 source identifies the answering switch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AddressedTimeExceeded {
-    /// Address of the switch interface that generated the reply.
-    pub from: Ipv4Addr,
-    /// The ICMP body.
-    pub message: IcmpTimeExceeded,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::net::Ipv4Addr;
 
     fn sample() -> IcmpTimeExceeded {
         IcmpTimeExceeded {

@@ -138,13 +138,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
-    /// Sets the TTL and recomputes the header checksum — what each switch
-    /// hop does when forwarding.
-    pub fn set_ttl(&mut self, ttl: u8) {
-        self.buffer.as_mut()[field::TTL] = ttl;
-        self.fill_checksum();
-    }
-
     /// Recomputes and stores the header checksum.
     pub fn fill_checksum(&mut self) {
         let hl = self.header_len();
@@ -295,17 +288,6 @@ mod tests {
         let pkt = Ipv4Packet::new_checked(&buf[..]).unwrap();
         assert!(!pkt.verify_checksum());
         assert_eq!(Ipv4Repr::parse(&pkt).unwrap_err(), WireError::Checksum);
-    }
-
-    #[test]
-    fn set_ttl_keeps_checksum_valid() {
-        let repr = sample_repr();
-        let mut buf = vec![0u8; repr.buffer_len()];
-        repr.emit(&mut buf);
-        let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
-        pkt.set_ttl(3);
-        assert_eq!(pkt.ttl(), 3);
-        assert!(pkt.verify_checksum());
     }
 
     #[test]

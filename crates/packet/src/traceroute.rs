@@ -94,12 +94,6 @@ impl ProbeBuilder {
         buf
     }
 
-    /// Emits the whole probe train, TTLs `1..=MAX_PROBE_TTL` — the paper's
-    /// "15 appropriately crafted TCP packets with TTL values ranging 0–15".
-    pub fn train(&self) -> Vec<Vec<u8>> {
-        (1..=MAX_PROBE_TTL).map(|ttl| self.probe(ttl)).collect()
-    }
-
     /// The five-tuple the probes carry.
     pub fn tuple(&self) -> FiveTuple {
         self.tuple
@@ -168,7 +162,9 @@ mod tests {
     #[test]
     fn train_has_15_probes_with_staggered_ttls() {
         let b = ProbeBuilder::new(tuple(), 42);
-        let train = b.train();
+        // The paper's "15 appropriately crafted TCP packets with TTL
+        // values ranging 0–15": one probe per TTL `1..=MAX_PROBE_TTL`.
+        let train: Vec<Vec<u8>> = (1..=MAX_PROBE_TTL).map(|ttl| b.probe(ttl)).collect();
         assert_eq!(train.len(), 15);
         for (i, probe) in train.iter().enumerate() {
             let pkt = Ipv4Packet::new_checked(&probe[..]).unwrap();

@@ -99,25 +99,6 @@ impl Ecdf {
         self.sorted.last().copied()
     }
 
-    /// Emits the CDF as `(x, F(x))` step points, one per distinct
-    /// observation — the series the figure-regeneration binaries print.
-    pub fn step_points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let x = self.sorted[i];
-            // advance past duplicates
-            let mut j = i + 1;
-            while j < n && self.sorted[j] == x {
-                j += 1;
-            }
-            out.push((x, j as f64 / n as f64));
-            i = j;
-        }
-        out
-    }
-
     /// Samples the CDF at `k` evenly spaced abscissae spanning
     /// `[min, max]` — convenient for fixed-width textual plots.
     pub fn sampled(&self, k: usize) -> Vec<(f64, f64)> {
@@ -149,7 +130,6 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.eval(3.0), 0.0);
         assert_eq!(e.quantile(0.5), None);
-        assert!(e.step_points().is_empty());
     }
 
     #[test]
@@ -158,13 +138,17 @@ mod tests {
         assert_eq!(e.eval(4.9), 0.0);
         assert_eq!(e.eval(5.0), 1.0);
         assert_eq!(e.quantile(0.5), Some(5.0));
-        assert_eq!(e.step_points(), vec![(5.0, 1.0)]);
     }
 
     #[test]
     fn duplicates_collapse_in_steps() {
         let e = Ecdf::new(vec![2.0, 1.0, 2.0, 3.0]);
-        assert_eq!(e.step_points(), vec![(1.0, 0.25), (2.0, 0.75), (3.0, 1.0)]);
+        // One step per distinct value, as tall as its multiplicity.
+        assert_eq!(e.eval(0.5), 0.0);
+        assert_eq!(e.eval(1.0), 0.25);
+        assert_eq!(e.eval(1.5), 0.25);
+        assert_eq!(e.eval(2.0), 0.75);
+        assert_eq!(e.eval(3.0), 1.0);
     }
 
     #[test]

@@ -98,18 +98,6 @@ impl Histogram {
     pub fn max(&self) -> Option<f64> {
         self.max
     }
-
-    /// Human-readable labels for each bin, e.g. `"x ≤ 0"`, `"0 < x ≤ 3"`,
-    /// `"x > 3"`.
-    pub fn bin_labels(&self) -> Vec<String> {
-        let mut labels = Vec::with_capacity(self.counts.len());
-        labels.push(format!("x ≤ {}", self.edges[0]));
-        for w in self.edges.windows(2) {
-            labels.push(format!("{} < x ≤ {}", w[0], w[1]));
-        }
-        labels.push(format!("x > {}", self.edges[self.edges.len() - 1]));
-        labels
-    }
 }
 
 #[cfg(test)]
@@ -141,12 +129,6 @@ mod tests {
         h.record(2.0); // second bin (1 < x <= 2)
         h.record(2.0000001); // overflow
         assert_eq!(h.counts(), &[1, 1, 1]);
-    }
-
-    #[test]
-    fn labels() {
-        let h = Histogram::new(vec![0.0, 3.0]);
-        assert_eq!(h.bin_labels(), vec!["x ≤ 0", "0 < x ≤ 3", "x > 3"]);
     }
 
     #[test]

@@ -48,13 +48,6 @@ impl RatioMetric {
     pub fn value(&self) -> Option<f64> {
         (self.total > 0).then(|| self.hits as f64 / self.total as f64)
     }
-
-    /// The ratio, treating an empty metric as perfect (`1.0`). This matches
-    /// the paper's convention for precision/recall when there is nothing to
-    /// detect and nothing was reported.
-    pub fn value_or_perfect(&self) -> f64 {
-        self.value().unwrap_or(1.0)
-    }
 }
 
 /// Confusion counts for a set-detection task (Algorithm 1: report a set of
@@ -93,17 +86,6 @@ impl BinaryConfusion {
         (denom > 0).then(|| self.true_positives as f64 / denom as f64)
     }
 
-    /// F1 score; `None` when precision and recall are both undefined or sum
-    /// to zero.
-    pub fn f1(&self) -> Option<f64> {
-        let p = self.precision()?;
-        let r = self.recall()?;
-        if p + r == 0.0 {
-            return None;
-        }
-        Some(2.0 * p * r / (p + r))
-    }
-
     /// Accumulates another confusion matrix (across epochs or trials).
     pub fn merge(&mut self, other: BinaryConfusion) {
         self.true_positives += other.true_positives;
@@ -138,7 +120,6 @@ mod tests {
     fn ratio_metric_basic() {
         let mut m = RatioMetric::default();
         assert_eq!(m.value(), None);
-        assert_eq!(m.value_or_perfect(), 1.0);
         m.record(true);
         m.record(false);
         m.record(true);
@@ -179,7 +160,6 @@ mod tests {
         let c = BinaryConfusion::from_sets(&empty, &empty);
         assert_eq!(c.precision(), None);
         assert_eq!(c.recall(), None);
-        assert_eq!(c.f1(), None);
     }
 
     #[test]
@@ -188,18 +168,6 @@ mod tests {
         let c = BinaryConfusion::from_sets(&truth.clone(), &truth);
         assert_eq!(c.precision(), Some(1.0));
         assert_eq!(c.recall(), Some(1.0));
-        assert_eq!(c.f1(), Some(1.0));
-    }
-
-    #[test]
-    fn f1_harmonic_mean() {
-        let c = BinaryConfusion {
-            true_positives: 1,
-            false_positives: 1,
-            false_negatives: 0,
-        };
-        // p = 0.5, r = 1.0 → f1 = 2·0.5·1/(1.5) = 2/3
-        assert!((c.f1().unwrap() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use serde::Serialize;
 /// use vigil_stats::Summary;
 /// let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_variance().unwrap() - 4.0).abs() < 1e-12);
+/// assert!((s.sample_variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct Summary {
@@ -77,11 +77,6 @@ impl Summary {
         (self.count >= 2).then(|| self.m2 / (self.count - 1) as f64)
     }
 
-    /// Population variance (needs ≥ 1 observation).
-    pub fn population_variance(&self) -> Option<f64> {
-        (self.count >= 1).then(|| self.m2 / self.count as f64)
-    }
-
     /// Sample standard deviation.
     pub fn std_dev(&self) -> Option<f64> {
         self.sample_variance().map(f64::sqrt)
@@ -96,12 +91,6 @@ impl Summary {
     /// approximation, `1.96 · SE`). The paper reports e.g. "0.45 ± 0.12".
     pub fn ci95_half_width(&self) -> Option<f64> {
         self.std_err().map(|se| 1.96 * se)
-    }
-
-    /// `(mean − hw, mean + hw)` for the 95 % CI, if defined.
-    pub fn ci95(&self) -> Option<(f64, f64)> {
-        let hw = self.ci95_half_width()?;
-        Some((self.mean - hw, self.mean + hw))
     }
 
     /// Merges another summary (parallel Welford merge).
@@ -147,14 +136,13 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.sample_variance(), None);
         assert_eq!(s.min(), None);
-        assert_eq!(s.ci95(), None);
+        assert_eq!(s.ci95_half_width(), None);
     }
 
     #[test]
     fn single_observation() {
         let s: Summary = [3.5].into_iter().collect();
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.population_variance(), Some(0.0));
         assert_eq!(s.sample_variance(), None);
         assert_eq!(s.min(), Some(3.5));
         assert_eq!(s.max(), Some(3.5));
@@ -225,12 +213,13 @@ mod tests {
         let mut merged: Summary = xs[..71].iter().copied().collect();
         let rest: Summary = xs[71..].iter().copied().collect();
         merged.merge(&rest);
-        let (lo_s, hi_s) = single.ci95().unwrap();
-        let (lo_m, hi_m) = merged.ci95().unwrap();
-        assert!((lo_s - lo_m).abs() < 1e-9, "CI lower bound drifted");
-        assert!((hi_s - hi_m).abs() < 1e-9, "CI upper bound drifted");
         assert!(
-            (single.ci95_half_width().unwrap() - merged.ci95_half_width().unwrap()).abs() < 1e-9
+            (single.mean() - merged.mean()).abs() < 1e-9,
+            "CI centre drifted"
+        );
+        assert!(
+            (single.ci95_half_width().unwrap() - merged.ci95_half_width().unwrap()).abs() < 1e-9,
+            "CI half-width drifted"
         );
     }
 

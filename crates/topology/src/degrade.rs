@@ -202,7 +202,8 @@ mod tests {
         assert_eq!(o.n1, p.n1 / 2);
         assert_eq!(o.n2, p.n2 / 2);
         o.validate().unwrap();
-        assert!(o.spine_pairs_per_pod() < p.spine_pairs_per_pod());
+        let spine_pairs = |c: ClosParams| u32::from(c.n1) * u32::from(c.n2);
+        assert!(spine_pairs(o) < spine_pairs(p));
         // Degenerate factor never zeroes a layer.
         let tiny = ClosParams::tiny().with_oversubscription(100);
         assert_eq!(tiny.n1, 1);

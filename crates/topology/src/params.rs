@@ -116,13 +116,6 @@ impl ClosParams {
         }
     }
 
-    /// Spine links per pod-direction: the T1↔T2 bipartite degree product
-    /// (`n1·n2`), 0 for single-tier fabrics. [`crate::degrade::DegradeSpec`]
-    /// withdraws a fraction of these pairs to model a degraded fabric.
-    pub fn spine_pairs_per_pod(&self) -> u32 {
-        u32::from(self.n1) * u32::from(self.n2)
-    }
-
     /// Validates the parameters.
     pub fn validate(&self) -> Result<(), ParamError> {
         if self.npod == 0 {

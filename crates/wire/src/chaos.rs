@@ -91,15 +91,6 @@ impl ChaosPlan {
         }
     }
 
-    /// True when no axis can fire.
-    pub fn is_quiet(&self) -> bool {
-        self.corrupt <= 0.0
-            && self.truncate <= 0.0
-            && self.duplicate <= 0.0
-            && self.delay <= 0.0
-            && self.reset_every == 0
-    }
-
     /// A fair coin at probability `p` for `(key, index, axis)`.
     fn coin(&self, key: u64, index: u64, axis: u64, p: f64) -> bool {
         if p <= 0.0 {
@@ -455,7 +446,6 @@ mod tests {
     #[test]
     fn quiet_plan_never_faults() {
         let plan = ChaosPlan::quiet(7);
-        assert!(plan.is_quiet());
         for index in 0..4096 {
             assert_eq!(plan.frame_fault(0, index, 64), FrameFault::None);
         }
@@ -503,7 +493,7 @@ mod tests {
             "unknown axis rejected"
         );
         assert!(ChaosPlan::parse("delay=0.1").is_err(), "delay needs :MS");
-        assert!(ChaosPlan::parse("").unwrap().is_quiet());
+        assert_eq!(ChaosPlan::parse("").unwrap(), ChaosPlan::quiet(0));
     }
 
     #[test]
@@ -514,8 +504,8 @@ mod tests {
             ..ChaosPlan::quiet(1)
         };
         let sched = ChaosSchedule::new(vec![(4, rough), (0, quiet)]);
-        assert!(sched.plan_for(0).is_quiet());
-        assert!(sched.plan_for(3).is_quiet());
+        assert_eq!(sched.plan_for(0), quiet);
+        assert_eq!(sched.plan_for(3), quiet);
         assert_eq!(sched.plan_for(4).corrupt, 0.1);
         assert_eq!(sched.plan_for(100).corrupt, 0.1);
     }

@@ -496,6 +496,28 @@ impl<R: Read> FrameReader<R> {
     /// Reads the next frame, blocking for more bytes as needed. Strict:
     /// any framing error poisons the stream (`InvalidData`).
     pub fn next_frame(&mut self) -> io::Result<Option<WireFrame>> {
+        self.read_frame(false)
+    }
+
+    /// Reads the next frame, quarantining garbage: on any framing error
+    /// other than truncation the reader skips forward to the next `"007"`
+    /// magic (counting the skipped run in the quarantine counters) and
+    /// keeps going. Mid-frame EOF is still an error — a torn connection
+    /// is the caller's signal to reconcile, not bytes to skip.
+    ///
+    /// One caveat is inherent to length-prefixed framing: a corrupted
+    /// length field that stays within [`MAX_PAYLOAD`] makes the reader
+    /// wait for that many bytes before the checksum unmasks the frame;
+    /// recovery then re-finds every swallowed frame (the buffer is only
+    /// discarded byte-by-byte past verified boundaries), but a stalled
+    /// peer can hold the wait — the collector's idle timeout bounds it.
+    pub fn next_frame_lenient(&mut self) -> io::Result<Option<WireFrame>> {
+        self.read_frame(true)
+    }
+
+    /// The one read loop: `lenient` decides whether a framing error
+    /// poisons the stream or is quarantined and skipped.
+    fn read_frame(&mut self, lenient: bool) -> io::Result<Option<WireFrame>> {
         loop {
             match parse_frame(&self.buf[self.start..]) {
                 Ok((frame, used)) => {
@@ -514,43 +536,8 @@ impl<R: Read> FrameReader<R> {
                         ));
                     }
                 }
-                Err(e) => {
+                Err(e) if !lenient => {
                     return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-                }
-            }
-        }
-    }
-
-    /// Reads the next frame, quarantining garbage: on any framing error
-    /// other than truncation the reader skips forward to the next `"007"`
-    /// magic (counting the skipped run in the quarantine counters) and
-    /// keeps going. Mid-frame EOF is still an error — a torn connection
-    /// is the caller's signal to reconcile, not bytes to skip.
-    ///
-    /// One caveat is inherent to length-prefixed framing: a corrupted
-    /// length field that stays within [`MAX_PAYLOAD`] makes the reader
-    /// wait for that many bytes before the checksum unmasks the frame;
-    /// recovery then re-finds every swallowed frame (the buffer is only
-    /// discarded byte-by-byte past verified boundaries), but a stalled
-    /// peer can hold the wait — the collector's idle timeout bounds it.
-    pub fn next_frame_lenient(&mut self) -> io::Result<Option<WireFrame>> {
-        loop {
-            match parse_frame(&self.buf[self.start..]) {
-                Ok((frame, used)) => {
-                    self.start += used;
-                    self.reclaim();
-                    return Ok(Some(frame));
-                }
-                Err(FrameError::Truncated) => {
-                    if !self.fill()? {
-                        if self.start == self.buf.len() {
-                            return Ok(None);
-                        }
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-frame",
-                        ));
-                    }
                 }
                 Err(_) => {
                     // Resync: skip at least one byte, up to the next

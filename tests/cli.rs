@@ -353,6 +353,53 @@ fn stream_json_equals_batch_run_and_is_thread_invariant() {
     );
 }
 
+/// Plain `stream` text, stdout and stderr, at `VIGIL_THREADS` 1, 2 and 4:
+/// identical once the thread count and the wall time are masked. The
+/// hub event count on stderr counts each window's epoch ticks from that
+/// window's own dispatches, so it does not depend on which worker ran
+/// which window.
+#[test]
+fn plain_stream_text_is_thread_invariant() {
+    let mask = |text: &[u8]| -> String {
+        let text = String::from_utf8_lossy(text);
+        let lines = text.lines().map(|line| match line.find(" thread(s), ") {
+            Some(i) => {
+                let head = &line[..line[..i].rfind(", ").expect("a counts clause")];
+                format!("{head}, <threads>, <ms>)")
+            }
+            None => line.to_owned(),
+        });
+        lines.collect::<Vec<_>>().join("\n")
+    };
+    let run = |threads: &str| {
+        let out = vigil_sim()
+            .args(["stream", "test-cluster", "--trials", "2", "--epochs", "2"])
+            .env("VIGIL_THREADS", threads)
+            .output()
+            .expect("spawn vigil-sim");
+        assert!(
+            out.status.success(),
+            "vigil-sim stream at {threads} thread(s) failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (mask(&out.stdout), mask(&out.stderr))
+    };
+    let one = run("1");
+    assert!(
+        one.0.contains("<threads>"),
+        "no thread count masked:\n{}",
+        one.0
+    );
+    assert!(one.1.contains("events"), "no stream counters:\n{}", one.1);
+    for threads in ["2", "4"] {
+        assert_eq!(
+            one,
+            run(threads),
+            "VIGIL_THREADS={threads} changed the text"
+        );
+    }
+}
+
 #[test]
 fn stream_forever_caps_at_explicit_epochs_and_prints_windows() {
     let out = vigil_sim()
