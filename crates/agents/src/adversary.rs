@@ -258,7 +258,8 @@ impl AdversaryModel {
 
     /// What `rec.src`'s monitoring agent emits for this flow record:
     /// `Some((event, path))` routes through the host agent (pacer, dup
-    /// cache, hub) exactly like an honest observation; `None` is silence.
+    /// cache, event sink) exactly like an honest observation; `None` is
+    /// silence.
     /// [`decide`](Self::decide) on the record's columns, then
     /// [`claimed_path`](Self::claimed_path) on its path.
     pub fn emission(&self, rec: &FlowRecord) -> Option<(RetransmissionEvent, DiscoveredPath)> {

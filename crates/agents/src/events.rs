@@ -17,10 +17,11 @@
 //!   events will carry its host id.
 //!
 //! Every event carries a **per-host sequence number**, assigned by the
-//! emitting agent in emission order. The hub may shed events under
-//! pressure ([`crate::hub::EventSender::try_send`]); sequence gaps are
-//! how the collector *knows* it lost something rather than silently
-//! under-counting votes.
+//! emitting agent in emission order. An agent emits into an
+//! [`EventSink`]: the `Vec` its driver drains never loses an event, and
+//! only the benchmark twin's hub ([`crate::hub::EventSender::try_send`])
+//! sheds. Sequence gaps are how a receiver *knows* it lost something
+//! rather than silently under-counting votes.
 
 use crate::host_agent::TraceReport;
 use serde::{Deserialize, Serialize};
@@ -83,6 +84,20 @@ impl AgentEvent {
             | AgentEvent::EpochTick { seq, .. }
             | AgentEvent::Drain { seq, .. } => *seq,
         }
+    }
+}
+
+/// Where a [`crate::HostAgent`] puts the events it emits.
+pub trait EventSink {
+    /// Takes one event (or sheds it).
+    fn emit(&mut self, event: AgentEvent);
+}
+
+/// The drivers' sink: a buffer they drain after every batch, in emission
+/// order. It never sheds.
+impl EventSink for &mut Vec<AgentEvent> {
+    fn emit(&mut self, event: AgentEvent) {
+        self.push(event);
     }
 }
 

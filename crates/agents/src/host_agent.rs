@@ -1,8 +1,7 @@
 //! The per-host 007 agent: monitoring → pacing → path discovery →
 //! reporting.
 
-use crate::events::AgentEvent;
-use crate::hub::EventSender;
+use crate::events::{AgentEvent, EventSink};
 use crate::monitor::RetransmissionEvent;
 use crate::pathdisc::{DiscoveredPath, HostPacer};
 use serde::{Deserialize, Serialize};
@@ -99,40 +98,34 @@ impl HostAgent {
     }
 
     /// Streaming mode: observes one retransmission and emits protocol
-    /// events onto the hub — [`AgentEvent::FlowOpen`] for the observation
+    /// events into `sink` — [`AgentEvent::FlowOpen`] for the observation
     /// itself, then [`AgentEvent::Evidence`] when the pacer admits the
-    /// trace. Uses the shedding `try_send` ("monitoring must never hurt
-    /// the application"); a shed is visible in the hub counters and as a
-    /// per-host sequence gap. Returns `true` when evidence was emitted
-    /// *and* delivered.
+    /// trace. A sink that sheds leaves a per-host sequence gap.
     pub fn on_retransmission(
         &mut self,
         event: &RetransmissionEvent,
         path: DiscoveredPath,
-        hub: &EventSender,
-    ) -> bool {
+        mut sink: impl EventSink,
+    ) {
         let open_seq = self.bump_seq();
-        hub.try_send(AgentEvent::FlowOpen {
+        sink.emit(AgentEvent::FlowOpen {
             host: self.host,
             seq: open_seq,
             tuple: event.tuple,
         });
-        match self.trace(event, || Some(path)) {
-            Some(report) => {
-                let seq = self.bump_seq();
-                hub.try_send(AgentEvent::Evidence { seq, report })
-            }
-            None => false,
+        if let Some(report) = self.trace(event, || Some(path)) {
+            let seq = self.bump_seq();
+            sink.emit(AgentEvent::Evidence { seq, report });
         }
     }
 
     /// Streaming mode: rolls into epoch `epoch` (budget refreshed, trace
     /// cache cleared — exactly [`next_epoch`](Self::next_epoch)) and
-    /// announces it on the hub.
-    pub fn epoch_tick(&mut self, epoch: u64, hub: &EventSender) {
+    /// announces it into `sink`.
+    pub fn epoch_tick(&mut self, epoch: u64, mut sink: impl EventSink) {
         self.pacer.next_epoch();
         let seq = self.bump_seq();
-        hub.try_send(AgentEvent::EpochTick {
+        sink.emit(AgentEvent::EpochTick {
             host: self.host,
             seq,
             epoch,
@@ -141,9 +134,9 @@ impl HostAgent {
 
     /// Streaming mode: announces shutdown — the final event this host id
     /// will carry.
-    pub fn drain(&mut self, hub: &EventSender) {
+    pub fn drain(&mut self, mut sink: impl EventSink) {
         let seq = self.bump_seq();
-        hub.try_send(AgentEvent::Drain {
+        sink.emit(AgentEvent::Drain {
             host: self.host,
             seq,
         });
@@ -260,23 +253,20 @@ mod tests {
     #[test]
     fn streaming_protocol_emits_sequenced_events() {
         use crate::events::AgentEvent;
-        use crate::hub::event_channel;
         let (topo, out) = epoch();
-        let (tx, collector) = event_channel();
         let h = topo
             .hosts()
             .find(|h| !events_of(*h, &out).is_empty())
             .unwrap();
         let mut agent = HostAgent::new(h, HostPacer::with_budget(1000));
         let events = events_of(h, &out);
-        for (e, discovered) in &events {
-            assert!(agent.on_retransmission(e, discovered.clone(), &tx));
-        }
-        agent.epoch_tick(1, &tx);
-        agent.drain(&tx);
-
         let mut protocol = Vec::new();
-        collector.drain_into(&mut protocol);
+        for (e, discovered) in &events {
+            agent.on_retransmission(e, discovered.clone(), &mut protocol);
+        }
+        agent.epoch_tick(1, &mut protocol);
+        agent.drain(&mut protocol);
+
         // FlowOpen + Evidence per event, then the tick and the drain.
         assert_eq!(protocol.len(), events.len() * 2 + 2);
         for (i, ev) in protocol.iter().enumerate() {
@@ -288,7 +278,6 @@ mod tests {
             AgentEvent::EpochTick { epoch: 1, .. }
         ));
         assert!(matches!(protocol.last(), Some(AgentEvent::Drain { .. })));
-        assert_eq!(collector.shed(), 0);
         assert_eq!(agent.events_emitted(), protocol.len() as u64);
     }
 

@@ -1,90 +1,58 @@
-//! Event fan-in: per-host agents → centralized analysis agent.
+//! A bounded crossbeam hub for [`AgentEvent`]s, kept only for the
+//! benchmark's twin.
 //!
-//! The paper's Figure 2 shows every host's 007 process feeding a central
-//! analysis agent ("At regular intervals of 30s the votes are tallied by a
-//! centralized analysis agent"). This module is that arrow: a crossbeam
-//! MPMC channel pair carrying the typed [`AgentEvent`] protocol, so host
-//! agents can run on their own threads and the collector drains
-//! everything that arrived.
+//! No library driver uses it: fabric, agents and ledger run on one
+//! thread, so host agents emit into an [`EventSink`] buffer their driver
+//! drains (the arrow in the paper's Figure 2 is a function call). The
+//! benchmark's twin (`benchmark/src/twin.rs`) still compiles against
+//! [`event_channel_bounded`], [`EventSender::try_send`] and
+//! [`EventCollector::{drain_into, shed}`](EventCollector), so they stay
+//! until ROADMAP item 24 deletes the twin; then this module goes.
 //!
-//! [`event_channel`] is unbounded — fine for an agent's private staging
-//! queue. A deployment wants [`event_channel_bounded`]: a slow (or
-//! wedged) analysis agent then exerts backpressure instead of growing
-//! the queue without limit, and hosts that refuse to block can
-//! [`EventSender::try_send`] and shed events — "monitoring must never
-//! hurt the application".
+//! A full hub sheds: [`EventSender::try_send`] drops the event and counts
+//! it ("monitoring must never hurt the application"), and the per-host
+//! sequence numbers in [`AgentEvent`] leave a visible gap.
 
-use crate::events::AgentEvent;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crate::events::{AgentEvent, EventSink};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared delivery accounting for one hub: how many submissions made it
-/// onto the queue and how many were shed (full bounded queue, or
-/// collector gone). Shedding is a *deliberate* pressure valve —
-/// "monitoring must never hurt the application" — but a silent one is an
-/// operational hazard: votes quietly vanish and accuracy degrades with
-/// no signal. The counters make every shed observable at the collector.
-#[derive(Debug, Default)]
-struct HubCounters {
-    delivered: AtomicU64,
-    shed: AtomicU64,
-}
-
-/// Sending half of the typed [`AgentEvent`] hub given to the host agents
-/// (clone freely; one per host thread).
+/// Sending half of the hub.
 #[derive(Debug, Clone)]
 pub struct EventSender {
     tx: Sender<AgentEvent>,
-    counters: Arc<HubCounters>,
+    shed: Arc<AtomicU64>,
 }
 
 impl EventSender {
-    /// Blocking submit (backpressure on a full bounded hub). `false` when
-    /// the collector is gone (shutdown) — hosts just drop events then,
-    /// matching the "monitoring must never hurt the application" stance.
-    pub fn send(&self, event: AgentEvent) -> bool {
-        if self.tx.send(event).is_ok() {
-            self.counters.delivered.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            self.counters.shed.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
-
-    /// Non-blocking submit for hosts that must never stall; sheds (and
-    /// counts the shed) on a full bounded hub or after collector
-    /// shutdown. Losing one event costs a vote, not correctness (the flow
-    /// will retransmit again next epoch), and the per-host sequence
-    /// numbers in [`AgentEvent`] are what let the collector *see* the
-    /// resulting gap.
+    /// Non-blocking submit; sheds (and counts the shed) on a full hub or
+    /// after the collector is gone. `false` when shed.
     pub fn try_send(&self, event: AgentEvent) -> bool {
-        match self.tx.try_send(event) {
-            Ok(()) => {
-                self.counters.delivered.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                false
-            }
+        let sent = self.tx.try_send(event).is_ok();
+        if !sent {
+            self.shed.fetch_add(1, Ordering::Relaxed);
         }
+        sent
     }
 }
 
-/// Receiving half of the typed event hub, owned by the analysis agent
-/// (the stream driver in our pipeline).
+impl EventSink for &EventSender {
+    fn emit(&mut self, event: AgentEvent) {
+        self.try_send(event);
+    }
+}
+
+/// Receiving half of the hub.
 #[derive(Debug)]
 pub struct EventCollector {
     rx: Receiver<AgentEvent>,
-    counters: Arc<HubCounters>,
+    shed: Arc<AtomicU64>,
 }
 
 impl EventCollector {
     /// Drains every queued event into `out` (append; non-blocking).
-    /// Returns the number drained. The caller owns the buffer so the
-    /// steady-state drain loop allocates nothing.
+    /// Returns the number drained.
     pub fn drain_into(&self, out: &mut Vec<AgentEvent>) -> usize {
         let before = out.len();
         while let Ok(e) = self.rx.try_recv() {
@@ -93,34 +61,13 @@ impl EventCollector {
         out.len() - before
     }
 
-    /// Events accepted onto the hub so far.
-    pub fn delivered(&self) -> u64 {
-        self.counters.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Events shed so far (bounded queue full on `try_send`, or sender
-    /// outliving the collector). Nonzero sheds mean votes were lost — the
-    /// stream driver logs this count every window.
+    /// Events shed so far.
     pub fn shed(&self) -> u64 {
-        self.counters.shed.load(Ordering::Relaxed)
+        self.shed.load(Ordering::Relaxed)
     }
 }
 
-/// Creates an unbounded typed event hub.
-pub fn event_channel() -> (EventSender, EventCollector) {
-    let (tx, rx) = unbounded();
-    let counters = Arc::new(HubCounters::default());
-    (
-        EventSender {
-            tx,
-            counters: Arc::clone(&counters),
-        },
-        EventCollector { rx, counters },
-    )
-}
-
-/// Creates a typed event hub holding at most `capacity` undelivered
-/// events — the stream driver's bounded queue depth.
+/// Creates a hub holding at most `capacity` undelivered events.
 ///
 /// # Panics
 ///
@@ -129,13 +76,13 @@ pub fn event_channel() -> (EventSender, EventCollector) {
 pub fn event_channel_bounded(capacity: usize) -> (EventSender, EventCollector) {
     assert!(capacity > 0, "hub capacity must be at least 1");
     let (tx, rx) = bounded(capacity);
-    let counters = Arc::new(HubCounters::default());
+    let shed = Arc::new(AtomicU64::new(0));
     (
         EventSender {
             tx,
-            counters: Arc::clone(&counters),
+            shed: Arc::clone(&shed),
         },
-        EventCollector { rx, counters },
+        EventCollector { rx, shed },
     )
 }
 
@@ -169,49 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn fan_in_from_threads() {
-        let (tx, collector) = event_channel();
-        let mut handles = Vec::new();
-        for h in 0..8u32 {
-            let tx = tx.clone();
-            handles.push(std::thread::spawn(move || {
-                for seq in 0..5 {
-                    assert!(tx.send(evidence(h, seq)));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut events = Vec::new();
-        assert_eq!(collector.drain_into(&mut events), 40);
-        // Every host contributed 5, and the drain is non-blocking.
-        for h in 0..8u32 {
-            assert_eq!(events.iter().filter(|e| e.host() == HostId(h)).count(), 5);
-        }
-        assert_eq!(collector.drain_into(&mut events), 0);
-    }
-
-    #[test]
-    fn bounded_hub_send_applies_backpressure() {
-        let (tx, collector) = event_channel_bounded(1);
-        assert!(tx.send(evidence(1, 0)));
-        let producer = std::thread::spawn(move || {
-            // Queue is full: this blocks until the collector drains,
-            // then succeeds — backpressure, not loss.
-            assert!(tx.send(evidence(2, 0)));
-        });
-        let mut events = Vec::new();
-        while events.len() < 2 {
-            collector.drain_into(&mut events);
-            std::thread::yield_now();
-        }
-        producer.join().unwrap();
-        assert_eq!(events[1].host(), HostId(2));
-        assert_eq!((collector.delivered(), collector.shed()), (2, 0));
-    }
-
-    #[test]
     #[should_panic(expected = "capacity")]
     fn bounded_hub_rejects_zero_capacity() {
         let _ = event_channel_bounded(0);
@@ -219,41 +123,39 @@ mod tests {
 
     #[test]
     fn send_after_collector_drop_counts_as_shed() {
-        let (tx, collector) = event_channel();
+        let (tx, collector) = event_channel_bounded(4);
         drop(collector);
-        assert!(!tx.send(evidence(1, 0)));
+        assert!(!tx.try_send(evidence(1, 0)));
         assert!(!tx.try_send(evidence(2, 0)));
         // A fresh hub starts at zero.
-        let (tx2, collector2) = event_channel();
-        assert!(tx2.send(evidence(3, 0)));
-        assert_eq!((collector2.delivered(), collector2.shed()), (1, 0));
+        let (tx2, collector2) = event_channel_bounded(4);
+        assert!(tx2.try_send(evidence(3, 0)));
+        assert_eq!(collector2.shed(), 0);
     }
 
     #[test]
     fn event_hub_carries_the_typed_protocol() {
-        use crate::events::AgentEvent;
         let (tx, collector) = event_channel_bounded(8);
-        assert!(tx.send(AgentEvent::FlowOpen {
+        assert!(tx.try_send(AgentEvent::FlowOpen {
             host: HostId(1),
             seq: 0,
             tuple: report(1, 1).tuple,
         }));
-        assert!(tx.send(AgentEvent::Evidence {
+        assert!(tx.try_send(AgentEvent::Evidence {
             seq: 1,
             report: report(1, 2),
         }));
-        assert!(tx.send(AgentEvent::EpochTick {
+        assert!(tx.try_send(AgentEvent::EpochTick {
             host: HostId(1),
             seq: 2,
             epoch: 0,
         }));
-        assert!(tx.send(AgentEvent::Drain {
+        assert!(tx.try_send(AgentEvent::Drain {
             host: HostId(1),
             seq: 3,
         }));
         let mut events = Vec::new();
         assert_eq!(collector.drain_into(&mut events), 4);
-        assert_eq!(collector.delivered(), 4);
         assert_eq!(collector.shed(), 0);
         // Per-host sequence numbers arrive gap-free and monotonic.
         for (i, e) in events.iter().enumerate() {
@@ -262,26 +164,36 @@ mod tests {
         }
     }
 
+    /// The `&EventSender` sink: a host agent emitting onto a full hub
+    /// sheds, and the shed leaves a gap in its per-host sequence.
     #[test]
     fn event_hub_sheds_visibly_when_full() {
-        use crate::events::AgentEvent;
+        use crate::host_agent::HostAgent;
+        use crate::monitor::RetransmissionEvent;
+        use crate::pathdisc::{DiscoveredPath, HostPacer};
         let (tx, collector) = event_channel_bounded(1);
-        let open = |seq| AgentEvent::FlowOpen {
+        let mut agent = HostAgent::new(HostId(0), HostPacer::with_budget(10));
+        let event = RetransmissionEvent {
             host: HostId(0),
-            seq,
             tuple: report(0, 1).tuple,
+            retransmissions: 1,
         };
-        assert!(tx.try_send(open(0)));
-        assert!(!tx.try_send(open(1)), "full hub sheds");
-        assert_eq!(collector.shed(), 1);
+        let path = DiscoveredPath {
+            links: vec![LinkId(1), LinkId(2)],
+            complete: true,
+        };
+        // FlowOpen (seq 0) fills the hub; the Evidence (seq 1) is shed.
+        agent.on_retransmission(&event, path, &tx);
+        assert_eq!(collector.shed(), 1, "full hub sheds");
         let mut events = Vec::new();
         collector.drain_into(&mut events);
         // The surviving stream has a detectable sequence gap after the
         // next successful send.
-        assert!(tx.try_send(open(2)));
+        agent.epoch_tick(1, &tx);
         collector.drain_into(&mut events);
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].seq(), 0);
-        assert_eq!(events[1].seq(), 2, "gap marks the shed event");
+        assert!(matches!(events[0], AgentEvent::FlowOpen { seq: 0, .. }));
+        assert!(matches!(events[1], AgentEvent::EpochTick { seq: 2, .. }));
+        assert_eq!(agent.events_emitted(), 3, "gap marks the shed event");
     }
 }

@@ -19,10 +19,10 @@
 //!   mode emits it as incremental [`AgentEvent`]s with per-host sequence
 //!   numbers.
 //! * [`events`] — the typed agent-event protocol of the streaming
-//!   service mode: flow-open / evidence / epoch-tick / drain.
-//! * [`hub`] — crossbeam-channel fan-in from the per-host agents to the
-//!   centralized analysis agent (the arrow in the paper's Figure 2),
-//!   with shed/delivered accounting on every hub.
+//!   service mode (flow-open / evidence / epoch-tick / drain) and the
+//!   [`EventSink`] agents emit into: a `Vec` their driver drains.
+//! * [`hub`] — a bounded, shedding crossbeam channel, kept only because
+//!   the benchmark's twin (`benchmark/src/twin.rs`) compiles against it.
 //! * [`adversary`] — byzantine host behaviors (liar, mute, flooder,
 //!   flipper): a deterministic, seed-derived fraction of hosts whose
 //!   monitoring agents misreport, for the robustness axis of the
@@ -39,8 +39,8 @@ pub mod monitor;
 pub mod pathdisc;
 
 pub use adversary::{AdversaryModel, ByzantineBehavior, ByzantineSpec};
-pub use events::AgentEvent;
+pub use events::{AgentEvent, EventSink};
 pub use host_agent::{HostAgent, TraceReport};
-pub use hub::{event_channel, event_channel_bounded, EventCollector, EventSender};
+pub use hub::{event_channel_bounded, EventCollector, EventSender};
 pub use monitor::{is_eventful, RetransmissionEvent};
 pub use pathdisc::{DiscoveredPath, FlowIndex, HostPacer, ProbeTracer};

@@ -27,10 +27,11 @@
 //!   attempts a chaos partition refuses. `AgentWorld` decides nothing: it
 //!   simulates a slice of the fabric's hosts (the same deterministic
 //!   epoch streams every runner draws) and writes the typed
-//!   [`AgentEvent`] protocol, one [`WireFrame::EpochDone`] barrier per
-//!   window. [`run_agent`] is the shell that cannot read: it answers its
-//!   own Hello and barriers. [`run_agent_resilient`] is the shell that
-//!   connects, sleeps the backoff, writes and reads.
+//!   [`AgentEvent`] protocol, each batch's events as frames straight from
+//!   the fleet's buffer (no staging queue), one [`WireFrame::EpochDone`]
+//!   barrier per window. [`run_agent`] is the shell that cannot read: it
+//!   answers its own Hello and barriers. [`run_agent_resilient`] is the
+//!   shell that connects, sleeps the backoff, writes and reads.
 //! * [`run_collector`] is a thin shell around a sans-I/O state machine,
 //!   `CollectorCore`, which holds every protocol decision: admission
 //!   (version check, host-range non-overlap, optional host cap,
@@ -90,7 +91,7 @@ use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator};
 use crate::run::{
     assemble_epoch, fresh_ledger, RunConfig, LEDGER_HEALTH_ALPHA, LEDGER_RING_WINDOWS,
 };
-use crate::stream::{EvidenceKey, HostFleet, StreamTuning};
+use crate::stream::{EvidenceKey, HostFleet};
 use crate::sweep::epoch_rng;
 use agent_core::{AgentCore, Start};
 use collector_core::{CollectorCore, Input, Output};
@@ -105,7 +106,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use vigil_agents::{event_channel, AgentEvent, EventCollector, TraceReport};
+use vigil_agents::{AgentEvent, TraceReport};
 use vigil_analysis::{FlowEvidence, LedgerSnapshot, VoteLedger};
 use vigil_fabric::faults::LinkFaults;
 use vigil_fabric::flowsim::EpochScratch;
@@ -304,16 +305,14 @@ pub struct AgentStats {
     pub flushes: u64,
 }
 
-/// Drains the staging hub onto the wire, in emission order.
-fn flush_staging<W: Write>(
+/// Writes the fleet's buffered events to the wire as frames, in emission
+/// order, draining the buffer.
+fn write_events<W: Write>(
     writer: &mut FrameWriter<W>,
-    staging: &EventCollector,
-    inbox: &mut Vec<AgentEvent>,
+    events: &mut Vec<AgentEvent>,
     stats: &mut AgentStats,
 ) -> io::Result<()> {
-    inbox.clear();
-    staging.drain_into(inbox);
-    for event in inbox.drain(..) {
+    for event in events.drain(..) {
         if matches!(event, AgentEvent::Evidence { .. }) {
             stats.evidence_sent += 1;
         }
@@ -325,19 +324,16 @@ fn flush_staging<W: Write>(
 
 /// One agent process's simulation state: the deterministic world both
 /// ends of the wire derive from the experiment config, this process's
-/// [`HostFleet`], the unbounded staging hub between the fleet and the
-/// socket (an agent never sheds its own evidence; loss happens — and is
-/// counted — only at the collector), and the record of the settled-epoch
-/// anchor that replays rewind to. It emits what the `AgentCore` asks for
-/// and decides nothing.
+/// [`HostFleet`] (whose buffered events go straight to the wire after
+/// every batch: an agent never sheds its own evidence), and the record of
+/// the settled-epoch anchor that replays rewind to. It emits what the
+/// `AgentCore` asks for and decides nothing.
 struct AgentWorld {
     trial_seed: u64,
     topo: ClosTopology,
     faults: LinkFaults,
     fleet: HostFleet,
     scratch: EpochScratch,
-    staging: EventCollector,
-    inbox: Vec<AgentEvent>,
     run_cfg: RunConfig,
     chunk_flows: usize,
     /// The epoch whose barrier frame also carries the shutdown drains.
@@ -363,16 +359,13 @@ impl AgentWorld {
         if spec.chunk_flows == 0 || spec.epochs == 0 {
             return Err(invalid("agent needs chunk_flows >= 1 and epochs >= 1"));
         }
-        let (hub_tx, staging) = event_channel();
-        let fleet = HostFleet::new(&topo, &config.run, spec.hosts.clone(), hub_tx);
+        let fleet = HostFleet::new(&topo, &config.run, spec.hosts.clone());
         Ok(Self {
             trial_seed,
             topo,
             faults,
             fleet,
             scratch: EpochScratch::new(),
-            staging,
-            inbox: Vec::new(),
             run_cfg: config.run.clone(),
             chunk_flows: spec.chunk_flows,
             last_epoch: spec.start_epoch + spec.epochs - 1,
@@ -436,36 +429,28 @@ impl AgentWorld {
             faults,
             fleet,
             scratch,
-            staging,
-            inbox,
             run_cfg,
             chunk_flows,
             last_epoch,
             ..
         } = self;
-        let mut flush = || flush_staging(writer, staging, inbox, stats);
-        flush()?;
-        // The staging hub is unbounded, so only the chunk cadence matters.
-        let tuning = StreamTuning {
-            chunk_flows: *chunk_flows,
-            hub_capacity: usize::MAX,
-        };
+        let mut write = |events: &mut Vec<AgentEvent>| write_events(writer, events, stats);
         fleet.run_epoch(
             topo,
             run_cfg,
             faults,
             &mut epoch_rng(*trial_seed, epoch),
             scratch,
-            &tuning,
+            *chunk_flows,
             false, // the agent never scores, so it keeps no rows
             epoch as u64 + 1,
-            &mut flush,
+            &mut write,
         )?;
         if epoch == *last_epoch {
             // Shutdown drains ride inside the final window (before its
             // barrier) so the agent never writes after the collector may
             // have torn the run down.
-            fleet.drain(usize::MAX, &mut flush)?;
+            fleet.drain(&mut write)?;
         }
         let events = stats.events_sent - before;
         writer.write_frame(&WireFrame::EpochDone {
@@ -483,7 +468,7 @@ impl AgentWorld {
 /// [`AgentEvent`] protocol over `sink`, ending each epoch with a
 /// [`WireFrame::EpochDone`] barrier and one flush. The emitted evidence
 /// is exactly what the in-process stream driver's agents for those hosts
-/// would put on the hub — same pacer admissions, same SLB gate salt,
+/// emit — same pacer admissions, same SLB gate salt,
 /// same byzantine emissions, same per-host sequence numbers — because
 /// both run the same agent loop.
 ///
@@ -1368,7 +1353,7 @@ struct Replay {
 
 impl Replay {
     fn new(topo: &ClosTopology, run_cfg: &RunConfig) -> Self {
-        let fleet = HostFleet::new(topo, run_cfg, 0..0, event_channel().0);
+        let fleet = HostFleet::new(topo, run_cfg, 0..0);
         let scratch = EpochScratch::new();
         Self { fleet, scratch }
     }
@@ -1390,20 +1375,16 @@ impl Windows<'_> {
         snapshot: bool,
     ) -> io::Result<(usize, Option<String>)> {
         let (config, run_cfg) = (self.config, &self.config.run);
-        let tuning = StreamTuning {
-            chunk_flows: 256,
-            hub_capacity: usize::MAX,
-        };
         let pull = replay.fleet.run_epoch(
             self.topo,
             run_cfg,
             self.faults,
             &mut epoch_rng(config.trial_seed(0), w),
             &mut replay.scratch,
-            &tuning,
+            256,  // chunk size, invisible in the output
             true, // a scorer keeps the evidence rows
             w as u64 + 1,
-            || intake.pump(false),
+            |_| intake.pump(false), // an empty host range emits nothing
         )?;
         intake.pump(true)?;
         let tally = intake.tally();
@@ -1531,7 +1512,7 @@ impl Windows<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::stream_trial;
+    use crate::stream::{stream_trial, StreamTuning};
     use vigil_agents::ByzantineSpec;
     use vigil_fabric::faults::{FaultPlan, RateRange};
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};

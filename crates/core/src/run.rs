@@ -166,8 +166,8 @@ impl EpochRun {
 /// reuses its buffers; reuse never changes a byte of the output.
 ///
 /// This is a one-window [`StreamSession`]: the fabric is pulled in
-/// chunks, host agents emit evidence events over the hub, the ledger
-/// closes the window, and [`EpochRun::outcome`] keeps only the rows
+/// chunks, the ledger absorbs the evidence host agents emit and closes
+/// the window, and [`EpochRun::outcome`] keeps only the rows
 /// scoring consults. Code that walks every flow of the epoch simulates
 /// it with `vigil_fabric::flowsim::simulate_epoch` instead.
 pub fn run_epoch<R: Rng + ?Sized>(

@@ -12,8 +12,8 @@
 //! `run --json` on the same preset and flags: the streaming pipeline
 //! reproduces the batch pipeline's RNG draw order and canonical
 //! evidence order while holding only evidence-bearing flow records in
-//! memory. Service-mode counters (events/s, peak resident flows,
-//! shed/delivered) go to stderr. `stream --forever` rolls windows until
+//! memory. Service-mode counters (events, peak resident flows, shed) go
+//! to stderr. `stream --forever` rolls windows until
 //! killed (or for `--epochs N` windows when given), one summary line each
 //! and the heat map on exit; `--window-ms` rescales the Theorem 1
 //! traceroute budget.
@@ -273,21 +273,9 @@ fn stream(p: &Parsed, out: &mut Out) -> Result<(), String> {
     // Service-mode accounting goes to stderr so `--json` stdout stays
     // byte-identical to the batch `run --json` output.
     eprintln!(
-        "stream: {} flows, {} events ({} evidence), peak resident {} flow record(s), \
-         hub delivered {} / shed {}",
-        stats.flows,
-        stats.events,
-        stats.evidence,
-        stats.peak_resident_flows,
-        stats.delivered,
-        stats.shed
+        "stream: {} flows, {} events ({} evidence), peak resident {} flow record(s), shed {}",
+        stats.flows, stats.events, stats.evidence, stats.peak_resident_flows, stats.shed
     );
-    if stats.shed > 0 {
-        eprintln!(
-            "stream: WARNING — {} event(s) shed on the bounded hub (votes lost)",
-            stats.shed
-        );
-    }
     out.report(p.has("--json"), &cfg, &report)?;
     if p.has("--json") {
         return Ok(());
@@ -295,7 +283,7 @@ fn stream(p: &Parsed, out: &mut Out) -> Result<(), String> {
     writeln!(
         out,
         "\nstreaming: {} window(s), peak resident {} flow record(s) (vs {} simulated), \
-         {} hub event(s), shed {}",
+         {} event(s), shed {}",
         stats.windows, stats.peak_resident_flows, stats.flows, stats.events, stats.shed
     )
 }
