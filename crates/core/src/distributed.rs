@@ -42,8 +42,9 @@
 //!   frame in order over one bounded channel, parking after a Hello or
 //!   an `EpochDone` until the core lets them read on; and the window
 //!   loop, which steps the core, writes the acks it asks for, absorbs
-//!   what it forwards into the ledger, closes the window at the
-//!   barrier, and scores it with the exact batch machinery.
+//!   what it forwards through the in-process session's intake, and at
+//!   the barrier closes and scores the window there, exactly as the
+//!   session does.
 //!
 //! Backpressure: a full channel blocks the readers, so a slow collector
 //! slows the agents through TCP instead of dropping their votes — the
@@ -80,6 +81,9 @@
 //! snapshot — so the collector's per-range `(host, seq)` dedup set
 //! absorbs them exactly-once and the final tally stays byte-identical
 //! to the chaos-free run whenever the chaos plan is loss-recoverable.
+//! An agent gives up after `max_reconnects` failed connects in a row, or
+//! on an epoch sent 16 times without an ack (one that never fits between
+//! two resets).
 //!
 //! Both cores are checked without sockets or clocks: a model suite runs
 //! them through every small schedule of deliveries and faults, and a
@@ -88,16 +92,14 @@
 
 use crate::evaluate::{evaluate_epoch, EpochReport};
 use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator};
-use crate::run::{
-    assemble_epoch, fresh_ledger, RunConfig, LEDGER_HEALTH_ALPHA, LEDGER_RING_WINDOWS,
-};
-use crate::stream::{EvidenceKey, HostFleet};
+use crate::run::{fresh_ledger, RunConfig, LEDGER_HEALTH_ALPHA, LEDGER_RING_WINDOWS};
+use crate::stream::{HostFleet, Intake};
 use crate::sweep::epoch_rng;
 use agent_core::{AgentCore, Start};
 use collector_core::{CollectorCore, Input, Output};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
@@ -106,8 +108,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use vigil_agents::{AgentEvent, TraceReport};
-use vigil_analysis::{FlowEvidence, LedgerSnapshot, VoteLedger};
+use vigil_agents::AgentEvent;
+use vigil_analysis::{LedgerSnapshot, VoteLedger};
 use vigil_fabric::faults::LinkFaults;
 use vigil_fabric::flowsim::EpochScratch;
 use vigil_topology::ClosTopology;
@@ -518,9 +520,6 @@ pub struct ResilienceConfig {
     /// sends a [`WireFrame::Heartbeat`] so the collector's idle timeout
     /// never reaps a healthy waiting agent).
     pub read_tick: Duration,
-    /// Seed of the backoff jitter (decorrelates a fleet's reconnect
-    /// storms deterministically).
-    pub jitter_seed: u64,
 }
 
 impl Default for ResilienceConfig {
@@ -531,7 +530,6 @@ impl Default for ResilienceConfig {
             max_reconnects: 1_000,
             ack_timeout: Duration::from_secs(15),
             read_tick: Duration::from_millis(500),
-            jitter_seed: 0x0077_0077,
         }
     }
 }
@@ -605,7 +603,9 @@ impl<R: Read, W: Write> Link<R, W> {
 /// collector has not settled (see the module docs for the ack protocol).
 ///
 /// Returns when the collector acknowledges every epoch of `spec`, or
-/// errs after `max_reconnects` consecutive failed attempts.
+/// errs after `max_reconnects` consecutive failed attempts, or when one
+/// epoch has gone out 16 times in a row without an ack (the error names
+/// the epoch).
 pub fn run_agent_resilient(
     config: &ExperimentConfig,
     spec: &AgentSpec,
@@ -688,6 +688,12 @@ fn drive<R: Read, W: Write>(
                 return Err(last_err.unwrap_or_else(|| {
                     other(format!("gave up after {attempts} reconnect attempts"))
                 }))
+            }
+            (Some(Output::Unsettled { epoch }), _) => {
+                let last = last_err.map_or(String::new(), |e| format!(" ({e})"));
+                let n = agent_core::MAX_EPOCH_SENDS;
+                let why = format!("gave up on epoch {epoch}: sent {n} times, never acked{last}");
+                return Err(other(why));
             }
             // Nothing to do: keep waiting for the answer.
             (None, Some(link)) => link.send(None, 0, &mut last_err),
@@ -1046,13 +1052,16 @@ fn write_snapshot(path: &PathBuf, text: &str) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// The collector's tally: the analysis ledger, the open window's
-/// canonical reports (keyed like the ledger, so duplicates supersede
-/// identically) and the scored windows. What the core forwards lands
-/// here; a window close reads and resets it.
+/// The collector's tally: the fleet's epoch loop over an empty host
+/// range, the [`Intake`] the core's forwarded events go into, and the
+/// scored windows. Evidence admission happened on the agents, so the
+/// fleet dispatches nothing and only draws each epoch again for the
+/// ground truth and the records scoring consults; the intake is the
+/// in-process session's, so a window closes exactly as it does there.
 struct Tally {
-    ledger: VoteLedger<EvidenceKey>,
-    reports: BTreeMap<EvidenceKey, TraceReport>,
+    fleet: HostFleet,
+    scratch: EpochScratch,
+    intake: Intake,
     scored: Vec<EpochReport>,
 }
 
@@ -1062,10 +1071,10 @@ impl Tally {
     /// this run's fabric or ledger shape is an `InvalidInput` error.
     fn open(
         config: &ExperimentConfig,
-        num_links: usize,
+        topo: &ClosTopology,
         snap: Option<CollectorSnapshot>,
     ) -> io::Result<(Self, usize)> {
-        let (ring, alpha) = (LEDGER_RING_WINDOWS, LEDGER_HEALTH_ALPHA);
+        let (num_links, ring, alpha) = (topo.num_links(), LEDGER_RING_WINDOWS, LEDGER_HEALTH_ALPHA);
         let (ledger, start, scored) = match snap {
             Some(s) => {
                 let ledger = VoteLedger::restore(num_links, config.run.alg1, ring, alpha, s.ledger)
@@ -1074,50 +1083,25 @@ impl Tally {
             }
             None => (fresh_ledger(num_links, &config.run), 0, Vec::new()),
         };
-        let reports = BTreeMap::new();
-        Ok((
-            Self {
-                ledger,
-                reports,
-                scored,
-            },
-            start,
-        ))
-    }
-
-    /// Tallies one event the core forwarded into the open window.
-    fn absorb(&mut self, event: AgentEvent) {
-        if let AgentEvent::Evidence { report, .. } = event {
-            let key = (report.host, report.tuple);
-            let evidence = FlowEvidence {
-                links: report.links.clone(),
-                retransmissions: report.retransmissions,
-                complete: report.complete,
-            };
-            self.ledger.absorb(key, evidence);
-            self.reports.insert(key, report);
-        }
+        let tally = Self {
+            fleet: HostFleet::new(topo, &config.run, 0..0),
+            scratch: EpochScratch::new(),
+            intake: Intake::new(ledger),
+            scored,
+        };
+        Ok((tally, start))
     }
 }
 
-/// What a window close drives: the core's intake, and the tally its
-/// outputs fill.
-trait Intake {
-    /// Steps the core on what has arrived. With `block`, waits until the
-    /// core reports the open window complete.
-    fn pump(&mut self, block: bool) -> io::Result<()>;
-    fn tally(&mut self) -> &mut Tally;
-}
-
-/// The window loop's half of the shell: the core, the channel it reads,
-/// every admitted connection's I/O, and the tally.
+/// The window loop's half of the shell: the core, the channel it reads
+/// and every admitted connection's I/O. What the core forwards goes into
+/// the intake each call is handed.
 struct Shell {
     core: CollectorCore,
     rx: Receiver<Inbound>,
     conns: HashMap<usize, Box<ConnIo>>,
     /// The core's output buffer, reused so `step` allocates nothing.
     out: Vec<Output>,
-    tally: Tally,
     /// The core reported the open window complete; inputs wait in the
     /// channel until the ack.
     complete: bool,
@@ -1125,16 +1109,16 @@ struct Shell {
 
 impl Shell {
     /// Steps the core on one input and carries out what it asks.
-    fn feed(&mut self, Inbound(input, io): Inbound) -> io::Result<()> {
+    fn feed(&mut self, Inbound(input, io): Inbound, intake: &mut Intake) -> io::Result<()> {
         if let (Input::Open { conn, .. }, Some(io)) = (&input, io) {
             self.conns.insert(*conn, io);
         }
         self.core.step(input, &mut self.out);
-        self.apply()
+        self.apply(intake)
     }
 
     /// Carries out the core's outputs, in order.
-    fn apply(&mut self) -> io::Result<()> {
+    fn apply(&mut self, intake: &mut Intake) -> io::Result<()> {
         for output in self.out.drain(..) {
             match output {
                 Output::Unpark { conn, resume } => {
@@ -1154,7 +1138,7 @@ impl Shell {
                 Output::Drop(conn) => {
                     self.conns.remove(&conn);
                 }
-                Output::Absorb(event) => self.tally.absorb(event),
+                Output::Absorb(event) => intake.absorb(event),
                 Output::WindowComplete => self.complete = true,
                 Output::Abort(why) => return Err(other(why)),
                 Output::Log(line) => eprintln!("collect: {line}"),
@@ -1164,19 +1148,18 @@ impl Shell {
     }
 
     /// Acks the closed window into the next one.
-    fn ack(&mut self) -> io::Result<()> {
+    fn ack(&mut self, intake: &mut Intake) -> io::Result<()> {
         self.core.ack(&mut self.out);
         self.complete = false;
-        self.apply()
+        self.apply(intake)
     }
-}
 
-impl Intake for Shell {
-    /// Feeds the core until it reports the open window complete. Without
-    /// `block` it stops once the channel is empty (between the replay's
-    /// chunks); with it, an empty channel is waited on until input
-    /// arrives or the core's next deadline, when it gets a tick.
-    fn pump(&mut self, block: bool) -> io::Result<()> {
+    /// Feeds the core, and `intake` what it forwards, until the core
+    /// reports the open window complete. Without `block` it stops once
+    /// the channel is empty (between the tally's chunks); with it, an
+    /// empty channel is waited on until input arrives or the core's next
+    /// deadline, when it gets a tick.
+    fn pump(&mut self, intake: &mut Intake, block: bool) -> io::Result<()> {
         while !self.complete {
             let inbound = match self.rx.try_recv() {
                 Ok(inbound) => inbound,
@@ -1189,7 +1172,7 @@ impl Intake for Shell {
                         Ok(inbound) => inbound,
                         Err(RecvTimeoutError::Timeout) => {
                             self.core.step(Input::Tick(Instant::now()), &mut self.out);
-                            self.apply()?;
+                            self.apply(intake)?;
                             continue;
                         }
                         Err(RecvTimeoutError::Disconnected) => {
@@ -1198,13 +1181,9 @@ impl Intake for Shell {
                     }
                 }
             };
-            self.feed(inbound)?;
+            self.feed(inbound, intake)?;
         }
         Ok(())
-    }
-
-    fn tally(&mut self) -> &mut Tally {
-        &mut self.tally
     }
 }
 
@@ -1268,7 +1247,7 @@ pub fn run_collector(
     let topo = ClosTopology::new(config.params, rng.gen()).map_err(invalid)?;
     let faults = config.faults.build(&topo, &mut rng);
     let num_hosts = u32::try_from(topo.num_hosts()).map_err(invalid)?;
-    let (tally, start) = Tally::open(config, topo.num_links(), snap)?;
+    let (mut tally, start) = Tally::open(config, &topo, snap)?;
     // Metrics endpoint, up before the start barrier so operators can
     // watch admission.
     let metrics = match &ccfg.metrics {
@@ -1288,7 +1267,6 @@ pub fn run_collector(
         rx,
         conns: HashMap::new(),
         out: Vec::new(),
-        tally,
         complete: false,
     };
     let stop = AtomicBool::new(false);
@@ -1320,7 +1298,7 @@ pub fn run_collector(
             faults: &faults,
             metrics: metrics.as_deref(),
         };
-        let result = windows.serve(&mut shell, start, started);
+        let result = windows.serve(&mut shell, &mut tally, start, started);
         // Teardown, so the scope's implicit join cannot hang: dropping the
         // shell drops the channel and every park handle (parked and
         // sending readers exit), readers notice the stop flag within one
@@ -1342,61 +1320,41 @@ struct Windows<'a> {
     metrics: Option<&'a Mutex<MetricsState>>,
 }
 
-/// The collector's ground truth: the fleet's epoch loop over an empty
-/// host range. Evidence admission happened on the agents, so it
-/// dispatches nothing and only draws the identical epoch stream for the
-/// ground truth and the records scoring consults.
-struct Replay {
-    fleet: HostFleet,
-    scratch: EpochScratch,
-}
-
-impl Replay {
-    fn new(topo: &ClosTopology, run_cfg: &RunConfig) -> Self {
-        let fleet = HostFleet::new(topo, run_cfg, 0..0);
-        let scratch = EpochScratch::new();
-        Self { fleet, scratch }
-    }
-}
-
 impl Windows<'_> {
-    /// One window, `w`: replay its epoch for ground truth while `intake`
-    /// feeds the core between the replay's chunks, wait out the barrier,
-    /// then close the ledger window, score it with the exact batch
-    /// machinery into the tally, and render the snapshot that covers it
-    /// when `snapshot` asks. Returns the evidence scored and that
-    /// snapshot. The threaded window loop and the fleet simulation both
-    /// close windows here.
+    /// One window, `w`: draw its epoch again for ground truth while
+    /// `pump` feeds the core, and the intake what it forwards, between
+    /// the epoch's chunks (`false`); wait out the barrier (`true`); then
+    /// close the window through the intake into the tally's scored
+    /// windows, and render the snapshot that covers it when `snapshot`
+    /// asks. Returns the evidence scored and that snapshot. The threaded
+    /// window loop and the fleet simulation both close windows here.
     fn close(
         &self,
-        replay: &mut Replay,
+        tally: &mut Tally,
         w: usize,
-        intake: &mut impl Intake,
+        mut pump: impl FnMut(&mut Intake, bool) -> io::Result<()>,
         snapshot: bool,
     ) -> io::Result<(usize, Option<String>)> {
         let (config, run_cfg) = (self.config, &self.config.run);
-        let pull = replay.fleet.run_epoch(
+        let pull = tally.fleet.run_epoch(
             self.topo,
             run_cfg,
             self.faults,
             &mut epoch_rng(config.trial_seed(0), w),
-            &mut replay.scratch,
+            &mut tally.scratch,
             256,  // chunk size, invisible in the output
             true, // a scorer keeps the evidence rows
             w as u64 + 1,
-            |_| intake.pump(false), // an empty host range emits nothing
+            |_| pump(&mut tally.intake, false), // an empty host range emits nothing
         )?;
-        intake.pump(true)?;
-        let tally = intake.tally();
-        let window = tally.ledger.close_window();
-        let reports = std::mem::take(&mut tally.reports).into_values().collect();
-        let run = assemble_epoch(pull.outcome, reports, window, run_cfg);
+        pump(&mut tally.intake, true)?;
+        let run = tally.intake.close(pull.outcome, run_cfg);
         tally.scored.push(evaluate_epoch(&run));
         let snapshot = if snapshot {
             let snap = CollectorSnapshot {
                 seed: config.seed,
                 epochs_done: w + 1,
-                ledger: tally.ledger.snapshot(),
+                ledger: tally.intake.ledger.snapshot(),
                 epochs: tally.scored.clone(),
             };
             Some(serde_json::to_string_pretty(&snap).map_err(other)?)
@@ -1423,15 +1381,16 @@ impl Windows<'_> {
     fn serve(
         &self,
         shell: &mut Shell,
+        tally: &mut Tally,
         start: usize,
         started: Instant,
     ) -> io::Result<CollectorOutcome> {
         let ccfg = self.ccfg;
-        let mut replay = Replay::new(self.topo, &self.config.run);
         let mut prev = shell.core.stats().clone();
         for w in start..ccfg.epochs {
             let path = ccfg.snapshot_path.as_ref();
-            let (evidence, snapshot) = self.close(&mut replay, w, shell, path.is_some())?;
+            let pump = |intake: &mut Intake, block| shell.pump(intake, block);
+            let (evidence, snapshot) = self.close(tally, w, pump, path.is_some())?;
             let stats = shell.core.stats().clone();
             eprintln!(
                 "collect: window {w}: {} evidence, delivered {}, shed {}, gaps {}, \
@@ -1451,7 +1410,7 @@ impl Windows<'_> {
                 stats.agents_admitted,
             );
             if let Some(state) = self.metrics {
-                self.publish(state, shell, w, &prev, &stats);
+                self.publish(state, shell, tally, w, &prev, &stats);
             }
             if let (Some(path), Some(text)) = (path, &snapshot) {
                 write_snapshot(path, text)?;
@@ -1469,10 +1428,10 @@ impl Windows<'_> {
                 return Ok(CollectorOutcome::Paused(stats));
             }
             prev = stats;
-            shell.ack()?;
+            shell.ack(&mut tally.intake)?;
         }
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let report = self.report(std::mem::take(&mut shell.tally.scored), wall_ms);
+        let report = self.report(std::mem::take(&mut tally.scored), wall_ms);
         Ok(CollectorOutcome::Completed(Box::new(report), prev))
     }
 
@@ -1481,12 +1440,13 @@ impl Windows<'_> {
         &self,
         state: &Mutex<MetricsState>,
         shell: &Shell,
+        tally: &Tally,
         w: usize,
         prev: &CollectorStats,
         stats: &CollectorStats,
     ) {
-        let heat = shell.tally.ledger.health().heat_map().into_iter().take(8);
-        let detected = shell.tally.scored.last().map(|er| &er.detected);
+        let heat = tally.intake.ledger.health().heat_map().into_iter().take(8);
+        let detected = tally.scored.last().map(|er| &er.detected);
         let window = WindowMetrics {
             window: w as u64,
             evidence: stats.evidence - prev.evidence,
@@ -1513,7 +1473,8 @@ impl Windows<'_> {
 mod tests {
     use super::*;
     use crate::stream::{stream_trial, StreamTuning};
-    use vigil_agents::ByzantineSpec;
+    use vigil_agents::TraceReport;
+    use vigil_analysis::FlowEvidence;
     use vigil_fabric::faults::{FaultPlan, RateRange};
     use vigil_fabric::traffic::{ConnCount, TrafficSpec};
     use vigil_topology::{ClosParams, HostId};
@@ -1574,56 +1535,6 @@ mod tests {
 
     fn num_hosts(cfg: &ExperimentConfig) -> u32 {
         ClosTopology::new(cfg.params, 0).unwrap().num_hosts() as u32
-    }
-
-    #[test]
-    fn loopback_agents_match_in_process_stream() {
-        // Honest, then byzantine × SLB gate: two host ranges interleaving
-        // on the collector are an arrival order independent of the
-        // in-process session's, over the same agent loop.
-        let gate = vigil_fabric::slb::SlbModel::query_failures(0.4);
-        let variants = [
-            (ByzantineSpec::default(), None),
-            (ByzantineSpec::flooders(0.25, 0.5), None),
-            (ByzantineSpec::liars(0.25), Some(gate)),
-            (ByzantineSpec::flippers(0.25), Some(gate)),
-        ];
-        for (byzantine, slb) in variants {
-            let mut cfg = tiny_config();
-            cfg.run.byzantine = byzantine;
-            cfg.run.slb = slb.unwrap_or_default();
-            let what = format!("{} / gate {}", byzantine.label(), slb.is_some());
-            let hosts = num_hosts(&cfg);
-            let listener = Endpoint::parse("127.0.0.1:0").bind().unwrap();
-            let addr = listener.local_addr();
-            let split = hosts / 2;
-            let handles = spawn_agents(&cfg, &addr, &[0..split, split..hosts], 0, cfg.epochs);
-            let ccfg = CollectorConfig {
-                agents: 2,
-                epochs: cfg.epochs,
-                ..CollectorConfig::default()
-            };
-            let outcome = run_collector(&cfg, &listener, &ccfg).unwrap();
-            for h in handles {
-                let stats = h.join().unwrap();
-                assert_eq!(stats.epochs, cfg.epochs);
-                assert_eq!(
-                    stats.flushes, cfg.epochs as u64,
-                    "plain agent pushes the wire exactly once per epoch"
-                );
-            }
-            let CollectorOutcome::Completed(report, stats) = outcome else {
-                panic!("{what}: expected a completed run");
-            };
-            assert_eq!(stats.shed, 0, "{what}: loopback must not shed");
-            assert_eq!(stats.seq_gaps, 0, "{what}: loopback must not gap");
-            assert!(stats.evidence > 0, "{what}: fleet produced evidence");
-            assert_eq!(
-                serde_json::to_string_pretty(&*report).unwrap(),
-                expected_report(&cfg),
-                "{what}: distributed run must be byte-identical to the in-process stream"
-            );
-        }
     }
 
     #[test]
@@ -2015,6 +1926,65 @@ mod tests {
         let seqs = [0, 1, 2, 0, 1, 2, 3];
         out.extend(run(&mut core, seqs.map(|s| frame(0, drain(1, s)))));
         assert_eq!(absorbed(&out), [(1, 0), (1, 1), (1, 2), (1, 3)]);
+    }
+
+    /// A plain agent restarted with `--start-epoch` mid-window sends the
+    /// same `(host, tuple)` evidence again under another sequence number.
+    /// The core forwards both copies; the window closes with one report,
+    /// the last one, parallel to the ledger's one evidence row.
+    #[test]
+    fn a_key_sent_twice_in_one_window_closes_with_its_last_report() {
+        let mut core = test_core(&CollectorConfig::default());
+        let report = |retransmissions| TraceReport {
+            host: HostId(3),
+            tuple: vigil_packet::FiveTuple::tcp(
+                "10.0.0.3".parse().unwrap(),
+                9,
+                "10.0.0.9".parse().unwrap(),
+                80,
+            ),
+            retransmissions,
+            links: vec![vigil_topology::LinkId(5), vigil_topology::LinkId(9)],
+            complete: true,
+        };
+        let evidence = |seq, retransmissions| {
+            let report = report(retransmissions);
+            WireFrame::Event(AgentEvent::Evidence { seq, report })
+        };
+        let out = run(
+            &mut core,
+            [
+                hello(0, 0),
+                frame(0, evidence(1, 2)),
+                closed(0),
+                hello(1, 0),
+                frame(1, evidence(4, 7)),
+                frame(1, barrier(0, 1)),
+            ],
+        );
+        assert_eq!(absorbed(&out), [(3, 1), (3, 4)]);
+        assert_eq!(out.last(), Some(&Output::WindowComplete));
+
+        let run_cfg = RunConfig::default();
+        let mut intake = Intake::new(fresh_ledger(64, &run_cfg));
+        for output in out {
+            if let Output::Absorb(event) = output {
+                intake.absorb(event);
+            }
+        }
+        let ground_truth = vigil_fabric::flowsim::GroundTruth {
+            drops_per_link: vec![0; 64],
+            failed_links: Default::default(),
+        };
+        let outcome = vigil_fabric::flowsim::EpochOutcome {
+            flows: Vec::new(),
+            ground_truth,
+        };
+        let closed = intake.close(outcome, &run_cfg);
+        assert_eq!(closed.reports, [report(7)]);
+        assert_eq!(closed.evidence.len(), 1);
+        assert_eq!(closed.evidence[0].retransmissions, 7);
+        assert_eq!(closed.evidence[0].links, report(7).links);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! [`Input`]s and carry out the one [`Output`] each step returns.
 //!
 //! Every decision of the agent side lives here: when to (re)connect and
-//! after what backoff (capped exponential with seeded jitter, a fresh
-//! ladder after a connection that settled epochs), when to give up, which
-//! epoch to emit on each `ResumeAt` and how the world reaches its start,
-//! the settled-epoch anchor, the ack timeout and its heartbeats, the
-//! attempts a chaos partition refuses, and the chaos frame index that
-//! spans connections. Time enters only as [`Input::Tick`].
+//! after what backoff (capped exponential with jitter seeded by the host
+//! range, a fresh ladder after a connection that settled epochs), when
+//! to give up (too many failed connects in a row, or one epoch sent too
+//! often without an ack), which epoch to emit on each `ResumeAt` and how
+//! the world reaches its start, the settled-epoch anchor, the ack timeout
+//! and its heartbeats, the attempts a chaos partition refuses, and the
+//! chaos frame index that spans connections. Time enters only as
+//! [`Input::Tick`].
 
 use super::{AgentSpec, AgentStats, ResilienceConfig};
 use std::time::{Duration, Instant};
@@ -59,7 +61,17 @@ pub(crate) enum Output {
     Done,
     /// `attempts` consecutive reconnect attempts failed.
     GiveUp { attempts: u64 },
+    /// `epoch` went out [`MAX_EPOCH_SENDS`] times in a row and was never
+    /// settled: it does not fit between two of the wire's resets.
+    Unsettled { epoch: usize },
 }
+
+/// Sends of one epoch in a row, none settled, after which the agent
+/// gives up: an epoch that never fits between two resets would otherwise
+/// replay until `max_reconnects` sessions failed, about half an hour.
+/// Recoverable faults cost at most 5 sends in the model suite and 6 in
+/// the seeded fleet simulation.
+pub(crate) const MAX_EPOCH_SENDS: u32 = 16;
 
 /// How the world reaches the start of the epoch to emit. Every form but
 /// `Anchor` records the reached state as the new anchor.
@@ -97,6 +109,8 @@ pub(crate) struct AgentCore {
     chaos: Option<ChaosSchedule>,
     /// The chaos stream key: the first host id.
     key: u64,
+    /// The backoff jitter's seed, from the host range.
+    jitter: u64,
     /// The spec's epochs are `first..end`.
     first: usize,
     end: usize,
@@ -110,6 +124,8 @@ pub(crate) struct AgentCore {
     failures: u64,
     /// This connection settled an epoch: its loss starts a fresh ladder.
     healthy: bool,
+    /// Sends of the anchor epoch since it became the anchor.
+    sends: u32,
     frames: u64,
     /// The shells add what they write: wire volume and flushes.
     pub(super) stats: AgentStats,
@@ -126,6 +142,7 @@ impl AgentCore {
             rcfg: rcfg.clone(),
             chaos,
             key: u64::from(spec.hosts.start),
+            jitter: 0x0077_0077 ^ (u64::from(spec.hosts.start) << 32 | u64::from(spec.hosts.end)),
             first,
             end: first + spec.epochs,
             anchor: first,
@@ -133,6 +150,7 @@ impl AgentCore {
             phase: Phase::Connecting,
             failures: 0,
             healthy: false,
+            sends: 0,
             frames: 0,
             stats: AgentStats::default(),
         }
@@ -157,6 +175,7 @@ impl AgentCore {
             phase,
             self.failures,
             self.healthy,
+            self.sends,
             self.frames,
         )
             .hash(h);
@@ -214,7 +233,7 @@ impl AgentCore {
                 let attempts = self.failures - 1;
                 return Output::GiveUp { attempts };
             }
-            after += backoff_delay(&self.rcfg, self.failures - 1);
+            after += backoff_delay(&self.rcfg, self.jitter, self.failures - 1);
         }
         self.phase = Phase::Connecting;
         Output::Connect { after }
@@ -239,6 +258,14 @@ impl AgentCore {
         } else {
             Start::RollForward { from: self.anchor }
         };
+        if start != Start::Anchor {
+            self.sends = 0;
+        }
+        self.sends += 1;
+        if self.sends > MAX_EPOCH_SENDS {
+            self.phase = Phase::Over;
+            return Output::Unsettled { epoch: target };
+        }
         self.healthy |= target > self.anchor;
         self.settle(target);
         (self.world, self.phase) = (Some(target + 1), Phase::Waiting { since: None });
@@ -266,13 +293,14 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Capped exponential backoff with seeded jitter in [½, 1]× the step.
-pub(crate) fn backoff_delay(rcfg: &ResilienceConfig, attempt: u64) -> Duration {
+/// Capped exponential backoff with jitter in [½, 1]× the step, drawn
+/// from `seed`.
+fn backoff_delay(rcfg: &ResilienceConfig, seed: u64, attempt: u64) -> Duration {
     let step = rcfg
         .backoff_base
         .saturating_mul(1u32 << attempt.min(16) as u32)
         .min(rcfg.backoff_cap);
-    let jitter = (splitmix(rcfg.jitter_seed ^ attempt) >> 11) as f64 / (1u64 << 53) as f64;
+    let jitter = (splitmix(seed ^ attempt) >> 11) as f64 / (1u64 << 53) as f64;
     step.mul_f64(0.5 + 0.5 * jitter)
 }
 
@@ -289,6 +317,12 @@ mod tests {
             ack_timeout: Duration::from_secs(1),
             ..ResilienceConfig::default()
         }
+    }
+
+    /// The backoff before attempt `attempt + 1` of the hosts `core`
+    /// speaks for.
+    fn delay(attempt: u64) -> Duration {
+        backoff_delay(&rcfg(), core(0, 1, None).jitter, attempt)
     }
 
     /// A core for epochs `first..first + epochs`, already connected and
@@ -352,7 +386,7 @@ mod tests {
         assert_eq!(core.step(Input::ResumeAt(0)), emit(0, Start::Anchor));
         assert_eq!(core.step(Input::ResumeAt(1)), emit(1, Start::Here));
         // The ack of epoch 1 never comes: the collector paused.
-        assert_eq!(core.step(lost()), connect(backoff_delay(&rcfg(), 0)));
+        assert_eq!(core.step(lost()), connect(delay(0)));
         assert_eq!(
             core.step(Input::Connected),
             Some(Output::Hello { frames: 0 })
@@ -383,25 +417,24 @@ mod tests {
 
     #[test]
     fn a_healthy_session_starts_a_fresh_backoff_ladder() {
-        let r = rcfg();
         let mut core = core(0, 3, None);
         core.step(lost());
         core.step(Input::ConnectFailed);
         assert_eq!(
             core.step(Input::ConnectFailed),
-            connect(backoff_delay(&r, 2)),
+            connect(delay(2)),
             "consecutive failures climb the ladder"
         );
         core.step(Input::Connected);
         core.step(Input::ResumeAt(0));
         // A session without an ack keeps climbing.
-        assert_eq!(core.step(lost()), connect(backoff_delay(&r, 3)));
+        assert_eq!(core.step(lost()), connect(delay(3)));
         core.step(Input::Connected);
         core.step(Input::ResumeAt(0));
         core.step(Input::ResumeAt(1));
         assert_eq!(
             core.step(lost()),
-            connect(backoff_delay(&r, 0)),
+            connect(delay(0)),
             "the session settled epoch 0: back to the first rung"
         );
     }
@@ -420,6 +453,47 @@ mod tests {
             Some(Output::GiveUp { attempts: 5 })
         );
         assert_eq!(core.stats.reconnects, 6);
+        assert_eq!(core.step(Input::Connected), None, "giving up is final");
+    }
+
+    /// An epoch that never fits between two chaos resets: every session
+    /// sends it and is reset before the ack. The agent gives up on it
+    /// after `MAX_EPOCH_SENDS` sends, not after `max_reconnects` failed
+    /// sessions; the failed connects in between count only against
+    /// `max_reconnects`.
+    #[test]
+    fn an_epoch_that_never_settles_gives_up_naming_it() {
+        let spec = AgentSpec {
+            hosts: 0..4,
+            start_epoch: 0,
+            epochs: 3,
+            chunk_flows: 1,
+        };
+        let r = ResilienceConfig {
+            max_reconnects: 1_000,
+            ..rcfg()
+        };
+        let mut core = AgentCore::new(&spec, &r, None);
+        core.start();
+        core.step(Input::Connected);
+        assert_eq!(core.step(Input::ResumeAt(0)), emit(0, Start::Anchor));
+        assert_eq!(core.step(Input::ResumeAt(1)), emit(1, Start::Here));
+        for send in 2..=MAX_EPOCH_SENDS + 1 {
+            let reset = Some(u64::from(send));
+            let out = core.step(Input::Lost { reset, frames: 0 });
+            assert!(matches!(out, Some(Output::Connect { .. })), "{out:?}");
+            let out = core.step(Input::ConnectFailed);
+            assert!(matches!(out, Some(Output::Connect { .. })), "{out:?}");
+            core.step(Input::Connected);
+            let expected = if send <= MAX_EPOCH_SENDS {
+                emit(1, Start::Anchor)
+            } else {
+                Some(Output::Unsettled { epoch: 1 })
+            };
+            assert_eq!(core.step(Input::ResumeAt(1)), expected, "send {send}");
+        }
+        assert_eq!(core.stats.epochs, 1, "epoch 0 stays settled");
+        assert!(core.stats.reconnects < r.max_reconnects / 10);
         assert_eq!(core.step(Input::Connected), None, "giving up is final");
     }
 
@@ -453,8 +527,7 @@ mod tests {
             ..ChaosPlan::quiet(3)
         };
         let mut core = core(0, 2, Some(ChaosSchedule::constant(plan)));
-        let r = rcfg();
-        let ladder: Duration = (0..3).map(|k| backoff_delay(&r, k)).sum();
+        let ladder: Duration = (0..3).map(delay).sum();
         let reset = Some(0);
         assert_eq!(core.step(Input::Lost { reset, frames: 9 }), connect(ladder));
         assert_eq!(core.stats.reconnects, 3);

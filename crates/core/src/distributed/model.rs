@@ -414,7 +414,9 @@ impl World {
                 }
                 self.lose(i)?;
             }
-            Some(agent_core::Output::GiveUp { .. }) => agent.gave_up = true,
+            Some(agent_core::Output::GiveUp { .. } | agent_core::Output::Unsettled { .. }) => {
+                agent.gave_up = true
+            }
             // Heartbeats only keep a real reader's idle timeout at bay.
             Some(agent_core::Output::Heartbeat | agent_core::Output::Done) | None => {}
         }
@@ -644,7 +646,7 @@ fn every_small_schedule_keeps_every_window_exact() {
     // Pinned: a change to what the protocol can reach moves it.
     assert_eq!(
         (count, seen.len()),
-        (1_039_737_429, 46_838),
+        (1_039_737_429, 54_952),
         "schedules, states"
     );
 }

@@ -32,8 +32,8 @@
 use super::agent_core::{self, AgentCore};
 use super::collector_core::{self, CollectorCore};
 use super::{
-    parse_snapshot, AgentSpec, AgentWorld, CollectorConfig, ExperimentConfig, Intake, Replay,
-    ResilienceConfig, Tally, Windows,
+    parse_snapshot, AgentSpec, AgentWorld, CollectorConfig, ExperimentConfig, ResilienceConfig,
+    Tally, Windows,
 };
 use crate::experiment::ExperimentReport;
 use crate::run::RunConfig;
@@ -143,17 +143,6 @@ struct Collector {
     out: Vec<collector_core::Output>,
 }
 
-impl Intake for Collector {
-    /// The scheduler feeds the core; a window closes only once complete.
-    fn pump(&mut self, _block: bool) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn tally(&mut self) -> &mut Tally {
-        &mut self.tally
-    }
-}
-
 /// One scheduler move. Indices are taken modulo what exists, so any
 /// list of moves is a schedule.
 #[derive(Debug, Clone, Copy)]
@@ -191,14 +180,11 @@ struct Sim<'a> {
     windows: Windows<'a>,
     rcfg: ResilienceConfig,
     chaos: Option<ChaosSchedule>,
-    num_hosts: u32,
-    num_links: usize,
     now: Instant,
     agents: Vec<Agent>,
     conns: BTreeMap<usize, Conn>,
     next_conn: usize,
     collector: Collector,
-    replay: Replay,
     snapshot: Option<String>,
     /// Closes per window, across incarnations.
     closes: Vec<u32>,
@@ -208,7 +194,7 @@ struct Sim<'a> {
 
 impl<'a> Sim<'a> {
     fn new(windows: Windows<'a>, ranges: &[Range<u32>], chaos: Option<ChaosSchedule>) -> Self {
-        let (config, topo) = (windows.config, windows.topo);
+        let config = windows.config;
         let rcfg = ResilienceConfig {
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(50),
@@ -216,18 +202,14 @@ impl<'a> Sim<'a> {
             ..ResilienceConfig::default()
         };
         let now = Instant::now();
-        let (num_hosts, num_links) = (topo.num_hosts() as u32, topo.num_links());
         let mut sim = Sim {
             rcfg,
             chaos,
-            num_hosts,
-            num_links,
             now,
             agents: Vec::new(),
             conns: BTreeMap::new(),
             next_conn: 0,
-            collector: Self::collector(&windows, num_hosts, num_links, None, now),
-            replay: Replay::new(topo, &config.run),
+            collector: Self::collector(&windows, None, now),
             snapshot: None,
             closes: vec![0; config.epochs],
             report: None,
@@ -238,17 +220,12 @@ impl<'a> Sim<'a> {
         sim
     }
 
-    fn collector(
-        windows: &Windows,
-        num_hosts: u32,
-        num_links: usize,
-        snapshot: Option<&str>,
-        now: Instant,
-    ) -> Collector {
-        let (config, ccfg) = (windows.config, windows.ccfg);
+    fn collector(windows: &Windows, snapshot: Option<&str>, now: Instant) -> Collector {
+        let (config, ccfg, topo) = (windows.config, windows.ccfg, windows.topo);
         let snap = snapshot.map(|text| parse_snapshot(config, ccfg, text).expect("snapshot"));
-        let (tally, window) = Tally::open(config, num_links, snap).expect("snapshot fits");
-        let core = CollectorCore::new(ccfg, num_hosts, num_links, window as u64, now);
+        let (tally, window) = Tally::open(config, topo, snap).expect("snapshot fits");
+        let (hosts, links) = (topo.num_hosts() as u32, topo.num_links());
+        let core = CollectorCore::new(ccfg, hosts, links, window as u64, now);
         let out = Vec::new();
         Collector {
             core,
@@ -332,9 +309,8 @@ impl<'a> Sim<'a> {
                 if stats.hosts_evicted > 0 {
                     return Err(format!("{} hosts evicted", stats.hosts_evicted));
                 }
-                let (h, l) = (self.num_hosts, self.num_links);
                 let snapshot = self.snapshot.as_deref();
-                self.collector = Self::collector(&self.windows, h, l, snapshot, self.now);
+                self.collector = Self::collector(&self.windows, snapshot, self.now);
                 self.outcome.restarts += 1;
             }
         }
@@ -411,7 +387,9 @@ impl<'a> Sim<'a> {
                             c.down.close();
                         }
                     }
-                    collector_core::Output::Absorb(event) => self.collector.tally.absorb(event),
+                    collector_core::Output::Absorb(event) => {
+                        self.collector.tally.intake.absorb(event)
+                    }
                     collector_core::Output::WindowComplete => self.close()?,
                     collector_core::Output::Abort(why) => return Err(why),
                     collector_core::Output::Log(_) => {}
@@ -422,11 +400,12 @@ impl<'a> Sim<'a> {
     }
 
     /// The window loop's step: close the complete window, keep its
-    /// snapshot's bytes, ack.
+    /// snapshot's bytes, ack. The scheduler feeds the core, so the pump
+    /// has nothing to do.
     fn close(&mut self) -> Result<(), String> {
         let w = self.collector.window;
         let (_, snapshot) = (self.windows)
-            .close(&mut self.replay, w, &mut self.collector, true)
+            .close(&mut self.collector.tally, w, |_, _| Ok(()), true)
             .map_err(|e| e.to_string())?;
         self.snapshot = snapshot;
         self.closes[w] += 1;
@@ -435,11 +414,11 @@ impl<'a> Sim<'a> {
         c.core.ack(&mut c.out);
         let agents = self.agents.len();
         let (dedup, ranges, conns) = c.core.footprint();
-        if dedup > 0 || ranges > agents || conns > agents || !c.tally.reports.is_empty() {
+        let reports = c.tally.intake.reports.len();
+        if dedup > 0 || ranges > agents || conns > agents || reports > 0 {
             return Err(format!(
                 "after window {w}: {dedup} dedup entries, {ranges} ranges, {conns} connections, \
-                 {} reports",
-                c.tally.reports.len()
+                 {reports} reports"
             ));
         }
         if w + 1 == self.windows.ccfg.epochs {
@@ -501,6 +480,9 @@ impl<'a> Sim<'a> {
             }
             Some(agent_core::Output::GiveUp { attempts }) => {
                 return Err(format!("agent {i} gave up after {attempts} attempts"));
+            }
+            Some(agent_core::Output::Unsettled { epoch }) => {
+                return Err(format!("agent {i} gave up on epoch {epoch}"));
             }
             done @ Some(agent_core::Output::Done) => {
                 agent.next = done;

@@ -209,8 +209,8 @@ pub(crate) fn fresh_ledger(
 }
 
 /// Assembles an [`EpochRun`] from a closed analysis window plus the raw
-/// reports: canonical report order, the §5.3 baselines, and the final
-/// record. Shared by the in-process window close and the collector's.
+/// reports: canonical order with one report per key, the §5.3 baselines
+/// and the final record. `stream::Intake::close` is its one caller.
 pub(crate) fn assemble_epoch(
     outcome: EpochOutcome,
     mut reports: Vec<TraceReport>,
@@ -222,6 +222,15 @@ pub(crate) fn assemble_epoch(
     // key that orders the ledger's evidence makes `reports` parallel to
     // `window.evidence` and every runner bit-identical.
     reports.sort_by_key(|r| (r.host, r.tuple));
+    // A key absorbed twice keeps its last report, as the ledger keeps its
+    // last evidence (the sort is stable, so the last copy is last).
+    reports.dedup_by(|later, kept| {
+        let same = (later.host, later.tuple) == (kept.host, kept.tuple);
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
     debug_assert_eq!(reports.len(), window.evidence.len());
 
     let limits = SearchLimits {

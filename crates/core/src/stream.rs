@@ -134,8 +134,8 @@ impl StreamStats {
 /// Figure 2's left half: one process's host agents, the model deciding
 /// what each reports, and the buffer they emit into.
 /// [`run_epoch`](Self::run_epoch) is the pipeline's one agent loop — the
-/// in-process session, the distributed agent and the collector's local
-/// replay all drive their epochs through it.
+/// in-process session, the distributed agent and the collector's tally
+/// all drive their epochs through it.
 #[derive(Debug)]
 pub(crate) struct HostFleet {
     /// One agent per host of `hosts`, in host order, created up front.
@@ -328,35 +328,49 @@ impl HostFleet {
     }
 }
 
-/// Figure 2's right half in process: absorbs the fleet's events into
-/// the ledger.
+/// Figure 2's right half, the one place evidence becomes votes and a
+/// window closes: the in-process [`StreamSession`] feeds it its fleet's
+/// events, the collector what its core forwards off the wire.
 #[derive(Debug)]
-struct Intake {
-    ledger: VoteLedger<EvidenceKey>,
-    reports: Vec<TraceReport>,
+pub(crate) struct Intake {
+    pub(crate) ledger: VoteLedger<EvidenceKey>,
+    /// The open window's reports, in arrival order.
+    pub(crate) reports: Vec<TraceReport>,
     stats: StreamStats,
 }
 
 impl Intake {
-    /// Drains `events` into the ledger: evidence is absorbed; lifecycle
-    /// events are counted and dropped.
-    fn absorb(&mut self, events: &mut Vec<AgentEvent>) -> Result<(), Infallible> {
-        for event in events.drain(..) {
-            self.stats.events += 1;
-            if let AgentEvent::Evidence { report, .. } = event {
-                self.ledger.absorb(
-                    (report.host, report.tuple),
-                    FlowEvidence {
-                        links: report.links.clone(),
-                        retransmissions: report.retransmissions,
-                        complete: report.complete,
-                    },
-                );
-                self.reports.push(report);
-                self.stats.evidence += 1;
-            }
+    pub(crate) fn new(ledger: VoteLedger<EvidenceKey>) -> Self {
+        Self {
+            ledger,
+            reports: Vec::new(),
+            stats: StreamStats::default(),
         }
-        Ok(())
+    }
+
+    /// Takes one event: evidence is absorbed into the ledger; lifecycle
+    /// events are counted and dropped.
+    pub(crate) fn absorb(&mut self, event: AgentEvent) {
+        self.stats.events += 1;
+        if let AgentEvent::Evidence { report, .. } = event {
+            self.ledger.absorb(
+                (report.host, report.tuple),
+                FlowEvidence {
+                    links: report.links.clone(),
+                    retransmissions: report.retransmissions,
+                    complete: report.complete,
+                },
+            );
+            self.reports.push(report);
+            self.stats.evidence += 1;
+        }
+    }
+
+    /// Closes the open window and scores it with the epoch's `outcome`.
+    pub(crate) fn close(&mut self, outcome: EpochOutcome, config: &RunConfig) -> EpochRun {
+        self.stats.windows += 1;
+        let window = self.ledger.close_window();
+        assemble_epoch(outcome, std::mem::take(&mut self.reports), window, config)
     }
 }
 
@@ -402,11 +416,7 @@ impl StreamSession {
         Self {
             tuning,
             fleet: HostFleet::new(topo, config, all_hosts),
-            intake: Intake {
-                ledger: fresh_ledger(topo.num_links(), config),
-                reports: Vec::new(),
-                stats: StreamStats::default(),
-            },
+            intake: Intake::new(fresh_ledger(topo.num_links(), config)),
         }
     }
 
@@ -422,10 +432,11 @@ impl StreamSession {
     }
 
     /// Runs one window: simulate the epoch in chunks, absorb each chunk's
-    /// evidence, close the ledger window, assemble the scored
-    /// [`EpochRun`]. Byte-identical to the batch epoch on the same RNG
-    /// stream (the goldens' contract). `topo` and `config` must be the
-    /// ones the session was sized for.
+    /// events, then close the window and assemble the scored [`EpochRun`]
+    /// through the intake the collector closes its windows with.
+    /// Byte-identical to the batch epoch on the same RNG stream (the
+    /// goldens' contract). `topo` and `config` must be the ones the
+    /// session was sized for.
     pub fn run_window<R: Rng + ?Sized>(
         &mut self,
         topo: &ClosTopology,
@@ -454,23 +465,15 @@ impl StreamSession {
             tuning.chunk_flows,
             true,
             next_epoch,
-            |events| intake.absorb(events),
+            |events| {
+                events.drain(..).for_each(|event| intake.absorb(event));
+                Ok::<(), Infallible>(())
+            },
         );
         let stats = &mut intake.stats;
         stats.flows += pull.flows as u64;
         stats.peak_resident_flows = stats.peak_resident_flows.max(pull.peak_resident as u64);
-        stats.windows += 1;
-
-        let window = intake.ledger.close_window();
-        let reports = std::mem::take(&mut intake.reports);
-        assemble_epoch(pull.outcome, reports, window, config)
-    }
-
-    /// Shuts the session down: every live agent announces
-    /// [`AgentEvent::Drain`] and the ledger takes those events last.
-    pub fn shutdown(&mut self) {
-        let intake = &mut self.intake;
-        let Ok(()) = self.fleet.drain(|events| intake.absorb(events));
+        intake.close(pull.outcome, config)
     }
 }
 
@@ -479,8 +482,8 @@ impl StreamSession {
 /// on its own derived [`crate::sweep::epoch_rng`] stream, all driven
 /// through one [`StreamSession`] at `tuning`. The epoch pool's report for
 /// the same trial is bit-identical at any width, and `tuning` never
-/// changes it. The returned counters are the sum of the trial's windows
-/// (no shutdown drain), which is what the pool sums per cell.
+/// changes it. The returned counters are the sum of the trial's windows,
+/// which is what the pool sums per cell.
 pub fn stream_trial(
     config: &ExperimentConfig,
     trial: usize,
@@ -740,12 +743,6 @@ mod tests {
         let bad = *faults.failed_set().iter().next().unwrap();
         assert!(detected.iter().all(|d| d.contains(&bad)));
         assert!(session.ledger().health().current_streak(bad) == 3);
-        let before = session.stats().events;
-        session.shutdown();
-        assert!(
-            session.stats().events > before,
-            "every live agent announces its drain"
-        );
     }
 
     #[test]

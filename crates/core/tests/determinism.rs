@@ -3,7 +3,8 @@
 //! experiment is [`stream_trial`] run for each trial and merged in trial
 //! order; for a scenario-matrix case, whose composite fault plan has no
 //! `ExperimentConfig` form, it is the same serial loop over the case's
-//! compiled plan. Each test checks one section of the table and asserts
+//! compiled plan. The agent/collector fleet's reference is the trial-0
+//! `stream_trial`. Each test checks one section of the table and asserts
 //! once, naming every failing row.
 
 use rand::Rng;
@@ -11,7 +12,7 @@ use serde::Serialize;
 use vigil::evaluate::evaluate_epoch;
 use vigil::matrix::CaseMetrics;
 use vigil::prelude::*;
-use vigil::{epoch_rng, TrialAccumulator};
+use vigil::{epoch_rng, AgentStats, CollectorStats, TrialAccumulator};
 use vigil_agents::ByzantineSpec;
 
 fn config() -> ExperimentConfig {
@@ -225,6 +226,107 @@ fn matrix_rows(patterns: &[&str], widths: &[usize]) -> Table {
         }
     }
     table
+}
+
+/// What one loopback fleet run left: the collector's report and counters,
+/// and every agent's counters.
+#[cfg(unix)]
+struct Fleet {
+    report: String,
+    stats: CollectorStats,
+    agents: Vec<AgentStats>,
+}
+
+/// `agents` plain agents, each a contiguous share of trial 0's hosts,
+/// streaming into one collector over the Unix socket `path`.
+#[cfg(unix)]
+fn fleet(cfg: &ExperimentConfig, agents: u32, path: &std::path::Path) -> Result<Fleet, String> {
+    let hosts = ClosTopology::new(cfg.params, 0).unwrap().num_hosts() as u32;
+    let endpoint = Endpoint::parse(path.to_str().ok_or("socket path")?);
+    let listener = endpoint.bind().map_err(|e| e.to_string())?;
+    let ccfg = CollectorConfig {
+        agents: agents as usize,
+        epochs: cfg.epochs,
+        ..CollectorConfig::default()
+    };
+    let (outcome, agents) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..agents)
+            .map(|i| {
+                let spec = AgentSpec {
+                    hosts: i * hosts / agents..(i + 1) * hosts / agents,
+                    start_epoch: 0,
+                    epochs: cfg.epochs,
+                    chunk_flows: 128,
+                };
+                let endpoint = &endpoint;
+                scope.spawn(move || run_agent(cfg, &spec, endpoint.connect()?))
+            })
+            .collect();
+        let outcome = run_collector(cfg, &listener, &ccfg);
+        let agents: Result<Vec<_>, _> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        (outcome, agents)
+    });
+    let _ = std::fs::remove_file(path);
+    match (outcome, agents) {
+        (Ok(CollectorOutcome::Completed(report, stats)), Ok(agents)) => Ok(Fleet {
+            report: json(&report),
+            stats,
+            agents,
+        }),
+        (Ok(CollectorOutcome::Paused(_)), _) => Err("the collector paused".into()),
+        (Err(e), _) | (_, Err(e)) => Err(e.to_string()),
+    }
+}
+
+/// Rows `fleet/<config>/agents-<n>`: 2 and 3 plain agents into one
+/// collector over a Unix socket, on every config, against the config's
+/// trial-0 [`stream_trial`] reference. The host ranges' frames
+/// interleave on the collector in an order the in-process session never
+/// sees. Also: every agent sends every epoch with one flush each, and the
+/// collector sheds nothing, sees no sequence gap and tallies evidence.
+#[cfg(unix)]
+#[test]
+fn loopback_fleets_reproduce_the_stream() {
+    let mut table = Table::default();
+    let configs = configs();
+    let wants = each(&configs, |cfg| {
+        let (trial, _) = stream_trial(cfg, 0, &StreamTuning::default());
+        let mut report = ExperimentReport::empty(cfg);
+        report.merge_trial(trial);
+        json(&report)
+    });
+    let rows: Vec<(usize, u32)> = (0..configs.len())
+        .flat_map(|c| [2, 3].map(|n| (c, n)))
+        .collect();
+    let fleets = each(&rows, |&(c, n)| {
+        let name = format!("vigil-fleet-{}-{c}-{n}.sock", std::process::id());
+        fleet(&configs[c], n, &std::env::temp_dir().join(name))
+    });
+    for (&(c, n), fleet) in rows.iter().zip(fleets) {
+        let cfg = &configs[c];
+        let row = format!("fleet/{}/agents-{n}", cfg.name);
+        let fleet = match fleet {
+            Ok(fleet) => fleet,
+            Err(e) => {
+                table.check(format!("{row}: {e}"), false);
+                continue;
+            }
+        };
+        table.check(row.clone(), fleet.report == wants[c]);
+        let epochs = cfg.epochs as u64;
+        table.check(
+            format!("{row}: every agent sent every epoch"),
+            fleet.agents.iter().all(|a| a.epochs == cfg.epochs),
+        );
+        table.check(
+            format!("{row}: one flush per epoch"),
+            fleet.agents.iter().all(|a| a.flushes == epochs),
+        );
+        table.check(format!("{row}: nothing shed"), fleet.stats.shed == 0);
+        table.check(format!("{row}: no sequence gap"), fleet.stats.seq_gaps == 0);
+        table.check(format!("{row}: evidence tallied"), fleet.stats.evidence > 0);
+    }
+    table.holds();
 }
 
 #[test]

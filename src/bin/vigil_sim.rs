@@ -342,7 +342,6 @@ fn stream_forever(cfg: &ExperimentConfig, cap: Option<usize>, out: &mut Out) -> 
             break;
         }
     }
-    session.shutdown();
     let health = session.ledger().health();
     let head: Vec<String> = health
         .heat_map()
@@ -386,8 +385,6 @@ fn agent(p: &Parsed, _: &mut Out) -> Result<(), String> {
         epochs: p.get("--epochs").unwrap_or(cfg.epochs),
         chunk_flows: 256,
     };
-    // Decorrelate the fleet's reconnect storms by host range.
-    rcfg.jitter_seed ^= (spec.hosts.start as u64) << 32 | spec.hosts.end as u64;
     let endpoint = Endpoint::parse(collector);
     // Chaos without reconnect is just loss, so it implies --resilient.
     let stats = if p.has("--resilient") || chaos.is_some() {
