@@ -41,10 +41,12 @@
 //!   accept thread; reader threads that only decode and forward each
 //!   frame in order over one bounded channel, parking after a Hello or
 //!   an `EpochDone` until the core lets them read on; and the window
-//!   loop, which steps the core, writes the acks it asks for, absorbs
-//!   what it forwards through the in-process session's intake, and at
-//!   the barrier closes and scores the window there, exactly as the
-//!   session does.
+//!   loop, which runs each window on a stream session over an empty host
+//!   range, through the in-process session's own window function: between
+//!   the epoch's chunks and through the barrier it steps the core, writes
+//!   the acks it asks for and absorbs what the core forwards into the
+//!   session's intake, then closes and scores the window as any session
+//!   does.
 //!
 //! Backpressure: a full channel blocks the readers, so a slow collector
 //! slows the agents through TCP instead of dropping their votes — the
@@ -54,8 +56,8 @@
 //! Determinism contract: a loopback run (N agent processes feeding one
 //! collector) produces a final report **byte-identical** to
 //! `vigil-sim stream --json --trials 1` on the same preset. Both sides
-//! derive topology, faults, and per-epoch RNG streams from the same
-//! seeds; evidence admission (pacer, trace cache, SLB gate, byzantine
+//! draw trial 0's [`Trial`] (topology, faults, per-epoch RNG streams);
+//! evidence admission (pacer, trace cache, SLB gate, byzantine
 //! emission) runs on the agent exactly as in-process; the collector
 //! re-simulates each epoch locally only for ground truth and retained
 //! flow records (it never dispatches evidence of its own).
@@ -91,13 +93,11 @@
 //! close over in-memory pipes on one thread.
 
 use crate::evaluate::{evaluate_epoch, EpochReport};
-use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator};
+use crate::experiment::{ExperimentConfig, ExperimentReport, Trial, TrialAccumulator};
 use crate::run::{fresh_ledger, RunConfig, LEDGER_HEALTH_ALPHA, LEDGER_RING_WINDOWS};
-use crate::stream::{HostFleet, Intake};
-use crate::sweep::epoch_rng;
+use crate::stream::{HostFleet, Intake, StreamSession};
 use agent_core::{AgentCore, Start};
 use collector_core::{CollectorCore, Input, Output};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
@@ -110,7 +110,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use vigil_agents::AgentEvent;
 use vigil_analysis::{LedgerSnapshot, VoteLedger};
-use vigil_fabric::faults::LinkFaults;
 use vigil_fabric::flowsim::EpochScratch;
 use vigil_topology::ClosTopology;
 use vigil_wire::chaos::{ChaosSchedule, ChaosWriter};
@@ -331,9 +330,7 @@ fn write_events<W: Write>(
 /// the settled-epoch anchor that replays rewind to. It emits what the
 /// `AgentCore` asks for and decides nothing.
 struct AgentWorld {
-    trial_seed: u64,
-    topo: ClosTopology,
-    faults: LinkFaults,
+    trial: Trial,
     fleet: HostFleet,
     scratch: EpochScratch,
     run_cfg: RunConfig,
@@ -347,11 +344,8 @@ struct AgentWorld {
 
 impl AgentWorld {
     fn build(config: &ExperimentConfig, spec: &AgentSpec) -> io::Result<Self> {
-        let trial_seed = config.trial_seed(0);
-        let mut rng = config.trial_rng(0);
-        let topo = ClosTopology::new(config.params, rng.gen()).map_err(invalid)?;
-        let faults = config.faults.build(&topo, &mut rng);
-        let num_hosts = u32::try_from(topo.num_hosts()).map_err(invalid)?;
+        let trial = config.trial(0).map_err(invalid)?;
+        let num_hosts = u32::try_from(trial.topo.num_hosts()).map_err(invalid)?;
         if spec.hosts.start >= spec.hosts.end || spec.hosts.end > num_hosts {
             return Err(invalid(format!(
                 "host range {}..{} invalid for a {num_hosts}-host topology",
@@ -361,11 +355,9 @@ impl AgentWorld {
         if spec.chunk_flows == 0 || spec.epochs == 0 {
             return Err(invalid("agent needs chunk_flows >= 1 and epochs >= 1"));
         }
-        let fleet = HostFleet::new(&topo, &config.run, spec.hosts.clone());
+        let fleet = HostFleet::new(&trial.topo, &config.run, spec.hosts.clone());
         Ok(Self {
-            trial_seed,
-            topo,
-            faults,
+            trial,
             fleet,
             scratch: EpochScratch::new(),
             run_cfg: config.run.clone(),
@@ -426,9 +418,7 @@ impl AgentWorld {
     ) -> io::Result<()> {
         let before = stats.events_sent;
         let Self {
-            trial_seed,
-            topo,
-            faults,
+            trial,
             fleet,
             scratch,
             run_cfg,
@@ -438,10 +428,10 @@ impl AgentWorld {
         } = self;
         let mut write = |events: &mut Vec<AgentEvent>| write_events(writer, events, stats);
         fleet.run_epoch(
-            topo,
+            &trial.topo,
             run_cfg,
-            faults,
-            &mut epoch_rng(*trial_seed, epoch),
+            &trial.faults(epoch),
+            &mut trial.epoch_rng(epoch),
             scratch,
             *chunk_flows,
             false, // the agent never scores, so it keeps no rows
@@ -1052,23 +1042,23 @@ fn write_snapshot(path: &PathBuf, text: &str) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// The collector's tally: the fleet's epoch loop over an empty host
-/// range, the [`Intake`] the core's forwarded events go into, and the
-/// scored windows. Evidence admission happened on the agents, so the
-/// fleet dispatches nothing and only draws each epoch again for the
-/// ground truth and the records scoring consults; the intake is the
-/// in-process session's, so a window closes exactly as it does there.
+/// The collector's tally: a [`StreamSession`] over an empty host range
+/// (evidence admission happened on the agents, so its fleet only draws
+/// each epoch again for the ground truth and the rows scoring consults),
+/// whose intake the core's forwarded events go into, and the scored
+/// windows. A window closes exactly as in process, in the same function.
 struct Tally {
-    fleet: HostFleet,
+    session: StreamSession,
     scratch: EpochScratch,
-    intake: Intake,
     scored: Vec<EpochReport>,
 }
 
 impl Tally {
     /// A fresh tally, or a predecessor's restored from its snapshot,
     /// with the first window it serves. A snapshot that does not fit
-    /// this run's fabric or ledger shape is an `InvalidInput` error.
+    /// this run's fabric or ledger shape, or whose scored reports or
+    /// ledger stand at another window than its `epochs_done`, is an
+    /// `InvalidInput` error naming the field.
     fn open(
         config: &ExperimentConfig,
         topo: &ClosTopology,
@@ -1079,14 +1069,22 @@ impl Tally {
             Some(s) => {
                 let ledger = VoteLedger::restore(num_links, config.run.alg1, ring, alpha, s.ledger)
                     .map_err(|e| invalid(format!("snapshot does not fit this run: {e}")))?;
-                (ledger, s.epochs_done, s.epochs)
+                let done = s.epochs_done;
+                let covers = [
+                    ("epochs", s.epochs.len()),
+                    ("ledger.epoch", ledger.epoch() as usize),
+                ];
+                if let Some((field, n)) = covers.into_iter().find(|&(_, n)| n != done) {
+                    let why = format!("`{field}` covers {n} window(s), `epochs_done` {done}");
+                    return Err(invalid(format!("snapshot contradicts itself: {why}")));
+                }
+                (ledger, done, s.epochs)
             }
             None => (fresh_ledger(num_links, &config.run), 0, Vec::new()),
         };
         let tally = Self {
-            fleet: HostFleet::new(topo, &config.run, 0..0),
+            session: StreamSession::collector(topo, &config.run, ledger),
             scratch: EpochScratch::new(),
-            intake: Intake::new(ledger),
             scored,
         };
         Ok((tally, start))
@@ -1243,11 +1241,10 @@ pub fn run_collector(
     }
     // Resume: load the predecessor's snapshot before touching sockets.
     let snap = restore(config, ccfg)?;
-    let mut rng = config.trial_rng(0);
-    let topo = ClosTopology::new(config.params, rng.gen()).map_err(invalid)?;
-    let faults = config.faults.build(&topo, &mut rng);
+    let trial = config.trial(0).map_err(invalid)?;
+    let topo = &trial.topo;
     let num_hosts = u32::try_from(topo.num_hosts()).map_err(invalid)?;
-    let (mut tally, start) = Tally::open(config, &topo, snap)?;
+    let (mut tally, start) = Tally::open(config, topo, snap)?;
     // Metrics endpoint, up before the start barrier so operators can
     // watch admission.
     let metrics = match &ccfg.metrics {
@@ -1294,8 +1291,7 @@ pub fn run_collector(
         let windows = Windows {
             config,
             ccfg,
-            topo: &topo,
-            faults: &faults,
+            trial: &trial,
             metrics: metrics.as_deref(),
         };
         let result = windows.serve(&mut shell, &mut tally, start, started);
@@ -1315,46 +1311,40 @@ pub fn run_collector(
 struct Windows<'a> {
     config: &'a ExperimentConfig,
     ccfg: &'a CollectorConfig,
-    topo: &'a ClosTopology,
-    faults: &'a LinkFaults,
+    trial: &'a Trial,
     metrics: Option<&'a Mutex<MetricsState>>,
 }
 
 impl Windows<'_> {
-    /// One window, `w`: draw its epoch again for ground truth while
-    /// `pump` feeds the core, and the intake what it forwards, between
-    /// the epoch's chunks (`false`); wait out the barrier (`true`); then
-    /// close the window through the intake into the tally's scored
-    /// windows, and render the snapshot that covers it when `snapshot`
+    /// One window, `w`: the tally's session runs it while `pump` feeds
+    /// the core, and the intake what it forwards, between the epoch's
+    /// chunks and through the barrier (see
+    /// [`StreamSession::run_window_with`]); then the window is scored into
+    /// the tally, and the snapshot that covers it rendered when `snapshot`
     /// asks. Returns the evidence scored and that snapshot. The threaded
     /// window loop and the fleet simulation both close windows here.
     fn close(
         &self,
         tally: &mut Tally,
         w: usize,
-        mut pump: impl FnMut(&mut Intake, bool) -> io::Result<()>,
+        pump: impl FnMut(&mut Intake, bool) -> io::Result<()>,
         snapshot: bool,
     ) -> io::Result<(usize, Option<String>)> {
-        let (config, run_cfg) = (self.config, &self.config.run);
-        let pull = tally.fleet.run_epoch(
-            self.topo,
-            run_cfg,
-            self.faults,
-            &mut epoch_rng(config.trial_seed(0), w),
+        let trial = self.trial;
+        let run = tally.session.run_window_with(
+            &trial.topo,
+            &self.config.run,
+            &trial.faults(w),
+            &mut trial.epoch_rng(w),
             &mut tally.scratch,
-            256,  // chunk size, invisible in the output
-            true, // a scorer keeps the evidence rows
-            w as u64 + 1,
-            |_| pump(&mut tally.intake, false), // an empty host range emits nothing
+            pump,
         )?;
-        pump(&mut tally.intake, true)?;
-        let run = tally.intake.close(pull.outcome, run_cfg);
         tally.scored.push(evaluate_epoch(&run));
         let snapshot = if snapshot {
             let snap = CollectorSnapshot {
-                seed: config.seed,
+                seed: self.config.seed,
                 epochs_done: w + 1,
-                ledger: tally.intake.ledger.snapshot(),
+                ledger: tally.session.ledger().snapshot(),
                 epochs: tally.scored.clone(),
             };
             Some(serde_json::to_string_pretty(&snap).map_err(other)?)
@@ -1428,7 +1418,7 @@ impl Windows<'_> {
                 return Ok(CollectorOutcome::Paused(stats));
             }
             prev = stats;
-            shell.ack(&mut tally.intake)?;
+            shell.ack(&mut tally.session.intake)?;
         }
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let report = self.report(std::mem::take(&mut tally.scored), wall_ms);
@@ -1445,7 +1435,13 @@ impl Windows<'_> {
         prev: &CollectorStats,
         stats: &CollectorStats,
     ) {
-        let heat = tally.intake.ledger.health().heat_map().into_iter().take(8);
+        let heat = tally
+            .session
+            .ledger()
+            .health()
+            .heat_map()
+            .into_iter()
+            .take(8);
         let detected = tally.scored.last().map(|er| &er.detected);
         let window = WindowMetrics {
             window: w as u64,
@@ -2260,6 +2256,51 @@ mod tests {
             msg.contains("does not fit") && msg.contains("links"),
             "{msg}"
         );
+    }
+
+    /// A resumed snapshot of this fabric that contradicts itself — two
+    /// windows done but one scored report, or a ledger standing at
+    /// another window — is refused as it is read back (the step
+    /// `run_collector` takes before admitting any agent), with an
+    /// `InvalidInput` error naming the field.
+    #[test]
+    fn resume_refuses_a_snapshot_that_contradicts_itself() {
+        let cfg = tiny_config();
+        let (trial, _) = stream_trial(&cfg, 0, &StreamTuning::default());
+        let topo = ClosTopology::new(cfg.params, 0).unwrap();
+        let ledger_at = |epoch: u64| {
+            let mut snap = fresh_ledger(topo.num_links(), &cfg.run).snapshot();
+            snap.epoch = epoch;
+            snap
+        };
+        let short = CollectorSnapshot {
+            seed: cfg.seed,
+            epochs_done: 2,
+            ledger: ledger_at(2),
+            epochs: trial.epochs[..1].to_vec(),
+        };
+        let behind = CollectorSnapshot {
+            ledger: ledger_at(1),
+            epochs: trial.epochs[..2].to_vec(),
+            ..short.clone()
+        };
+        let ccfg = CollectorConfig {
+            epochs: cfg.epochs,
+            ..CollectorConfig::default()
+        };
+        for (snap, field) in [(short, "`epochs`"), (behind, "`ledger.epoch`")] {
+            let text = serde_json::to_string(&snap).unwrap();
+            let snap = parse_snapshot(&cfg, &ccfg, &text).expect("same seed, epochs left");
+            let Err(err) = Tally::open(&cfg, &topo, Some(snap)) else {
+                panic!("a snapshot whose {field} contradicts `epochs_done` resumed");
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{field}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(field) && msg.contains("`epochs_done` 2"),
+                "{msg}"
+            );
+        }
     }
 
     /// Pins the metrics endpoint's field names — both the JSON keys and

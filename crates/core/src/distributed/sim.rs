@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use vigil_agents::ByzantineSpec;
 use vigil_fabric::faults::{FaultPlan, RateRange};
 use vigil_fabric::traffic::{ConnCount, TrafficSpec};
-use vigil_topology::{ClosParams, ClosTopology};
+use vigil_topology::ClosParams;
 use vigil_wire::chaos::{ChaosPlan, ChaosSchedule, ChaosWriter};
 use vigil_wire::{FrameReader, FrameWriter, WireFrame, HELLO_RESILIENT, WIRE_VERSION};
 
@@ -221,7 +221,7 @@ impl<'a> Sim<'a> {
     }
 
     fn collector(windows: &Windows, snapshot: Option<&str>, now: Instant) -> Collector {
-        let (config, ccfg, topo) = (windows.config, windows.ccfg, windows.topo);
+        let (config, ccfg, topo) = (windows.config, windows.ccfg, &windows.trial.topo);
         let snap = snapshot.map(|text| parse_snapshot(config, ccfg, text).expect("snapshot"));
         let (tally, window) = Tally::open(config, topo, snap).expect("snapshot fits");
         let (hosts, links) = (topo.num_hosts() as u32, topo.num_links());
@@ -388,7 +388,7 @@ impl<'a> Sim<'a> {
                         }
                     }
                     collector_core::Output::Absorb(event) => {
-                        self.collector.tally.intake.absorb(event)
+                        self.collector.tally.session.intake.absorb(event)
                     }
                     collector_core::Output::WindowComplete => self.close()?,
                     collector_core::Output::Abort(why) => return Err(why),
@@ -414,7 +414,7 @@ impl<'a> Sim<'a> {
         c.core.ack(&mut c.out);
         let agents = self.agents.len();
         let (dedup, ranges, conns) = c.core.footprint();
-        let reports = c.tally.intake.reports.len();
+        let reports = c.tally.session.intake.reports.len();
         if dedup > 0 || ranges > agents || conns > agents || reports > 0 {
             return Err(format!(
                 "after window {w}: {dedup} dedup entries, {ranges} ranges, {conns} connections, \
@@ -603,14 +603,11 @@ fn run(
         reconnect_grace: Duration::from_secs(3600),
         ..CollectorConfig::default()
     };
-    let mut rng = config.trial_rng(0);
-    let topo = ClosTopology::new(config.params, rng.gen()).map_err(|e| e.to_string())?;
-    let faults = config.faults.build(&topo, &mut rng);
+    let trial = config.trial(0).map_err(|e| e.to_string())?;
     let windows = Windows {
         config,
         ccfg: &ccfg,
-        topo: &topo,
-        faults: &faults,
+        trial: &trial,
         metrics: None,
     };
     let mut sim = Sim::new(windows, ranges, chaos);

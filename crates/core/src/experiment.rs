@@ -21,12 +21,17 @@
 //! ([`crate::stream::stream_trial`]) at any thread count.
 
 use crate::evaluate::EpochReport;
+use crate::pool::EpochGroup;
 use crate::run::RunConfig;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use vigil_fabric::faults::FaultPlan;
-use vigil_stats::{DetectionOutcome, RatioMetric, Summary};
-use vigil_topology::ClosParams;
+use std::borrow::Cow;
+use vigil_fabric::compose::CompiledFaults;
+use vigil_fabric::faults::{FaultPlan, LinkFaults};
+use vigil_stats::{DetectionOutcome, Summary};
+use vigil_topology::params::ParamError;
+use vigil_topology::{ClosParams, ClosTopology};
 
 /// Full experiment specification (one plotted point).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -76,9 +81,54 @@ impl ExperimentConfig {
     /// draw identical topologies and faults. Epoch bodies do **not** draw
     /// from this stream — each epoch reseeds via
     /// [`crate::sweep::epoch_rng`], making every `(trial, epoch)` cell
-    /// independently reproducible.
+    /// independently reproducible. Runners do not draw from it
+    /// themselves: they hold the [`Trial`] drawn from it.
     pub fn trial_rng(&self, trial: usize) -> ChaCha8Rng {
         crate::sweep::task_rng(self.seed, trial)
+    }
+
+    /// Trial `trial`'s world (see [`Trial`]). Errs when
+    /// [`params`](Self::params) do not describe a Clos fabric.
+    pub fn trial(&self, trial: usize) -> Result<Trial, ParamError> {
+        Trial::draw(&EpochGroup::from_experiment(self), trial)
+    }
+}
+
+/// One trial's world: topology and faults drawn from the trial RNG, each
+/// epoch's traffic and drops from [`epoch_rng`](Self::epoch_rng). Every
+/// runner — `stream_trial`, the epoch pool, agent and collector, `stream
+/// --forever` — runs its windows in one, so they agree byte for byte.
+#[derive(Debug)]
+pub struct Trial {
+    /// The trial's fabric.
+    pub topo: ClosTopology,
+    /// [`ExperimentConfig::trial_seed`]: the root of the trial's RNG tree.
+    seed: u64,
+    faults: CompiledFaults,
+}
+
+impl Trial {
+    /// Draws trial `trial` of `group`: the topology seed first, then the
+    /// fault plan compiled over the group's epochs.
+    pub(crate) fn draw(group: &EpochGroup<'_>, trial: usize) -> Result<Self, ParamError> {
+        let seed = crate::sweep::task_seed(group.master_seed, trial);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let topo = ClosTopology::new(group.params, rng.gen())?;
+        let faults = group
+            .faults
+            .compile(&topo, group.epochs, group.epoch_seconds, &mut rng);
+        Ok(Self { seed, topo, faults })
+    }
+
+    /// The RNG stream of epoch `epoch` ([`crate::sweep::epoch_rng`]).
+    pub fn epoch_rng(&self, epoch: usize) -> ChaCha8Rng {
+        crate::sweep::epoch_rng(self.seed, epoch)
+    }
+
+    /// The fault table epoch `epoch` runs against (a static plan's one
+    /// table, borrowed).
+    pub fn faults(&self, epoch: usize) -> Cow<'_, LinkFaults> {
+        self.faults.epoch_faults(epoch)
     }
 }
 
@@ -96,12 +146,11 @@ pub struct MethodReport {
 }
 
 impl MethodReport {
-    /// Folds one trial's accumulated accuracy/outcome in — the bridge
-    /// between per-epoch metrics and the per-trial summaries the figures
-    /// average. Public so alternative trial drivers (the scenario
-    /// [`crate::matrix`]) can build [`TrialReport`]s the same way.
-    pub fn absorb_trial(&mut self, acc: RatioMetric, outcome: &DetectionOutcome) {
-        if let Some(a) = acc.value() {
+    /// Folds one trial's pooled outcome in — the bridge between
+    /// per-epoch metrics and the per-trial summaries the figures
+    /// average. [`TrialAccumulator::finish`] is its caller.
+    pub fn absorb_trial(&mut self, outcome: &DetectionOutcome) {
+        if let Some(a) = outcome.accuracy.value() {
             self.accuracy.record(a);
         }
         if let Some(p) = outcome.confusion.precision() {
@@ -241,11 +290,8 @@ pub struct TrialReport {
 /// them.
 #[derive(Debug)]
 pub struct TrialAccumulator {
-    vigil_acc: RatioMetric,
     vigil_out: DetectionOutcome,
-    int_acc: RatioMetric,
     int_out: DetectionOutcome,
-    bin_acc: RatioMetric,
     bin_out: DetectionOutcome,
     noise_marked: u64,
     noise_marked_incorrectly: u64,
@@ -258,11 +304,8 @@ impl TrialAccumulator {
     /// An empty accumulator (capacity hint only; any epoch count works).
     pub fn new(expected_epochs: usize) -> Self {
         Self {
-            vigil_acc: RatioMetric::default(),
             vigil_out: DetectionOutcome::default(),
-            int_acc: RatioMetric::default(),
             int_out: DetectionOutcome::default(),
-            bin_acc: RatioMetric::default(),
             bin_out: DetectionOutcome::default(),
             noise_marked: 0,
             noise_marked_incorrectly: 0,
@@ -275,16 +318,13 @@ impl TrialAccumulator {
     /// Folds one epoch's report in (epoch order matters for the
     /// concatenated vectors, exactly like the serial trial loop).
     pub fn absorb(&mut self, er: EpochReport) {
-        self.vigil_acc.merge(er.vigil.accuracy);
         self.vigil_out.accuracy.merge(er.vigil.accuracy);
         self.vigil_out.confusion.merge(er.vigil.confusion);
         if let Some(m) = &er.integer {
-            self.int_acc.merge(m.accuracy);
             self.int_out.accuracy.merge(m.accuracy);
             self.int_out.confusion.merge(m.confusion);
         }
         if let Some(m) = &er.binary {
-            self.bin_acc.merge(m.accuracy);
             self.bin_out.accuracy.merge(m.accuracy);
             self.bin_out.confusion.merge(m.confusion);
         }
@@ -301,18 +341,14 @@ impl TrialAccumulator {
     /// time the caller measured — the pool sums a trial's per-epoch
     /// times, since its epochs may run on different workers.
     pub fn finish(self, run_config: &RunConfig, trial: usize, wall_ms: f64) -> TrialReport {
-        let mut vigil = MethodReport::default();
-        vigil.absorb_trial(self.vigil_acc, &self.vigil_out);
-        let integer = run_config.baselines.integer.then(|| {
+        let method = |outcome: &DetectionOutcome| {
             let mut m = MethodReport::default();
-            m.absorb_trial(self.int_acc, &self.int_out);
+            m.absorb_trial(outcome);
             m
-        });
-        let binary = run_config.baselines.binary.then(|| {
-            let mut m = MethodReport::default();
-            m.absorb_trial(self.bin_acc, &self.bin_out);
-            m
-        });
+        };
+        let vigil = method(&self.vigil_out);
+        let integer = run_config.baselines.integer.then(|| method(&self.int_out));
+        let binary = run_config.baselines.binary.then(|| method(&self.bin_out));
 
         TrialReport {
             trial,

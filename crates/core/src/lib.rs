@@ -55,7 +55,7 @@ pub use distributed::{
 };
 pub use evaluate::{EpochReport, MethodMetrics};
 pub use experiment::{
-    ExperimentConfig, ExperimentReport, ExperimentTiming, MethodReport, TrialAccumulator,
+    ExperimentConfig, ExperimentReport, ExperimentTiming, MethodReport, Trial, TrialAccumulator,
     TrialReport,
 };
 pub use matrix::{CaseOutcome, Envelope, MatrixReport, MatrixRunner, ScenarioCase};

@@ -14,8 +14,9 @@
 //! 6 threads is 6 concurrent cells, not 3 busy workers and 3 idle ones.
 //!
 //! Determinism is carried by the seeding scheme, not the schedule: each
-//! cell's RNG is [`crate::sweep::epoch_rng`]`(task_seed(master, trial),
-//! epoch)` — a pure function of its coordinates — and the session
+//! cell runs epoch `epoch` of its trial's [`Trial`] — drawn from
+//! `(master, trial)` alone, its RNG stream a pure function of the
+//! coordinates — and the session
 //! machinery guarantees that a window run on a freshly rebuilt
 //! [`StreamSession`] is byte-identical to one run on a session that
 //! already served the trial's earlier epochs (agent budgets refresh on
@@ -26,7 +27,7 @@
 //!
 //! Workers cache per-trial state ([`run_tasks_with`]'s worker-local
 //! `S`): claiming a cell of the same `(group, trial)` as the previous
-//! one reuses the topology, simulator scratch, and stream session —
+//! one reuses the trial, simulator scratch, and stream session —
 //! the common case, since cells are claimed from an ascending counter.
 //! A grid smaller than the engine leaves the surplus threads idle: the
 //! cell is the unit of parallelism.
@@ -36,17 +37,14 @@
 //! [`FaultPlan::build`]: vigil_fabric::FaultPlan::build
 
 use crate::evaluate::{evaluate_epoch, EpochReport};
-use crate::experiment::{ExperimentConfig, ExperimentReport, TrialAccumulator};
+use crate::experiment::{ExperimentConfig, ExperimentReport, Trial, TrialAccumulator};
 use crate::run::RunConfig;
 use crate::stream::{RetainPolicy, StreamSession, StreamStats, StreamTuning};
-use crate::sweep::{epoch_rng, task_seed, SweepEngine};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use crate::sweep::SweepEngine;
 use std::borrow::Cow;
-use vigil_fabric::compose::CompiledFaults;
 use vigil_fabric::flowsim::EpochScratch;
 use vigil_fabric::CompositeFaultPlan;
-use vigil_topology::{ClosParams, ClosTopology};
+use vigil_topology::ClosParams;
 
 /// One homogeneous block of the grid: `trials × epochs` cells sharing a
 /// config, topology parameters, and master seed. A sweep submits one
@@ -59,7 +57,7 @@ pub(crate) struct EpochGroup<'a> {
     pub(crate) run: &'a RunConfig,
     /// Topology parameters (a fresh topology is drawn per trial).
     pub(crate) params: ClosParams,
-    /// Master seed; trial seeds derive via [`task_seed`].
+    /// Master seed; trial seeds derive via [`crate::sweep::task_seed`].
     pub(crate) master_seed: u64,
     /// Trials in this group.
     pub(crate) trials: usize,
@@ -102,33 +100,22 @@ pub(crate) struct GroupResult {
 /// Everything a worker needs to run any epoch of one trial. Rebuilt when
 /// a worker's claimed cell crosses a trial boundary; reused otherwise.
 struct TrialContext {
-    trial_seed: u64,
-    topo: ClosTopology,
-    faults: CompiledFaults,
+    trial: Trial,
     session: StreamSession,
 }
 
-/// Replays exactly the serial trial prologue ([`crate::stream::stream_trial`]):
-/// topology seed and fault draws from the trial RNG, in that order.
-fn build_trial(group: &EpochGroup<'_>, trial: usize) -> TrialContext {
-    let trial_seed = task_seed(group.master_seed, trial);
-    let mut rng = ChaCha8Rng::seed_from_u64(trial_seed);
-    let topo =
-        ClosTopology::new(group.params, rng.gen()).expect("group parameters validated upstream");
-    let faults = group
-        .faults
-        .compile(&topo, group.epochs, group.epoch_seconds, &mut rng);
-    let session = StreamSession::new(
-        &topo,
-        group.run,
-        StreamTuning::default(),
-        RetainPolicy::EvidenceOnly,
-    );
-    TrialContext {
-        trial_seed,
-        topo,
-        faults,
-        session,
+impl TrialContext {
+    /// Trial `trial` of `group`, drawn as the serial reference
+    /// ([`crate::stream::stream_trial`]) draws it.
+    fn new(group: &EpochGroup<'_>, trial: usize) -> Self {
+        let trial = Trial::draw(group, trial).expect("group parameters validated upstream");
+        let session = StreamSession::new(
+            &trial.topo,
+            group.run,
+            StreamTuning::default(),
+            RetainPolicy::EvidenceOnly,
+        );
+        Self { trial, session }
     }
 }
 
@@ -174,22 +161,20 @@ pub(crate) fn run_epoch_grid(engine: &SweepEngine, groups: &[EpochGroup<'_>]) ->
         let epoch = within % group.epochs.max(1);
 
         if state.key != Some((gi, trial)) {
-            state.ctx = Some(build_trial(group, trial));
+            state.ctx = Some(TrialContext::new(group, trial));
             state.key = Some((gi, trial));
         }
         let WorkerState { ctx, scratch, .. } = state;
         let ctx = ctx.as_mut().expect("context built above");
 
         let started = std::time::Instant::now();
-        let mut rng = epoch_rng(ctx.trial_seed, epoch);
-        let faults = ctx.faults.epoch_faults(epoch);
-        let before = ctx.session.stats().clone();
-        let run = ctx
-            .session
-            .run_window(&ctx.topo, group.run, faults.as_ref(), &mut rng, scratch);
+        let TrialContext { trial, session } = ctx;
+        let (faults, mut rng) = (trial.faults(epoch), trial.epoch_rng(epoch));
+        let before = session.stats().clone();
+        let run = session.run_window(&trial.topo, group.run, &faults, &mut rng, scratch);
         EpochUnit {
             report: evaluate_epoch(&run),
-            stats: ctx.session.stats().delta_since(&before),
+            stats: session.stats().delta_since(&before),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
         }
     });

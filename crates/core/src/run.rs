@@ -217,7 +217,7 @@ pub(crate) fn assemble_epoch(
     window: WindowAnalysis,
     config: &RunConfig,
 ) -> EpochRun {
-    // Canonical order: host-agent arrival order (channel, chunk, or
+    // Canonical order: host-agent arrival order (chunk, connection, or
     // iteration) is an artifact, not information; sorting by the same
     // key that orders the ledger's evidence makes `reports` parallel to
     // `window.evidence` and every runner bit-identical.

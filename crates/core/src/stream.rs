@@ -134,8 +134,8 @@ impl StreamStats {
 /// Figure 2's left half: one process's host agents, the model deciding
 /// what each reports, and the buffer they emit into.
 /// [`run_epoch`](Self::run_epoch) is the pipeline's one agent loop — the
-/// in-process session, the distributed agent and the collector's tally
-/// all drive their epochs through it.
+/// stream session (in process and in the collector) and the distributed
+/// agent drive their epochs through it.
 #[derive(Debug)]
 pub(crate) struct HostFleet {
     /// One agent per host of `hosts`, in host order, created up front.
@@ -389,7 +389,8 @@ impl Intake {
 pub struct StreamSession {
     tuning: StreamTuning,
     fleet: HostFleet,
-    intake: Intake,
+    /// What the agents' events go into; the collector's core feeds it too.
+    pub(crate) intake: Intake,
 }
 
 impl StreamSession {
@@ -420,6 +421,20 @@ impl StreamSession {
         }
     }
 
+    /// The collector's session: it speaks for no host, scoring what the
+    /// agents sent, and tallies into `ledger` (a predecessor's, on resume).
+    pub(crate) fn collector(
+        topo: &ClosTopology,
+        config: &RunConfig,
+        ledger: VoteLedger<EvidenceKey>,
+    ) -> Self {
+        Self {
+            tuning: StreamTuning::default(),
+            fleet: HostFleet::new(topo, config, 0..0),
+            intake: Intake::new(ledger),
+        }
+    }
+
     /// The session's counters so far.
     pub fn stats(&self) -> &StreamStats {
         &self.intake.stats
@@ -432,11 +447,11 @@ impl StreamSession {
     }
 
     /// Runs one window: simulate the epoch in chunks, absorb each chunk's
-    /// events, then close the window and assemble the scored [`EpochRun`]
-    /// through the intake the collector closes its windows with.
-    /// Byte-identical to the batch epoch on the same RNG stream (the
-    /// goldens' contract). `topo` and `config` must be the ones the
-    /// session was sized for.
+    /// events, then close the window and assemble the scored [`EpochRun`].
+    /// Every runner's windows close here, so a window on the same
+    /// [`crate::experiment::Trial`] stream is the same bytes whichever
+    /// runner drew it (the goldens' contract). `topo` and `config` must be
+    /// the ones the session was sized for.
     pub fn run_window<R: Rng + ?Sized>(
         &mut self,
         topo: &ClosTopology,
@@ -450,13 +465,32 @@ impl StreamSession {
             topo.num_hosts(),
             "session sized for a different topology"
         );
+        let no_pump = |_: &mut Intake, _| Ok::<(), Infallible>(());
+        let Ok(run) = self.run_window_with(topo, config, faults, rng, scratch, no_pump);
+        run
+    }
+
+    /// [`run_window`](Self::run_window) with a `pump` that may feed the
+    /// intake events from elsewhere: after every chunk (`false`), and once
+    /// more before the close (`true`), which must leave the window's
+    /// evidence complete. The collector's pump steps its protocol core
+    /// and waits out the barrier there; its error aborts the window.
+    pub(crate) fn run_window_with<R: Rng + ?Sized, E>(
+        &mut self,
+        topo: &ClosTopology,
+        config: &RunConfig,
+        faults: &LinkFaults,
+        rng: &mut R,
+        scratch: &mut EpochScratch,
+        mut pump: impl FnMut(&mut Intake, bool) -> Result<(), E>,
+    ) -> Result<EpochRun, E> {
         let Self {
             tuning,
             fleet,
             intake,
         } = self;
         let next_epoch = intake.ledger.epoch() + 1;
-        let Ok(pull) = fleet.run_epoch(
+        let pull = fleet.run_epoch(
             topo,
             config,
             faults,
@@ -467,20 +501,21 @@ impl StreamSession {
             next_epoch,
             |events| {
                 events.drain(..).for_each(|event| intake.absorb(event));
-                Ok::<(), Infallible>(())
+                pump(intake, false)
             },
-        );
+        )?;
+        pump(intake, true)?;
         let stats = &mut intake.stats;
         stats.flows += pull.flows as u64;
         stats.peak_resident_flows = stats.peak_resident_flows.max(pull.peak_resident as u64);
-        intake.close(pull.outcome, config)
+        Ok(intake.close(pull.outcome, config))
     }
 }
 
 /// One trial on the current thread — the serial reference every other
-/// runner reproduces: topology and faults from the trial RNG, each epoch
-/// on its own derived [`crate::sweep::epoch_rng`] stream, all driven
-/// through one [`StreamSession`] at `tuning`. The epoch pool's report for
+/// runner reproduces: each epoch of the config's
+/// [`Trial`](crate::experiment::Trial) driven through one
+/// [`StreamSession`] at `tuning`. The epoch pool's report for
 /// the same trial is bit-identical at any width, and `tuning` never
 /// changes it. The returned counters are the sum of the trial's windows,
 /// which is what the pool sums per cell.
@@ -490,22 +525,20 @@ pub fn stream_trial(
     tuning: &StreamTuning,
 ) -> (TrialReport, StreamStats) {
     let started = std::time::Instant::now();
-    let trial_seed = config.trial_seed(trial);
-    let mut rng = config.trial_rng(trial);
-    let topo = vigil_topology::ClosTopology::new(config.params, rng.gen())
+    let world = config
+        .trial(trial)
         .expect("experiment parameters validated upstream");
-    let faults = config.faults.build(&topo, &mut rng);
     let mut scratch = EpochScratch::new();
     let mut session = StreamSession::new(
-        &topo,
+        &world.topo,
         &config.run,
         tuning.clone(),
         RetainPolicy::EvidenceOnly,
     );
     let mut acc = TrialAccumulator::new(config.epochs);
     for epoch in 0..config.epochs {
-        let mut erng = crate::sweep::epoch_rng(trial_seed, epoch);
-        let run = session.run_window(&topo, &config.run, &faults, &mut erng, &mut scratch);
+        let (faults, mut rng) = (world.faults(epoch), world.epoch_rng(epoch));
+        let run = session.run_window(&world.topo, &config.run, &faults, &mut rng, &mut scratch);
         acc.absorb(evaluate_epoch(&run));
     }
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;

@@ -13,8 +13,8 @@
 //!   is always `[f(0), f(1), …, f(n-1)]` regardless of scheduling.
 //! * [`SweepEngine::run_experiment`] is the one experiment runner: it
 //!   shards one config's `(trial, epoch)` cells over the epoch pool.
-//!   Each trial re-seeds from the master seed and its index alone
-//!   ([`ExperimentConfig::trial_rng`]), each epoch from
+//!   Each trial is drawn from the master seed and its index alone
+//!   ([`ExperimentConfig::trial`]), each epoch from
 //!   [`epoch_rng`], and partial reports merge in trial order, so the
 //!   report is **bit-identical** to the serial reference
 //!   ([`crate::stream::stream_trial`]) at any thread count.

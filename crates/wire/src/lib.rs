@@ -1,8 +1,8 @@
 //! The `AgentEvent` wire codec: how a host's 007 process puts evidence
 //! on an actual socket to the centralized analysis agent (paper §6).
 //!
-//! The in-process streaming pipeline moves typed
-//! [`AgentEvent`]s over a bounded channel; the
+//! The in-process streaming pipeline hands typed [`AgentEvent`]s from
+//! the agents' buffer straight to the analysis intake; the
 //! distributed service mode moves the same events over TCP or Unix
 //! sockets as **length-prefixed frames**, in the `vigil_packet` idiom:
 //! explicit big-endian layouts, checked parsing, an error enum per

@@ -9,14 +9,12 @@
 //! the presets. Every error is one message on stderr and exit code 1.
 //!
 //! `stream --epochs N --json` emits byte-identical JSON to
-//! `run --json` on the same preset and flags: the streaming pipeline
-//! reproduces the batch pipeline's RNG draw order and canonical
-//! evidence order while holding only evidence-bearing flow records in
-//! memory. Service-mode counters (events, peak resident flows, shed) go
-//! to stderr. `stream --forever` rolls windows until
-//! killed (or for `--epochs N` windows when given), one summary line each
-//! and the heat map on exit; `--window-ms` rescales the Theorem 1
-//! traceroute budget.
+//! `run --json` on the same preset and flags: both call
+//! `SweepEngine::run_experiment`. `stream` adds the service-mode
+//! counters (events, peak resident flows, shed) on stderr.
+//! `stream --forever` rolls windows until killed (or for `--epochs N`
+//! windows when given), one summary line each and the heat map on exit;
+//! `--window-ms` rescales the Theorem 1 traceroute budget.
 //!
 //! `collect` and `agent` are the distributed service mode (the paper's
 //! Figure 2 over sockets). Addresses containing `/` are Unix-domain
@@ -293,15 +291,13 @@ fn stream(p: &Parsed, out: &mut Out) -> Result<(), String> {
 /// when `--epochs` was explicit — with a summary line per window and the
 /// cross-window heat map at the end.
 fn stream_forever(cfg: &ExperimentConfig, cap: Option<usize>, out: &mut Out) -> Result<(), String> {
-    use rand::Rng;
-    let trial_seed = cfg.trial_seed(0);
-    let mut rng = cfg.trial_rng(0);
-    let topo = ClosTopology::new(cfg.params, rng.gen())
+    let trial = cfg
+        .trial(0)
         .map_err(|e| format!("invalid topology parameters: {e}"))?;
-    let faults = cfg.faults.build(&topo, &mut rng);
+    let topo = &trial.topo;
     let mut scratch = vigil_fabric::EpochScratch::new();
     let mut session = StreamSession::new(
-        &topo,
+        topo,
         &cfg.run,
         StreamTuning::default(),
         RetainPolicy::EvidenceOnly,
@@ -319,12 +315,11 @@ fn stream_forever(cfg: &ExperimentConfig, cap: Option<usize>, out: &mut Out) -> 
     let started = std::time::Instant::now();
     let mut window = 0usize;
     loop {
-        // Every window reseeds from its index — the same derivation the
-        // epoch pool uses, so window w here is byte-identical to epoch w
-        // of a batch trial on the same preset.
-        let mut wrng = vigil::epoch_rng(trial_seed, window);
+        // Window w runs epoch w of trial 0, as every runner draws it, so
+        // its verdict is epoch w's in `stream --json --trials 1`.
+        let (faults, mut rng) = (trial.faults(window), trial.epoch_rng(window));
         window += 1;
-        let run = session.run_window(&topo, &cfg.run, &faults, &mut wrng, &mut scratch);
+        let run = session.run_window(topo, &cfg.run, &faults, &mut rng, &mut scratch);
         let stats = session.stats();
         let elapsed = started.elapsed().as_secs_f64().max(1e-9);
         writeln!(

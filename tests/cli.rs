@@ -437,6 +437,53 @@ fn stream_forever_caps_at_explicit_epochs_and_prints_windows() {
     assert!(!bad.status.success());
 }
 
+/// `stream --forever`'s window w is epoch w of trial 0: each window
+/// line's evidence and detected-link count equal `traced_flows` and
+/// `detected` of `epochs[w]` in the one-trial report.
+#[test]
+fn stream_forever_windows_match_the_report_epoch_by_epoch() {
+    let run = |extra: &[&str]| {
+        let out = vigil_sim()
+            .args(["stream", "single-failure", "--epochs", "3", "--seed", "7"])
+            .args(extra)
+            .output()
+            .expect("spawn vigil-sim");
+        assert!(
+            out.status.success(),
+            "stream {extra:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let report: serde_json::Value =
+        serde_json::from_str(&run(&["--json", "--trials", "1"])).expect("valid JSON report");
+    let field = |v: &serde_json::Value, name: &str| v.get(name).cloned().expect(name);
+    let expected: Vec<(u64, usize)> = field(&report, "epochs")
+        .as_seq()
+        .expect("epoch reports")
+        .iter()
+        .map(|e| {
+            let traced = field(e, "traced_flows").as_f64().expect("a count") as u64;
+            (traced, field(e, "detected").as_seq().expect("links").len())
+        })
+        .collect();
+    // "window     1  evidence    21  detected  1 link(s)  …"
+    let windows: Vec<(u64, usize)> = run(&["--forever"])
+        .lines()
+        .filter_map(|l| {
+            let words: Vec<&str> = l.split_whitespace().collect();
+            match words[..] {
+                ["window", _, "evidence", evidence, "detected", detected, ..] => {
+                    Some((evidence.parse().unwrap(), detected.parse().unwrap()))
+                }
+                _ => None,
+            }
+        })
+        .collect();
+    assert_eq!(expected.len(), 3);
+    assert_eq!(windows, expected, "windows (evidence, detected) vs epochs");
+}
+
 #[test]
 fn zero_valued_counts_are_rejected_not_vacuous() {
     // A zero window, trial, or epoch count must fail loudly — not
